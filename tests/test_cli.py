@@ -3,7 +3,9 @@ subcommand's output shape and exit code, and byte-level determinism."""
 
 import csv
 import io
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +26,29 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def _csv_rows(text):
     # tables follow the echo lines; csv starts at the header row
     lines = text.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("scheme,"))
     return list(csv.reader(io.StringIO("\n".join(lines[start:]))))
+
+
+# ---------------------------------------------------------------------------
+# Golden transcripts: the README commands, byte for byte.  Each file holds
+# the command line, the exit code and the full stdout it produced.
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("*.txt")), ids=lambda p: p.stem
+)
+def test_golden_transcript(path, capsys):
+    command, status, expected = path.read_text().split("\n", 2)
+    assert command.startswith("$ mvcode ") and status.startswith("exit ")
+    code, out, _ = _run(capsys, *shlex.split(command[len("$ mvcode "):]))
+    assert (code, out) == (int(status[len("exit "):]), expected)
 
 
 # ---------------------------------------------------------------------------
