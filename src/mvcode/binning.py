@@ -27,17 +27,17 @@ bit-exactly from its descriptor (kind, seed, dimensions).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations, product
-from math import log2
+from itertools import combinations
+from math import ceil, lcm, log2
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .bitio import BitReader, BitWriter
+from .bounds import LOG_DIGITS, log2_decimal
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     CorrelationModel,
@@ -47,6 +47,7 @@ from .model import (
     VersionTuple,
     hamming_ball_volume,
     iter_ball_masks,
+    iter_states,
     latest_common_version,
     sample_tuple,
 )
@@ -58,19 +59,15 @@ from .schemes import (
     StoredSymbol,
     register_scheme,
 )
-
-_WORK_PREC = 128
-# Width ceilings and region slacks snap to an integer when they land within
-# this distance of one; genuine off-by-epsilon rates would need ~2^60 bits.
-_SNAP = Fraction(1, 1 << 60)
+from .verifier import wilson_interval
 
 
 class RateTerm(NamedTuple):
     """A rate expressed symbolically as a + b*log2(Vol) + e*log2(epsilon).
 
     Keeping the rational coefficients exact lets width ceilings and region
-    slacks be decided without floating-point noise; in particular a slack
-    that is identically zero comes out as exactly zero.
+    slacks be decided exactly, by comparing big-integer powers; in
+    particular a slack that is identically zero comes out as exactly zero.
     """
 
     constant: Fraction
@@ -151,60 +148,57 @@ class RateAllocation:
             vol = Fraction(u - got[pos - 1])
         return RateTerm(const / self.c, vol / self.c, Fraction(-1, self.c))
 
-    def _log_vol(self):
-        if "logvol" not in self._cache:
-            vol = self.model.ball_volume()
-            with mp.workprec(_WORK_PREC):
-                self._cache["logvol"] = mp.log(mp.mpf(vol), 2)
-        return self._cache["logvol"]
-
-    def _log_eps(self):
-        if "logeps" not in self._cache:
-            with mp.workprec(_WORK_PREC):
-                self._cache["logeps"] = mp.log(
-                    mp.mpf(self.epsilon.numerator), 2
-                ) - mp.log(mp.mpf(self.epsilon.denominator), 2)
-        return self._cache["logeps"]
-
     def evaluate(self, term: RateTerm) -> float:
-        """Numeric value of a symbolic rate, in bits."""
+        """Numeric value of a symbolic rate, in bits, rounded once."""
         if term.is_zero():
             return 0.0
-        with mp.workprec(_WORK_PREC):
-            val = mp.mpf(term.constant.numerator) / term.constant.denominator
-            if term.vol_coeff:
-                val += (
-                    mp.mpf(term.vol_coeff.numerator)
-                    / term.vol_coeff.denominator
-                    * self._log_vol()
-                )
-            if term.eps_coeff:
-                val += (
-                    mp.mpf(term.eps_coeff.numerator)
-                    / term.eps_coeff.denominator
-                    * self._log_eps()
-                )
-            return float(val)
+        if "logs" not in self._cache:
+            self._cache["logs"] = (
+                log2_decimal(self.model.ball_volume()),
+                log2_decimal(self.epsilon),
+            )
+        log_vol, log_eps = self._cache["logs"]
+        with localcontext() as ctx:
+            ctx.prec = LOG_DIGITS
+            total = Decimal(0)
+            for coeff, log in (
+                (term.constant, 1),
+                (term.vol_coeff, log_vol),
+                (term.eps_coeff, log_eps),
+            ):
+                total += Decimal(coeff.numerator) / coeff.denominator * log
+            return float(total)
+
+    def sign(self, term: RateTerm, bound: int = 0) -> int:
+        """Sign (-1, 0 or 1) of ``term - bound``, decided exactly.
+
+        With D clearing every denominator and epsilon = p/q, the term is at
+        most ``bound`` iff 2^((a-bound)D) * Vol^(bD) * p^(eD) <= q^(eD);
+        each factor whose exponent is negative moves to the other side.
+        """
+        const = term.constant - bound
+        D = lcm(
+            const.denominator,
+            term.vol_coeff.denominator,
+            term.eps_coeff.denominator,
+        )
+        sides = [1, 1]  # factors with positive exponents, then negative ones
+        for base, exponent in (
+            (2, const * D),
+            (self.model.ball_volume(), term.vol_coeff * D),
+            (self.epsilon.numerator, term.eps_coeff * D),
+            (self.epsilon.denominator, -term.eps_coeff * D),
+        ):
+            sides[exponent < 0] *= base ** abs(int(exponent))
+        return (sides[0] > sides[1]) - (sides[0] < sides[1])
 
     def _ceil_bits(self, term: RateTerm) -> int:
-        with mp.workprec(_WORK_PREC):
-            val = mp.mpf(term.constant.numerator) / term.constant.denominator
-            if term.vol_coeff:
-                val += (
-                    mp.mpf(term.vol_coeff.numerator)
-                    / term.vol_coeff.denominator
-                    * self._log_vol()
-                )
-            if term.eps_coeff:
-                val += (
-                    mp.mpf(term.eps_coeff.numerator)
-                    / term.eps_coeff.denominator
-                    * self._log_eps()
-                )
-            floor = int(mp.floor(val))
-            frac = val - floor
-            snap = mp.mpf(_SNAP.numerator) / _SNAP.denominator
-            return floor if frac <= snap else floor + 1
+        bits = ceil(self.evaluate(term))
+        while self.sign(term, bits - 1) <= 0:
+            bits -= 1
+        while self.sign(term, bits) > 0:
+            bits += 1
+        return bits
 
     # -- realized widths ---------------------------------------------------
 
@@ -410,7 +404,11 @@ class BinningCodebook:
         self._validate_pair(server, version)
         K = self.model.K
         if K > 16:
-            raise EnumerationCapExceeded(1 << K, 1 << 16)
+            raise EnumerationCapExceeded(
+                1 << K,
+                1 << 16,
+                f"binning index tables cover K <= 16 only, got K={K}",
+            )
         key = ("table", server, version)
         if key not in self._maps:
             if self.kind == "linear":
@@ -464,20 +462,6 @@ class BinningCodebook:
             int(dims[1]),
             Fraction(descriptor["epsilon"]),
         )
-
-
-def bin_index(
-    codebook: BinningCodebook, i: int, u: int, w: Message, bits: int
-) -> int:
-    """The ``bits``-bit bin index of value ``w`` for (server i, version u).
-
-    Truncation is prefix-consistent: the index at a shorter width equals the
-    full-capacity index masked to its low bits (for the linear kind, the
-    first columns of the matrix).
-    """
-    if w.K != codebook.model.K:
-        raise ValueError("message length does not match the codebook")
-    return codebook.index_of(i, u, w.bits, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +732,9 @@ def rate_region_check(
                 RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
             )
         gap = lhs.minus(rhs)
-        if gap.is_zero():
-            slack = 0.0
-        else:
-            slack = allocation.evaluate(gap)
-            if abs(slack) <= float(_SNAP):
-                slack = 0.0
-        slacks.append(slack)
-        if slack < 0:
+        sign = allocation.sign(gap)
+        slacks.append(allocation.evaluate(gap) if sign else 0.0)
+        if sign < 0:
             satisfied = False
     return RegionCheck(chain, satisfied, tuple(slacks))
 
@@ -923,29 +902,6 @@ def sample_tuples(model: CorrelationModel, count: int, seed: int):
     return tuple(sample_tuple(model, (int(seed) << 32) + i) for i in range(count))
 
 
-def _all_states(n: int, nu: int):
-    subsets = [frozenset(), *(
-        frozenset(s)
-        for size in range(1, nu + 1)
-        for s in combinations(range(1, nu + 1), size)
-    )]
-    subsets.sort(key=lambda s: tuple(sorted(s)))
-    subsets.sort(key=len)
-    for combo in product(range(len(subsets)), repeat=n):
-        yield SystemState(tuple(subsets[i] for i in combo))
-
-
-def _wilson_upper(failures: int, trials: int) -> float:
-    if trials == 0:
-        return 0.0
-    z = 1.959963984540054
-    phat = failures / trials
-    denom = 1 + z * z / trials
-    centre = phat + z * z / (2 * trials)
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return min(1.0, (centre + half) / denom)
-
-
 @dataclass(frozen=True)
 class ErrorSurvey:
     """Empirical decode-failure rates of one codebook over sampled tuples.
@@ -986,7 +942,7 @@ def empirical_error_survey(
     model = codebook.model
     n, nu, K = codebook.n, model.nu, model.K
     if states is None:
-        states = _all_states(n, nu)
+        states = iter_states(n, nu)
     if subsets is None:
         subsets = list(combinations(range(n), rates.c))
     else:
@@ -1052,7 +1008,7 @@ def empirical_error_survey(
         max(worst[0], 0.0),
         worst[1],
         worst[2],
-        _wilson_upper(worst[1], len(tuples)),
+        wilson_interval(worst[1], len(tuples))[1],
     )
 
 

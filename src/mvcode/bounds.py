@@ -2,31 +2,40 @@
 
 Every quantity is assembled from exact big integers (ball volumes, binomial
 and factorial counts, rational error budgets) and only converted through a
-128-bit-precision base-2 logarithm at the end, so comparisons against
+50-digit decimal base-2 logarithm at the end, so comparisons against
 measured costs are not noise-limited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath import mp, mpf
-
 from .model import hamming_ball_volume
+
+LOG_DIGITS = 50
+
+
+def log2_decimal(x: int | Fraction) -> Decimal:
+    """Base-2 log of a positive integer or Fraction to LOG_DIGITS digits.
+
+    Callers combine these inside a ``localcontext`` of the same precision
+    and round to a float once, at the end.
+    """
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("log2_exact needs a positive argument")
+    with localcontext() as ctx:
+        ctx.prec = LOG_DIGITS
+        ln = Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
+        return ln / Decimal(2).ln()
 
 
 def log2_exact(x: int | Fraction) -> float:
-    """Base-2 log of a positive integer or Fraction via 128-bit arithmetic."""
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    else:
-        num, den = x, 1
-    if num <= 0 or den <= 0:
-        raise ValueError("log2_exact needs a positive argument")
-    with mp.workprec(128):
-        return float(mp.log(mpf(num), 2) - mp.log(mpf(den), 2))
+    """Base-2 log of a positive integer or Fraction, rounded once."""
+    return float(log2_decimal(x))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ seed.  Exit codes: 0 success, 1 verification or consistency failure,
 import argparse
 import csv
 import io
-import os
 import sys
 import warnings
 from math import log2
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .binning import (
-    BinningScheme,
+    _CODEBOOK_KINDS,
     RateAllocation,
     binning_worst_case_cost,
     example1_rate_comparison,
@@ -100,7 +99,6 @@ class RunConfig:
     mode: str = "auto"
     cap: int = DEFAULT_ENUMERATION_CAP
     fmt: str = "text"
-    jobs: Optional[int] = None
     trials: int = 1000
 
     def __post_init__(self) -> None:
@@ -157,8 +155,6 @@ class RunConfig:
             f"format={self.fmt}",
             f"trials={self.trials}",
         ]
-        if self.jobs is not None:
-            parts.append(f"jobs={self.jobs}")
         lines = ["params " + " ".join(parts)]
         if self.delta is not None:
             lines.append(
@@ -207,7 +203,6 @@ _CONFIG_FIELDS = (
     _FieldSpec("mode", "mode", str),
     _FieldSpec("cap", "cap", int),
     _FieldSpec("format", "fmt", str),
-    _FieldSpec("jobs", "jobs", int),
     _FieldSpec("trials", "trials", int),
 )
 _BY_KEY = {spec.key: spec for spec in _CONFIG_FIELDS}
@@ -349,14 +344,12 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     c = cfg.effective_c
     scheme = _build_scheme(cfg, model, c)
     lines = cfg.echo_lines()
-    jobs = cfg.jobs if cfg.jobs is not None else os.cpu_count() or 1
     kwargs = dict(
         mode=cfg.mode,
         trials=cfg.trials,
         seed=cfg.seed,
         cap=cfg.cap,
         witness_cap=10,
-        jobs=jobs,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -592,7 +585,6 @@ def _common_flags() -> argparse.ArgumentParser:
     add("--mode", choices=_MODES, help="verification mode (default auto)")
     add("--cap", type=int, help="enumeration cap (default 2^24)")
     add("--format", choices=_FORMATS, dest="fmt", help="output format")
-    add("--jobs", type=int, help="worker threads (default: cpu count)")
     add("--trials", type=int, help="sampling trials (default 1000)")
     return common
 
@@ -625,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     binning.add_argument(
         "--kind",
-        choices=("random-uniform", "random-linear"),
+        choices=_CODEBOOK_KINDS,
         default="random-uniform",
         help="codebook family",
     )

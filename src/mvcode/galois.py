@@ -152,13 +152,6 @@ class Field:
         return self.pow(a, self.order - 2)
 
 
-def field_mul(field: Field, a: int, b: int) -> int:
-    """Product of two field elements."""
-    if not (0 <= a < field.order and 0 <= b < field.order):
-        raise ValueError("element out of range for field")
-    return field.mul(a, b)
-
-
 @dataclass(frozen=True)
 class RsCode:
     """An (n, c) Reed-Solomon code: evaluate degree-(c-1) polynomials at n points.
@@ -278,18 +271,6 @@ class RsCode:
                 acc ^= f.mul(coef, sym)
             block.append(acc)
         return tuple(block)
-
-
-def rs_encode_block(code: RsCode, block: Sequence[int]) -> tuple[int, ...]:
-    """All n codeword symbols of a message block (symbol i = block poly at point i)."""
-    return code.encode(block)
-
-
-def rs_decode_block(
-    code: RsCode, symbols: Mapping[int, int] | Sequence[tuple[int, int]]
-) -> tuple[int, ...]:
-    """Recover a block from exactly c (coordinate, symbol) pairs."""
-    return code.decode(symbols)
 
 
 # ---------------------------------------------------------------------------

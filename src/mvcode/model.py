@@ -29,11 +29,13 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """An exhaustive walk would visit more elements than the configured cap."""
+    """An exhaustive walk would visit more elements than the configured cap,
+    or than a fixed internal limit, which ``message`` then names."""
 
-    def __init__(self, estimate: int, cap: int):
+    def __init__(self, estimate: int, cap: int, message: Optional[str] = None):
         super().__init__(
-            f"enumeration would visit about {estimate} elements, cap is {cap}"
+            message
+            or f"enumeration would visit about {estimate} elements, cap is {cap}"
         )
         self.estimate = estimate
         self.cap = cap
@@ -68,16 +70,6 @@ class Message:
             raise ValueError("K must be positive")
         if not 0 <= self.bits < (1 << self.K):
             raise ValueError("bits out of range for length K")
-
-    @classmethod
-    def from_coordinates(cls, coords: Iterable[int]) -> "Message":
-        coords = list(coords)
-        value = 0
-        for i, bit in enumerate(coords):
-            if bit not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            value |= bit << i
-        return cls(value, len(coords))
 
     def coordinate(self, i: int) -> int:
         """Bit at 1-based coordinate i."""
@@ -203,6 +195,25 @@ class SystemState:
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form, used in reports and memo tables."""
         return tuple(tuple(sorted(s)) for s in self.per_server)
+
+
+def iter_states(n: int, nu: int, c_w: Optional[int] = None) -> Iterator[SystemState]:
+    """All states in lexicographic order of their n*nu inclusion bits.
+
+    Server 0's row occupies the most significant bits, version 1 the least
+    significant bit within a row, so the order (and with it every witness
+    list) is reproducible.
+    """
+    row_bits = 1 << nu
+    rows = [
+        frozenset(u for u in range(1, nu + 1) if (block >> (u - 1)) & 1)
+        for block in range(row_bits)
+    ]
+    for code in range(row_bits**n):
+        sets = []
+        for i in range(n):
+            sets.append(rows[(code >> ((n - 1 - i) * nu)) & (row_bits - 1)])
+        yield SystemState(tuple(sets), c_w)
 
 
 def latest_complete_version(state: SystemState) -> Optional[int]:

@@ -424,16 +424,6 @@ class LatestOnlyScheme(_RsBackedScheme):
         return None
 
 
-def scheme_decode(
-    scheme: MvcScheme,
-    T: Sequence[int],
-    state: SystemState,
-    symbols: Mapping[int, StoredSymbol],
-) -> Optional[Decoded]:
-    """Uniform entry point used by the verifier and simulator."""
-    return scheme.decode(T, state, symbols)
-
-
 # ---------------------------------------------------------------------------
 # Worst-case storage cost
 

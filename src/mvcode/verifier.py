@@ -26,7 +26,6 @@ so reports and witnesses still range over the whole state space.
 import math
 import random
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -38,6 +37,7 @@ from .model import (
     SystemState,
     VersionTuple,
     enumerate_possible_set,
+    iter_states,
     latest_common_version,
     latest_complete_version,
     sample_tuple,
@@ -126,25 +126,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _iter_states(n: int, nu: int, c_w: Optional[int] = None):
-    """All states in lexicographic order of their n*nu inclusion bits.
-
-    Server 0's row occupies the most significant bits, version 1 the least
-    significant bit within a row, so the order (and with it every witness
-    list) is reproducible.
-    """
-    row_bits = 1 << nu
-    rows = [
-        frozenset(u for u in range(1, nu + 1) if (block >> (u - 1)) & 1)
-        for block in range(row_bits)
-    ]
-    for code in range(row_bits**n):
-        sets = []
-        for i in range(n):
-            sets.append(rows[(code >> ((n - 1 - i) * nu)) & (row_bits - 1)])
-        yield SystemState(tuple(sets), c_w)
-
-
 def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple) -> int:
     try:
         out = scheme.decode(tuple(T), state, symbols)
@@ -227,7 +208,6 @@ def _exhaustive_run(
     states: Iterable[SystemState],
     tuples: Sequence[VersionTuple],
     witness_cap: int,
-    jobs: int,
 ) -> VerificationReport:
     state_rows = []
     needed: dict[tuple, None] = {}
@@ -243,17 +223,10 @@ def _exhaustive_run(
         state_rows.append((state, live))
 
     encode_cache: dict = {}
-    cell_keys = list(needed)
-
-    def run(key):
-        T, rows = key
-        return _cell_outcomes(scheme, T, rows, tuples, encode_cache)
-
-    if jobs > 1 and len(cell_keys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = dict(zip(cell_keys, pool.map(run, cell_keys)))
-    else:
-        cells = {key: run(key) for key in cell_keys}
+    cells = {
+        (T, rows): _cell_outcomes(scheme, T, rows, tuples, encode_cache)
+        for T, rows in needed
+    }
 
     attempts = 0
     failure_count = 0
@@ -412,7 +385,6 @@ def _verify(
     states: Optional[Sequence[SystemState]],
     cap: int,
     witness_cap: int,
-    jobs: int,
 ) -> VerificationReport:
     model = scheme.model
     n = scheme.n
@@ -424,10 +396,10 @@ def _verify(
     if chosen == MODE_EXHAUSTIVE:
         tuples = list(enumerate_possible_set(model, cap))
         state_iter = (
-            state_list if state_list is not None else _iter_states(n, model.nu, c_w)
+            state_list if state_list is not None else iter_states(n, model.nu, c_w)
         )
         return _exhaustive_run(
-            scheme, subsets, threshold_of, state_iter, tuples, witness_cap, jobs
+            scheme, subsets, threshold_of, state_iter, tuples, witness_cap
         )
     return _monte_carlo_run(
         scheme,
@@ -449,7 +421,6 @@ def verify_requirement_A(
     states: Optional[Sequence[SystemState]] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     witness_cap: int = 200,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the subset contract: every c servers sharing a version decode
     the newest shared version or newer, with correct content.
@@ -457,13 +428,12 @@ def verify_requirement_A(
     ``auto`` runs exhaustively when states x subsets x tuples fits under
     ``cap`` and otherwise warns and samples; ``exhaustive`` raises
     EnumerationCapExceeded instead of sampling.  ``states`` restricts the
-    sweep to the given states (replays); ``jobs`` parallelizes the decode
-    work, with reports identical at any job count.
+    sweep to the given states (replays).
     """
     return _verify(
         scheme,
         scheme.c,
-        lambda state, T: latest_common_version(state, T),
+        latest_common_version,
         None,
         mode,
         trials,
@@ -471,7 +441,6 @@ def verify_requirement_A(
         states,
         cap,
         witness_cap,
-        jobs,
     )
 
 
@@ -485,7 +454,6 @@ def verify_definition_2(
     states: Optional[Sequence[SystemState]] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     witness_cap: int = 200,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the quorum contract: whenever some version is complete (held
     by c_w or more servers), every c_r-subset decodes the newest complete
@@ -511,7 +479,6 @@ def verify_definition_2(
         states,
         cap,
         witness_cap,
-        jobs,
     )
 
 
@@ -588,7 +555,8 @@ class EpsilonEstimate:
     per_state_max: float
 
 
-def _wilson_bounds(failures: int, trials: int) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of a failure rate; (0, 1) with no trials."""
     if trials == 0:
         return (0.0, 1.0)
     z = _WILSON_Z
@@ -610,63 +578,35 @@ def estimate_epsilon(
 ) -> EpsilonEstimate:
     """Estimate the subset-contract failure probability over random tuples.
 
-    Sampled mode draws a fresh tuple, state, and subset per trial.  Sweep
-    mode draws ``trials`` tuples once and judges them against every
-    (state, subset) combination with a live guard.
+    Sampled mode draws a fresh tuple, state, and subset per trial, exactly
+    as Monte-Carlo verification does.  Sweep mode draws ``trials`` tuples
+    once and judges them against every (state, subset) combination with a
+    live guard, through the exhaustive engine.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    model = scheme.model
-    n, c = scheme.n, scheme.c
-    rng = random.Random(seed)
-    if not sweep_states:
-        failures = 0
-        per_state: dict[tuple, list[int]] = {}
-        for _ in range(trials):
-            vt = sample_tuple(model, rng)
-            state = _random_state(rng, n, model.nu, None)
-            T = tuple(sorted(rng.sample(range(n), c)))
-            record = per_state.setdefault(state.key(), [0, 0])
-            record[0] += 1
-            threshold = latest_common_version(state, T)
-            if threshold is None:
-                continue
-            symbols = {
-                t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt)
-                for t in T
-            }
-            if _judge(scheme, T, state, symbols, vt) < threshold:
-                failures += 1
-                record[1] += 1
-        low, high = _wilson_bounds(failures, trials)
-        worst = max((f / a for a, f in per_state.values()), default=0.0)
-        return EpsilonEstimate(
-            trials, failures, failures / trials, low, high, False, worst
+    if sweep_states:
+        rng = random.Random(seed)
+        tuples = [sample_tuple(scheme.model, rng) for _ in range(trials)]
+        report = _exhaustive_run(
+            scheme,
+            list(combinations(range(scheme.n), scheme.c)),
+            latest_common_version,
+            iter_states(scheme.n, scheme.model.nu),
+            tuples,
+            0,
         )
-
-    tuples = [sample_tuple(model, rng) for _ in range(trials)]
-    attempts = 0
-    failures = 0
-    worst = 0.0
-    for state in _iter_states(n, model.nu):
-        state_attempts = 0
-        state_failures = 0
-        for T in combinations(range(n), c):
-            threshold = latest_common_version(state, T)
-            if threshold is None:
-                continue
-            for vt in tuples:
-                symbols = {
-                    t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt)
-                    for t in T
-                }
-                if _judge(scheme, T, state, symbols, vt) < threshold:
-                    state_failures += 1
-                state_attempts += 1
-        attempts += state_attempts
-        failures += state_failures
-        if state_attempts:
-            worst = max(worst, state_failures / state_attempts)
-    low, high = _wilson_bounds(failures, attempts)
-    rate = failures / attempts if attempts else 0.0
-    return EpsilonEstimate(attempts, failures, rate, low, high, True, worst)
+    else:
+        report = _monte_carlo_run(
+            scheme, scheme.c, latest_common_version, trials, seed, 0, None, None
+        )
+    low, high = wilson_interval(report.failure_count, report.attempts)
+    return EpsilonEstimate(
+        report.attempts,
+        report.failure_count,
+        report.empirical_error,
+        low,
+        high,
+        bool(sweep_states),
+        report.per_state_max_error,
+    )

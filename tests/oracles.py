@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
-fine; independent is the point.
+fine; independent is the point.  The mpmath rate arithmetic at the end is
+the implementation the exact paths replaced, kept as their oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+
+from mpmath import mp
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -74,3 +78,114 @@ def wilson_upper(failures: int, trials: int, z: float = 1.959963984540054) -> fl
         / (1 + z2 / trials)
     )
     return min(1.0, center + half)
+
+
+# ---------------------------------------------------------------------------
+# The 128-bit mpmath rate arithmetic that exact big-integer ceilings and the
+# 50-digit decimal logarithms replaced, kept verbatim as their oracle.
+
+_WORK_PREC = 128
+_SNAP = Fraction(1, 1 << 60)
+
+
+def _mpmath_log_vol(allocation):
+    return _mpmath_log_of(allocation.model.ball_volume(), 1)
+
+
+def _mpmath_log_eps(allocation):
+    eps = allocation.epsilon
+    return _mpmath_log_of(eps.numerator, eps.denominator)
+
+
+@lru_cache(maxsize=None)
+def _mpmath_log_of(num: int, den: int):
+    with mp.workprec(_WORK_PREC):
+        return mp.log(mp.mpf(num), 2) - mp.log(mp.mpf(den), 2)
+
+
+def mpmath_evaluate(allocation, term) -> float:
+    """Numeric value of a symbolic rate, in bits."""
+    if term.is_zero():
+        return 0.0
+    with mp.workprec(_WORK_PREC):
+        val = mp.mpf(term.constant.numerator) / term.constant.denominator
+        if term.vol_coeff:
+            val += (
+                mp.mpf(term.vol_coeff.numerator)
+                / term.vol_coeff.denominator
+                * _mpmath_log_vol(allocation)
+            )
+        if term.eps_coeff:
+            val += (
+                mp.mpf(term.eps_coeff.numerator)
+                / term.eps_coeff.denominator
+                * _mpmath_log_eps(allocation)
+            )
+        return float(val)
+
+
+def snapped_ceil_bits(allocation, term) -> int:
+    with mp.workprec(_WORK_PREC):
+        val = mp.mpf(term.constant.numerator) / term.constant.denominator
+        if term.vol_coeff:
+            val += (
+                mp.mpf(term.vol_coeff.numerator)
+                / term.vol_coeff.denominator
+                * _mpmath_log_vol(allocation)
+            )
+        if term.eps_coeff:
+            val += (
+                mp.mpf(term.eps_coeff.numerator)
+                / term.eps_coeff.denominator
+                * _mpmath_log_eps(allocation)
+            )
+        floor = int(mp.floor(val))
+        frac = val - floor
+        snap = mp.mpf(_SNAP.numerator) / _SNAP.denominator
+        return floor if frac <= snap else floor + 1
+
+
+def snapped_region_slacks(allocation, rates, scenario) -> tuple[float, ...]:
+    """The slacks rate_region_check reported for symbolic ``rates``."""
+    from mvcode.binning import RateTerm
+
+    chain = tuple(scenario)
+    L = len(chain)
+    zero = RateTerm(Fraction(0), Fraction(0), Fraction(0))
+    budget = RateTerm(
+        Fraction(L - 1 + allocation.model.nu * allocation.n),
+        Fraction(0),
+        Fraction(-1),
+    )
+    slacks = []
+    for i in range(1, L + 1):
+        lhs = zero
+        for u in chain[i - 1 :]:
+            lhs = lhs.plus(rates[u])
+        rhs = budget
+        gap_vol = Fraction(0)
+        for j in range(max(i, 2), L + 1):
+            gap_vol += chain[j - 1] - chain[j - 2]
+        rhs = rhs.plus(RateTerm(Fraction(0), gap_vol, Fraction(0)))
+        if i == 1:
+            rhs = rhs.plus(
+                RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
+            )
+        gap = lhs.minus(rhs)
+        if gap.is_zero():
+            slack = 0.0
+        else:
+            slack = mpmath_evaluate(allocation, gap)
+            if abs(slack) <= float(_SNAP):
+                slack = 0.0
+        slacks.append(slack)
+    return tuple(slacks)
+
+
+def mpmath_log2(x) -> float:
+    """Base-2 log of a positive integer or Fraction via 128-bit arithmetic."""
+    x = Fraction(x)
+    with mp.workprec(_WORK_PREC):
+        return float(
+            mp.log(mp.mpf(x.numerator), 2) - mp.log(mp.mpf(x.denominator), 2)
+        )

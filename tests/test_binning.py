@@ -17,7 +17,6 @@ from mvcode.binning import (
     PossibleSetOutcome,
     RateAllocation,
     RateTerm,
-    bin_index,
     binary_entropy,
     binning_worst_case_cost,
     empirical_error_survey,
@@ -167,7 +166,7 @@ def test_linear_collision_rate_matches_lemma():
 
 
 # ---------------------------------------------------------------------------
-# Codebooks and bin_index
+# Codebooks and bin indices
 
 UNIFORM_CB = BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, seed=9)
 LINEAR_CB = BinningCodebook.create(
@@ -177,16 +176,14 @@ LINEAR_CB = BinningCodebook.create(
 
 def test_bin_index_trivia():
     zero = Message(0, 8)
-    assert bin_index(LINEAR_CB, 0, 1, zero, 9) == 0
-    assert bin_index(LINEAR_CB, 1, 2, Message(0xA7, 8), 0) == 0
+    assert LINEAR_CB.index_of(0, 1, zero.bits, 9) == 0
+    assert LINEAR_CB.index_of(1, 2, 0xA7, 0) == 0
     w = Message(0x5C, 8)
-    assert bin_index(UNIFORM_CB, 2, 1, w, 9) == bin_index(UNIFORM_CB, 2, 1, w, 9)
+    assert UNIFORM_CB.index_of(2, 1, w.bits, 9) == UNIFORM_CB.index_of(2, 1, w.bits, 9)
     with pytest.raises(ValueError):
-        bin_index(UNIFORM_CB, 0, 1, w, UNIFORM_CB.capacity + 1)
+        UNIFORM_CB.index_of(0, 1, w.bits, UNIFORM_CB.capacity + 1)
     with pytest.raises(ValueError):
-        bin_index(UNIFORM_CB, 0, 1, Message(1, 7), 4)
-    with pytest.raises(ValueError):
-        bin_index(UNIFORM_CB, REF_N, 1, w, 4)
+        UNIFORM_CB.index_of(REF_N, 1, w.bits, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,8 +197,8 @@ def test_bin_index_trivia():
 def test_truncation_is_a_prefix(linear, server, version, bits, value):
     codebook = LINEAR_CB if linear else UNIFORM_CB
     w = Message(value, 8)
-    full = bin_index(codebook, server, version, w, codebook.capacity)
-    assert bin_index(codebook, server, version, w, bits) == full & ((1 << bits) - 1)
+    full = codebook.index_of(server, version, w.bits, codebook.capacity)
+    assert codebook.index_of(server, version, w.bits, bits) == full & ((1 << bits) - 1)
 
 
 def test_hashed_kind_beyond_table_range():
@@ -229,8 +226,8 @@ def test_descriptor_round_trip():
         clone = BinningCodebook.from_descriptor(desc)
         for value in (0, 1, 0x7F, 0xFF):
             w = Message(value, 8)
-            assert bin_index(clone, 1, 2, w, clone.capacity) == bin_index(
-                codebook, 1, 2, w, codebook.capacity
+            assert clone.index_of(1, 2, w.bits, clone.capacity) == codebook.index_of(
+                1, 2, w.bits, codebook.capacity
             )
     with pytest.raises(ValueError):
         BinningCodebook("affine", 0, REF_MODEL, REF_N, 12, REF_EPS)
@@ -256,7 +253,9 @@ def test_decode_round_trip_reference_point():
     vt = VersionTuple((Message(0xB5, 8), Message(0xB7, 8)))
     indices = {
         t: {
-            u: bin_index(UNIFORM_CB, t, u, vt.version(u), alloc.index_bits((1, 2), u))
+            u: UNIFORM_CB.index_of(
+                t, u, vt.version(u).bits, alloc.index_bits((1, 2), u)
+            )
             for u in (1, 2)
         }
         for t in range(REF_N)
@@ -303,7 +302,7 @@ def _blind_reference_decode(codebook, alloc, T, state, indices):
                 if u > u_L:
                     continue
                 width = alloc.index_bits(got, u)
-                if bin_index(codebook, t, u, assign[u], width) != indices[t][u] & (
+                if codebook.index_of(t, u, assign[u].bits, width) != indices[t][u] & (
                     (1 << width) - 1
                 ):
                     ok = False
@@ -337,7 +336,7 @@ def test_decoder_matches_blind_enumeration():
         for t in range(n):
             got = tuple(sorted(state.per_server[t]))
             indices[t] = {
-                u: bin_index(codebook, t, u, vt.version(u), alloc.index_bits(got, u))
+                u: codebook.index_of(t, u, vt.version(u).bits, alloc.index_bits(got, u))
                 for u in got
             }
         if trial % 3 == 2 and indices[0]:
@@ -378,7 +377,9 @@ def test_agreeing_survivors_decode_despite_older_ambiguity():
         codebook = BinningCodebook("random-uniform", seed, model, 1, 16, Fraction(1, 2))
         indices = {
             0: {
-                u: bin_index(codebook, 0, u, vt.version(u), alloc.index_bits(None, u))
+                u: codebook.index_of(
+                    0, u, vt.version(u).bits, alloc.index_bits(None, u)
+                )
                 for u in (1, 2)
             }
         }
@@ -401,7 +402,7 @@ def test_zero_radius_forces_equal_versions():
     for t in range(n):
         got = tuple(sorted(state.per_server[t]))
         indices[t] = {
-            u: bin_index(codebook, t, u, w, alloc.index_bits(got, u)) for u in got
+            u: codebook.index_of(t, u, w.bits, alloc.index_bits(got, u)) for u in got
         }
     out = possible_set_decode(codebook, alloc, (1, 2), state, indices)
     assert out.status == PossibleSetOutcome.DECODED

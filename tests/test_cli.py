@@ -3,7 +3,10 @@ subcommand's output shape and exit code, and byte-level determinism."""
 
 import csv
 import io
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,9 +78,25 @@ def test_config_text_round_trip_is_identity():
     for cfg in (
         RunConfig(),
         RunConfig(scheme="binning", c=3, n=6, epsilon=Fraction(1, 8), seed=11),
-        RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16), K=64, jobs=2),
+        RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16), K=64),
     ):
         assert config_from_text(cfg.to_text()) == cfg
+
+
+def test_runs_without_mpmath():
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from mvcode.cli import main\n"
+        "assert main(['cost']) == 0\n"
+        "assert main(['bound', '--sweep', '32,64']) == 0\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_config_rejects_conflicts_and_unknowns():
@@ -337,6 +356,23 @@ def test_binning_survey_meets_budget(capsys):
     assert code == 0
     assert "verdict pass best-seed=" in out
     assert any(line.startswith("0 ") for line in out.splitlines())
+
+
+def test_binning_kind_reaches_the_linear_codebook(capsys):
+    code, out, _ = _run(
+        capsys, "binning", "--kind", "linear", "--seeds", "1", "--trials", "50"
+    )
+    assert code == 0
+    assert "search kind=linear seeds=1 tuples-per-cell=50" in out
+    assert any(line.startswith("0     672    33600 ") for line in out.splitlines())
+
+
+def test_binning_index_table_limit_names_itself(capsys):
+    code, _, err = _run(
+        capsys, "verify", "--scheme", "binning", "--K", "20", "--mode", "monte-carlo"
+    )
+    assert code == 3
+    assert "K <= 16" in err and "cap" not in err
 
 
 def test_example1_exclusions_hold_at_reference_flip_rate(capsys):

@@ -56,8 +56,7 @@ class TestHammingBallVolume:
 
 class TestMessage:
     def test_coordinate_order(self):
-        m = Message.from_coordinates([1, 0, 0, 1])
-        assert m.bits == 0b1001
+        m = Message(0b1001, 4)
         assert m.coordinate(1) == 1
         assert m.coordinate(4) == 1
         assert m.coordinate(2) == 0

@@ -31,7 +31,6 @@ from mvcode.schemes import (
     StoredSymbol,
     _worst_update_count,
     make_scheme,
-    scheme_decode,
     scheme_names,
     worst_case_cost,
 )
@@ -227,7 +226,7 @@ def test_decode_round_trip_sampled(name):
         }
         for T in itertools.combinations(range(4), 2):
             target = latest_common_version(state, T)
-            got = scheme_decode(scheme, T, state, symbols)
+            got = scheme.decode(T, state, symbols)
             if target is None:
                 continue
             assert got is not None, (name, state, T)

@@ -128,12 +128,6 @@ def test_report_text_round_trips_the_verdict():
     assert clean.splitlines()[0] == "mvc-verification mode=exhaustive passed=yes"
 
 
-def test_jobs_do_not_change_the_report():
-    sequential = verify_requirement_A(_latest_only_small(), witness_cap=20, jobs=1)
-    threaded = verify_requirement_A(_latest_only_small(), witness_cap=20, jobs=3)
-    assert sequential == threaded
-
-
 def test_states_parameter_restricts_the_sweep():
     scheme = _mds_reference()
     states = [
