@@ -59,7 +59,7 @@ from .schemes import (
     StoredSymbol,
     register_scheme,
 )
-from .verifier import wilson_interval
+from .verifier import _exhaustive_run, wilson_interval
 
 
 class RateTerm(NamedTuple):
@@ -302,6 +302,7 @@ class BinningCodebook:
     capacity: int
     epsilon: Fraction
     _maps: dict = field(default_factory=dict, compare=False, repr=False)
+    _plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _CODEBOOK_KINDS:
@@ -428,6 +429,18 @@ class BinningCodebook:
                 ]
         return self._maps[key]
 
+    def _values_by_index(self, server: int, version: int, bits: int) -> dict:
+        """All 2^K values grouped by their ``bits``-wide index, ascending
+        within a group; K <= 16 only.  Decode plans share these groups."""
+        key = ("groups", server, version, bits)
+        if key not in self._maps:
+            groups: dict[int, list[int]] = {}
+            mask = (1 << bits) - 1
+            for w, index in enumerate(self.index_table(server, version)):
+                groups.setdefault(index & mask, []).append(w)
+            self._maps[key] = {i: tuple(ws) for i, ws in groups.items()}
+        return self._maps[key]
+
     # -- persistence --------------------------------------------------------
 
     def descriptor(self) -> dict:
@@ -497,56 +510,52 @@ class _PlanStep:
 @dataclass
 class _DecodePlan:
     latest_common: int
-    chain: tuple[int, ...]
+    first: int  # oldest version of the chain
     first_checks: list  # (server, full table, width mask)
     steps: list
-    stage1: dict
+    stage1: dict  # first version's values by the first check's index
     estimate: int
 
 
-def _decoding_chain(state: SystemState, T: Sequence[int]) -> Optional[tuple]:
-    """(latest common u_L, versions <= u_L received by anyone in T), or None."""
-    u_L = latest_common_version(state, T)
-    if u_L is None:
+def _decoding_chain(rows: Sequence[frozenset]) -> Optional[tuple]:
+    """(latest common u_L, versions <= u_L in any row), or None.
+
+    ``rows`` are the version sets of the servers a reader contacted.
+    """
+    if not rows:
+        raise ValueError("T must be nonempty")
+    common = frozenset.intersection(*rows)
+    if not common:
         return None
-    chain = sorted(
-        {u for t in T for u in state.per_server[t] if u <= u_L}
-    )
-    return u_L, tuple(chain)
+    u_L = max(common)
+    return u_L, tuple(sorted({u for row in rows for u in row if u <= u_L}))
 
 
 def _build_plan(
     codebook: BinningCodebook,
     rates: RateAllocation,
-    state: SystemState,
-    T: Sequence[int],
-    cap: int,
+    T: tuple[int, ...],
+    rows: tuple[frozenset, ...],
 ) -> Optional[_DecodePlan]:
+    """The decode plan of a reader that contacted T and saw ``rows``; None
+    when T shares no version."""
     if rates.model != codebook.model:
         raise ValueError("allocation and codebook disagree on the model")
-    if state.n != codebook.n:
-        raise ValueError("state has a different server count than the codebook")
-    T = tuple(T)
-    if not T:
-        raise ValueError("T must be nonempty")
-    found = _decoding_chain(state, T)
+    found = _decoding_chain(rows)
     if found is None:
         return None
     u_L, chain = found
-    model = codebook.model
-    K, radius = model.K, model.radius
+    K, radius = codebook.model.K, codebook.model.radius
 
     estimate = 1 << K
     for a, b in zip(chain, chain[1:]):
         estimate *= hamming_ball_volume(min((b - a) * radius, K), K)
-    if estimate > cap:
-        raise EnumerationCapExceeded(estimate, cap)
 
     def checks_for(version: int):
         out = []
-        for t in T:
-            if version in state.per_server[t]:
-                width = rates.index_bits(state.per_server[t], version)
+        for t, row in zip(T, rows):
+            if version in row:
+                width = rates.index_bits(row, version)
                 out.append((t, codebook.index_table(t, version), (1 << width) - 1))
         return out
 
@@ -558,17 +567,14 @@ def _build_plan(
             _PlanStep(b, tuple(iter_ball_masks(K, bound)), checks_for(b))
         )
 
-    stage1: dict[tuple, list[int]] = {}
-    tabs = [(tab, wmask) for (_t, tab, wmask) in first_checks]
-    for w in range(1 << K):
-        key = tuple(tab[w] & wmask for tab, wmask in tabs)
-        stage1.setdefault(key, []).append(w)
-    return _DecodePlan(u_L, chain, first_checks, steps, stage1, estimate)
+    t, _tab, wmask = first_checks[0]
+    stage1 = codebook._values_by_index(t, chain[0], wmask.bit_length())
+    return _DecodePlan(u_L, chain[0], first_checks, steps, stage1, estimate)
 
 
 def _run_plan(
     plan: _DecodePlan,
-    first_key: tuple,
+    first_targets: Sequence[int],
     step_targets: Sequence[Sequence[int]],
     limit: int = 2,
 ) -> tuple[set[int], int]:
@@ -577,7 +583,15 @@ def _run_plan(
     Returns (distinct final-version values, full assignments examined);
     aborts as soon as ``limit`` distinct final values exist.
     """
-    cands = plan.stage1.get(first_key, ())
+    rest = [
+        (tab, wmask, tgt)
+        for (_t, tab, wmask), tgt in zip(plan.first_checks[1:], first_targets[1:])
+    ]
+    cands = [
+        w
+        for w in plan.stage1.get(first_targets[0], ())
+        if all(tab[w] & wmask == tgt for tab, wmask, tgt in rest)
+    ]
     finals: set[int] = set()
     examined = 0
     if not plan.steps:
@@ -626,13 +640,27 @@ def possible_set_decode(
     surviving admissible assignment to agree on the newest common version's
     value.  Returns a no-common outcome when T shares nothing, and an error
     outcome when the survivors disagree or none exist.
+
+    The decode plan depends only on the allocation, T and the rows of T
+    (what the reader sees), so the codebook keeps one per such view;
+    ``cap`` is checked against the plan's enumeration estimate on every
+    call, cached or not.
     """
     T = tuple(T)
-    plan = _build_plan(codebook, rates, state, T, cap)
+    if state.n != codebook.n:
+        raise ValueError("state has a different server count than the codebook")
+    rows = tuple(state.per_server[t] for t in T)
+    key = (rates, T, rows)
+    try:
+        plan = codebook._plans[key]
+    except KeyError:
+        plan = codebook._plans[key] = _build_plan(codebook, rates, T, rows)
     if plan is None:
         return PossibleSetOutcome(
             PossibleSetOutcome.NO_COMMON, None, None, "no version common to T"
         )
+    if plan.estimate > cap:
+        raise EnumerationCapExceeded(plan.estimate, cap)
 
     def target(server: int, version: int, wmask: int) -> int:
         try:
@@ -642,21 +670,19 @@ def possible_set_decode(
                 f"missing stored index for server {server} version {version}"
             ) from None
 
-    first_key = tuple(
-        target(t, plan.chain[0], wmask) for (t, _tab, wmask) in plan.first_checks
-    )
+    first_targets = [
+        target(t, plan.first, wmask) for (t, _tab, wmask) in plan.first_checks
+    ]
     step_targets = [
         [target(t, step.version, wmask) for (t, _tab, wmask) in step.checks]
         for step in plan.steps
     ]
-    finals, examined = _run_plan(plan, first_key, step_targets)
+    finals, examined = _run_plan(plan, first_targets, step_targets)
     if len(finals) == 1:
-        value = next(iter(finals))
-        assert plan.latest_common == latest_common_version(state, T)
         return PossibleSetOutcome(
             PossibleSetOutcome.DECODED,
             plan.latest_common,
-            Message(value, codebook.model.K),
+            Message(next(iter(finals)), codebook.model.K),
             "",
             examined,
         )
@@ -748,7 +774,7 @@ def scenario_rates(
     the members of T holding it; that total is what the region constrains.
     Raises if T shares no version.
     """
-    found = _decoding_chain(state, tuple(T))
+    found = _decoding_chain([state.per_server[t] for t in T])
     if found is None:
         raise ValueError("T shares no version in this state")
     _u_L, chain = found
@@ -929,86 +955,43 @@ def empirical_error_survey(
     tuples: Sequence[VersionTuple],
     states: Optional[Iterable[SystemState]] = None,
     subsets: Optional[Iterable[Sequence[int]]] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ErrorSurvey:
     """Decode every (state, reading set) cell against every sampled tuple.
 
     Defaults to all 2^(n*nu) states and all size-c reading sets.  Failure
     means the survivors did not reduce to exactly the true newest-common
-    value; cells without a common version are skipped as vacuous.
+    value; cells without a common version are skipped as vacuous.  The
+    cells run on the verifier's exhaustive engine, decoding through a
+    BinningScheme over the given codebook and allocation.
     """
     if not tuples:
         raise ValueError("need at least one sampled tuple")
-    model = codebook.model
-    n, nu, K = codebook.n, model.nu, model.K
-    if states is None:
-        states = iter_states(n, nu)
-    if subsets is None:
-        subsets = list(combinations(range(n), rates.c))
-    else:
-        subsets = [tuple(T) for T in subsets]
-
-    plans = []
-    for state in states:
-        for T in subsets:
-            plan = _build_plan(codebook, rates, state, T, cap)
-            if plan is not None:
-                plans.append((state, T, plan))
-
-    # Full-capacity index of every tuple's version at every pair, masked per
-    # plan later; prefix consistency makes one lookup serve every width.
-    pair_tables = {
-        (t, u): codebook.index_table(t, u)
-        for t in range(n)
-        for u in range(1, nu + 1)
-    }
-    trial_indices = []
-    for vt in tuples:
-        row = {}
-        for (t, u), table in pair_tables.items():
-            row[t, u] = table[vt.version(u).bits]
-        trial_indices.append(row)
-
-    total_failures = 0
-    worst = (-1.0, 0, None)  # rate, failures, cell
-    decodes = 0
-    for state, T, plan in plans:
-        v1 = plan.chain[0]
-        first_meta = [(t, wmask) for (t, _tab, wmask) in plan.first_checks]
-        step_meta = [
-            (step.version, [(t, wmask) for (t, _tab, wmask) in step.checks])
-            for step in plan.steps
-        ]
-        failures = 0
-        for vt, row in zip(tuples, trial_indices):
-            first_key = tuple(row[t, v1] & wmask for t, wmask in first_meta)
-            step_targets = [
-                [row[t, v] & wmask for t, wmask in checks]
-                for v, checks in step_meta
-            ]
-            finals, _ = _run_plan(plan, first_key, step_targets)
-            truth = vt.version(plan.latest_common).bits
-            assert truth in finals or len(finals) >= 2
-            if finals != {truth}:
-                failures += 1
-        decodes += len(tuples)
-        total_failures += failures
-        rate = failures / len(tuples)
-        if rate > worst[0]:
-            worst = (rate, failures, (state.key(), T))
-    if not plans:
+    n = codebook.n
+    report = _exhaustive_run(
+        BinningScheme.over(codebook, rates),
+        list(combinations(range(n), rates.c))
+        if subsets is None
+        else [tuple(T) for T in subsets],
+        latest_common_version,
+        iter_states(n, codebook.model.nu) if states is None else states,
+        tuples,
+        0,
+    )
+    if not report.attempts:
         raise ValueError("no (state, reading set) cell has a common version")
+    trials = len(tuples)
+    state_key, T, worst = report.worst_cell
     return ErrorSurvey(
         codebook.kind,
         codebook.seed,
-        len(tuples),
-        len(plans),
-        decodes,
-        total_failures,
-        max(worst[0], 0.0),
-        worst[1],
-        worst[2],
-        wilson_interval(worst[1], len(tuples))[1],
+        trials,
+        report.attempts // trials,
+        report.attempts,
+        report.failure_count,
+        worst / trials,
+        worst,
+        (state_key, T),
+        wilson_interval(worst, trials)[1],
     )
 
 
@@ -1090,6 +1073,17 @@ class BinningScheme(MvcScheme):
         self.codebook = BinningCodebook.create(
             model, n, c, self.allocation.epsilon, kind=kind, seed=seed
         )
+
+    @classmethod
+    def over(
+        cls, codebook: BinningCodebook, allocation: RateAllocation
+    ) -> "BinningScheme":
+        """The scheme storing and decoding with exactly these two parts."""
+        scheme = cls.__new__(cls)
+        MvcScheme.__init__(scheme, allocation.model, codebook.n, allocation.c)
+        scheme.allocation = allocation
+        scheme.codebook = codebook
+        return scheme
 
     def encode(self, server, received, versions):
         got = tuple(sorted(set(received)))

@@ -69,7 +69,10 @@ def parse_rational(text: str) -> Fraction:
         if base.strip() != "2":
             raise ValueError(f"only powers of two are supported, got {text!r}")
         return Fraction(2) ** int(exp)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -119,10 +122,14 @@ class RunConfig:
 
     @property
     def effective_radius(self) -> int:
+        return self.radius_at(self.K)
+
+    def radius_at(self, K: int) -> int:
+        """The radius at message length K: floor(delta*K) when delta is given."""
         if self.radius is not None:
             return self.radius
         if self.delta is not None:
-            return int(self.delta * self.K)  # floor for nonnegative delta
+            return int(self.delta * K)  # floor for nonnegative delta
         return 1
 
     @property
@@ -394,7 +401,7 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
         columns.append("two-version-bits")
     table = _Table("bound", tuple(columns))
     for K in sweep:
-        radius = int(cfg.delta * K) if cfg.delta is not None else cfg.effective_radius
+        radius = cfg.radius_at(K)
         model = CorrelationModel(K, radius, cfg.nu)
         allocation = RateAllocation(model, cfg.n, c, cfg.epsilon)
         # leading-order rate carries the asymptotic claim; the realized

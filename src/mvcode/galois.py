@@ -200,15 +200,6 @@ class RsCode:
             out.append(acc)
         return tuple(out)
 
-    def encode_symbol(self, block: Sequence[int], server: int) -> int:
-        """Codeword symbol of one coordinate only."""
-        f = self.field
-        point = self.evaluation_points[server]
-        acc = 0
-        for coef in reversed(block):
-            acc = f.mul(acc, point) ^ coef
-        return acc
-
     def _inverse_rows(self, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         cache = self._inverse_cache
         rows = cache.get(servers)
@@ -311,21 +302,6 @@ class BinaryGenerator:
             out ^= row[k]
             remaining &= remaining - 1
         return out
-
-    def row_symbol_weight(self, server: int) -> int:
-        """Maximum number of stored symbols touched by any single message bit."""
-        m = self.symbol_bits
-        worst = 0
-        for mask in self.rows[server]:
-            touched = 0
-            b = 0
-            while mask:
-                if mask & ((1 << m) - 1):
-                    touched += 1
-                mask >>= m
-                b += 1
-            worst = max(worst, touched)
-        return worst
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:

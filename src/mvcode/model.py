@@ -21,9 +21,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -85,10 +84,6 @@ class Message:
             raise ValueError("messages have different lengths")
         return (self.bits ^ other.bits).bit_count()
 
-    def flipped(self, mask: int) -> "Message":
-        """Message with the coordinates selected by ``mask`` inverted."""
-        return Message(self.bits ^ (mask & ((1 << self.K) - 1)), self.K)
-
     def to_hex(self) -> str:
         return f"{self.bits:0{(self.K + 3) // 4}x}"
 
@@ -108,18 +103,6 @@ class CorrelationModel:
             raise ValueError("radius must lie in [0, K]")
         if self.nu < 1:
             raise ValueError("nu must be at least 1")
-
-    @classmethod
-    def from_delta(cls, K: int, delta, nu: int) -> "CorrelationModel":
-        """Build a model from a fractional step size; radius = floor(delta * K).
-
-        ``delta`` may be a Fraction, a string such as "1/16", or a float.
-        Flooring is this library's convention for fractional radii.
-        """
-        frac = Fraction(delta)
-        if not 0 <= frac <= 1:
-            raise ValueError("delta must lie in [0, 1]")
-        return cls(K, math.floor(frac * K), nu)
 
     def ball_volume(self) -> int:
         return hamming_ball_volume(self.radius, self.K)
@@ -250,12 +233,6 @@ def iter_ball_masks(K: int, radius: int) -> Iterator[int]:
             yield mask
 
 
-def iter_ball(center: int, radius: int, K: int) -> Iterator[int]:
-    """All packed vectors within ``radius`` of ``center``."""
-    for mask in iter_ball_masks(K, radius):
-        yield center ^ mask
-
-
 def _colex_rank(positions: Sequence[int]) -> int:
     return sum(math.comb(p, t) for t, p in enumerate(positions, start=1))
 
@@ -340,107 +317,6 @@ def sample_tuple(model: CorrelationModel, seed) -> VersionTuple:
         w ^= mask
         out.append(w)
     return VersionTuple(tuple(Message(v, K) for v in out))
-
-
-def _completion_estimate(
-    model: CorrelationModel, present: Sequence[int], fixed: Mapping[int, int]
-) -> int:
-    estimate = 1
-    prev = None
-    for k in present:
-        if k not in fixed:
-            if prev is None:
-                estimate *= 1 << model.K
-            else:
-                gap_radius = min((k - prev) * model.radius, model.K)
-                estimate *= hamming_ball_volume(gap_radius, model.K)
-        prev = k
-    return estimate
-
-
-def enumerate_conditional_set(
-    model: CorrelationModel,
-    fixed: Mapping[int, Message] | None = None,
-    targets: Sequence[int] | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[dict[int, Message]]:
-    """All joint values of the target versions compatible with the fixed ones.
-
-    ``fixed`` maps version indices to known values; ``targets`` lists the
-    indices to enumerate (default: all remaining indices in 1..nu).  A
-    yielded assignment is one that extends, together with the fixed values,
-    to at least one full admissible tuple; version indices absent from both
-    sets are existentially quantified away.
-
-    The membership test reduces to pairwise constraints between consecutive
-    known indices: values at positions a < b must be within (b-a)*radius of
-    each other, because intermediate versions can always be interpolated
-    step by step and can never be jumped over.
-    """
-    fixed = dict(fixed or {})
-    for k, msg in fixed.items():
-        if not 1 <= k <= model.nu:
-            raise ValueError(f"fixed index {k} outside 1..{model.nu}")
-        if msg.K != model.K:
-            raise ValueError("fixed message has wrong length")
-    if targets is None:
-        target_list = [u for u in range(1, model.nu + 1) if u not in fixed]
-    else:
-        target_list = sorted(set(targets))
-        for k in target_list:
-            if not 1 <= k <= model.nu:
-                raise ValueError(f"target index {k} outside 1..{model.nu}")
-            if k in fixed:
-                raise ValueError(f"index {k} is both fixed and a target")
-
-    present = sorted(set(fixed) | set(target_list))
-    fixed_bits = {k: msg.bits for k, msg in fixed.items()}
-    estimate = _completion_estimate(model, present, fixed_bits)
-    if estimate > cap:
-        raise EnumerationCapExceeded(estimate, cap)
-
-    if not present:
-        yield {}
-        return
-
-    K, radius = model.K, model.radius
-    next_fixed: dict[int, Optional[int]] = {}
-    for idx, k in enumerate(present):
-        nf = None
-        if idx + 1 < len(present) and present[idx + 1] in fixed_bits:
-            nf = present[idx + 1]
-        next_fixed[k] = nf
-
-    def walk(idx: int, assigned: dict[int, int]) -> Iterator[dict[int, Message]]:
-        if idx == len(present):
-            yield {k: Message(assigned[k], K) for k in target_list}
-            return
-        k = present[idx]
-        prev = present[idx - 1] if idx > 0 else None
-        if k in fixed_bits:
-            value = fixed_bits[k]
-            if prev is not None:
-                bound = min((k - prev) * radius, K)
-                if (value ^ assigned[prev]).bit_count() > bound:
-                    return
-            assigned[k] = value
-            yield from walk(idx + 1, assigned)
-            return
-        nf = next_fixed[k]
-        if prev is None:
-            candidates: Iterable[int] = range(1 << K)
-        else:
-            bound = min((k - prev) * radius, K)
-            candidates = iter_ball(assigned[prev], bound, K)
-        for value in candidates:
-            if nf is not None:
-                ahead = min((nf - k) * radius, K)
-                if (value ^ fixed_bits[nf]).bit_count() > ahead:
-                    continue
-            assigned[k] = value
-            yield from walk(idx + 1, assigned)
-
-    yield from walk(0, {})
 
 
 def enumerate_possible_set(

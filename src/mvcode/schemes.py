@@ -31,7 +31,6 @@ from .model import (
     ball_rank,
     ball_unrank,
     hamming_ball_volume,
-    iter_ball_masks,
     latest_common_version,
 )
 
@@ -454,22 +453,6 @@ def _log2_volume(radius: int, K: int) -> float:
 def _receipt_patterns(nu: int):
     for mask in range(1 << nu):
         yield tuple(u + 1 for u in range(nu) if (mask >> u) & 1)
-
-
-def _worst_update_count(gen: BinaryGenerator, radius_step: int, server: int) -> int:
-    """Max blocks changed at one server by any difference of weight <= step."""
-    K = gen.K
-    best = 0
-    for mask in iter_ball_masks(K, min(radius_step, K)):
-        vec = gen.apply(server, mask)
-        m = gen.symbol_bits
-        count = 0
-        while vec:
-            if vec & ((1 << m) - 1):
-                count += 1
-            vec >>= m
-        best = max(best, count)
-    return best
 
 
 def _rs_update_witness_tuple(

@@ -77,7 +77,9 @@ class VerificationReport:
     ``failures`` is truncated at the run's witness cap; ``failure_count``
     is always exact.  The per-state figures answer two readings of the
     error level: the worst state and the average state, with states whose
-    every combination is vacuous contributing zero.
+    every combination is vacuous contributing zero.  In exhaustive mode
+    ``worst_cell`` is (state, subset, failures) of the first live
+    combination with the most failures; it is None in Monte-Carlo mode.
     """
 
     mode: str
@@ -90,6 +92,7 @@ class VerificationReport:
     empirical_error: float
     per_state_max_error: float
     state_averaged_error: float
+    worst_cell: Optional[tuple] = None
 
     @property
     def passed(self) -> bool:
@@ -232,6 +235,7 @@ def _exhaustive_run(
     failure_count = 0
     witnesses: list[Witness] = []
     state_rates = []
+    worst = None
     for state, live in state_rows:
         state_attempts = 0
         state_failures = 0
@@ -240,6 +244,8 @@ def _exhaustive_run(
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
             state_failures += fails
+            if worst is None or fails > worst[2]:
+                worst = (state.key(), T, fails)
             if fails and len(witnesses) < witness_cap:
                 for i in cell.failing_indices(
                     threshold, witness_cap - len(witnesses)
@@ -269,6 +275,7 @@ def _exhaustive_run(
         failure_count / attempts if attempts else 0.0,
         max(state_rates, default=0.0),
         sum(state_rates) / len(state_rates) if state_rates else 0.0,
+        worst,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import log2_fixed, wilson_upper
+from mvcode import binning as binning_module
 from mvcode.binning import (
     BinningCodebook,
     BinningScheme,
@@ -35,12 +36,13 @@ from mvcode.model import (
     Message,
     SystemState,
     VersionTuple,
-    enumerate_conditional_set,
+    enumerate_possible_set,
     hamming_ball_volume,
     latest_common_version,
     sample_tuple,
 )
 from mvcode.schemes import DecodingError, StoredSymbol, make_scheme
+from mvcode.verifier import verify_requirement_A
 
 # The reference configuration most frozen numbers below belong to.
 REF_MODEL = CorrelationModel(8, 1, 2)
@@ -287,30 +289,27 @@ def test_decode_enumeration_cap():
 
 
 def _blind_reference_decode(codebook, alloc, T, state, indices):
-    """Independent decoder: filter the full conditional enumeration."""
+    """Independent decoder: keep every admissible tuple whose indices match
+    the stored ones, with no chain or gap logic of its own."""
     model = codebook.model
     u_L = latest_common_version(state, T)
     if u_L is None:
         return "no-common", None
-    chain = sorted({u for t in T for u in state.per_server[t] if u <= u_L})
-    finals = set()
-    for assign in enumerate_conditional_set(model, {}, chain):
-        ok = True
-        for t in T:
-            got = tuple(sorted(state.per_server[t]))
-            for u in got:
-                if u > u_L:
-                    continue
+    checks = []
+    for t in T:
+        got = tuple(sorted(state.per_server[t]))
+        for u in got:
+            if u <= u_L:
                 width = alloc.index_bits(got, u)
-                if codebook.index_of(t, u, assign[u].bits, width) != indices[t][u] & (
-                    (1 << width) - 1
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            finals.add(assign[u_L].bits)
+                checks.append((t, u, width, indices[t][u] & ((1 << width) - 1)))
+    finals = {
+        vt.version(u_L).bits
+        for vt in enumerate_possible_set(model)
+        if all(
+            codebook.index_of(t, u, vt.version(u).bits, width) == target
+            for t, u, width, target in checks
+        )
+    }
     if len(finals) == 1:
         return "decoded", Message(next(iter(finals)), model.K)
     return "error", None
@@ -324,6 +323,7 @@ def test_decoder_matches_blind_enumeration():
     codebook = BinningCodebook.create(model, n, c, alloc.epsilon, seed=21)
     rng = random.Random(77)
     seen = {"decoded": 0, "error": 0}
+    gapped = 0
     for trial in range(60):
         state = SystemState(
             tuple(
@@ -345,6 +345,8 @@ def test_decoder_matches_blind_enumeration():
         T = tuple(sorted(rng.sample(range(n), c)))
         if latest_common_version(state, T) is None:
             continue
+        # a reader holding {1, 3} steps over version 2 at the composed radius
+        gapped += any(state.per_server[t] == {1, 3} for t in T)
         expected_status, expected_msg = _blind_reference_decode(
             codebook, alloc, T, state, indices
         )
@@ -354,6 +356,42 @@ def test_decoder_matches_blind_enumeration():
             assert out.message == expected_msg
         seen[expected_status] += 1
     assert seen["decoded"] > 0 and seen["error"] > 0
+    assert gapped > 0
+
+
+def test_plans_are_built_once_per_reader_view(monkeypatch):
+    # The anchor has 42 distinct (reading set, rows) views with a common
+    # version; exhaustive verification decodes 96,768 times through them.
+    built = []
+    build = binning_module._build_plan
+
+    def counting(*args):
+        built.append(args[2:])
+        return build(*args)
+
+    monkeypatch.setattr(binning_module, "_build_plan", counting)
+    scheme = make_scheme("binning", REF_MODEL, REF_N, REF_C, epsilon=REF_EPS, seed=0)
+    report = verify_requirement_A(scheme, mode="exhaustive")
+    assert len(built) == len(set(built)) == 42
+    assert (report.attempts, report.failure_count) == (1548288, 864)
+    assert report.per_state_max_error == 0.0078125
+
+
+def test_cached_plan_still_honours_the_cap():
+    codebook = BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, seed=9)
+    alloc = ref_allocation()
+    state = SystemState((frozenset({1, 2}),) * REF_N)
+    vt = VersionTuple((Message(0x21, 8), Message(0x23, 8)))
+    indices = {
+        t: {u: codebook.index_of(t, u, vt.version(u).bits, alloc.index_bits((1, 2), u))
+            for u in (1, 2)}
+        for t in (0, 1)
+    }
+    out = possible_set_decode(codebook, alloc, (0, 1), state, indices)
+    assert out.message == vt.version(2)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        possible_set_decode(codebook, alloc, (0, 1), state, indices, cap=10)
+    assert (err.value.estimate, err.value.cap) == (256 * 9, 10)
 
 
 class _FixedWidths(RateAllocation):

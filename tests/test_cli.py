@@ -11,8 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvcode.cli import (
+    _CONFIG_FIELDS,
     RunConfig,
     UsageError,
     config_from_text,
@@ -69,6 +72,21 @@ def test_rational_parser_accepts_three_forms():
         parse_rational("a quarter")
 
 
+def test_zero_denominator_exits_two(tmp_path, capsys):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    for flag in ("--epsilon", "--delta"):
+        with pytest.raises(SystemExit) as err:
+            main(["cost", flag, "1/0"])
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text("epsilon=1/0\n")
+    code, _, err = _run(capsys, "cost", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: bad value for epsilon: zero denominator")
+
+
 def test_format_rational_round_trips():
     for f in (Fraction(1, 4), Fraction(3), Fraction(7, 64), Fraction(1, 2**20)):
         assert parse_rational(format_rational(f)) == f
@@ -81,6 +99,37 @@ def test_config_text_round_trip_is_identity():
         RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16), K=64),
     ):
         assert config_from_text(cfg.to_text()) == cfg
+
+
+_CONFIG_VALUES = (
+    "0", "1", "2", "3", "8", "-1", "1/4", "1/0", "0/0", "0.5", "2^-3", "2^3",
+    "3^2", "mds", "binning", "auto", "exhaustive", "text", "csv", "x",
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config's text with up to three key=value lines inserted, over
+    the real keys (and one unknown) and small, odd and malformed values;
+    a later line overrides an earlier one."""
+    bases = (RunConfig(), RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16)))
+    lines = draw(st.sampled_from(bases)).to_text().splitlines()
+    keys = st.sampled_from([spec.key for spec in _CONFIG_FIELDS] + ["colour"])
+    value = st.one_of(st.sampled_from(_CONFIG_VALUES), st.text(max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        line = f"{draw(keys)}={draw(value)}"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=30), _config_texts()))
+def test_config_text_rejects_or_round_trips(text):
+    try:
+        cfg = config_from_text(text)
+    except ValueError:
+        return
+    assert config_from_text(cfg.to_text()) == cfg
 
 
 def test_runs_without_mpmath():

@@ -167,3 +167,52 @@ def test_three_version_survey_pinned(
     assert (survey.cells, survey.decodes, survey.failures) == (112, 4480, failures)
     assert (survey.worst_rate, survey.worst_failures) == (worst_rate, worst_failures)
     assert survey.wilson_upper == wilson_upper
+
+
+# Every ErrorSurvey field as the survey's own plan loop produced it, before
+# the survey moved onto the verifier's exhaustive engine: the anchor with
+# 1000 tuples per cell, and the three-version point above.
+_ANCHOR = (CorrelationModel(8, 1, 2), 4, 2, Fraction(1, 4), 1000, 0)
+_THREE_VERSIONS = (CorrelationModel(4, 2, 3), 2, 1, Fraction(9, 10), 40, 3)
+_SURVEYS = {
+    (_ANCHOR, 0): (
+        672, 672000, 336, 0.007, 7, (((), (1,), (1,), ()), (1, 2)),
+        0.014378315465766588,
+    ),
+    (_ANCHOR, 1): (
+        672, 672000, 336, 0.007, 7, (((), (1,), (1,), ()), (1, 2)),
+        0.014378315465766588,
+    ),
+    (_ANCHOR, 2): (
+        672, 672000, 0, 0.0, 0, (((), (), (1,), (1,)), (2, 3)),
+        0.003826758485555124,
+    ),
+    (_THREE_VERSIONS, 1): (
+        112, 4480, 32, 0.1, 4, (((), (1, 2)), (1,)), 0.23051775227522298,
+    ),
+    (_THREE_VERSIONS, 2): (
+        112, 4480, 48, 0.15, 6, (((), (1,)), (1,)), 0.2907232436648971,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "point,seed",
+    list(_SURVEYS),
+    ids=[f"nu{point[0].nu}-seed{seed}" for point, seed in _SURVEYS],
+)
+def test_survey_pinned_field_for_field(point, seed):
+    model, n, c, eps, trials, tuple_seed = point
+    codebook = BinningCodebook.create(model, n, c, eps, seed=seed)
+    survey = empirical_error_survey(
+        codebook,
+        RateAllocation(model, n, c, eps),
+        sample_tuples(model, trials, tuple_seed),
+    )
+    assert (survey.kind, survey.seed, survey.trials) == (
+        "random-uniform", seed, trials,
+    )
+    assert (
+        survey.cells, survey.decodes, survey.failures, survey.worst_rate,
+        survey.worst_failures, survey.worst_cell, survey.wilson_upper,
+    ) == _SURVEYS[point, seed]

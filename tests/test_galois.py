@@ -184,16 +184,6 @@ def test_decode_function_round_trips_all_subsets():
             assert code.decode({s: word[s] for s in servers}) == block
 
 
-def test_encode_symbol_agrees_with_encode():
-    code = RsCode.standard(5, 3)
-    rng = random.Random(7)
-    for _ in range(30):
-        block = tuple(rng.randrange(code.field.order) for _ in range(3))
-        word = code.encode(block)
-        for s in range(5):
-            assert code.encode_symbol(block, s) == word[s]
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_any_c_symbols_recover_block(n):
     rng = random.Random(n)
@@ -247,7 +237,7 @@ def _stored_by_blocks(gen, server: int, message: int) -> int:
     for b in range(gen.blocks):
         chunk = (message >> (b * block_bits)) & ((1 << block_bits) - 1)
         block = tuple((chunk >> (j * m)) & ((1 << m) - 1) for j in range(gen.code.c))
-        out |= gen.code.encode_symbol(block, server) << (b * m)
+        out |= gen.code.encode(block)[server] << (b * m)
     return out
 
 
@@ -285,7 +275,6 @@ def test_single_bit_updates_touch_one_symbol(n, c, K):
     m = gen.symbol_bits
     block_bits = c * m
     for server in range(n):
-        assert gen.row_symbol_weight(server) <= 1
         for k, mask in enumerate(gen.rows[server]):
             block = k // block_bits
             assert mask >> (block * m) < (1 << m)

@@ -16,10 +16,9 @@ from mvcode.model import (
     ball_index_bits,
     ball_rank,
     ball_unrank,
-    enumerate_conditional_set,
     enumerate_possible_set,
     hamming_ball_volume,
-    iter_ball,
+    iter_ball_masks,
     latest_common_version,
     latest_complete_version,
     sample_tuple,
@@ -93,7 +92,7 @@ class TestBallRanking:
     def test_dense_in_ball(self):
         # Ranks of a radius-r ball fill exactly range(Vol(r, K)).
         K, r = 5, 2
-        ranks = sorted(ball_rank(m, K) for m in iter_ball(0, r, K))
+        ranks = sorted(ball_rank(m, K) for m in iter_ball_masks(K, r))
         assert ranks == list(range(hamming_ball_volume(r, K)))
 
 
@@ -169,69 +168,74 @@ class TestEnumeration:
         assert err.value.estimate == model.tuple_count()
 
 
+def _completions(model, fixed, targets=None):
+    """Values of ``targets`` (default: the unfixed versions) across every
+    admissible tuple agreeing with ``fixed``: a plain filter of the full
+    enumeration, with no chain or gap logic of its own."""
+    if targets is None:
+        targets = [u for u in range(1, model.nu + 1) if u not in fixed]
+    return {
+        tuple(t.version(u).bits for u in targets)
+        for t in enumerate_possible_set(model)
+        if all(t.version(u) == w for u, w in fixed.items())
+    }
+
+
 class TestConditionalEnumeration:
+    """The chain facts a binning decode plan relies on: a version between
+    two known ones lies within one step of both, and a version k steps
+    past a known one lies in the ball of radius k*r around it."""
+
     def test_single_fixed_neighbor(self):
         model = CorrelationModel(K=4, radius=1, nu=2)
-        fixed = {1: Message(0b0110, 4)}
-        completions = list(enumerate_conditional_set(model, fixed))
+        completions = _completions(model, {1: Message(0b0110, 4)})
         assert len(completions) == 5
-        assert all((c[2].bits ^ 0b0110).bit_count() <= 1 for c in completions)
+        assert all((w2 ^ 0b0110).bit_count() <= 1 for (w2,) in completions)
 
     def test_midpoints_between_two_fixed(self):
         model = CorrelationModel(K=4, radius=1, nu=3)
-        w1 = Message(0b0000, 4)
-        w3 = Message(0b0011, 4)
-        mids = [c[2].bits for c in enumerate_conditional_set(model, {1: w1, 3: w3})]
-        assert sorted(mids) == [0b0001, 0b0010]
+        fixed = {1: Message(0b0000, 4), 3: Message(0b0011, 4)}
+        assert sorted(_completions(model, fixed)) == [(0b0001,), (0b0010,)]
 
     def test_fix_nothing_equals_full_enumeration(self):
         model = CorrelationModel(K=2, radius=1, nu=2)
-        via_conditional = [
-            (c[1].bits, c[2].bits) for c in enumerate_conditional_set(model, {})
-        ]
-        via_full = [
-            (t.version(1).bits, t.version(2).bits)
-            for t in enumerate_possible_set(model)
-        ]
-        assert sorted(via_conditional) == sorted(via_full)
+        want = {
+            (a, b) for a, b in product(range(4), repeat=2) if (a ^ b).bit_count() <= 1
+        }
+        assert _completions(model, {}) == want
 
     def test_against_brute_force_filter(self):
         model = CorrelationModel(K=4, radius=1, nu=3)
         w1 = Message(0b1100, 4)
         w3 = Message(0b1101, 4)
-        got = sorted(
-            c[2].bits for c in enumerate_conditional_set(model, {1: w1, 3: w3})
-        )
-        want = sorted(
-            b
+        want = {
+            (b,)
             for b in range(16)
             if (b ^ w1.bits).bit_count() <= 1 and (b ^ w3.bits).bit_count() <= 1
-        )
-        assert got == want
+        }
+        assert _completions(model, {1: w1, 3: w3}) == want
 
     def test_existential_gap(self):
         # Ask only for w3 given w1; w2 is quantified away, so the answer is
         # the ball of composed radius 2*r around w1.
         model = CorrelationModel(K=4, radius=1, nu=3)
         w1 = Message(0b0000, 4)
-        got = sorted(
-            c[3].bits
-            for c in enumerate_conditional_set(model, {1: w1}, targets=[3])
-        )
-        want = sorted(
-            b3
+        got = _completions(model, {1: w1}, targets=[3])
+        want = {
+            (b3,)
             for b3 in range(16)
             if any(
                 (w1.bits ^ b2).bit_count() <= 1 and (b2 ^ b3).bit_count() <= 1
                 for b2 in range(16)
             )
-        )
+        }
         assert got == want
+        assert got == {(mask,) for mask in iter_ball_masks(4, 2)}
 
     def test_inconsistent_fixed_pair_yields_nothing(self):
         model = CorrelationModel(K=4, radius=1, nu=2)
         fixed = {1: Message(0b0000, 4), 2: Message(0b1111, 4)}
-        assert list(enumerate_conditional_set(model, fixed)) == []
+        assert _completions(model, fixed) == set()
 
 
 class TestSystemState:

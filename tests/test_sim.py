@@ -6,6 +6,8 @@ between simulated reads and the quorum-contract verifier."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvcode.model import CorrelationModel, Message, SystemState, sample_tuple
 from mvcode.schemes import (
@@ -170,6 +172,40 @@ def test_schedule_text_is_validated_on_load():
     # comments and blank lines are tolerated
     commented = "# replay\n\n" + good
     assert schedule_from_text(commented) == partial_update_crash_schedule()
+
+
+_SCHEDULE_TOKENS = (
+    "schedule", "write-start", "server-arrival", "read-start", "#", "",
+    "time=0", "time=9", "time=never", "version=1", "version=3", "server=0",
+    "server=7", "reader=2", "n=0", "n=2", "c-w=4", "f=0", "seed=5", "foo=1",
+    "time=", "time=-1",
+)
+
+
+@st.composite
+def _schedule_texts(draw):
+    """A valid schedule's text with up to three tokens replaced by format
+    words, fields, blanks and malformed fields: some stay valid, the rest
+    fail near the format's edges."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    text = schedule_to_text(_random_schedule(rng, 4, 3, 3, 1, 2))
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        line[draw(st.integers(0, len(line) - 1))] = draw(
+            st.sampled_from(_SCHEDULE_TOKENS)
+        )
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _schedule_texts()))
+def test_schedule_text_rejects_or_round_trips(text):
+    try:
+        sched = schedule_from_text(text)
+    except ValueError:
+        return
+    assert schedule_from_text(schedule_to_text(sched)) == sched
 
 
 def test_never_arrival_survives_round_trip():
