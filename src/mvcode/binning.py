@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitWriter
 from .bounds import LOG_DIGITS, log2_decimal
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -58,6 +58,7 @@ from .schemes import (
     MvcScheme,
     StoredSymbol,
     register_scheme,
+    split_fields,
 )
 from .verifier import _exhaustive_run, wilson_interval
 
@@ -101,9 +102,12 @@ def _as_term(value) -> RateTerm:
     return RateTerm(Fraction(value), Fraction(0), Fraction(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateAllocation:
     """Per (server, version) bin-index lengths for one system configuration.
+
+    An allocation compares and hashes by identity, so the decode-plan cache
+    that keys on it costs no field hashing per decode.
 
     The real-valued rate of version u at a server whose receipt set is
     s_1 < ... < s_t is, in bits:
@@ -120,7 +124,7 @@ class RateAllocation:
     n: int
     c: int
     epsilon: Fraction
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.c <= self.n:
@@ -421,12 +425,9 @@ class BinningCodebook:
                     for w in range(size):
                         table[size + w] = table[w] ^ mask
                 self._maps[key] = table
-            elif self.uses_table:
-                self._maps[key] = self._pair_map(server, version)
             else:
-                self._maps[key] = [
-                    self._prf_index(server, version, w) for w in range(1 << K)
-                ]
+                # K <= 16, so a random-uniform codebook has its table
+                self._maps[key] = self._pair_map(server, version)
         return self._maps[key]
 
     def _values_by_index(self, server: int, version: int, bits: int) -> dict:
@@ -576,12 +577,11 @@ def _run_plan(
     plan: _DecodePlan,
     first_targets: Sequence[int],
     step_targets: Sequence[Sequence[int]],
-    limit: int = 2,
 ) -> tuple[set[int], int]:
     """DFS over admissible assignments consistent with the given indices.
 
     Returns (distinct final-version values, full assignments examined);
-    aborts as soon as ``limit`` distinct final values exist.
+    aborts as soon as two distinct final values exist.
     """
     rest = [
         (tab, wmask, tgt)
@@ -598,7 +598,7 @@ def _run_plan(
         for w in cands:
             finals.add(w)
             examined += 1
-            if len(finals) >= limit:
+            if len(finals) > 1:
                 break
         return finals, examined
     bound_steps = [
@@ -618,7 +618,7 @@ def _run_plan(
             if depth == last:
                 finals.add(cand)
                 examined += 1
-                if len(finals) >= limit:
+                if len(finals) > 1:
                     return finals, examined
             else:
                 stack.append((depth + 1, cand))
@@ -954,7 +954,6 @@ def empirical_error_survey(
     rates: RateAllocation,
     tuples: Sequence[VersionTuple],
     states: Optional[Iterable[SystemState]] = None,
-    subsets: Optional[Iterable[Sequence[int]]] = None,
 ) -> ErrorSurvey:
     """Decode every (state, reading set) cell against every sampled tuple.
 
@@ -969,9 +968,7 @@ def empirical_error_survey(
     n = codebook.n
     report = _exhaustive_run(
         BinningScheme.over(codebook, rates),
-        list(combinations(range(n), rates.c))
-        if subsets is None
-        else [tuple(T) for T in subsets],
+        list(combinations(range(n), rates.c)),
         latest_common_version,
         iter_states(n, codebook.model.nu) if states is None else states,
         tuples,
@@ -1011,9 +1008,6 @@ def seed_search(
     seeds: Sequence[int],
     tuples: Sequence[VersionTuple],
     kind: str = "random-uniform",
-    states: Optional[Sequence[SystemState]] = None,
-    subsets: Optional[Sequence[Sequence[int]]] = None,
-    target=None,
     stop_at_target: bool = True,
 ) -> SeedSearchReport:
     """Survey codebook seeds in order, keeping the best observed worst-cell
@@ -1022,21 +1016,19 @@ def seed_search(
     A good codebook exists but is not identified constructively, so this
     reports per-seed empirical rates rather than certifying any one seed.
     By default the search stops at the first seed whose worst cell meets
-    the target (any later seed could only tie the pass/fail verdict).
+    the target epsilon (any later seed could only tie the pass/fail
+    verdict).
     """
     if not seeds:
         raise ValueError("need at least one seed")
     allocation = RateAllocation(model, n, c, Fraction(epsilon))
-    goal = Fraction(target) if target is not None else allocation.epsilon
-    state_list = list(states) if states is not None else None
+    goal = allocation.epsilon
     surveys = []
     for seed in seeds:
         codebook = BinningCodebook.create(
             model, n, c, allocation.epsilon, kind=kind, seed=seed
         )
-        survey = empirical_error_survey(
-            codebook, allocation, tuples, state_list, subsets
-        )
+        survey = empirical_error_survey(codebook, allocation, tuples)
         surveys.append(survey)
         if stop_at_target and survey.worst_rate <= goal:
             break
@@ -1102,17 +1094,8 @@ class BinningScheme(MvcScheme):
         out: dict[int, dict[int, int]] = {}
         for t in T:
             got = self._received_of(state, t)
-            sym = symbols[t]
-            reader = BitReader(sym.payload, sym.bit_length)
-            row = {}
-            try:
-                for u in got:
-                    row[u] = reader.read(self.allocation.index_bits(got, u))
-            except ValueError as exc:
-                raise DecodingError(str(exc)) from exc
-            if not reader.exhausted:
-                raise DecodingError("trailing bits after last bin index")
-            out[t] = row
+            widths = [self.allocation.index_bits(got, u) for u in got]
+            out[t] = dict(zip(got, split_fields(symbols[t], widths)))
         return out
 
     def decode(self, T, state, symbols):

@@ -53,9 +53,5 @@ class BitReader:
         return value
 
     @property
-    def remaining(self) -> int:
-        return self._length - self._pos
-
-    @property
     def exhausted(self) -> bool:
         return self._pos == self._length

@@ -9,7 +9,7 @@ implementations that follow the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -111,18 +111,13 @@ def _mul_table(m: int, polynomial: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(2^m) with a verified irreducible reduction polynomial."""
+    """GF(2^m) reduced by the fixed polynomial ``irreducible_polynomial(m)``."""
 
     m: int
-    polynomial: int = 0
+    polynomial: int = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        if self.polynomial == 0:
-            object.__setattr__(self, "polynomial", irreducible_polynomial(self.m))
-        if self.polynomial.bit_length() - 1 != self.m:
-            raise ValueError("reduction polynomial degree must equal m")
-        if not _is_irreducible(self.polynomial, self.m):
-            raise ValueError("reduction polynomial is reducible")
+        object.__setattr__(self, "polynomial", irreducible_polynomial(self.m))
         table = _mul_table(self.m, self.polynomial) if self.m <= 8 else None
         object.__setattr__(self, "_mul_table", table)
 
@@ -156,28 +151,25 @@ class Field:
 class RsCode:
     """An (n, c) Reed-Solomon code: evaluate degree-(c-1) polynomials at n points.
 
-    Coordinate i of a codeword is the message polynomial evaluated at
-    ``evaluation_points[i]``.  Any c coordinates determine the message
-    because the points are pairwise distinct.
+    Coordinate i of a codeword is the message polynomial evaluated at the
+    field element i, so ``evaluation_points`` is 0..n-1.  Any c coordinates
+    determine the message because the points are pairwise distinct.
     """
 
     field: Field
     n: int
     c: int
-    evaluation_points: tuple[int, ...] = ()
+    evaluation_points: tuple[int, ...] = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.c <= self.n:
             raise ValueError("need 1 <= c <= n")
-        if not self.evaluation_points:
-            object.__setattr__(self, "evaluation_points", tuple(range(self.n)))
-        pts = self.evaluation_points
-        if len(pts) != self.n:
-            raise ValueError("need one evaluation point per coordinate")
-        if any(not 0 <= p < self.field.order for p in pts):
-            raise ValueError("evaluation point outside field")
-        if len(set(pts)) != self.n:
-            raise ValueError("evaluation points must be pairwise distinct")
+        if self.n > self.field.order:
+            raise ValueError(
+                f"GF(2^{self.field.m}) has {self.field.order} evaluation points, "
+                f"need n={self.n}"
+            )
+        object.__setattr__(self, "evaluation_points", tuple(range(self.n)))
         object.__setattr__(self, "_inverse_cache", {})
 
     @classmethod

@@ -76,9 +76,6 @@ class Message:
             raise IndexError(f"coordinate {i} out of range 1..{self.K}")
         return (self.bits >> (i - 1)) & 1
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def distance_to(self, other: "Message") -> int:
         if other.K != self.K:
             raise ValueError("messages have different lengths")

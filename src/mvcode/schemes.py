@@ -30,7 +30,6 @@ from .model import (
     ball_index_bits,
     ball_rank,
     ball_unrank,
-    hamming_ball_volume,
     latest_common_version,
 )
 
@@ -90,6 +89,50 @@ class Decoded(NamedTuple):
     message: Message
 
 
+# ---------------------------------------------------------------------------
+# Worst-case storage cost
+
+@dataclass(frozen=True)
+class CostReport:
+    """Three views of a scheme's worst-case per-server storage.
+
+    table_bits is the leading-order formula at nominal K with no rounding.
+    guarantee_bits is the analytic ceiling at realized widths (padding,
+    index ceilings, count framing included): no encoding may exceed it.
+    measured_bits is the realized maximum over receipt patterns and version
+    tuples.  framing_bits is the share of measured_bits spent on record
+    counts rather than content.
+    """
+
+    scheme: str
+    table_bits: float
+    guarantee_bits: float
+    measured_bits: int
+    framing_bits: int
+    notes: tuple[str, ...] = ()
+
+
+def _receipt_patterns(nu: int):
+    """Every nonempty receipt set of nu versions, ascending."""
+    for mask in range(1, 1 << nu):
+        yield tuple(u + 1 for u in range(nu) if (mask >> u) & 1)
+
+
+def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
+    """A stored symbol's fixed-width fields, first written first.
+
+    Raises DecodingError unless the widths cover the symbol exactly.
+    """
+    if sum(widths) != symbol.bit_length:
+        raise DecodingError("stored length disagrees with state")
+    fields = []
+    payload = symbol.payload
+    for width in widths:
+        fields.append(payload & ((1 << width) - 1))
+        payload >>= width
+    return fields
+
+
 class MvcScheme(ABC):
     """Shared contract: pure encode per server, pure decode per subset."""
 
@@ -119,8 +162,14 @@ class MvcScheme(ABC):
         """Newest version common to T (or newer), None when T shares
         nothing.  Raises DecodingError on symbols inconsistent with state."""
 
-    def worst_case_cost(self) -> "CostReport":
-        return worst_case_cost(self)
+    def worst_case_cost(self) -> CostReport:
+        """Analytic and realized worst-case per-server bits.
+
+        Each scheme's model finds the realized maximum exactly without
+        enumerating version tuples: its field widths depend only on the
+        receipt pattern, or (rs-update) on a witness tuple per pattern.
+        """
+        raise TypeError(f"no cost model for scheme {self.name!r}")
 
     def _received_of(self, state: SystemState, server: int) -> tuple[int, ...]:
         return tuple(sorted(state.per_server[server]))
@@ -146,6 +195,35 @@ class _RsBackedScheme(MvcScheme):
     @property
     def symbol_vector_bits(self) -> int:
         return self.generator.stored_bits_per_server
+
+    def decode(self, T, state, symbols):
+        target = latest_common_version(state, T)
+        if target is None or len(T) < self.c:
+            return None
+        holders = []
+        for server in T[: self.c]:
+            received = self._received_of(state, server)
+            vec = self._vector_at(server, received, symbols[server], target)
+            holders.append((server, vec))
+        return self._interpolate(holders, target)
+
+    def _vector_at(
+        self,
+        server: int,
+        received: tuple[int, ...],
+        symbol: StoredSymbol,
+        target: int,
+    ) -> int:
+        """Symbol vector of version ``target`` rebuilt from one server's
+        stored symbol; raises DecodingError when the symbol does not fit
+        ``received``."""
+        raise NotImplementedError
+
+    def _padding_notes(self) -> tuple[str, ...]:
+        padded = self.generator.padded_K
+        if padded == self.model.K:
+            return ()
+        return (f"message padded {self.model.K} -> {padded} bits",)
 
     def _interpolate(
         self, holders: Sequence[tuple[int, int]], version: int
@@ -191,6 +269,10 @@ class ReplicationScheme(MvcScheme):
             raise DecodingError("full copy has wrong length")
         return Decoded(version, Message(sym.payload, self.model.K))
 
+    def worst_case_cost(self):
+        K = self.model.K
+        return CostReport(self.name, float(K), float(K), K, 0)
+
 
 class MdsMvcScheme(_RsBackedScheme):
     """One Reed-Solomon symbol vector per received version, concatenated in
@@ -208,24 +290,21 @@ class MdsMvcScheme(_RsBackedScheme):
             )
         return StoredSymbol(writer.payload, writer.bit_length)
 
-    def decode(self, T, state, symbols):
-        target = latest_common_version(state, T)
-        if target is None:
-            return None
-        if len(T) < self.c:
-            return None
-        holders = []
-        for server in T[: self.c]:
-            received = self._received_of(state, server)
-            sym = symbols[server]
-            if sym.bit_length != len(received) * self.symbol_vector_bits:
-                raise DecodingError("stored length disagrees with state")
-            slot = received.index(target)
-            vec = (sym.payload >> (slot * self.symbol_vector_bits)) & (
-                (1 << self.symbol_vector_bits) - 1
-            )
-            holders.append((server, vec))
-        return self._interpolate(holders, target)
+    def _vector_at(self, server, received, symbol, target):
+        vectors = split_fields(symbol, [self.symbol_vector_bits] * len(received))
+        return vectors[received.index(target)]
+
+    def worst_case_cost(self):
+        nu = self.model.nu
+        stored = nu * self.symbol_vector_bits
+        return CostReport(
+            self.name,
+            nu * self.model.K / self.c,
+            float(stored),
+            stored,
+            0,
+            self._padding_notes(),
+        )
 
 
 class DeltaScheme(_RsBackedScheme):
@@ -244,6 +323,13 @@ class DeltaScheme(_RsBackedScheme):
     def _step_bits(self, gap: int) -> int:
         K = self.model.K
         return ball_index_bits(min(gap * self.model.radius, K), K)
+
+    def _widths(self, received: Sequence[int]) -> list[int]:
+        """Field widths of a symbol: the base vector, then one ball index
+        per later received version."""
+        return [self.symbol_vector_bits] + [
+            self._step_bits(b - a) for a, b in zip(received, received[1:])
+        ]
 
     def encode(self, server, received, versions):
         got = _sorted_received(received, len(versions))
@@ -265,29 +351,25 @@ class DeltaScheme(_RsBackedScheme):
             prev = u
         return StoredSymbol(writer.payload, writer.bit_length)
 
-    def decode(self, T, state, symbols):
-        target = latest_common_version(state, T)
-        if target is None or len(T) < self.c:
-            return None
-        holders = []
-        for server in T[: self.c]:
-            received = self._received_of(state, server)
-            reader = BitReader(symbols[server].payload, symbols[server].bit_length)
+    def _vector_at(self, server, received, symbol, target):
+        vec, *indices = split_fields(symbol, self._widths(received))
+        for u, index in zip(received[1:], indices):
+            if u > target:
+                break
             try:
-                vec = reader.read(self.symbol_vector_bits)
-                prev = received[0]
-                for u in received[1:]:
-                    index = reader.read(self._step_bits(u - prev))
-                    if u <= target:
-                        diff = ball_unrank(index, self.model.K)
-                        vec ^= self.generator.apply(server, diff)
-                    prev = u
+                diff = ball_unrank(index, self.model.K)
             except ValueError as exc:
                 raise DecodingError(str(exc)) from exc
-            if not reader.exhausted:
-                raise DecodingError("trailing bits after last difference index")
-            holders.append((server, vec))
-        return self._interpolate(holders, target)
+            vec ^= self.generator.apply(server, diff)
+        return vec
+
+    def worst_case_cost(self):
+        model = self.model
+        table = model.K / self.c + (model.nu - 1) * log2(model.ball_volume())
+        worst = max(sum(self._widths(p)) for p in _receipt_patterns(model.nu))
+        return CostReport(
+            self.name, table, float(worst), worst, 0, self._padding_notes()
+        )
 
 
 class RsUpdateScheme(_RsBackedScheme):
@@ -348,43 +430,107 @@ class RsUpdateScheme(_RsBackedScheme):
             vec = new_vec
         return StoredSymbol(writer.payload, writer.bit_length)
 
-    def decode(self, T, state, symbols):
-        target = latest_common_version(state, T)
-        if target is None or len(T) < self.c:
-            return None
+    def _vector_at(self, server, received, symbol, target):
         gen = self.generator
         m = gen.symbol_bits
-        holders = []
-        for server in T[: self.c]:
-            received = self._received_of(state, server)
-            reader = BitReader(symbols[server].payload, symbols[server].bit_length)
-            try:
-                vec = reader.read(self.symbol_vector_bits)
-                snapshot = vec if received[0] <= target else None
-                for u in received[1:]:
-                    count = reader.read(self._count_bits)
-                    if count > gen.blocks:
-                        raise DecodingError("record count out of range")
-                    if count == gen.blocks:
-                        vec = reader.read(self.symbol_vector_bits)
-                    else:
-                        for _ in range(count):
-                            b = reader.read(self._index_bits)
-                            if b >= gen.blocks:
-                                raise DecodingError("block index out of range")
-                            val = reader.read(m)
-                            vec &= ~(((1 << m) - 1) << (b * m))
-                            vec |= val << (b * m)
-                    if u <= target:
-                        snapshot = vec
-            except ValueError as exc:
-                raise DecodingError(str(exc)) from exc
-            if not reader.exhausted:
-                raise DecodingError("trailing bits after last update record")
-            if snapshot is None:
-                raise DecodingError("target version not covered by records")
-            holders.append((server, snapshot))
-        return self._interpolate(holders, target)
+        reader = BitReader(symbol.payload, symbol.bit_length)
+        try:
+            vec = snapshot = reader.read(self.symbol_vector_bits)
+            for u in received[1:]:
+                count = reader.read(self._count_bits)
+                if count > gen.blocks:
+                    raise DecodingError("record count out of range")
+                if count == gen.blocks:
+                    vec = reader.read(self.symbol_vector_bits)
+                else:
+                    for _ in range(count):
+                        b = reader.read(self._index_bits)
+                        if b >= gen.blocks:
+                            raise DecodingError("block index out of range")
+                        val = reader.read(m)
+                        vec &= ~(((1 << m) - 1) << (b * m))
+                        vec |= val << (b * m)
+                if u <= target:
+                    snapshot = vec
+        except ValueError as exc:
+            raise DecodingError(str(exc)) from exc
+        if not reader.exhausted:
+            raise DecodingError("trailing bits after last update record")
+        return snapshot
+
+    def _witness_tuple(self, pattern: tuple[int, ...]) -> VersionTuple:
+        """A tuple inside the model that attains the per-gap analytic worst
+        case.
+
+        Between consecutive received versions a < b, flip one bit in each of
+        min((b-a)*radius, blocks) distinct blocks, at in-block offset 0 so
+        the flip lands in a nonzero generator row at every server (offset 0
+        carries the block's constant coefficient, which no evaluation point
+        kills).
+        """
+        model = self.model
+        gen = self.generator
+        block_bits = self.c * gen.symbol_bits
+        current = 0
+        values = {}
+        prev = None
+        for u in pattern:
+            if prev is not None:
+                budget = min((u - prev) * model.radius, gen.blocks, model.K)
+                mask = 0
+                placed = 0
+                b = 0
+                while placed < budget and b < gen.blocks:
+                    pos = b * block_bits
+                    if pos < model.K:
+                        mask |= 1 << pos
+                        placed += 1
+                    b += 1
+                current ^= mask
+            values[u] = current
+            prev = u
+        filled = []
+        last = 0
+        for u in range(1, model.nu + 1):
+            if u in values:
+                last = values[u]
+            filled.append(Message(last, model.K))
+        return VersionTuple(tuple(filled))
+
+    def worst_case_cost(self):
+        """The realized maximum needs no sweep over version tuples: a step's
+        record count depends only on its difference vector, and the
+        analytic per-gap worst is attained by an in-model witness tuple,
+        which is encoded to check it."""
+        model = self.model
+        K, nu, r, c = model.K, model.nu, model.radius, self.c
+        gen = self.generator
+        spb = self.symbol_vector_bits
+        m = gen.symbol_bits
+        nominal_blocks = max(1, K // (c * m))
+        record = (nominal_blocks - 1).bit_length() + m
+        table = K / c + (nu - 1) * min(r * record, K / c)
+        per_gap_worst = {
+            gap: self._count_bits
+            + min(min(gap * r, gen.blocks, K) * (self._index_bits + m), spb)
+            for gap in range(1, nu)
+        }
+        best = best_framing = measured = 0
+        for pattern in _receipt_patterns(nu):
+            gaps = [b - a for a, b in zip(pattern, pattern[1:])]
+            cost = spb + sum(per_gap_worst[gap] for gap in gaps)
+            if cost > best:
+                best, best_framing = cost, len(gaps) * self._count_bits
+            witness = self._witness_tuple(pattern)
+            for server in range(self.n):
+                sym = self.encode(server, pattern, witness)
+                measured = max(measured, sym.bit_length)
+        notes = self._padding_notes() + (
+            f"count framing {best_framing} bits included",
+        )
+        return CostReport(
+            self.name, table, float(best), measured, best_framing, notes
+        )
 
 
 class LatestOnlyScheme(_RsBackedScheme):
@@ -422,172 +568,9 @@ class LatestOnlyScheme(_RsBackedScheme):
                 return self._interpolate(holders[: self.c], version)
         return None
 
-
-# ---------------------------------------------------------------------------
-# Worst-case storage cost
-
-@dataclass(frozen=True)
-class CostReport:
-    """Three views of a scheme's worst-case per-server storage.
-
-    table_bits is the leading-order formula at nominal K with no rounding.
-    guarantee_bits is the analytic ceiling at realized widths (padding,
-    index ceilings, count framing included): no encoding may exceed it.
-    measured_bits is the realized maximum over receipt patterns and version
-    tuples.  framing_bits is the share of measured_bits spent on record
-    counts rather than content.
-    """
-
-    scheme: str
-    table_bits: float
-    guarantee_bits: float
-    measured_bits: int
-    framing_bits: int
-    notes: tuple[str, ...] = ()
-
-
-def _log2_volume(radius: int, K: int) -> float:
-    return log2(hamming_ball_volume(min(radius, K), K))
-
-
-def _receipt_patterns(nu: int):
-    for mask in range(1 << nu):
-        yield tuple(u + 1 for u in range(nu) if (mask >> u) & 1)
-
-
-def _rs_update_witness_tuple(
-    scheme: RsUpdateScheme, pattern: tuple[int, ...]
-) -> VersionTuple:
-    """A tuple inside the model that attains the per-gap analytic worst case.
-
-    Between consecutive received versions a < b, flip one bit in each of
-    min((b-a)*radius, blocks) distinct blocks, at in-block offset 0 so the
-    flip lands in a nonzero generator row at every server (offset 0 carries
-    the block's constant coefficient, which no evaluation point kills).
-    """
-    model = scheme.model
-    gen = scheme.generator
-    block_bits = scheme.c * gen.symbol_bits
-    current = 0
-    values = {}
-    prev = None
-    for u in pattern:
-        if prev is not None:
-            budget = min((u - prev) * model.radius, gen.blocks, model.K)
-            mask = 0
-            placed = 0
-            b = 0
-            while placed < budget and b < gen.blocks:
-                pos = b * block_bits
-                if pos < model.K:
-                    mask |= 1 << pos
-                    placed += 1
-                b += 1
-            current ^= mask
-        values[u] = current
-        prev = u
-    filled = []
-    last = 0
-    for u in range(1, model.nu + 1):
-        if u in values:
-            last = values[u]
-        filled.append(Message(last, model.K))
-    return VersionTuple(tuple(filled))
-
-
-def worst_case_cost(scheme: MvcScheme) -> CostReport:
-    """Analytic and realized worst-case per-server bits for one scheme.
-
-    The realized maximum is exact without enumerating version tuples:
-    replication and the MDS scheme cost the same for every tuple, the delta
-    scheme's index widths depend only on the receipt pattern, and the
-    update scheme's record count for a step depends only on the difference
-    vector, which is swept directly (small radius) and cross-checked with a
-    constructed worst-case tuple.
-    """
-    model = scheme.model
-    K, nu, r = model.K, model.nu, model.radius
-    c = scheme.c
-    notes: list[str] = []
-
-    if isinstance(scheme, ReplicationScheme):
-        table = float(K)
-        measured = K if nu >= 1 else 0
-        return CostReport(scheme.name, table, float(K), measured, 0)
-
-    if isinstance(scheme, MdsMvcScheme):
-        spb = scheme.symbol_vector_bits
-        table = nu * K / c
-        guarantee = float(nu * spb)
-        if scheme.generator.padded_K != K:
-            notes.append(
-                f"message padded {K} -> {scheme.generator.padded_K} bits"
-            )
-        return CostReport(scheme.name, table, guarantee, nu * spb, 0, tuple(notes))
-
-    if isinstance(scheme, DeltaScheme):
-        spb = scheme.symbol_vector_bits
-        table = K / c + (nu - 1) * _log2_volume(r, K)
-        best = 0
-        for pattern in _receipt_patterns(nu):
-            if not pattern:
-                continue
-            cost = spb + sum(
-                scheme._step_bits(b - a) for a, b in zip(pattern, pattern[1:])
-            )
-            best = max(best, cost)
-        if scheme.generator.padded_K != K:
-            notes.append(
-                f"message padded {K} -> {scheme.generator.padded_K} bits"
-            )
-        return CostReport(scheme.name, table, float(best), best, 0, tuple(notes))
-
-    if isinstance(scheme, RsUpdateScheme):
-        gen = scheme.generator
-        spb = scheme.symbol_vector_bits
-        m = gen.symbol_bits
-        nominal_blocks = max(1, K // (c * m))
-        record = (nominal_blocks - 1).bit_length() + m
-        table = K / c + (nu - 1) * min(r * record, K / c)
-        per_gap_worst = {}
-        for gap in range(1, nu):
-            budget = min(gap * r, gen.blocks, K)
-            per_gap_worst[gap] = scheme._count_bits + min(
-                budget * (scheme._index_bits + m), spb
-            )
-        best = 0
-        best_framing = 0
-        for pattern in _receipt_patterns(nu):
-            if not pattern:
-                continue
-            cost = spb
-            framing = 0
-            for a, b in zip(pattern, pattern[1:]):
-                cost += per_gap_worst[b - a]
-                framing += scheme._count_bits
-            if cost > best:
-                best, best_framing = cost, framing
-        # The analytic per-gap worst is attained by an in-model tuple; check.
-        measured = 0
-        for pattern in _receipt_patterns(nu):
-            if not pattern:
-                continue
-            witness = _rs_update_witness_tuple(scheme, pattern)
-            for server in range(scheme.n):
-                sym = scheme.encode(server, pattern, witness)
-                measured = max(measured, sym.bit_length)
-        if gen.padded_K != K:
-            notes.append(f"message padded {K} -> {gen.padded_K} bits")
-        notes.append(f"count framing {best_framing} bits included")
-        return CostReport(
-            scheme.name, table, float(best), measured, best_framing, tuple(notes)
-        )
-
-    if isinstance(scheme, LatestOnlyScheme):
-        spb = scheme.symbol_vector_bits
-        return CostReport(scheme.name, K / c, float(spb), spb, 0)
-
-    raise TypeError(f"no cost model for scheme {scheme.name!r}")
+    def worst_case_cost(self):
+        spb = self.symbol_vector_bits
+        return CostReport(self.name, self.model.K / self.c, float(spb), spb, 0)
 
 
 # ---------------------------------------------------------------------------

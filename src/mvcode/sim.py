@@ -208,13 +208,20 @@ def schedule_from_text(text: str) -> Schedule:
             m = _FIELD.match(token)
             if not m:
                 raise ValueError(f"malformed field {token!r} in {where}")
-            key, value = m.group(1), m.group(2)
-            out[key.replace("-", "_")] = None if value == "never" else int(value)
+            key, value = m.group(1).replace("-", "_"), m.group(2)
+            if key in out:
+                raise ValueError(f"repeated field {m.group(1)!r} in {where}")
+            if value == "never" and key != "time":
+                raise ValueError(f"only a time may be never, not {m.group(1)!r}")
+            out[key] = None if value == "never" else int(value)
         return out
 
     header = fields_of(lines[0].split()[1:], "header")
+    unknown = set(header) - {"n", "c_w", "c_r", "f", "seed"}
+    if unknown:
+        raise ValueError(f"unexpected fields {sorted(unknown)} in header")
     for key in ("n", "c_w", "c_r", "f"):
-        if header.get(key) is None:
+        if key not in header:
             raise ValueError(f"schedule header is missing {key}")
     events = []
     for line in lines[1:]:
@@ -242,7 +249,7 @@ def schedule_from_text(text: str) -> Schedule:
         header["c_r"],
         header["f"],
         tuple(events),
-        header.get("seed") or 0,
+        header.get("seed", 0),
     )
 
 
@@ -451,9 +458,8 @@ def _search_read_probe(scheme, schedule_params, node, versions, encode_cache):
     """Outcome of a read appended to the node; True means inconsistent."""
     n, c_w, c_r = schedule_params
     received, written, crashed = node
+    # Schedule keeps c_r <= n - f and the search crashes at most f servers
     alive = [s for s in range(n) if s not in crashed]
-    if len(alive) < c_r:
-        return False
     responders = tuple(alive[:c_r])
     snapshot = SystemState(received, c_w)
     latest_complete = latest_complete_version(snapshot)

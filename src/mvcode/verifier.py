@@ -547,10 +547,9 @@ def quorum_bridge(scheme: MvcScheme, c_w: int, c_r: int) -> QuorumBridge:
 class EpsilonEstimate:
     """Empirical decode-failure rate with a 95% Wilson score interval.
 
-    In sampled mode ``trials`` counts drawn (tuple, state, subset) trials,
-    vacuous guards passing.  In sweep mode every state and subset with a
-    live guard is visited and ``trials`` counts the judged decode
-    attempts; ``per_state_max`` then reflects the worst single state.
+    ``trials`` counts drawn (tuple, state, subset) trials, vacuous guards
+    passing; ``per_state_max`` is the worst failure rate among the states
+    drawn.
     """
 
     trials: int
@@ -558,7 +557,6 @@ class EpsilonEstimate:
     rate: float
     wilson_lower: float
     wilson_upper: float
-    sweep: bool
     per_state_max: float
 
 
@@ -578,35 +576,16 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 
 def estimate_epsilon(
-    scheme: MvcScheme,
-    trials: int = 1000,
-    seed: int = 0,
-    sweep_states: bool = False,
+    scheme: MvcScheme, trials: int = 1000, seed: int = 0
 ) -> EpsilonEstimate:
     """Estimate the subset-contract failure probability over random tuples.
 
-    Sampled mode draws a fresh tuple, state, and subset per trial, exactly
-    as Monte-Carlo verification does.  Sweep mode draws ``trials`` tuples
-    once and judges them against every (state, subset) combination with a
-    live guard, through the exhaustive engine.
+    Each trial draws a fresh tuple, state, and subset, exactly as
+    Monte-Carlo verification does.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if sweep_states:
-        rng = random.Random(seed)
-        tuples = [sample_tuple(scheme.model, rng) for _ in range(trials)]
-        report = _exhaustive_run(
-            scheme,
-            list(combinations(range(scheme.n), scheme.c)),
-            latest_common_version,
-            iter_states(scheme.n, scheme.model.nu),
-            tuples,
-            0,
-        )
-    else:
-        report = _monte_carlo_run(
-            scheme, scheme.c, latest_common_version, trials, seed, 0, None, None
-        )
+    report = _monte_carlo_run(
+        scheme, scheme.c, latest_common_version, trials, seed, 0, None, None
+    )
     low, high = wilson_interval(report.failure_count, report.attempts)
     return EpsilonEstimate(
         report.attempts,
@@ -614,6 +593,5 @@ def estimate_epsilon(
         report.empirical_error,
         low,
         high,
-        bool(sweep_states),
         report.per_state_max_error,
     )

@@ -652,6 +652,33 @@ def test_scheme_round_trip_and_cost_report():
     assert any("error budget 1/1024" in note for note in report.notes)
 
 
+# Full-capacity entries of codebooks wider than one 64-bit limb: at the
+# reference model with c = 1 and epsilon = 2^-60 the capacity is 81 bits.
+_WIDE_EPS = Fraction(1, 2**60)
+_WIDE_ENTRIES = {
+    0: (0x3B2B730150B2E3C8C450, 0x6FFDFBF6E9528E82F402, 0x5A6E0AA4962457CEAF3C),
+    1: (0xEDAB138F4D9F9F0FFAB, 0x12EB77B7F3D2101939893, 0x1AD4A20679176678DA1EF),
+    2: (0x4657753825376BCED377, 0x1F4CADE6937DA4EC9EBAB, 0x19562825D27F5D77D2A45),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_WIDE_ENTRIES))
+def test_codebooks_wider_than_a_limb_are_pinned_and_decode(seed):
+    codebook = BinningCodebook.create(REF_MODEL, REF_N, 1, _WIDE_EPS, seed=seed)
+    assert codebook.capacity == 81
+    entries = tuple(
+        codebook.index_table(t, u)[w] for t, u, w in ((0, 1, 0), (3, 2, 255), (1, 1, 77))
+    )
+    assert entries == _WIDE_ENTRIES[seed]
+
+    scheme = BinningScheme(REF_MODEL, REF_N, 1, epsilon=_WIDE_EPS, seed=seed)
+    vt = VersionTuple((Message(0xA7, 8), Message(0xA5, 8)))
+    state = SystemState((frozenset({1, 2}), frozenset({1}), frozenset(), frozenset({2})))
+    for t, want in ((0, 2), (1, 1), (3, 2)):
+        symbol = scheme.encode(t, state.per_server[t], vt)
+        assert scheme.decode((t,), state, {t: symbol}) == (want, vt.version(want))
+
+
 def test_scheme_rejects_malformed_symbols():
     scheme = make_scheme("binning", REF_MODEL, REF_N, REF_C, epsilon=REF_EPS, seed=0)
     vt = VersionTuple((Message(0x11, 8), Message(0x10, 8)))
@@ -749,11 +776,9 @@ def test_reduced_rates_raise_error_rate_and_kinds_agree():
         for seed in range(seeds):
             codebook = BinningCodebook.create(model, n, c, eps, kind=kind, seed=seed)
             batch = tuples[seed * per_seed : (seed + 1) * per_seed]
-            clean += empirical_error_survey(
-                codebook, nominal, batch, [state], [(0, 1)]
-            ).failures
+            clean += empirical_error_survey(codebook, nominal, batch, [state]).failures
             stressed += empirical_error_survey(
-                codebook, starved, batch, [state], [(0, 1)]
+                codebook, starved, batch, [state]
             ).failures
         # nominal widths decode cleanly; three bits less per index does not
         assert stressed > 1000, (kind, stressed)

@@ -101,7 +101,7 @@ def test_sign_is_exact_at_integer_values():
 
 # ---------------------------------------------------------------------------
 # Folded engines: values of the previous implementation, which ran its own
-# trial loop (sampled) and a sweep without the cell cache.
+# trial loop.
 
 _K6 = CorrelationModel(6, 1, 2)
 _SCHEMES = {
@@ -110,42 +110,32 @@ _SCHEMES = {
 }
 
 _ESTIMATES = {
-    ("binning", 0, False): (
+    ("binning", 0): (
         500, 3, 0.006, 0.002042596271960236, 0.017490252104053375, 0.25,
     ),
-    ("binning", 0, True): (
-        1680, 20, 0.011904761904761904, 0.0077196319569201735, 0.018316939711412072, 0.05,
-    ),
-    ("binning", 5, False): (
+    ("binning", 5): (
         500, 3, 0.006, 0.002042596271960236, 0.017490252104053375, 0.16666666666666666,
     ),
-    ("binning", 5, True): (1680, 0, 0.0, 0.0, 0.00228136609926718, 0.0),
-    ("latest-only", 0, False): (
+    ("latest-only", 0): (
         500, 58, 0.116, 0.09081365651103794, 0.1470418369634342, 1.0,
     ),
-    ("latest-only", 0, True): (
-        1680, 480, 0.2857142857142857, 0.26462019580839047, 0.30778610394843825, 1.0,
-    ),
-    ("latest-only", 5, False): (
+    ("latest-only", 5): (
         500, 54, 0.108, 0.08372280963705037, 0.13825467328480662, 1.0,
-    ),
-    ("latest-only", 5, True): (
-        1680, 480, 0.2857142857142857, 0.26462019580839047, 0.30778610394843825, 1.0,
     ),
 }
 
 
-@pytest.mark.parametrize("name,seed,sweep", sorted(_ESTIMATES))
-def test_estimate_epsilon_pinned(name, seed, sweep):
-    est = estimate_epsilon(
-        _SCHEMES[name], trials=20 if sweep else 500, seed=seed, sweep_states=sweep
-    )
-    assert est.sweep == sweep
+# the ids keep the "-False" suffix they had when the key also named a mode
+@pytest.mark.parametrize(
+    "name,seed", sorted(_ESTIMATES), ids=[f"{n}-{s}-False" for n, s in sorted(_ESTIMATES)]
+)
+def test_estimate_epsilon_pinned(name, seed):
+    est = estimate_epsilon(_SCHEMES[name], trials=500, seed=seed)
     got = (
         est.trials, est.failures, est.rate, est.wilson_lower, est.wilson_upper,
         est.per_state_max,
     )
-    assert got == _ESTIMATES[name, seed, sweep]
+    assert got == _ESTIMATES[name, seed]
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from mvcode.schemes import (
     StoredSymbol,
     make_scheme,
     scheme_names,
-    worst_case_cost,
 )
 
 MODEL = CorrelationModel(K=8, radius=1, nu=2)
@@ -297,18 +296,18 @@ def test_latest_only_misses_overwritten_common_version():
 # Worst-case cost
 
 def test_cost_reports_at_reference_point():
-    repl = worst_case_cost(build("replication"))
+    repl = build("replication").worst_case_cost()
     assert repl.table_bits == 8 and repl.measured_bits == 8
 
-    mds = worst_case_cost(build("mds"))
+    mds = build("mds").worst_case_cost()
     assert mds.table_bits == pytest.approx(8.0)
     assert mds.measured_bits == 8 and mds.guarantee_bits == 8
 
-    delta = worst_case_cost(build("delta"))
+    delta = build("delta").worst_case_cost()
     assert delta.table_bits == pytest.approx(4 + 3.169925001442312)
     assert delta.measured_bits == 4 + ball_index_bits(1, 8) == 8
 
-    upd = worst_case_cost(build("rs-update"))
+    upd = build("rs-update").worst_case_cost()
     assert upd.table_bits == pytest.approx(7.0)
     assert upd.measured_bits == upd.guarantee_bits == 9
     assert upd.framing_bits == 2
@@ -322,12 +321,94 @@ def test_measured_never_exceeds_guarantee():
             (CorrelationModel(16, 1, 2), 6, 3),
             (CorrelationModel(64, 2, 2), 8, 4),
         ]:
-            report = worst_case_cost(make_scheme(name, model, n, c))
+            report = make_scheme(name, model, n, c).worst_case_cost()
             assert report.measured_bits <= report.guarantee_bits, (name, model)
 
 
+# Every CostReport field of all six schemes on the grid above, as the cost
+# models gave them when they still lived in one module-level function.
+_COST_GRID = [((8, 1, 2), 4, 2), ((12, 2, 3), 4, 2), ((16, 1, 2), 6, 3), ((64, 2, 2), 8, 4)]
+_PADDED_16 = "message padded 16 -> 18 bits"
+_PADDED_64 = "message padded 64 -> 72 bits"
+_COSTS = {
+    "replication": [
+        (8.0, 8.0, 8, 0, ()),
+        (12.0, 12.0, 12, 0, ()),
+        (16.0, 16.0, 16, 0, ()),
+        (64.0, 64.0, 64, 0, ()),
+    ],
+    "mds": [
+        (8.0, 8.0, 8, 0, ()),
+        (18.0, 18.0, 18, 0, ()),
+        (10.666666666666666, 12.0, 12, 0, (_PADDED_16,)),
+        (32.0, 36.0, 36, 0, (_PADDED_64,)),
+    ],
+    "delta": [
+        (7.169925001442312, 8.0, 8, 0, ()),
+        (18.607561496354208, 20.0, 20, 0, ()),
+        (9.420796174583671, 11.0, 11, 0, (_PADDED_16,)),
+        (27.023061249735335, 30.0, 30, 0, (_PADDED_64,)),
+    ],
+    "rs-update": [
+        (7.0, 9.0, 9, 2, ("count framing 2 bits included",)),
+        (18.0, 22.0, 22, 4, ("count framing 4 bits included",)),
+        (8.333333333333332, 12.0, 12, 2, (_PADDED_16, "count framing 2 bits included")),
+        (28.0, 33.0, 33, 3, (_PADDED_64, "count framing 3 bits included")),
+    ],
+    "latest-only": [
+        (4.0, 4.0, 4, 0, ()),
+        (6.0, 6.0, 6, 0, ()),
+        (5.333333333333333, 6.0, 6, 0, ()),
+        (16.0, 18.0, 18, 0, ()),
+    ],
+    "binning": [
+        (5.584962500721156, 17.0, 17, 0, (
+            "real-rate total 16.0850 bits", "ceiling slack 0.9150 bits",
+            "per-state error budget 1/1024", "codebook random-uniform seed 0",
+        )),
+        (12.303780748177104, 36.0, 36, 0, (
+            "real-rate total 34.8038 bits", "ceiling slack 1.1962 bits",
+            "per-state error budget 1/16384", "codebook random-uniform seed 0",
+        )),
+        (6.695820947083446, 17.0, 17, 0, (
+            "real-rate total 16.3625 bits", "ceiling slack 0.6375 bits",
+            "per-state error budget 1/16384", "codebook random-uniform seed 0",
+        )),
+        (18.755765312433834, 29.0, 29, 0, (
+            "real-rate total 28.0058 bits", "ceiling slack 0.9942 bits",
+            "per-state error budget 1/262144", "codebook random-uniform seed 0",
+        )),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COSTS))
+def test_cost_reports_pinned_field_for_field(name):
+    for ((K, radius, nu), n, c), pinned in zip(_COST_GRID, _COSTS[name]):
+        report = make_scheme(name, CorrelationModel(K, radius, nu), n, c).worst_case_cost()
+        got = (
+            report.table_bits, report.guarantee_bits, report.measured_bits,
+            report.framing_bits, report.notes,
+        )
+        assert report.scheme == name
+        assert got == pinned, (name, K, radius, nu, n, c)
+
+
+class _NoCost(MvcScheme):
+    def encode(self, server, received, versions):
+        return StoredSymbol.empty()
+
+    def decode(self, T, state, symbols):
+        return None
+
+
+def test_schemes_without_a_cost_model_say_so():
+    with pytest.raises(TypeError, match="no cost model for scheme 'abstract'"):
+        _NoCost(MODEL, 4, 2).worst_case_cost()
+
+
 def test_padding_is_reported():
-    report = worst_case_cost(make_scheme("mds", CorrelationModel(64, 2, 2), 8, 4))
+    report = make_scheme("mds", CorrelationModel(64, 2, 2), 8, 4).worst_case_cost()
     assert report.table_bits == pytest.approx(32.0)
     assert report.guarantee_bits == 36  # 64 pads to 72, two vectors of 18
     assert any("padded" in note for note in report.notes)
@@ -350,17 +431,17 @@ def brute_force_worst(scheme):
 def test_measured_matches_exhaustive_maximum(name):
     model = CorrelationModel(K=4, radius=1, nu=2)
     scheme = make_scheme(name, model, 4, 2)
-    assert worst_case_cost(scheme).measured_bits == brute_force_worst(scheme)
+    assert scheme.worst_case_cost().measured_bits == brute_force_worst(scheme)
     model3 = CorrelationModel(K=6, radius=1, nu=3)
     scheme3 = make_scheme(name, model3, 3, 2)
-    assert worst_case_cost(scheme3).measured_bits == brute_force_worst(scheme3)
+    assert scheme3.worst_case_cost().measured_bits == brute_force_worst(scheme3)
 
 
 def test_rs_update_cost_monotone_in_radius():
     costs = [
-        worst_case_cost(
-            make_scheme("rs-update", CorrelationModel(16, r, 2), 4, 2)
-        ).measured_bits
+        make_scheme("rs-update", CorrelationModel(16, r, 2), 4, 2)
+        .worst_case_cost()
+        .measured_bits
         for r in range(0, 5)
     ]
     assert costs == sorted(costs)
@@ -368,8 +449,8 @@ def test_rs_update_cost_monotone_in_radius():
 
 def test_radius_independent_schemes():
     for name in ("replication", "mds"):
-        a = worst_case_cost(make_scheme(name, CorrelationModel(16, 1, 2), 4, 2))
-        b = worst_case_cost(make_scheme(name, CorrelationModel(16, 4, 2), 4, 2))
+        a = make_scheme(name, CorrelationModel(16, 1, 2), 4, 2).worst_case_cost()
+        b = make_scheme(name, CorrelationModel(16, 4, 2), 4, 2).worst_case_cost()
         assert a.measured_bits == b.measured_bits
 
 

@@ -174,6 +174,55 @@ def test_schedule_text_is_validated_on_load():
     assert schedule_from_text(commented) == partial_update_crash_schedule()
 
 
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("schedule n=2 c-w=1 c-r=1 f=0 foo=3", r"unexpected fields \['foo'\] in header"),
+        ("schedule n=2 c-w=1 c-r=1 f=0 time=0", r"unexpected fields \['time'\] in header"),
+        ("schedule n=2 c-w=1 c-r=1 f=0 n=3", "repeated field 'n' in header"),
+        ("schedule n=2 c-w=1 c-r=1 f=0 seed=1 seed=2", "repeated field 'seed'"),
+        ("schedule n=2 c-w=1 c-r=1 f=0 seed=never", "only a time may be never"),
+        ("schedule n=never c-w=1 c-r=1 f=0", "only a time may be never"),
+        (
+            "schedule n=2 c-w=1 c-r=1 f=0\nwrite-start time=0 version=1 time=5",
+            "repeated field 'time' in write-start",
+        ),
+        (
+            "schedule n=2 c-w=1 c-r=1 f=0\nwrite-start time=0 version=1\n"
+            "server-arrival time=1 version=1 server=0 server=1",
+            "repeated field 'server' in server-arrival",
+        ),
+        (
+            "schedule n=2 c-w=1 c-r=1 f=0\nwrite-start time=0 version=1\n"
+            "server-arrival time=1 version=never server=0",
+            "only a time may be never",
+        ),
+        (
+            "schedule n=2 c-w=1 c-r=1 f=0\nread-start time=0 reader=never",
+            "only a time may be never",
+        ),
+    ],
+    ids=[
+        "unknown-header-key", "time-in-header", "repeated-n", "repeated-seed",
+        "never-seed", "never-n", "repeated-time", "repeated-server",
+        "never-version", "never-reader",
+    ],
+)
+def test_schedule_text_rejects_unknown_repeated_and_misplaced_never(text, match):
+    with pytest.raises(ValueError, match=match):
+        schedule_from_text(text)
+
+
+def test_schedule_text_never_is_an_arrival_time():
+    text = (
+        "schedule n=2 c-w=1 c-r=1 f=0 seed=4\nwrite-start time=0 version=1\n"
+        "server-arrival time=never version=1 server=1"
+    )
+    sched = schedule_from_text(text)
+    assert sched.events[1] == server_arrival(None, 1, 1)
+    assert schedule_to_text(sched) == text
+
+
 _SCHEDULE_TOKENS = (
     "schedule", "write-start", "server-arrival", "read-start", "#", "",
     "time=0", "time=9", "time=never", "version=1", "version=3", "server=0",
@@ -379,6 +428,29 @@ def test_stale_read_is_inconsistent():
     assert second.latest_complete == 2
     assert second.decoded_version == 1
     assert not second.consistent and "stale" in second.note
+    assert trace.consistent is False
+
+
+class _FlippingScheme(_StuckOnFirstScheme):
+    """Serves version 1 with its lowest bit flipped."""
+
+    name = "flipping"
+
+    def decode(self, T, state, symbols):
+        out = super().decode(T, state, symbols)
+        return Decoded(out.version, Message(out.message.bits ^ 1, self.model.K))
+
+
+def test_wrong_content_read_is_inconsistent():
+    scheme = _FlippingScheme(_model(), 3, 2)
+    sched = _full_propagation_schedule(3, 2, 2, 1)
+    trace = run_simulation(scheme, sched)
+    (read,) = trace.reads
+    truth = sample_tuple(scheme.model, sched.seed).version(1)
+    assert read.decoded_version == 1 and read.latest_complete == 1
+    assert read.content == Message(truth.bits ^ 1, 8).to_hex() != truth.to_hex()
+    assert not read.consistent and not read.flagged
+    assert read.note == "wrong content"
     assert trace.consistent is False
 
 

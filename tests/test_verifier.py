@@ -374,7 +374,50 @@ def test_estimator_covers_the_known_failure_rate():
     assert abs(estimate.rate - truth) <= 3 * math.sqrt(truth * (1 - truth) / 4000)
     assert estimate.trials == 4000
     assert estimate.failures == round(estimate.rate * 4000)
-    assert not estimate.sweep
+
+
+class _Misreporting(_FlakyScheme):
+    """Reads T's common versions from the verbatim copies, then misreports
+    the answer: ``lie`` flips a content bit, claims version nu+1, or
+    serves the oldest common version instead of the newest."""
+
+    def __init__(self, model, n, c, lie):
+        super().__init__(model, n, c)
+        self.lie = lie
+
+    def decode(self, T, state, symbols):
+        common = frozenset.intersection(*(state.per_server[t] for t in T))
+        if not common:
+            return None
+        version = min(common) if self.lie == "oldest" else max(common)
+        slot = sorted(state.per_server[T[0]]).index(version)
+        K = self.model.K
+        bits = (symbols[T[0]].payload >> (slot * K)) & ((1 << K) - 1)
+        if self.lie == "flipped":
+            bits ^= 1
+        if self.lie == "future":
+            version = self.model.nu + 1
+        return Decoded(version, Message(bits, K))
+
+
+@pytest.mark.parametrize(
+    "lie,failing_cells,reason",
+    [
+        ("flipped", 84, "wrong content or version out of range"),
+        ("future", 84, "wrong content or version out of range"),
+        ("oldest", 12, "decoded version 1 below required 2"),
+    ],
+)
+def test_misreported_decodes_fail_with_their_reason(lie, failing_cells, reason):
+    # n=3, c=2, nu=2: 84 (state, subset) cells share a version, and in 12 of
+    # them both servers hold {1, 2}; each cell is judged on all 80 tuples
+    report = verify_requirement_A(
+        _Misreporting(CorrelationModel(4, 1, 2), 3, 2, lie), witness_cap=5
+    )
+    assert report.attempts == 84 * 80
+    assert report.failure_count == failing_cells * 80
+    assert len(report.failures) == 5
+    assert {w.reason for w in report.failures} == {reason}
 
 
 def test_monte_carlo_error_is_failures_over_trials():
@@ -394,18 +437,6 @@ def test_zero_error_scheme_estimates_zero():
     assert estimate.wilson_lower == 0.0
     assert estimate.wilson_upper < 0.006
     assert estimate.per_state_max == 0.0
-
-
-def test_sweep_mode_matches_the_exhaustive_rate():
-    # The latest-only strawman fails all tuples of a mixed cell and none
-    # otherwise, so the sweep rate must equal the exhaustive rate exactly.
-    scheme = _latest_only_small()
-    estimate = estimate_epsilon(scheme, trials=40, seed=4, sweep_states=True)
-    assert estimate.sweep
-    assert estimate.trials == 84 * 40  # live cells x sampled tuples
-    assert estimate.failures == 24 * 40  # mixed-newest cells fail throughout
-    assert estimate.rate == pytest.approx(10752 / 37632)
-    assert estimate.per_state_max == 1.0
 
 
 def test_starved_binning_rates_fail_measurably():
