@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class InsufficientSymbolsError(ValueError):
@@ -42,59 +42,17 @@ def _poly_mulmod(a: int, b: int, mod: int) -> int:
     return result
 
 
-def _poly_powmod_x(exp: int, mod: int) -> int:
-    """x^exp modulo ``mod`` over GF(2)."""
-    result = 1
-    base = 0b10
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, base, mod)
-        base = _poly_mulmod(base, base, mod)
-        exp >>= 1
-    return result
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
-def _is_irreducible(poly: int, m: int) -> bool:
-    # Rabin's criterion: x^(2^m) == x (mod poly), and for every prime p | m,
-    # gcd(x^(2^(m/p)) - x, poly) == 1.  Exact, not probabilistic.
-    if _poly_powmod_x(1 << m, poly) != _poly_mod(0b10, poly):
-        return False
-    p = 2
-    mm = m
-    primes = set()
-    while mm > 1:
-        if mm % p == 0:
-            primes.add(p)
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    for prime in primes:
-        probe = _poly_powmod_x(1 << (m // prime), poly) ^ 0b10
-        if _poly_gcd(probe, poly) != 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def irreducible_polynomial(m: int) -> int:
     """The fixed degree-m reduction polynomial (see module docstring)."""
     if not 1 <= m <= 16:
         raise ValueError("supported extension degrees are 1..16")
-    candidates = []
-    for value in range(1 << m, 1 << (m + 1)):
-        if value & 1:
-            candidates.append(value)
-    candidates.sort(key=lambda v: (v.bit_count(), v))
-    for poly in candidates:
-        if _is_irreducible(poly, m):
-            return poly
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    candidates = sorted(
+        range((1 << m) | 1, 1 << (m + 1), 2), key=lambda v: (v.bit_count(), v)
+    )
+    # A reducible polynomial has a factor of degree at most m/2.
+    divisors = range(2, 1 << (m // 2 + 1))
+    return next(p for p in candidates if all(_poly_mod(p, d) for d in divisors))
 
 
 @lru_cache(maxsize=None)
@@ -230,9 +188,9 @@ class RsCode:
         # identity is now the inverse; its row j recovers block coefficient j.
         return tuple(tuple(row) for row in identity)
 
-    def decode(self, symbols: Mapping[int, int] | Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    def decode(self, symbols: Sequence[tuple[int, int]]) -> tuple[int, ...]:
         """Recover a message block from exactly c (coordinate, symbol) pairs."""
-        pairs = list(symbols.items()) if isinstance(symbols, Mapping) else list(symbols)
+        pairs = list(symbols)
         if len(pairs) < self.c:
             raise InsufficientSymbolsError(
                 f"need {self.c} symbols, got {len(pairs)}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
@@ -161,17 +162,6 @@ class SystemState:
     def n(self) -> int:
         return len(self.per_server)
 
-    def holders(self, u: int) -> tuple[int, ...]:
-        """Servers that received version u."""
-        return tuple(i for i, s in enumerate(self.per_server) if u in s)
-
-    def complete_versions(self) -> frozenset[int]:
-        """Versions received by at least c_w servers."""
-        if self.c_w is None:
-            raise ValueError("state has no write quorum configured")
-        every = set().union(*self.per_server) if self.per_server else set()
-        return frozenset(u for u in every if len(self.holders(u)) >= self.c_w)
-
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form, used in reports and memo tables."""
         return tuple(tuple(sorted(s)) for s in self.per_server)
@@ -198,8 +188,10 @@ def iter_states(n: int, nu: int, c_w: Optional[int] = None) -> Iterator[SystemSt
 
 def latest_complete_version(state: SystemState) -> Optional[int]:
     """Largest version held by a write quorum, or None if there is none."""
-    complete = state.complete_versions()
-    return max(complete) if complete else None
+    if state.c_w is None:
+        raise ValueError("state has no write quorum configured")
+    holders = Counter(u for s in state.per_server for u in s)
+    return max((u for u, k in holders.items() if k >= state.c_w), default=None)
 
 
 def latest_common_version(state: SystemState, T: Sequence[int]) -> Optional[int]:

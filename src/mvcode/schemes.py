@@ -27,9 +27,9 @@ from .model import (
     Message,
     SystemState,
     VersionTuple,
-    ball_index_bits,
     ball_rank,
     ball_unrank,
+    hamming_ball_volume,
     latest_common_version,
 )
 
@@ -320,9 +320,21 @@ class DeltaScheme(_RsBackedScheme):
 
     name = "delta"
 
+    def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
+        super().__init__(model, n, c)
+        self._volumes: dict[int, int] = {}
+
+    def _volume(self, gap: int) -> int:
+        """Size of the Hamming ball a step across ``gap`` versions lies in."""
+        volume = self._volumes.get(gap)
+        if volume is None:
+            K = self.model.K
+            volume = hamming_ball_volume(min(gap * self.model.radius, K), K)
+            self._volumes[gap] = volume
+        return volume
+
     def _step_bits(self, gap: int) -> int:
-        K = self.model.K
-        return ball_index_bits(min(gap * self.model.radius, K), K)
+        return (self._volume(gap) - 1).bit_length()
 
     def _widths(self, received: Sequence[int]) -> list[int]:
         """Field widths of a symbol: the base vector, then one ball index
@@ -353,14 +365,12 @@ class DeltaScheme(_RsBackedScheme):
 
     def _vector_at(self, server, received, symbol, target):
         vec, *indices = split_fields(symbol, self._widths(received))
-        for u, index in zip(received[1:], indices):
-            if u > target:
+        for a, b, index in zip(received, received[1:], indices):
+            if b > target:
                 break
-            try:
-                diff = ball_unrank(index, self.model.K)
-            except ValueError as exc:
-                raise DecodingError(str(exc)) from exc
-            vec ^= self.generator.apply(server, diff)
+            if index >= self._volume(b - a):
+                raise DecodingError(f"step index {index} outside its Hamming ball")
+            vec ^= self.generator.apply(server, ball_unrank(index, self.model.K))
         return vec
 
     def worst_case_cost(self):

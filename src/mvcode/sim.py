@@ -316,32 +316,53 @@ class ExecutionTrace:
         return "\n".join(lines)
 
 
-def _judge_read(scheme, responders, snapshot, symbols, versions, latest_complete):
-    """(decoded version, hex content, consistent, flagged, note)."""
+def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo):
+    """A read against the receipt sets ``received``, as (responders,
+    snapshot, decoded version, hex content, latest complete version,
+    consistent, flagged, note): the fields of a ReadRecord after its time,
+    with the snapshot still a SystemState.
+
+    ``encode_memo`` maps (server, receipt set) to that server's symbol.
+    The schedule keeps c_r <= n - f, so enough servers are alive.
+    """
+    alive = [s for s in range(len(received)) if s not in crashed]
+    responders = tuple(alive[:c_r])
+    snapshot = SystemState(received, c_w)
+    latest = latest_complete_version(snapshot)
+    symbols = {}
+    for t in responders:
+        key = (t, received[t])
+        symbol = encode_memo.get(key)
+        if symbol is None:
+            symbol = scheme.encode(t, tuple(sorted(received[t])), versions)
+            encode_memo[key] = symbol
+        symbols[t] = symbol
+    version = content = None
+    consistent = flagged = False
+    note = ""
     try:
-        out = scheme.decode(tuple(responders), snapshot, symbols)
+        out = scheme.decode(responders, snapshot, symbols)
     except DecodingError as exc:
-        return None, None, False, False, f"decode error: {exc}"
-    if out is None:
-        if latest_complete is None:
-            return None, None, True, False, ""
-        return None, None, False, False, "NULL with a complete version present"
-    version, message = out
-    if not 1 <= version <= len(versions.versions) or message != versions.version(
-        version
-    ):
-        return version, message.to_hex(), False, False, "wrong content"
-    if latest_complete is not None and version < latest_complete:
-        return (
-            version,
-            message.to_hex(),
-            False,
-            False,
-            f"stale version {version} < complete {latest_complete}",
-        )
-    flagged = latest_complete is None or version > latest_complete
-    note = "returned version is not yet complete" if flagged else ""
-    return version, message.to_hex(), True, flagged, note
+        note = f"decode error: {exc}"
+    else:
+        if out is None:
+            consistent = latest is None
+            note = "" if consistent else "NULL with a complete version present"
+        else:
+            version, message = out
+            content = message.to_hex()
+            if not (
+                1 <= version <= len(versions.versions)
+                and message == versions.version(version)
+            ):
+                note = "wrong content"
+            elif latest is not None and version < latest:
+                note = f"stale version {version} < complete {latest}"
+            else:
+                consistent = True
+                flagged = latest is None or version > latest
+                note = "returned version is not yet complete" if flagged else ""
+    return responders, snapshot, version, content, latest, consistent, flagged, note
 
 
 def run_simulation(
@@ -375,6 +396,7 @@ def run_simulation(
     write_records: list[WriteRecord] = []
     completions: dict[int, int] = {}
     reads: list[ReadRecord] = []
+    encode_memo: dict = {}
 
     for event in schedule.events:
         if event.kind == KIND_WRITE:
@@ -390,31 +412,18 @@ def run_simulation(
         elif event.kind == KIND_CRASH:
             crashed.add(event.server)
         else:
-            alive = [s for s in range(schedule.n) if s not in crashed]
-            responders = tuple(alive[: schedule.c_r])
-            snapshot = SystemState(
-                tuple(frozenset(r) for r in received), schedule.c_w
-            )
-            latest_complete = latest_complete_version(snapshot)
-            symbols = {
-                t: scheme.encode(t, tuple(sorted(received[t])), versions)
-                for t in responders
-            }
-            version, content, ok, flagged, note = _judge_read(
-                scheme, responders, snapshot, symbols, versions, latest_complete
+            responders, snapshot, *verdict = _read(
+                scheme,
+                schedule.c_w,
+                schedule.c_r,
+                tuple(frozenset(r) for r in received),
+                crashed,
+                versions,
+                encode_memo,
             )
             reads.append(
                 ReadRecord(
-                    event.reader,
-                    event.time,
-                    responders,
-                    snapshot.key(),
-                    version,
-                    content,
-                    latest_complete,
-                    ok,
-                    flagged,
-                    note,
+                    event.reader, event.time, responders, snapshot.key(), *verdict
                 )
             )
 
@@ -454,29 +463,6 @@ def partial_update_crash_schedule() -> Schedule:
 # Adversarial schedule search
 
 
-def _search_read_probe(scheme, schedule_params, node, versions, encode_cache):
-    """Outcome of a read appended to the node; True means inconsistent."""
-    n, c_w, c_r = schedule_params
-    received, written, crashed = node
-    # Schedule keeps c_r <= n - f and the search crashes at most f servers
-    alive = [s for s in range(n) if s not in crashed]
-    responders = tuple(alive[:c_r])
-    snapshot = SystemState(received, c_w)
-    latest_complete = latest_complete_version(snapshot)
-    symbols = {}
-    for t in responders:
-        key = (t, received[t])
-        sym = encode_cache.get(key)
-        if sym is None:
-            sym = scheme.encode(t, tuple(sorted(received[t])), versions)
-            encode_cache[key] = sym
-        symbols[t] = sym
-    _, _, ok, _, _ = _judge_read(
-        scheme, responders, snapshot, symbols, versions, latest_complete
-    )
-    return not ok
-
-
 def adversarial_schedule_search(
     scheme: MvcScheme,
     c_w: int,
@@ -502,9 +488,9 @@ def adversarial_schedule_search(
         raise ValueError(f"search depth is capped at {MAX_SEARCH_DEPTH}")
     model = scheme.model
     n = scheme.n
-    probe_params = Schedule(n, c_w, c_r, f, ())  # validates the quorum geometry
+    Schedule(n, c_w, c_r, f, ())  # validates the quorum geometry
     versions = sample_tuple(model, seed)
-    encode_cache: dict = {}
+    encode_memo: dict = {}
 
     empty = tuple(frozenset() for _ in range(n))
     start = (empty, 0, frozenset())
@@ -513,17 +499,18 @@ def adversarial_schedule_search(
     while queue:
         node, path = queue.popleft()
         used = len(path)
-        if used + 1 <= depth and _search_read_probe(
-            scheme, (n, c_w, c_r), node, versions, encode_cache
-        ):
+        received, written, crashed = node
+        # item 5 of a read is its consistent flag
+        if used + 1 <= depth and not _read(
+            scheme, c_w, c_r, received, crashed, versions, encode_memo
+        )[5]:
             events = tuple(
                 SimEvent(kind, t, version=version, server=server)
                 for t, (kind, version, server) in enumerate(path)
             ) + (read_start(used, 0),)
-            return Schedule(n, probe_params.c_w, probe_params.c_r, f, events, seed)
+            return Schedule(n, c_w, c_r, f, events, seed)
         if used + 2 > depth:
             continue
-        received, written, crashed = node
         children = []
         if written < model.nu:
             children.append(

@@ -154,6 +154,15 @@ def _reason(code: int, threshold: int) -> str:
     return f"decoded version {code} below required {threshold}"
 
 
+def _witness(state, T, vt: VersionTuple, code: int, threshold: int) -> Witness:
+    return Witness(
+        state.key(),
+        T,
+        tuple(m.to_hex() for m in vt.versions),
+        _reason(code, threshold),
+    )
+
+
 class _Cell:
     """Decode outcomes of one (subset, version-set rows) combination."""
 
@@ -250,14 +259,8 @@ def _exhaustive_run(
                 for i in cell.failing_indices(
                     threshold, witness_cap - len(witnesses)
                 ):
-                    vt = tuples[i]
                     witnesses.append(
-                        Witness(
-                            state.key(),
-                            T,
-                            tuple(m.to_hex() for m in vt.versions),
-                            _reason(cell.codes[i], threshold),
-                        )
+                        _witness(state, T, tuples[i], cell.codes[i], threshold)
                     )
         attempts += state_attempts
         failure_count += state_failures
@@ -331,14 +334,7 @@ def _monte_carlo_run(
             failures += 1
             record[1] += 1
             if len(witnesses) < witness_cap:
-                witnesses.append(
-                    Witness(
-                        state.key(),
-                        T,
-                        tuple(m.to_hex() for m in vt.versions),
-                        _reason(code, threshold),
-                    )
-                )
+                witnesses.append(_witness(state, T, vt, code, threshold))
     rates = [f / a for a, f in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
@@ -493,11 +489,11 @@ class QuorumBridge(MvcScheme):
     """Read-quorum adapter over a subset-contract scheme.
 
     Encoding is the inner scheme's.  The decoder receives c_r servers,
-    picks among their size-(c_w + c_r - n) subsets the one with the newest
-    shared version (first in lexicographic order on ties), and delegates.
+    finds the newest version that at least c_w + c_r - n of them hold,
+    and delegates to the c_w + c_r - n lowest-indexed of its holders.
     Any complete version is held by at least c_w + c_r - n members of
-    every read quorum, so the chosen subset's shared set reaches the
-    newest complete version whenever one exists.
+    every read quorum, so the delegated subset shares the newest complete
+    version or a newer one whenever a complete version exists.
     """
 
     def __init__(self, inner: MvcScheme, c_w: int, c_r: int):
@@ -525,14 +521,12 @@ class QuorumBridge(MvcScheme):
         return self.inner.encode(server, received, versions)
 
     def decode(self, T, state, symbols):
-        best = None
-        for S in combinations(sorted(T), self.overlap):
-            u = latest_common_version(state, S)
-            if u is not None and (best is None or u > best[0]):
-                best = (u, S)
-        if best is None:
-            return None
-        return self.inner.decode(best[1], state, symbols)
+        rows = [(t, state.per_server[t]) for t in sorted(T)]
+        for u in sorted(frozenset().union(*(row for _, row in rows)), reverse=True):
+            holders = tuple(t for t, row in rows if u in row)
+            if len(holders) >= self.overlap:
+                return self.inner.decode(holders[: self.overlap], state, symbols)
+        return None
 
     def worst_case_cost(self):
         return self.inner.worst_case_cost()

@@ -3,14 +3,16 @@
 Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
-fine; independent is the point.  The mpmath rate arithmetic at the end is
-the implementation the exact paths replaced, kept as their oracle.
+fine; independent is the point.  The mpmath rate arithmetic and the quorum
+bridge's subset scan at the end are the implementations the exact paths
+and the direct bridge rule replaced, kept as their oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from mpmath import mp
 
@@ -189,3 +191,28 @@ def mpmath_log2(x) -> float:
         return float(
             mp.log(mp.mpf(x.numerator), 2) - mp.log(mp.mpf(x.denominator), 2)
         )
+
+
+# ---------------------------------------------------------------------------
+# The quorum read rules, by brute force.
+
+
+def latest_complete_by_count(per_server, c_w: int, nu: int):
+    """Newest version of 1..nu that at least c_w servers hold, or None."""
+    complete = [
+        u for u in range(1, nu + 1) if sum(u in s for s in per_server) >= c_w
+    ]
+    return max(complete, default=None)
+
+
+def bridge_subset_scan(per_server, T, overlap: int):
+    """The subset the quorum bridge delegated to before the direct rule:
+    among the overlap-subsets of T, the one whose members share the newest
+    version, first in lexicographic order on ties; None if none shares any."""
+    best = None
+    for S in combinations(sorted(T), overlap):
+        shared = frozenset.intersection(*(per_server[t] for t in S))
+        u = max(shared) if shared else None
+        if u is not None and (best is None or u > best[0]):
+            best = (u, S)
+    return None if best is None else best[1]

@@ -1,8 +1,8 @@
 """Differential tests pinning the exact-arithmetic paths to the ones they
 replaced: big-integer width ceilings and region signs against the snapped
-128-bit mpmath oracle, the decimal logarithms against mpmath, and the
-folded estimate_epsilon and survey paths against values of the previous
-implementation."""
+128-bit mpmath oracle, the decimal logarithms against mpmath, the folded
+estimate_epsilon and survey paths against values of the previous
+implementation, and the direct quorum read rules against brute force."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +10,8 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    bridge_subset_scan,
+    latest_complete_by_count,
     mpmath_evaluate,
     mpmath_log2,
     snapped_ceil_bits,
@@ -27,7 +29,14 @@ from mvcode.binning import (
     scenario_rates,
 )
 from mvcode.bounds import log2_exact
-from mvcode.model import CorrelationModel, SystemState
+from mvcode.model import (
+    CorrelationModel,
+    SystemState,
+    iter_states,
+    latest_complete_version,
+)
+from mvcode.schemes import MvcScheme
+from mvcode.verifier import quorum_bridge
 
 GRID_K = (4, 8, 16, 64, 128)
 GRID_NC = ((2, 1), (4, 2), (5, 3))
@@ -206,3 +215,43 @@ def test_survey_pinned_field_for_field(point, seed):
         survey.cells, survey.decodes, survey.failures, survey.worst_rate,
         survey.worst_failures, survey.worst_cell, survey.wilson_upper,
     ) == _SURVEYS[point, seed]
+
+
+class _SubsetRecorder(MvcScheme):
+    """Inner scheme whose decode returns the subset it was handed."""
+
+    name = "subset-recorder"
+
+    def encode(self, server, received, versions):
+        raise AssertionError("the bridge's subset choice needs no symbols")
+
+    def decode(self, T, state, symbols):
+        return T
+
+
+@pytest.mark.parametrize("n,nu", [(4, 2), (3, 3), (5, 2)])
+def test_bridge_delegates_to_the_subset_the_scan_chose(n, nu):
+    inner = _SubsetRecorder(CorrelationModel(1, 0, nu), n, 1)
+    # every read quorum size c_r, with every overlap 1..c_r it allows
+    bridges = [
+        (T, quorum_bridge(inner, n - c_r + overlap, c_r))
+        for c_r in range(1, n + 1)
+        for T in combinations(range(n), c_r)
+        for overlap in range(1, c_r + 1)
+    ]
+    checked = 0
+    for state in iter_states(n, nu):
+        for T, bridge in bridges:
+            want = bridge_subset_scan(state.per_server, T, bridge.overlap)
+            assert bridge.decode(T, state, {}) == want, (state.key(), T)
+            checked += 1
+    assert checked == (1 << (n * nu)) * n * (1 << (n - 1))
+
+
+@pytest.mark.parametrize("n,nu", [(4, 2), (3, 3)])
+def test_latest_complete_version_counts_holders(n, nu):
+    for c_w in range(1, n + 1):
+        for state in iter_states(n, nu, c_w):
+            assert latest_complete_version(state) == latest_complete_by_count(
+                state.per_server, c_w, nu
+            ), (state.key(), c_w)

@@ -274,6 +274,25 @@ def test_malformed_symbols_raise():
         delta.decode((1, 2), state, dbad)
 
 
+def test_delta_rejects_step_index_outside_its_ball():
+    # K=8, radius 1: the ball holds 9 points behind a 4-bit index, so 12
+    # fits the field but names a weight-2 step the model rules out.
+    delta = build("delta")
+    state = SystemState((frozenset({1, 2}),) * 4)
+    vt = tuple_of(0x10, 0x11)
+    symbols = {i: delta.encode(i, {1, 2}, vt) for i in range(4)}
+    assert delta.decode((0, 1), state, symbols) == Decoded(2, vt.version(2))
+    low = (1 << delta.symbol_vector_bits) - 1
+    tampered = {
+        i: StoredSymbol(
+            (s.payload & low) | 12 << delta.symbol_vector_bits, s.bit_length
+        )
+        for i, s in symbols.items()
+    }
+    with pytest.raises(DecodingError):
+        delta.decode((0, 1), state, tampered)
+
+
 def test_latest_only_misses_overwritten_common_version():
     scheme = build("latest-only")
     vt = tuple_of(0x0F, 0xF0)
