@@ -20,8 +20,7 @@ safety term -log2(epsilon * 2^(-nu*n)) so a union bound over the at most
 Two codebook kinds are supported.  "random-uniform" draws each index i.i.d.
 uniform: an explicit table for K <= 16, a keyed hash beyond.  "linear"
 multiplies the value by a seeded random binary matrix, whose column-prefix
-structure gives the same truncation semantics.  Either kind regenerates
-bit-exactly from its descriptor (kind, seed, dimensions).
+structure gives the same truncation semantics.
 """
 
 from __future__ import annotations
@@ -442,41 +441,6 @@ class BinningCodebook:
             self._maps[key] = {i: tuple(ws) for i, ws in groups.items()}
         return self._maps[key]
 
-    # -- persistence --------------------------------------------------------
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "K": self.model.K,
-            "n": self.n,
-            "nu": self.model.nu,
-            "radius": self.model.radius,
-            "epsilon": str(self.epsilon),
-            "dims": [self.model.K, self.capacity],
-        }
-
-    @classmethod
-    def from_descriptor(cls, descriptor: Mapping) -> "BinningCodebook":
-        required = {"kind", "seed", "K", "n", "nu", "radius", "epsilon", "dims"}
-        missing = required - set(descriptor)
-        if missing:
-            raise ValueError(f"descriptor missing fields: {sorted(missing)}")
-        dims = list(descriptor["dims"])
-        if len(dims) != 2 or dims[0] != descriptor["K"]:
-            raise ValueError("descriptor dims must be [K, columns]")
-        model = CorrelationModel(
-            int(descriptor["K"]), int(descriptor["radius"]), int(descriptor["nu"])
-        )
-        return cls(
-            str(descriptor["kind"]),
-            int(descriptor["seed"]),
-            model,
-            int(descriptor["n"]),
-            int(dims[1]),
-            Fraction(descriptor["epsilon"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Possible-set decoding
@@ -803,19 +767,6 @@ def even_parity_probability(p, w: int, M: int) -> float:
     return float(((1 + (1 - 2 * prob) ** w) / 2) ** M)
 
 
-def even_parity_monte_carlo(
-    p, w: int, M: int, trials: int = 10_000, seed: int = 0
-) -> float:
-    """Companion estimator: fraction of seeded matrix draws whose w chosen
-    rows have even parity in every one of the M columns."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((trials, M, w)) < float(p)
-    parities = draws.sum(axis=2) & 1
-    return float(np.mean((parities == 0).all(axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # Worst-case storage
 
@@ -1065,6 +1016,11 @@ class BinningScheme(MvcScheme):
         self.codebook = BinningCodebook.create(
             model, n, c, self.allocation.epsilon, kind=kind, seed=seed
         )
+
+    @property
+    def error_budget(self) -> Fraction:
+        """The allocation's epsilon, a per-state failure probability."""
+        return self.allocation.epsilon
 
     @classmethod
     def over(

@@ -371,16 +371,19 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     for w in caught:
         lines.append(f"warning {w.message}")
     lines.append(report.to_text())
+    # Judged against the budget the scheme claims: exhaustive runs know each
+    # state's failure rate, sampled runs only the overall one.
+    budget = scheme.error_budget
     if report.mode == "exhaustive":
-        ok = report.passed
+        ok = report.per_state_max_error <= budget
         lines.append(f"verdict {'pass' if ok else 'fail'} failures={report.failure_count}")
     else:
-        ok = report.empirical_error <= cfg.epsilon
+        ok = report.empirical_error <= budget
         lines.append(
             "verdict {} empirical={!r} budget={}".format(
                 "pass" if ok else "fail",
                 report.empirical_error,
-                format_rational(cfg.epsilon),
+                format_rational(budget),
             )
         )
     return "\n".join(lines), 0 if ok else 1

@@ -1,4 +1,10 @@
-"""Binary extension field arithmetic and the Vandermonde Reed-Solomon codec.
+"""Binary extension field arithmetic and the Reed-Solomon codec over GF(2).
+
+GF(2^m) is used only to build a code's generator: each server's map from
+message bits to stored bits, expanded into GF(2) row masks.  Encoding XORs
+those masks; decoding XORs the masks of the inverse of the c holders'
+stacked generator, computed once per holder tuple by Gauss-Jordan
+elimination over GF(2) (the bit-matrix view of Reed-Solomon decoding).
 
 Fields GF(2^m) are built from a deterministic reduction polynomial: among
 all degree-m polynomials with nonzero constant term, ordered first by term
@@ -10,7 +16,7 @@ implementations that follow the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 
@@ -99,11 +105,6 @@ class Field:
             exp >>= 1
         return result
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
-
 
 @dataclass(frozen=True)
 class RsCode:
@@ -128,7 +129,6 @@ class RsCode:
                 f"need n={self.n}"
             )
         object.__setattr__(self, "evaluation_points", tuple(range(self.n)))
-        object.__setattr__(self, "_inverse_cache", {})
 
     @classmethod
     def standard(cls, n: int, c: int) -> "RsCode":
@@ -150,44 +150,6 @@ class RsCode:
             out.append(acc)
         return tuple(out)
 
-    def _inverse_rows(self, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        cache = self._inverse_cache
-        rows = cache.get(servers)
-        if rows is None:
-            rows = self._invert_vandermonde(servers)
-            cache[servers] = rows
-        return rows
-
-    def _invert_vandermonde(
-        self, servers: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], ...]:
-        f = self.field
-        c = self.c
-        # Rows are (1, p, p^2, ..., p^(c-1)) per chosen coordinate.
-        matrix = [
-            [f.pow(self.evaluation_points[s], k) for k in range(c)] for s in servers
-        ]
-        identity = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-        for col in range(c):
-            pivot = next(r for r in range(col, c) if matrix[r][col])
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            identity[col], identity[pivot] = identity[pivot], identity[col]
-            inv_p = f.inv(matrix[col][col])
-            matrix[col] = [f.mul(inv_p, v) for v in matrix[col]]
-            identity[col] = [f.mul(inv_p, v) for v in identity[col]]
-            for r in range(c):
-                if r != col and matrix[r][col]:
-                    factor = matrix[r][col]
-                    matrix[r] = [
-                        v ^ f.mul(factor, w) for v, w in zip(matrix[r], matrix[col])
-                    ]
-                    identity[r] = [
-                        v ^ f.mul(factor, w)
-                        for v, w in zip(identity[r], identity[col])
-                    ]
-        # identity is now the inverse; its row j recovers block coefficient j.
-        return tuple(tuple(row) for row in identity)
-
     def decode(self, symbols: Sequence[tuple[int, int]]) -> tuple[int, ...]:
         """Recover a message block from exactly c (coordinate, symbol) pairs."""
         pairs = list(symbols)
@@ -202,20 +164,49 @@ class RsCode:
             raise ValueError("repeated coordinate in decode input")
         if any(not 0 <= s < self.n for s in servers):
             raise ValueError("coordinate index out of range")
-        rows = self._inverse_rows(servers)
-        f = self.field
-        values = [v for _, v in pairs]
-        block = []
-        for row in rows:
-            acc = 0
-            for coef, sym in zip(row, values):
-                acc ^= f.mul(coef, sym)
-            block.append(acc)
-        return tuple(block)
+        if any(not 0 <= v < self.field.order for _, v in pairs):
+            raise ValueError("symbol outside the field")
+        m = self.field.m
+        bits = self._block_generator.solve(pairs)
+        return tuple((bits >> (j * m)) & ((1 << m) - 1) for j in range(self.c))
+
+    @cached_property
+    def _block_generator(self) -> "BinaryGenerator":
+        return binary_expand_generator(self, self.c * self.field.m)
 
 
 # ---------------------------------------------------------------------------
 # The bit-level view of the per-server maps.
+
+def xor_rows(rows: Sequence[int], bits: int) -> int:
+    """XOR of ``rows[k]`` over the set bits k of ``bits``: a vector times a
+    GF(2) matrix whose row k is the bitmask ``rows[k]``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def gf2_inverse(rows: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the inverse of a square GF(2) matrix given as row bitmasks,
+    by Gauss-Jordan elimination on the matrix augmented with the identity."""
+    size = len(rows)
+    if any(row >> size for row in rows):
+        raise ValueError("GF(2) matrix is not square")
+    aug = [row | (1 << (size + i)) for i, row in enumerate(rows)]
+    for col in range(size):
+        bit = 1 << col
+        pivot = next((r for r in range(col, size) if aug[r] & bit), None)
+        if pivot is None:
+            raise ValueError("singular GF(2) matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(size):
+            if r != col and aug[r] & bit:
+                aug[r] ^= aug[col]
+    return tuple(row >> size for row in aug)
+
 
 @dataclass(frozen=True)
 class BinaryGenerator:
@@ -226,6 +217,9 @@ class BinaryGenerator:
     symbol per server.  ``rows[i]`` holds, for message bit k, the mask of
     stored bits at server i that flip when bit k flips; flattening these
     masks gives the server's K x (blocks*m) generator over GF(2).
+
+    Any c servers' generators, stacked, form a square padded_K x padded_K
+    matrix; ``solve`` decodes with its inverse, cached per holder tuple.
     """
 
     code: RsCode
@@ -233,6 +227,9 @@ class BinaryGenerator:
     padded_K: int
     blocks: int
     rows: tuple[tuple[int, ...], ...]
+    _inverses: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def symbol_bits(self) -> int:
@@ -244,14 +241,29 @@ class BinaryGenerator:
 
     def apply(self, server: int, message_bits: int) -> int:
         """Stored bit string (packed int) for a full message at one server."""
-        out = 0
-        row = self.rows[server]
-        remaining = message_bits
-        while remaining:
-            k = (remaining & -remaining).bit_length() - 1
-            out ^= row[k]
-            remaining &= remaining - 1
-        return out
+        return xor_rows(self.rows[server], message_bits)
+
+    def solve(self, holders: Sequence[tuple[int, int]]) -> int:
+        """The padded message stored as the given (server, stored bits)
+        pairs at exactly c distinct servers."""
+        servers = tuple(s for s, _ in holders)
+        masks = self._inverses.get(servers)
+        if masks is None:
+            masks = self._inverses[servers] = self._inverse(servers)
+        width = self.stored_bits_per_server
+        stacked = 0
+        for i, (_, vec) in enumerate(holders):
+            stacked |= vec << (i * width)
+        return xor_rows(masks, stacked)
+
+    def _inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
+        """One message mask per bit of the holders' concatenated stored bits."""
+        width = self.stored_bits_per_server
+        stacked = [
+            sum(self.rows[s][k] << (i * width) for i, s in enumerate(servers))
+            for k in range(self.padded_K)
+        ]
+        return gf2_inverse(stacked)
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:

@@ -53,11 +53,6 @@ def hamming_ball_volume(radius: int, K: int) -> int:
     return sum(math.comb(K, j) for j in range(radius + 1))
 
 
-def ball_index_bits(radius: int, K: int) -> int:
-    """Bits needed to index any vector in a radius-``radius`` ball: ceil(log2 Vol)."""
-    return (hamming_ball_volume(radius, K) - 1).bit_length()
-
-
 @dataclass(frozen=True, slots=True)
 class Message:
     """One data version: a fixed-length bit vector packed into an int."""

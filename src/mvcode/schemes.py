@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction
 from math import log2
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -54,34 +55,6 @@ class StoredSymbol:
     @classmethod
     def empty(cls) -> "StoredSymbol":
         return cls(0, 0)
-
-    def to_bytes(self) -> bytes:
-        """4-byte big-endian bit count, then the bits first-to-last packed
-        most-significant-bit first within each byte."""
-        out = bytearray(4 + (self.bit_length + 7) // 8)
-        out[0:4] = self.bit_length.to_bytes(4, "big")
-        for p in range(self.bit_length):
-            if (self.payload >> p) & 1:
-                out[4 + (p >> 3)] |= 0x80 >> (p & 7)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "StoredSymbol":
-        if len(data) < 4:
-            raise ValueError("truncated symbol header")
-        bit_length = int.from_bytes(data[0:4], "big")
-        nbytes = (bit_length + 7) // 8
-        if len(data) != 4 + nbytes:
-            raise ValueError("symbol byte count does not match header")
-        payload = 0
-        for p in range(bit_length):
-            if data[4 + (p >> 3)] & (0x80 >> (p & 7)):
-                payload |= 1 << p
-        if bit_length % 8:
-            tail = data[-1] & ((1 << (8 - bit_length % 8)) - 1)
-            if tail:
-                raise ValueError("nonzero padding bits")
-        return cls(payload, bit_length)
 
 
 class Decoded(NamedTuple):
@@ -137,6 +110,8 @@ class MvcScheme(ABC):
     """Shared contract: pure encode per server, pure decode per subset."""
 
     name: str = "abstract"
+    # Decode failure probability the scheme claims per state.
+    error_budget: Fraction = Fraction(0)
 
     def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
         if not 1 <= c <= n:
@@ -187,9 +162,8 @@ class _RsBackedScheme(MvcScheme):
 
     def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
         super().__init__(model, n, c)
-        self.code = RsCode.standard(n, c)
         self.generator: BinaryGenerator = binary_expand_generator(
-            self.code, model.K
+            RsCode.standard(n, c), model.K
         )
 
     @property
@@ -229,14 +203,7 @@ class _RsBackedScheme(MvcScheme):
         self, holders: Sequence[tuple[int, int]], version: int
     ) -> Decoded:
         """Rebuild a message from exactly c (server, symbol-vector) pairs."""
-        gen = self.generator
-        m = gen.symbol_bits
-        bits = 0
-        for b in range(gen.blocks):
-            window = [(s, (vec >> (b * m)) & ((1 << m) - 1)) for s, vec in holders]
-            block = self.code.decode(window)
-            for j, val in enumerate(block):
-                bits |= val << (b * self.c * m + j * m)
+        bits = self.generator.solve(holders)
         if bits >> self.model.K:
             raise DecodingError("nonzero padding in reconstructed message")
         return Decoded(version, Message(bits, self.model.K))

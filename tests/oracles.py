@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
-fine; independent is the point.  The mpmath rate arithmetic and the quorum
-bridge's subset scan at the end are the implementations the exact paths
-and the direct bridge rule replaced, kept as their oracles.
+fine; independent is the point.  The mpmath rate arithmetic, the quorum
+bridge's subset scan and the GF(2^m) Vandermonde inverse at the end are the
+implementations the exact paths, the direct bridge rule and the GF(2) mask
+decode replaced, kept as their oracles.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 from mpmath import mp
 
 
@@ -29,6 +31,11 @@ def pascal_binomial(n: int, k: int) -> int:
 
 def ball_volume(radius: int, K: int) -> int:
     return sum(pascal_binomial(K, j) for j in range(radius + 1))
+
+
+def ball_index_bits(radius: int, K: int) -> int:
+    """Bits needed to index any vector in a radius-``radius`` ball: ceil(log2 Vol)."""
+    return (ball_volume(radius, K) - 1).bit_length()
 
 
 def log2_fixed(x: Fraction, frac_bits: int = 64) -> Fraction:
@@ -80,6 +87,19 @@ def wilson_upper(failures: int, trials: int, z: float = 1.959963984540054) -> fl
         / (1 + z2 / trials)
     )
     return min(1.0, center + half)
+
+
+def even_parity_monte_carlo(
+    p, w: int, M: int, trials: int = 10_000, seed: int = 0
+) -> float:
+    """Companion estimator: fraction of seeded matrix draws whose w chosen
+    rows have even parity in every one of the M columns."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(seed)
+    draws = rng.random((trials, M, w)) < float(p)
+    parities = draws.sum(axis=2) & 1
+    return float(np.mean((parities == 0).all(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +236,71 @@ def bridge_subset_scan(per_server, T, overlap: int):
         if u is not None and (best is None or u > best[0]):
             best = (u, S)
     return None if best is None else best[1]
+
+
+# ---------------------------------------------------------------------------
+# The GF(2^m) Vandermonde inverse that Reed-Solomon decoding used before the
+# GF(2) inverse of the stacked binary generator, kept verbatim as its oracle.
+
+
+def _field_inv(f, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return f.pow(a, f.order - 2)
+
+
+def invert_vandermonde(code, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    f = code.field
+    c = code.c
+    # Rows are (1, p, p^2, ..., p^(c-1)) per chosen coordinate.
+    matrix = [
+        [f.pow(code.evaluation_points[s], k) for k in range(c)] for s in servers
+    ]
+    identity = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    for col in range(c):
+        pivot = next(r for r in range(col, c) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        identity[col], identity[pivot] = identity[pivot], identity[col]
+        inv_p = _field_inv(f, matrix[col][col])
+        matrix[col] = [f.mul(inv_p, v) for v in matrix[col]]
+        identity[col] = [f.mul(inv_p, v) for v in identity[col]]
+        for r in range(c):
+            if r != col and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [
+                    v ^ f.mul(factor, w) for v, w in zip(matrix[r], matrix[col])
+                ]
+                identity[r] = [
+                    v ^ f.mul(factor, w)
+                    for v, w in zip(identity[r], identity[col])
+                ]
+    # identity is now the inverse; its row j recovers block coefficient j.
+    return tuple(tuple(row) for row in identity)
+
+
+def vandermonde_decode(code, pairs) -> tuple[int, ...]:
+    """A message block from exactly c (coordinate, symbol) pairs."""
+    rows = invert_vandermonde(code, tuple(s for s, _ in pairs))
+    f = code.field
+    values = [v for _, v in pairs]
+    block = []
+    for row in rows:
+        acc = 0
+        for coef, sym in zip(row, values):
+            acc ^= f.mul(coef, sym)
+        block.append(acc)
+    return tuple(block)
+
+
+def vandermonde_interpolate(generator, holders) -> int:
+    """The padded message behind c (server, symbol-vector) pairs, one
+    block at a time."""
+    code = generator.code
+    m = generator.symbol_bits
+    bits = 0
+    for b in range(generator.blocks):
+        window = [(s, (vec >> (b * m)) & ((1 << m) - 1)) for s, vec in holders]
+        block = vandermonde_decode(code, window)
+        for j, val in enumerate(block):
+            bits |= val << (b * code.c * m + j * m)
+    return bits

@@ -8,13 +8,12 @@ desk scale.
 from fractions import Fraction
 from itertools import combinations
 
-from oracles import ball_volume, log2_fixed
+from oracles import ball_volume, even_parity_monte_carlo, log2_fixed
 
 from mvcode.binning import (
     BinningScheme,
     RateAllocation,
     binary_entropy,
-    even_parity_monte_carlo,
     even_parity_probability,
     example1_rate_comparison,
     rate_region_check,

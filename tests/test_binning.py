@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import log2_fixed, wilson_upper
+from oracles import even_parity_monte_carlo, log2_fixed, wilson_upper
 from mvcode import binning as binning_module
 from mvcode.binning import (
     BinningCodebook,
@@ -21,7 +21,6 @@ from mvcode.binning import (
     binary_entropy,
     binning_worst_case_cost,
     empirical_error_survey,
-    even_parity_monte_carlo,
     even_parity_probability,
     example1_rate_comparison,
     possible_set_decode,
@@ -219,27 +218,9 @@ def test_hashed_kind_beyond_table_range():
         codebook.index_table(0, 1)
 
 
-def test_descriptor_round_trip():
-    for codebook in (UNIFORM_CB, LINEAR_CB):
-        desc = codebook.descriptor()
-        assert set(desc) == {
-            "kind", "seed", "K", "n", "nu", "radius", "epsilon", "dims",
-        }
-        clone = BinningCodebook.from_descriptor(desc)
-        for value in (0, 1, 0x7F, 0xFF):
-            w = Message(value, 8)
-            assert clone.index_of(1, 2, w.bits, clone.capacity) == codebook.index_of(
-                1, 2, w.bits, codebook.capacity
-            )
+def test_capacity_beyond_hash_output_rejected():
     with pytest.raises(ValueError):
         BinningCodebook("affine", 0, REF_MODEL, REF_N, 12, REF_EPS)
-    bad = UNIFORM_CB.descriptor()
-    del bad["dims"]
-    with pytest.raises(ValueError):
-        BinningCodebook.from_descriptor(bad)
-
-
-def test_capacity_beyond_hash_output_rejected():
     model = CorrelationModel(20, 1, 2)
     with pytest.raises(ValueError):
         BinningCodebook.create(model, 2, 1, Fraction(1, 2**300))

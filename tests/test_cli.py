@@ -1,9 +1,11 @@
 """CLI tests: flag and config parsing, the round-trip identity, every
-subcommand's output shape and exit code, and byte-level determinism."""
+subcommand's output shape and exit code, byte-level determinism, and the
+README's library example."""
 
 import csv
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -55,6 +57,14 @@ def test_golden_transcript(path, capsys):
     assert command.startswith("$ mvcode ") and status.startswith("exit ")
     code, out, _ = _run(capsys, *shlex.split(command[len("$ mvcode "):]))
     assert (code, out) == (int(status[len("exit "):]), expected)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +284,23 @@ def test_verify_latest_only_fails_with_witnesses(capsys):
     assert "passed=no" in out
     assert "witness state=" in out
     assert "verdict fail" in out
+
+
+def test_verify_sampled_zero_budget_scheme_fails(capsys):
+    # latest-only claims zero error, so any sampled failure fails it
+    code, out, _ = _run(
+        capsys, "verify", "--scheme", "latest-only", "--mode", "monte-carlo"
+    )
+    assert code == 1
+    assert "verdict fail empirical=0.103 budget=0" in out
+
+
+def test_verify_binning_exhaustive_judges_the_per_state_rate(capsys):
+    # 864 failures, but no state fails more often than epsilon = 1/4
+    code, out, _ = _run(capsys, "verify", "--scheme", "binning", "--mode", "exhaustive")
+    assert code == 0
+    assert "failures=864" in out and "per-state-max=0.007812500" in out
+    assert "verdict pass failures=864" in out
 
 
 def test_verify_quorum_pair_uses_the_bridge(capsys):

@@ -2,10 +2,12 @@
 replaced: big-integer width ceilings and region signs against the snapped
 128-bit mpmath oracle, the decimal logarithms against mpmath, the folded
 estimate_epsilon and survey paths against values of the previous
-implementation, and the direct quorum read rules against brute force."""
+implementation, the direct quorum read rules against brute force, and the
+GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,6 +18,8 @@ from oracles import (
     mpmath_log2,
     snapped_ceil_bits,
     snapped_region_slacks,
+    vandermonde_decode,
+    vandermonde_interpolate,
 )
 from mvcode import estimate_epsilon, make_scheme
 from mvcode.binning import (
@@ -35,7 +39,7 @@ from mvcode.model import (
     iter_states,
     latest_complete_version,
 )
-from mvcode.schemes import MvcScheme
+from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.verifier import quorum_bridge
 
 GRID_K = (4, 8, 16, 64, 128)
@@ -255,3 +259,43 @@ def test_latest_complete_version_counts_holders(n, nu):
             assert latest_complete_version(state) == latest_complete_by_count(
                 state.per_server, c_w, nu
             ), (state.key(), c_w)
+
+
+# ---------------------------------------------------------------------------
+# Reed-Solomon decode: one GF(2) inverse per holder tuple against the
+# block-by-block Vandermonde inverse it replaced.
+
+
+@pytest.mark.parametrize("n,c", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("K", [8, 64])
+def test_mask_decode_matches_the_vandermonde_oracle(n, c, K):
+    scheme = make_scheme("mds", CorrelationModel(K, 1, 2), n, c)
+    gen = scheme.generator
+    code = gen.code
+    rng = random.Random(K * 100 + n)
+    # codewords and random stored words, which the solver decodes alike
+    for servers in permutations(range(n), c):
+        codewords = [
+            [gen.apply(s, message) for s in servers]
+            for message in (rng.getrandbits(K) for _ in range(4))
+        ]
+        stored_words = [
+            [rng.getrandbits(gen.stored_bits_per_server) for _ in servers]
+            for _ in range(8)
+        ]
+        for vectors in codewords + stored_words:
+            holders = list(zip(servers, vectors))
+            want = vandermonde_interpolate(gen, holders)
+            if want >> K:
+                with pytest.raises(DecodingError):
+                    scheme._interpolate(holders, 1)
+            else:
+                assert scheme._interpolate(holders, 1).message.bits == want
+        order = code.field.order
+        blocks = [[rng.randrange(order) for _ in range(c)] for _ in range(4)]
+        symbol_words = [code.encode(block) for block in blocks] + [
+            [rng.randrange(order) for _ in range(n)] for _ in range(4)
+        ]
+        for symbols in symbol_words:
+            pairs = [(s, symbols[s]) for s in servers]
+            assert code.decode(pairs) == vandermonde_decode(code, pairs)

@@ -13,7 +13,6 @@ from mvcode.model import (
     Message,
     SystemState,
     VersionTuple,
-    ball_index_bits,
     ball_rank,
     ball_unrank,
     enumerate_possible_set,
@@ -24,7 +23,7 @@ from mvcode.model import (
     sample_tuple,
 )
 
-from oracles import ball_volume as oracle_ball_volume
+from oracles import ball_index_bits, ball_volume as oracle_ball_volume
 
 
 class TestHammingBallVolume:
