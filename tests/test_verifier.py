@@ -462,3 +462,120 @@ def test_starved_binning_rates_fail_measurably():
 def test_trial_validation():
     with pytest.raises(ValueError):
         estimate_epsilon(_latest_only_small(), trials=0)
+
+
+# ---------------------------------------------------------------------------
+# Reports pinned field for field
+
+
+def _pinned_runs():
+    F = frozenset
+    latest_only = make_scheme("latest-only", CorrelationModel(6, 1, 2), 3, 2)
+    binning = make_scheme(
+        "binning", CorrelationModel(5, 1, 2), 3, 2, epsilon=Fraction(1, 2), seed=0
+    )
+    bridged = quorum_bridge(
+        make_scheme("latest-only", CorrelationModel(4, 1, 2), 4, 2), 3, 3
+    )
+    replay = [
+        SystemState((F({1, 2}), F({1, 2}), F({1}), F())),
+        SystemState((F({2}), F({1, 2}), F({1}), F({1}))),
+        SystemState((F({1}), F({1}), F({2}), F({2}))),
+        SystemState((F(), F(), F(), F())),
+    ]
+    return {
+        "A-latest-only": lambda: verify_requirement_A(latest_only, witness_cap=5),
+        "A-binning": lambda: verify_requirement_A(binning, witness_cap=5),
+        "D2-all": lambda: verify_definition_2(
+            bridged, 3, 3, mode="exhaustive", witness_cap=5
+        ),
+        "D2-states": lambda: verify_definition_2(
+            bridged, 3, 3, mode="exhaustive", states=replay, witness_cap=5
+        ),
+        "D2-monte-carlo": lambda: verify_definition_2(
+            bridged, 3, 3, mode="monte-carlo", trials=400, seed=7, witness_cap=5
+        ),
+    }
+
+
+_NULL_LIVE = "returned NULL under a live guard"
+_RAISED_REASON = "decode raised an error"
+
+# Every field of each report, as the engine produced it when pinned; the
+# witnesses are (state, subset, versions, reason) in report order.
+_PINNED = {
+    "A-latest-only": dict(
+        mode="exhaustive", states_checked=64, subsets_checked=3,
+        tuples_checked=448, attempts=37632, failure_count=10752,
+        failures=[
+            (((), (1,), (1, 2)), (1, 2), ("00", v), _NULL_LIVE)
+            for v in ("00", "01", "02", "04", "08")
+        ],
+        empirical_error=0.2857142857142857,
+        per_state_max_error=1.0,
+        state_averaged_error=0.20312499999999997,
+        worst_cell=(((), (1,), (1, 2)), (1, 2), 448),
+    ),
+    "A-binning": dict(
+        mode="exhaustive", states_checked=64, subsets_checked=3,
+        tuples_checked=192, attempts=16128, failure_count=16,
+        failures=[
+            (((), (1, 2), (1, 2)), (1, 2), ("01", "05"), _RAISED_REASON),
+            (((), (1, 2), (1, 2)), (1, 2), ("01", "11"), _RAISED_REASON),
+            (((), (1, 2), (1, 2)), (1, 2), ("15", "11"), _RAISED_REASON),
+            (((), (1, 2), (1, 2)), (1, 2), ("15", "05"), _RAISED_REASON),
+            (((1,), (1, 2), (1, 2)), (1, 2), ("01", "05"), _RAISED_REASON),
+        ],
+        empirical_error=0.000992063492063492,
+        per_state_max_error=0.020833333333333332,
+        state_averaged_error=0.0006510416666666667,
+        worst_cell=(((), (1, 2), (1, 2)), (1, 2), 4),
+    ),
+    "D2-all": dict(
+        mode="exhaustive", states_checked=256, subsets_checked=4,
+        tuples_checked=80, attempts=43200, failure_count=6400,
+        failures=[
+            (((), (1,), (1,), (1, 2)), (0, 1, 3), ("0", v), _NULL_LIVE)
+            for v in ("0", "1", "2", "4", "8")
+        ],
+        empirical_error=0.14814814814814814,
+        per_state_max_error=0.75,
+        state_averaged_error=0.078125,
+        worst_cell=(((), (1,), (1,), (1, 2)), (0, 1, 3), 80),
+    ),
+    "D2-states": dict(
+        mode="exhaustive", states_checked=4, subsets_checked=4,
+        tuples_checked=80, attempts=640, failure_count=240,
+        failures=[
+            (((1, 2), (1, 2), (1,), ()), (0, 2, 3), ("0", v), _NULL_LIVE)
+            for v in ("0", "1", "2", "4", "8")
+        ],
+        empirical_error=0.375,
+        per_state_max_error=0.5,
+        state_averaged_error=0.1875,
+        worst_cell=(((1, 2), (1, 2), (1,), ()), (0, 2, 3), 80),
+    ),
+    "D2-monte-carlo": dict(
+        mode="monte-carlo", states_checked=205, subsets_checked=4,
+        tuples_checked=400, attempts=400, failure_count=26,
+        failures=[
+            (((1, 2), (), (1,), (1,)), (0, 2, 3), ("5", "d"), _NULL_LIVE),
+            (((1,), (2,), (1, 2), (1,)), (0, 2, 3), ("7", "6"), _NULL_LIVE),
+            (((1,), (1,), (), (1, 2)), (1, 2, 3), ("f", "b"), _NULL_LIVE),
+            (((1,), (), (1, 2), (1,)), (0, 2, 3), ("f", "f"), _NULL_LIVE),
+            (((1, 2), (1,), (), (1, 2)), (0, 1, 2), ("4", "0"), _NULL_LIVE),
+        ],
+        empirical_error=0.065,
+        per_state_max_error=1.0,
+        state_averaged_error=0.06601626016260162,
+        worst_cell=None,
+    ),
+}
+
+
+def test_reports_pinned_field_for_field():
+    for run, verify in _pinned_runs().items():
+        report = verify()
+        got = {f: getattr(report, f) for f in VerificationReport.__dataclass_fields__}
+        got["failures"] = [tuple(w) for w in report.failures]
+        assert got == _PINNED[run], run
