@@ -37,6 +37,7 @@ import numpy as np
 
 from .bitio import BitWriter
 from .bounds import LOG_DIGITS, log2_decimal
+from .galois import xor_rows
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     CorrelationModel,
@@ -303,7 +304,6 @@ class BinningCodebook:
     model: CorrelationModel
     n: int
     capacity: int
-    epsilon: Fraction
     _maps: dict = field(default_factory=dict, compare=False, repr=False)
     _plans: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -328,7 +328,6 @@ class BinningCodebook:
                 f"index capacity {self.capacity} exceeds the {_PRF_BITS}-bit "
                 "hash output available for K > 16"
             )
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
 
     @classmethod
     def create(
@@ -341,7 +340,7 @@ class BinningCodebook:
         seed: int = 0,
     ) -> "BinningCodebook":
         allocation = RateAllocation(model, n, c, Fraction(epsilon))
-        return cls(kind, seed, model, n, allocation.matrix_columns, allocation.epsilon)
+        return cls(kind, seed, model, n, allocation.matrix_columns)
 
     @property
     def uses_table(self) -> bool:
@@ -392,13 +391,7 @@ class BinningCodebook:
         mask = (1 << bits) - 1
         pair = self._pair_map(server, version)
         if self.kind == "linear":
-            acc = 0
-            remaining = w_bits
-            while remaining:
-                low = remaining & -remaining
-                acc ^= pair[low.bit_length() - 1]
-                remaining ^= low
-            return acc & mask
+            return xor_rows(pair, w_bits) & mask
         if pair is not None:
             return pair[w_bits] & mask
         return self._prf_index(server, version, w_bits) & mask

@@ -2,8 +2,8 @@
 
 Bit position 0 is the first bit written and the first bit read.  Values are
 packed least-significant-bit first, so ``write(v, b)`` followed by
-``read(b)`` round-trips v exactly.  Serialization to bytes lives with
-StoredSymbol; this module only handles in-memory streams.
+``read(b)`` round-trips v exactly.  A finished stream becomes a
+StoredSymbol's (payload, bit_length) pair; there is no byte encoding.
 """
 
 from __future__ import annotations

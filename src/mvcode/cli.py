@@ -361,19 +361,20 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if cfg.c_w is not None:
-            bridged = quorum_bridge(scheme, cfg.c_w, cfg.c_r)
+            verified = quorum_bridge(scheme, cfg.c_w, cfg.c_r)
             lines.append(
                 f"note wrapped {scheme.name} for quorum reads (overlap c={c})"
             )
-            report = verify_definition_2(bridged, cfg.c_w, cfg.c_r, **kwargs)
+            report = verify_definition_2(verified, cfg.c_w, cfg.c_r, **kwargs)
         else:
+            verified = scheme
             report = verify_requirement_A(scheme, **kwargs)
     for w in caught:
         lines.append(f"warning {w.message}")
     lines.append(report.to_text())
     # Judged against the budget the scheme claims: exhaustive runs know each
     # state's failure rate, sampled runs only the overall one.
-    budget = scheme.error_budget
+    budget = verified.error_budget
     if report.mode == "exhaustive":
         ok = report.per_state_max_error <= budget
         lines.append(f"verdict {'pass' if ok else 'fail'} failures={report.failure_count}")

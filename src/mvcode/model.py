@@ -136,22 +136,19 @@ class VersionTuple:
 
 @dataclass(frozen=True, slots=True)
 class SystemState:
-    """Which versions each server has received.
+    """Which versions each server has received, and nothing else.
 
     ``per_server[i]`` is the set of 1-based version indices present at the
-    0-based server i.  ``c_w`` is the write quorum size; it is needed only
-    for completeness queries and may be omitted otherwise.
+    0-based server i.  Quorum sizes belong to the consistency requirement
+    being checked, so they are passed to the queries that need them.
     """
 
     per_server: tuple[frozenset[int], ...]
-    c_w: Optional[int] = None
 
     def __post_init__(self) -> None:
         for s in self.per_server:
             if any(u < 1 for u in s):
                 raise ValueError("version indices are 1-based")
-        if self.c_w is not None and not 1 <= self.c_w <= self.n:
-            raise ValueError("c_w must lie in [1, n]")
 
     @property
     def n(self) -> int:
@@ -162,7 +159,7 @@ class SystemState:
         return tuple(tuple(sorted(s)) for s in self.per_server)
 
 
-def iter_states(n: int, nu: int, c_w: Optional[int] = None) -> Iterator[SystemState]:
+def iter_states(n: int, nu: int) -> Iterator[SystemState]:
     """All states in lexicographic order of their n*nu inclusion bits.
 
     Server 0's row occupies the most significant bits, version 1 the least
@@ -178,15 +175,16 @@ def iter_states(n: int, nu: int, c_w: Optional[int] = None) -> Iterator[SystemSt
         sets = []
         for i in range(n):
             sets.append(rows[(code >> ((n - 1 - i) * nu)) & (row_bits - 1)])
-        yield SystemState(tuple(sets), c_w)
+        yield SystemState(tuple(sets))
 
 
-def latest_complete_version(state: SystemState) -> Optional[int]:
-    """Largest version held by a write quorum, or None if there is none."""
-    if state.c_w is None:
-        raise ValueError("state has no write quorum configured")
+def latest_complete_version(state: SystemState, c_w: int) -> Optional[int]:
+    """Largest version held by at least ``c_w`` servers (a write quorum),
+    or None if there is none; ``c_w`` must lie in [1, n]."""
+    if not 1 <= c_w <= state.n:
+        raise ValueError("c_w must lie in [1, n]")
     holders = Counter(u for s in state.per_server for u in s)
-    return max((u for u, k in holders.items() if k >= state.c_w), default=None)
+    return max((u for u, k in holders.items() if k >= c_w), default=None)
 
 
 def latest_common_version(state: SystemState, T: Sequence[int]) -> Optional[int]:

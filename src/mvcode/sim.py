@@ -327,8 +327,8 @@ def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo):
     """
     alive = [s for s in range(len(received)) if s not in crashed]
     responders = tuple(alive[:c_r])
-    snapshot = SystemState(received, c_w)
-    latest = latest_complete_version(snapshot)
+    snapshot = SystemState(received)
+    latest = latest_complete_version(snapshot, c_w)
     symbols = {}
     for t in responders:
         key = (t, received[t])

@@ -221,35 +221,26 @@ def _exhaustive_run(
     tuples: Sequence[VersionTuple],
     witness_cap: int,
 ) -> VerificationReport:
-    state_rows = []
-    needed: dict[tuple, None] = {}
-    for state in states:
-        live = []
-        for T in subsets:
-            threshold = threshold_of(state, T)
-            if threshold is None:
-                continue
-            rows = tuple(state.per_server[t] for t in T)
-            live.append((T, rows, threshold))
-            needed.setdefault((T, rows))
-        state_rows.append((state, live))
-
     encode_cache: dict = {}
-    cells = {
-        (T, rows): _cell_outcomes(scheme, T, rows, tuples, encode_cache)
-        for T, rows in needed
-    }
-
+    cells: dict[tuple, _Cell] = {}
     attempts = 0
     failure_count = 0
     witnesses: list[Witness] = []
     state_rates = []
     worst = None
-    for state, live in state_rows:
+    for state in states:
         state_attempts = 0
         state_failures = 0
-        for T, rows, threshold in live:
-            cell = cells[(T, rows)]
+        for T in subsets:
+            threshold = threshold_of(state, T)
+            if threshold is None:
+                continue
+            rows = tuple(state.per_server[t] for t in T)
+            cell = cells.get((T, rows))
+            if cell is None:
+                cell = cells[T, rows] = _cell_outcomes(
+                    scheme, T, rows, tuples, encode_cache
+                )
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
             state_failures += fails
@@ -269,7 +260,7 @@ def _exhaustive_run(
         )
     return VerificationReport(
         MODE_EXHAUSTIVE,
-        len(state_rows),
+        len(state_rates),
         len(subsets),
         len(tuples),
         attempts,
@@ -282,13 +273,12 @@ def _exhaustive_run(
     )
 
 
-def _random_state(rng: random.Random, n: int, nu: int, c_w: Optional[int]):
+def _random_state(rng: random.Random, n: int, nu: int):
     return SystemState(
         tuple(
             frozenset(u for u in range(1, nu + 1) if rng.getrandbits(1))
             for _ in range(n)
-        ),
-        c_w,
+        )
     )
 
 
@@ -299,7 +289,6 @@ def _monte_carlo_run(
     trials: int,
     seed: int,
     witness_cap: int,
-    c_w: Optional[int],
     state_pool: Optional[Sequence[SystemState]],
 ) -> VerificationReport:
     if trials < 1:
@@ -309,17 +298,15 @@ def _monte_carlo_run(
     rng = random.Random(seed)
     failures = 0
     witnesses: list[Witness] = []
-    states_seen = set()
     subsets_seen = set()
     per_state: dict[tuple, list[int]] = {}
     for _ in range(trials):
         vt = sample_tuple(model, rng)
         if state_pool is None:
-            state = _random_state(rng, n, model.nu, c_w)
+            state = _random_state(rng, n, model.nu)
         else:
             state = state_pool[rng.randrange(len(state_pool))]
         T = tuple(sorted(rng.sample(range(n), subset_size)))
-        states_seen.add(state.key())
         subsets_seen.add(T)
         record = per_state.setdefault(state.key(), [0, 0])
         record[0] += 1
@@ -338,7 +325,7 @@ def _monte_carlo_run(
     rates = [f / a for a, f in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
-        len(states_seen),
+        len(per_state),
         len(subsets_seen),
         trials,
         trials,
@@ -368,20 +355,10 @@ def _resolve_mode(mode: str, work: int, cap: int) -> str:
     return MODE_MONTE_CARLO
 
 
-def _with_write_quorum(states, c_w: Optional[int]):
-    out = []
-    for state in states:
-        if state.c_w != c_w:
-            state = SystemState(state.per_server, c_w)
-        out.append(state)
-    return out
-
-
 def _verify(
     scheme: MvcScheme,
     subset_size: int,
     threshold_of,
-    c_w: Optional[int],
     mode: str,
     trials: int,
     seed: int,
@@ -392,27 +369,18 @@ def _verify(
     model = scheme.model
     n = scheme.n
     subsets = list(combinations(range(n), subset_size))
-    state_list = None if states is None else _with_write_quorum(states, c_w)
+    state_list = None if states is None else list(states)
     n_states = (1 << (model.nu * n)) if state_list is None else len(state_list)
     work = n_states * len(subsets) * model.tuple_count()
     chosen = _resolve_mode(mode, work, cap)
     if chosen == MODE_EXHAUSTIVE:
         tuples = list(enumerate_possible_set(model, cap))
-        state_iter = (
-            state_list if state_list is not None else iter_states(n, model.nu, c_w)
-        )
+        states = iter_states(n, model.nu) if state_list is None else state_list
         return _exhaustive_run(
-            scheme, subsets, threshold_of, state_iter, tuples, witness_cap
+            scheme, subsets, threshold_of, states, tuples, witness_cap
         )
     return _monte_carlo_run(
-        scheme,
-        subset_size,
-        threshold_of,
-        trials,
-        seed,
-        witness_cap,
-        c_w,
-        state_list,
+        scheme, subset_size, threshold_of, trials, seed, witness_cap, state_list
     )
 
 
@@ -437,7 +405,6 @@ def verify_requirement_A(
         scheme,
         scheme.c,
         latest_common_version,
-        None,
         mode,
         trials,
         seed,
@@ -474,8 +441,7 @@ def verify_definition_2(
     return _verify(
         scheme,
         c_r,
-        lambda state, T: latest_complete_version(state),
-        c_w,
+        lambda state, T: latest_complete_version(state, c_w),
         mode,
         trials,
         seed,
@@ -528,6 +494,10 @@ class QuorumBridge(MvcScheme):
                 return self.inner.decode(holders[: self.overlap], state, symbols)
         return None
 
+    @property
+    def error_budget(self):
+        return self.inner.error_budget
+
     def worst_case_cost(self):
         return self.inner.worst_case_cost()
 
@@ -578,7 +548,7 @@ def estimate_epsilon(
     Monte-Carlo verification does.
     """
     report = _monte_carlo_run(
-        scheme, scheme.c, latest_common_version, trials, seed, 0, None, None
+        scheme, scheme.c, latest_common_version, trials, seed, 0, None
     )
     low, high = wilson_interval(report.failure_count, report.attempts)
     return EpsilonEstimate(

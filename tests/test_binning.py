@@ -157,7 +157,7 @@ def test_linear_collision_rate_matches_lemma():
     rng = random.Random(20240817)
     hits = 0
     for trial in range(draws):
-        codebook = BinningCodebook("linear", trial, model, 1, M, Fraction(1, 2))
+        codebook = BinningCodebook("linear", trial, model, 1, M)
         diff = rng.randrange(1, 1 << K)
         if codebook.index_of(0, 1, diff, M) == 0:
             hits += 1
@@ -220,7 +220,7 @@ def test_hashed_kind_beyond_table_range():
 
 def test_capacity_beyond_hash_output_rejected():
     with pytest.raises(ValueError):
-        BinningCodebook("affine", 0, REF_MODEL, REF_N, 12, REF_EPS)
+        BinningCodebook("affine", 0, REF_MODEL, REF_N, 12)
     model = CorrelationModel(20, 1, 2)
     with pytest.raises(ValueError):
         BinningCodebook.create(model, 2, 1, Fraction(1, 2**300))
@@ -393,7 +393,7 @@ def test_agreeing_survivors_decode_despite_older_ambiguity():
     state = SystemState((frozenset({1, 2}),))
     vt = VersionTuple((Message(0x3C, 8), Message(0xC3, 8)))
     for seed in range(10):
-        codebook = BinningCodebook("random-uniform", seed, model, 1, 16, Fraction(1, 2))
+        codebook = BinningCodebook("random-uniform", seed, model, 1, 16)
         indices = {
             0: {
                 u: codebook.index_of(

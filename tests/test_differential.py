@@ -255,8 +255,8 @@ def test_bridge_delegates_to_the_subset_the_scan_chose(n, nu):
 @pytest.mark.parametrize("n,nu", [(4, 2), (3, 3)])
 def test_latest_complete_version_counts_holders(n, nu):
     for c_w in range(1, n + 1):
-        for state in iter_states(n, nu, c_w):
-            assert latest_complete_version(state) == latest_complete_by_count(
+        for state in iter_states(n, nu):
+            assert latest_complete_version(state, c_w) == latest_complete_by_count(
                 state.per_server, c_w, nu
             ), (state.key(), c_w)
 

@@ -239,20 +239,23 @@ class TestConditionalEnumeration:
 
 class TestSystemState:
     def test_latest_complete(self):
-        state = SystemState(
-            (frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2})), c_w=3
-        )
-        assert latest_complete_version(state) == 2
+        state = SystemState((frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2})))
+        assert latest_complete_version(state, 3) == 2
 
     def test_incomplete_newer_version(self):
-        state = SystemState(
-            (frozenset({1, 2}), frozenset({1, 2}), frozenset({1})), c_w=3
-        )
-        assert latest_complete_version(state) == 1
+        state = SystemState((frozenset({1, 2}), frozenset({1, 2}), frozenset({1})))
+        assert latest_complete_version(state, 3) == 1
+
+    def test_write_quorum_outside_one_to_n_rejected(self):
+        state = SystemState((frozenset({1}), frozenset({1}), frozenset()))
+        for c_w in (-1, 0, 4):
+            with pytest.raises(ValueError, match="c_w must lie in"):
+                latest_complete_version(state, c_w)
+        assert latest_complete_version(state, 1) == 1
 
     def test_nothing_complete(self):
-        state = SystemState((frozenset({1}), frozenset(), frozenset()), c_w=2)
-        assert latest_complete_version(state) is None
+        state = SystemState((frozenset({1}), frozenset(), frozenset()))
+        assert latest_complete_version(state, 2) is None
 
     def test_latest_common(self):
         state = SystemState((frozenset({1, 3}), frozenset({2, 3})))
@@ -277,8 +280,8 @@ class TestSystemState:
             assert c >= 1
             subsets = [frozenset(s) for s in _all_subsets(range(1, nu + 1))]
             for assignment in product(subsets, repeat=n):
-                state = SystemState(tuple(assignment), c_w=c_w)
-                ls = latest_complete_version(state)
+                state = SystemState(tuple(assignment))
+                ls = latest_complete_version(state, c_w)
                 if ls is None:
                     continue
                 for T in combinations(range(n), c_r):

@@ -16,7 +16,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 import workloads  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, Untraced  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
@@ -26,6 +26,18 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 def test_workload_builds_at_smoke_size(workload):
     jobs = workloads.build(workload, 0, workloads.SMOKE)
     assert jobs and all(isinstance(job, workloads.Job) for job in jobs)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_pass_reproduces_untraced(workload):
+    # the traced pass goes through TracedScheme proxies; a report that reads
+    # a scheme attribute the proxy does not forward would differ here
+    jobs = workloads.build(workload, 0, workloads.SMOKE)
+    for job in jobs:
+        plain = job.run(Untraced())
+        traced = job.run(Tracer())
+        assert job.check(plain) == [] and job.check(traced) == [], job.name
+        assert plain == traced, job.name
 
 
 def test_layer_microbenchmarks_find_no_problems():

@@ -599,8 +599,8 @@ def test_search_witness_replays_deterministically():
 # Agreement with the quorum-contract verifier
 
 
-def _snapshot_state(read, c_w):
-    return SystemState(tuple(frozenset(row) for row in read.snapshot), c_w)
+def _snapshot_state(read):
+    return SystemState(tuple(frozenset(row) for row in read.snapshot))
 
 
 def test_simulated_reads_agree_with_verifier_on_certified_scheme():
@@ -613,7 +613,7 @@ def test_simulated_reads_agree_with_verifier_on_certified_scheme():
         trace = run_simulation(scheme, sched)
         for read in trace.reads:
             report = verify_definition_2(
-                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read, 3)]
+                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read)]
             )
             assert report.passed
             assert read.consistent, (seed, read)
@@ -633,7 +633,7 @@ def test_inconsistent_reads_are_confirmed_by_verifier():
                 continue
             bad_reads += 1
             report = verify_definition_2(
-                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read, 3)]
+                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read)]
             )
             assert not report.passed
             assert report.failure_count > 0

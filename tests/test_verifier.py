@@ -231,14 +231,24 @@ def test_bridge_validation():
     assert bridge.c == 3  # decode contract takes read quorums
     assert bridge.name == "quorum-bridge(mds)"
     assert bridge.worst_case_cost() == inner.worst_case_cost()
+    assert bridge.error_budget == 0
+
+
+def test_bridge_claims_the_inner_error_budget():
+    # a bridged binning scheme is judged by the budget its codebook was
+    # sized for, not by the zero budget of an exact code
+    inner = make_scheme(
+        "binning", CorrelationModel(6, 1, 2), 4, 2, epsilon=Fraction(1, 4), seed=0
+    )
+    assert quorum_bridge(inner, 3, 3).error_budget == inner.error_budget
+    assert inner.error_budget == Fraction(1, 4)
 
 
 def _fig1_state() -> SystemState:
     # A write of version 2 reached two servers and stalled; version 1 is
     # complete at five of six, one server has nothing yet.
     return SystemState(
-        (frozenset({1}),) * 3 + (frozenset({1, 2}),) * 2 + (frozenset(),),
-        c_w=5,
+        (frozenset({1}),) * 3 + (frozenset({1, 2}),) * 2 + (frozenset(),)
     )
 
 
@@ -277,7 +287,7 @@ def test_bridge_decode_delegates_to_the_best_subset():
     assert decoded is not None
     assert decoded.version >= 1
     assert decoded.message == vt.version(decoded.version)
-    empty = SystemState((frozenset(),) * 6, c_w=5)
+    empty = SystemState((frozenset(),) * 6)
     assert bridge.decode(T, empty, {t: StoredSymbol.empty() for t in T}) is None
 
 
