@@ -1,6 +1,7 @@
 """Random-bin code tests: frozen rate numerics, exact region checks, decoder
 equivalence against blind enumeration, and seeded statistical checks."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,7 @@ from mvcode.model import (
     VersionTuple,
     enumerate_possible_set,
     hamming_ball_volume,
+    iter_states,
     latest_common_version,
     sample_tuple,
 )
@@ -269,13 +271,21 @@ def test_decode_enumeration_cap():
         possible_set_decode(UNIFORM_CB, ref_allocation(), (0, 1), state, {}, cap=10)
 
 
-def _blind_reference_decode(codebook, alloc, T, state, indices):
+@functools.lru_cache(maxsize=None)
+def _admissible_values(model):
+    return tuple(
+        tuple(m.bits for m in vt.versions) for vt in enumerate_possible_set(model)
+    )
+
+
+def _blind_reference_outcome(codebook, alloc, T, state, indices):
     """Independent decoder: keep every admissible tuple whose indices match
-    the stored ones, with no chain or gap logic of its own."""
+    the stored ones, with no chain or gap logic of its own.  Returns
+    (status, version, message, reason) as the decoder reports them."""
     model = codebook.model
     u_L = latest_common_version(state, T)
     if u_L is None:
-        return "no-common", None
+        return "no-common", None, None, "no version common to T"
     checks = []
     for t in T:
         got = tuple(sorted(state.per_server[t]))
@@ -284,16 +294,27 @@ def _blind_reference_decode(codebook, alloc, T, state, indices):
                 width = alloc.index_bits(got, u)
                 checks.append((t, u, width, indices[t][u] & ((1 << width) - 1)))
     finals = {
-        vt.version(u_L).bits
-        for vt in enumerate_possible_set(model)
+        values[u_L - 1]
+        for values in _admissible_values(model)
         if all(
-            codebook.index_of(t, u, vt.version(u).bits, width) == target
+            codebook.index_of(t, u, values[u - 1], width) == target
             for t, u, width, target in checks
         )
     }
     if len(finals) == 1:
-        return "decoded", Message(next(iter(finals)), model.K)
-    return "error", None
+        return "decoded", u_L, Message(next(iter(finals)), model.K), ""
+    if finals:
+        reason = "stored indices leave the newest common version ambiguous"
+    else:
+        reason = "no admissible assignment matches the stored indices"
+    return "error", None, None, reason
+
+
+def _blind_reference_decode(codebook, alloc, T, state, indices):
+    status, _version, message, _reason = _blind_reference_outcome(
+        codebook, alloc, T, state, indices
+    )
+    return status, message
 
 
 def test_decoder_matches_blind_enumeration():
@@ -407,6 +428,49 @@ def test_agreeing_survivors_decode_despite_older_ambiguity():
             assert out.message == vt.version(2)
             return
     pytest.fail("no seed produced a multi-survivor success")
+
+
+class _ShortChainWidths(_FixedWidths):
+    """Indices short enough at nu=3 that a two-step chain reaches one newest
+    value along several paths, and random indices often match nothing."""
+
+    WIDTHS = {1: 2, 2: 2, 3: 3}
+
+
+def test_decoder_outcomes_match_the_blind_oracle():
+    # Every state and reading set, once with honestly encoded indices of a
+    # sampled tuple and once with uniformly random stored indices.
+    model = CorrelationModel(4, 1, 3)
+    n, c = 3, 2
+    alloc = _ShortChainWidths(model, n, c, Fraction(1, 2))
+    codebook = BinningCodebook("random-uniform", 5, model, n, 3)
+    rng = random.Random(8)
+    seen = set()
+    for state in iter_states(n, model.nu):
+        for T in combinations(range(n), c):
+            vt = sample_tuple(model, rng)
+            honest = {
+                t: {
+                    u: codebook.index_of(t, u, vt.version(u).bits, alloc.WIDTHS[u])
+                    for u in state.per_server[t]
+                }
+                for t in range(n)
+            }
+            noise = {
+                t: {u: rng.getrandbits(alloc.WIDTHS[u]) for u in state.per_server[t]}
+                for t in range(n)
+            }
+            for indices in (honest, noise):
+                expected = _blind_reference_outcome(codebook, alloc, T, state, indices)
+                out = possible_set_decode(codebook, alloc, T, state, indices)
+                assert (out.status, out.version, out.message, out.reason) == expected
+                seen.add(expected[3] or expected[0])
+    assert seen == {
+        "decoded",
+        "no version common to T",
+        "stored indices leave the newest common version ambiguous",
+        "no admissible assignment matches the stored indices",
+    }
 
 
 def test_zero_radius_forces_equal_versions():
