@@ -4,11 +4,11 @@ A server that received versions s_1 < ... < s_t of a K-bit object stores one
 short *bin index* per received version instead of any content.  The index is
 a pseudorandom fingerprint of the version's value, long enough that across
 any c servers the stored fingerprints pin down the newest version they all
-received: a reader enumerates every admissible assignment of values to the
-versions the group received and keeps the assignments matching all stored
-indices.  Decoding succeeds when the survivors agree on the newest common
-version's value; they may still disagree about older versions, which is
-harmless.
+received.  A reader walks the versions the group received, oldest first, and
+keeps the values of each that match all its stored indices; a version's
+candidates are the values one admissible step from a survivor of the version
+before.  Decoding succeeds when exactly one value of the newest common version
+survives; older versions may keep several survivors, which is harmless.
 
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
@@ -45,7 +45,6 @@ from .model import (
     Message,
     SystemState,
     VersionTuple,
-    hamming_ball_volume,
     iter_ball_masks,
     iter_states,
     latest_common_version,
@@ -116,8 +115,8 @@ class RateAllocation:
         later received (u = s_j):  ((s_j - s_{j-1})*log2(Vol) + (u-1) + E) / c
 
     where Vol is the single-step ball volume and E = nu*n - log2(epsilon) is
-    the per-decode error budget.  Realized widths are the ceilings of these;
-    the ceiling slack is reported, not silently absorbed.
+    the safety term, -log2 of the union-bound share.  Realized widths are the
+    ceilings of these; the ceiling slack is reported, not silently absorbed.
     """
 
     model: CorrelationModel
@@ -237,8 +236,9 @@ class RateAllocation:
         return self.index_bits((nu,), nu)
 
     @property
-    def error_budget(self) -> Fraction:
-        """Per-state failure budget epsilon * 2^(-nu*n)."""
+    def union_share(self) -> Fraction:
+        """epsilon * 2^(-nu*n): each of the at most 2^(nu*n) states' share of
+        epsilon under the union bound the widths are sized for."""
         return self.epsilon / (1 << (self.model.nu * self.n))
 
     @property
@@ -441,11 +441,7 @@ class BinningCodebook:
 
 @dataclass(frozen=True)
 class PossibleSetOutcome:
-    """Result of one decode attempt; ``error`` is an outcome, not an exception.
-
-    ``candidates`` counts the admissible assignments that matched every
-    stored index (a diagnostic; on early-abort errors it is a lower bound).
-    """
+    """Result of one decode attempt; ``error`` is an outcome, not an exception."""
 
     DECODED = "decoded"
     NO_COMMON = "no-common"
@@ -455,22 +451,14 @@ class PossibleSetOutcome:
     version: Optional[int]
     message: Optional[Message]
     reason: str = ""
-    candidates: int = 0
-
-
-@dataclass
-class _PlanStep:
-    version: int
-    masks: tuple[int, ...]
-    checks: list  # (server, full table, width mask)
 
 
 @dataclass
 class _DecodePlan:
     latest_common: int
-    first: int  # oldest version of the chain
-    first_checks: list  # (server, full table, width mask)
-    steps: list
+    # per chain version, oldest first: (version, ball masks from the previous
+    # layer or None, checks as (server, full table, width mask))
+    layers: list
     stage1: dict  # first version's values by the first check's index
     estimate: int
 
@@ -504,82 +492,41 @@ def _build_plan(
         return None
     u_L, chain = found
     K, radius = codebook.model.K, codebook.model.radius
-
     estimate = 1 << K
-    for a, b in zip(chain, chain[1:]):
-        estimate *= hamming_ball_volume(min((b - a) * radius, K), K)
-
-    def checks_for(version: int):
-        out = []
+    layers = []
+    for previous, version in zip((None,) + chain, chain):
+        checks = []
         for t, row in zip(T, rows):
             if version in row:
-                width = rates.index_bits(row, version)
-                out.append((t, codebook.index_table(t, version), (1 << width) - 1))
-        return out
-
-    first_checks = checks_for(chain[0])
-    steps = []
-    for a, b in zip(chain, chain[1:]):
-        bound = min((b - a) * radius, K)
-        steps.append(
-            _PlanStep(b, tuple(iter_ball_masks(K, bound)), checks_for(b))
-        )
-
-    t, _tab, wmask = first_checks[0]
-    stage1 = codebook._values_by_index(t, chain[0], wmask.bit_length())
-    return _DecodePlan(u_L, chain[0], first_checks, steps, stage1, estimate)
+                wmask = (1 << rates.index_bits(row, version)) - 1
+                checks.append((t, codebook.index_table(t, version), wmask))
+        if previous is None:
+            masks = None
+            t, _tab, wmask = checks[0]
+            stage1 = codebook._values_by_index(t, version, wmask.bit_length())
+        else:
+            masks = tuple(iter_ball_masks(K, min((version - previous) * radius, K)))
+            estimate *= len(masks)
+        layers.append((version, masks, checks))
+    return _DecodePlan(u_L, layers, stage1, estimate)
 
 
-def _run_plan(
-    plan: _DecodePlan,
-    first_targets: Sequence[int],
-    step_targets: Sequence[Sequence[int]],
-) -> tuple[set[int], int]:
-    """DFS over admissible assignments consistent with the given indices.
-
-    Returns (distinct final-version values, full assignments examined);
-    aborts as soon as two distinct final values exist.
-    """
-    rest = [
-        (tab, wmask, tgt)
-        for (_t, tab, wmask), tgt in zip(plan.first_checks[1:], first_targets[1:])
-    ]
-    cands = [
-        w
-        for w in plan.stage1.get(first_targets[0], ())
-        if all(tab[w] & wmask == tgt for tab, wmask, tgt in rest)
-    ]
-    finals: set[int] = set()
-    examined = 0
-    if not plan.steps:
-        for w in cands:
-            finals.add(w)
-            examined += 1
-            if len(finals) > 1:
-                break
-        return finals, examined
-    bound_steps = [
-        [(tab, wmask, tgt) for (_t, tab, wmask), tgt in zip(step.checks, targets)]
-        for step, targets in zip(plan.steps, step_targets)
-    ]
-    last = len(plan.steps) - 1
-    stack = [(0, w) for w in reversed(cands)]
-    while stack:
-        depth, w = stack.pop()
-        masks = plan.steps[depth].masks
-        checks = bound_steps[depth]
-        for mask in masks:
-            cand = w ^ mask
-            if any(tab[cand] & wmask != tgt for tab, wmask, tgt in checks):
-                continue
-            if depth == last:
-                finals.add(cand)
-                examined += 1
-                if len(finals) > 1:
-                    return finals, examined
-            else:
-                stack.append((depth + 1, cand))
-    return finals, examined
+def _run_plan(plan: _DecodePlan, targets: Sequence[Sequence[int]]) -> set[int]:
+    """The newest-common values surviving every layer, where ``targets[i]``
+    are the stored indices the checks of layer i must match."""
+    survivors: Iterable[int] = ()
+    for (_version, masks, checks), wanted in zip(plan.layers, targets):
+        if masks is None:
+            candidates = plan.stage1.get(wanted[0], ())
+        else:
+            candidates = {w ^ mask for w in survivors for mask in masks}
+        bound = [(tab, wmask, tgt) for (_t, tab, wmask), tgt in zip(checks, wanted)]
+        survivors = {
+            w
+            for w in candidates
+            if all(tab[w] & wmask == tgt for tab, wmask, tgt in bound)
+        }
+    return survivors
 
 
 def possible_set_decode(
@@ -593,10 +540,11 @@ def possible_set_decode(
     """Decode the newest version common to T from the stored bin indices.
 
     ``indices[t][u]`` is server t's stored index for version u; values wider
-    than the allocated width are truncated to it.  Success requires every
-    surviving admissible assignment to agree on the newest common version's
-    value.  Returns a no-common outcome when T shares nothing, and an error
-    outcome when the survivors disagree or none exist.
+    than the allocated width are truncated to it.  Oldest first, a version's
+    survivors are the values matching its stored indices one admissible step
+    from a survivor of the version before.  Success requires exactly one
+    survivor at the newest common version.  Returns a no-common outcome when
+    T shares nothing, and an error outcome when several survive or none do.
 
     The decode plan depends only on the allocation, T and the rows of T
     (what the reader sees), so the codebook keeps one per such view;
@@ -627,27 +575,22 @@ def possible_set_decode(
                 f"missing stored index for server {server} version {version}"
             ) from None
 
-    first_targets = [
-        target(t, plan.first, wmask) for (t, _tab, wmask) in plan.first_checks
+    targets = [
+        [target(t, version, wmask) for t, _tab, wmask in checks]
+        for version, _masks, checks in plan.layers
     ]
-    step_targets = [
-        [target(t, step.version, wmask) for (t, _tab, wmask) in step.checks]
-        for step in plan.steps
-    ]
-    finals, examined = _run_plan(plan, first_targets, step_targets)
+    finals = _run_plan(plan, targets)
     if len(finals) == 1:
         return PossibleSetOutcome(
             PossibleSetOutcome.DECODED,
             plan.latest_common,
             Message(next(iter(finals)), codebook.model.K),
-            "",
-            examined,
         )
     if finals:
         reason = "stored indices leave the newest common version ambiguous"
     else:
         reason = "no admissible assignment matches the stored indices"
-    return PossibleSetOutcome(PossibleSetOutcome.ERROR, None, None, reason, examined)
+    return PossibleSetOutcome(PossibleSetOutcome.ERROR, None, None, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +810,8 @@ def example1_rate_comparison(delta) -> RateComparisonReport:
 
 
 def sample_tuples(model: CorrelationModel, count: int, seed: int):
-    """``count`` admissible tuples; trial i uses derived seed (seed<<32)+i so
-    trials can run in any order or in parallel and merge by index."""
+    """``count`` admissible tuples; trial i uses derived seed (seed<<32)+i, so
+    each trial's tuple is the same whatever ``count`` is."""
     return tuple(sample_tuple(model, (int(seed) << 32) + i) for i in range(count))
 
 
@@ -988,9 +931,9 @@ class BinningScheme(MvcScheme):
     """Bin-index storage behind the common scheme contract.
 
     Encodes one index per received version at the allocated width; decodes
-    through the survivor enumeration.  An ambiguous or empty survivor set
-    surfaces as a DecodingError so the verifier counts it like any other
-    decode failure.
+    through the survivor sets of ``possible_set_decode``.  An ambiguous or
+    empty final survivor set surfaces as a DecodingError so the verifier
+    counts it like any other decode failure.
     """
 
     name = "binning"
@@ -1072,7 +1015,7 @@ class BinningScheme(MvcScheme):
         notes = (
             f"real-rate total {binning_worst_case_cost(self.allocation):.4f} bits",
             f"ceiling slack {self.allocation.ceiling_slack(full):.4f} bits",
-            f"per-state error budget {self.allocation.error_budget}",
+            f"union-bound share {self.allocation.union_share}",
             f"codebook {self.codebook.kind} seed {self.codebook.seed}",
         )
         return CostReport(self.name, table, float(storage), storage, 0, notes)

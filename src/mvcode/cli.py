@@ -117,6 +117,8 @@ class RunConfig:
             raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
         if self.delta is not None and not 0 <= self.delta <= 1:
             raise UsageError("delta must lie in [0, 1]")
+        if self.cap < 0:
+            raise UsageError(f"cap must be nonnegative, got {self.cap}")
 
     # -- derived views ------------------------------------------------
 

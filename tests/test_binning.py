@@ -63,7 +63,7 @@ def test_reference_widths_frozen():
     alloc = ref_allocation()
     # safety term: nu*n - log2(eps) = 8 + 2 = 10 bits
     assert alloc.log_error_term == 10.0
-    assert alloc.error_budget == Fraction(1, 1024)
+    assert alloc.union_share == Fraction(1, 1024)
     # first received v1: (8 + 10) / 2 = 9 exactly
     assert alloc.rate_bits((1, 2), 1) == 9.0
     assert alloc.index_widths((1, 2)) == {1: 9, 2: 8}
@@ -261,8 +261,20 @@ def test_decode_no_common_version():
 
 def test_decode_missing_index_is_a_usage_error():
     state = SystemState((frozenset({1}),) * REF_N)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="server 0 version 1$"):
         possible_set_decode(UNIFORM_CB, ref_allocation(), (0, 1), state, {0: {}, 1: {}})
+    # one index left out of an otherwise complete set is named exactly
+    state = SystemState((frozenset({1, 2}),) * REF_N)
+    alloc = ref_allocation()
+    vt = VersionTuple((Message(0x4D, 8), Message(0x4F, 8)))
+    widths = alloc.index_widths((1, 2))
+    indices = {
+        t: {u: UNIFORM_CB.index_of(t, u, vt.version(u).bits, widths[u]) for u in (1, 2)}
+        for t in (1, 3)
+    }
+    del indices[3][2]
+    with pytest.raises(ValueError, match="for server 3 version 2$"):
+        possible_set_decode(UNIFORM_CB, alloc, (1, 3), state, indices)
 
 
 def test_decode_enumeration_cap():
@@ -407,8 +419,9 @@ class _FixedWidths(RateAllocation):
 
 def test_agreeing_survivors_decode_despite_older_ambiguity():
     # With an unconstrained step (radius = K) and a deliberately short index
-    # on the older version, many values of version 1 survive, but they all
-    # chain to the same version-2 value: that still counts as success.
+    # on the older version, many values of version 1 match its stored index,
+    # but they all chain to the same version-2 value: that still counts as
+    # success.
     model = CorrelationModel(8, 8, 2)
     alloc = _FixedWidths(model, 1, 1, Fraction(1, 2))
     state = SystemState((frozenset({1, 2}),))
@@ -424,10 +437,18 @@ def test_agreeing_survivors_decode_despite_older_ambiguity():
             }
         }
         out = possible_set_decode(codebook, alloc, (0,), state, indices)
-        if out.status == PossibleSetOutcome.DECODED and out.candidates >= 2:
-            assert out.message == vt.version(2)
-            return
-    pytest.fail("no seed produced a multi-survivor success")
+        if out.status == PossibleSetOutcome.DECODED:
+            break
+    else:
+        pytest.fail("no seed decoded")
+    width = alloc.index_bits(None, 1)
+    older = [
+        w
+        for w in range(1 << model.K)
+        if codebook.index_of(0, 1, w, width) == indices[0][1]
+    ]
+    assert len(older) >= 2
+    assert (out.version, out.message) == (2, vt.version(2))
 
 
 class _ShortChainWidths(_FixedWidths):
@@ -694,7 +715,7 @@ def test_scheme_round_trip_and_cost_report():
     assert report.table_bits == pytest.approx(4 + math.log2(9) / 2)
     assert report.measured_bits == 17 and report.guarantee_bits == 17.0
     assert report.framing_bits == 0
-    assert any("error budget 1/1024" in note for note in report.notes)
+    assert any("union-bound share 1/1024" in note for note in report.notes)
 
 
 # Full-capacity entries of codebooks wider than one 64-bit limb: at the

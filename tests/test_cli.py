@@ -325,6 +325,17 @@ def test_verify_forced_exhaustive_over_cap_exits_three(capsys):
     assert "cap" in err
 
 
+def test_negative_cap_is_a_usage_error(capsys):
+    for mode in ("exhaustive", "auto"):
+        code, _, err = _run(
+            capsys, "verify", "--scheme", "mds", "--mode", mode, "--cap", "-1"
+        )
+        assert code == 2
+        assert "cap must be nonnegative, got -1" in err
+    with pytest.raises(UsageError, match="cap must be nonnegative"):
+        config_from_text("cap=-1")
+
+
 # ---------------------------------------------------------------------------
 # bound
 

@@ -347,19 +347,19 @@ _COSTS = {
     "binning": [
         (5.584962500721156, 17.0, 17, 0, (
             "real-rate total 16.0850 bits", "ceiling slack 0.9150 bits",
-            "per-state error budget 1/1024", "codebook random-uniform seed 0",
+            "union-bound share 1/1024", "codebook random-uniform seed 0",
         )),
         (12.303780748177104, 36.0, 36, 0, (
             "real-rate total 34.8038 bits", "ceiling slack 1.1962 bits",
-            "per-state error budget 1/16384", "codebook random-uniform seed 0",
+            "union-bound share 1/16384", "codebook random-uniform seed 0",
         )),
         (6.695820947083446, 17.0, 17, 0, (
             "real-rate total 16.3625 bits", "ceiling slack 0.6375 bits",
-            "per-state error budget 1/16384", "codebook random-uniform seed 0",
+            "union-bound share 1/16384", "codebook random-uniform seed 0",
         )),
         (18.755765312433834, 29.0, 29, 0, (
             "real-rate total 28.0058 bits", "ceiling slack 0.9942 bits",
-            "per-state error budget 1/262144", "codebook random-uniform seed 0",
+            "union-bound share 1/262144", "codebook random-uniform seed 0",
         )),
     ],
 }
