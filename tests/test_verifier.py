@@ -589,3 +589,52 @@ def test_reports_pinned_field_for_field():
         got = {f: getattr(report, f) for f in VerificationReport.__dataclass_fields__}
         got["failures"] = [tuple(w) for w in report.failures]
         assert got == _PINNED[run], run
+
+
+# ---------------------------------------------------------------------------
+# Engine keying: every report equals the one of a proxy that keys cells by
+# (subset, rows of the subset)
+
+
+class _RowsKeyed(MvcScheme):
+    """Forwards encode and decode and keeps the default read view, so the
+    exhaustive engine keys its cells by (T, rows of T)."""
+
+    def __init__(self, inner: MvcScheme):
+        super().__init__(inner.model, inner.n, inner.c)
+        self.inner = inner
+        self.name = inner.name
+
+    def encode(self, server, received, versions):
+        return self.inner.encode(server, received, versions)
+
+    def decode(self, T, state, symbols):
+        return self.inner.decode(T, state, symbols)
+
+
+def _fields(report: VerificationReport) -> dict:
+    got = {f: getattr(report, f) for f in VerificationReport.__dataclass_fields__}
+    got["failures"] = [tuple(w) for w in report.failures]
+    return got
+
+
+_KEYING_SCHEMES = ("replication", "mds", "delta", "rs-update", "latest-only", "binning")
+
+
+@pytest.mark.parametrize("n,c_w,c_r", [(4, 3, 3), (5, 3, 4)])
+@pytest.mark.parametrize("name", _KEYING_SCHEMES)
+def test_reports_match_the_rows_keyed_engine(name, n, c_w, c_r):
+    extra = dict(epsilon=Fraction(1, 4), seed=0) if name == "binning" else {}
+    inner = make_scheme(name, CorrelationModel(3, 1, 2), n, c_w + c_r - n, **extra)
+    bridge = quorum_bridge(inner, c_w, c_r)
+    runs = {
+        "plain": lambda s: verify_requirement_A(s, witness_cap=20),
+        "bridged": lambda s: verify_definition_2(
+            s, c_w, c_r, mode="exhaustive", witness_cap=20
+        ),
+    }
+    for run, scheme in (("plain", inner), ("bridged", bridge)):
+        report = runs[run](scheme)
+        assert _fields(report) == _fields(runs[run](_RowsKeyed(scheme))), run
+        if name == "latest-only" and run == "bridged":
+            assert report.failures  # witnesses are compared too
