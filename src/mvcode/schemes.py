@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bitio import BitReader, BitWriter
 from .galois import BinaryGenerator, RsCode, binary_expand_generator
@@ -107,7 +107,14 @@ def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
 
 
 class MvcScheme(ABC):
-    """Shared contract: pure encode per server, pure decode per subset."""
+    """Shared contract: pure encode per server, pure decode per subset.
+
+    ``read_view(T, state)`` names what a decode from T depends on: for
+    every version tuple, decoding from T in any two states with equal
+    views must give the same outcome.  The default view is T with its
+    rows of the state, which holds for any decoder that reads only the
+    version sets of the servers it contacts.
+    """
 
     name: str = "abstract"
     # Decode failure probability the scheme claims per state.
@@ -136,6 +143,10 @@ class MvcScheme(ABC):
     ) -> Optional[Decoded]:
         """Newest version common to T (or newer), None when T shares
         nothing.  Raises DecodingError on symbols inconsistent with state."""
+
+    def read_view(self, T: Sequence[int], state: SystemState) -> Hashable:
+        """Hashable view of ``state`` that decoding from T reads."""
+        return (tuple(T), tuple(state.per_server[t] for t in T))
 
     def worst_case_cost(self) -> CostReport:
         """Analytic and realized worst-case per-server bits.

@@ -16,11 +16,14 @@ guard (nothing shared, nothing complete) counts as a pass; NULL under a
 live guard is a failure, as are raised decode errors, stale versions, and
 wrong content.
 
-A reader only ever learns the version sets of the servers it contacted,
-so a decode verdict is a function of the subset's rows of the state.  The
-exhaustive engine leans on that to share decode work across states that
-agree on those rows; the verdict is then replayed against every full state
-so reports and witnesses still range over the whole state space.
+A decode outcome is a function of the scheme's ``read_view`` of the
+state: by default the contacted subset and its rows, since a reader only
+learns the version sets of the servers it contacted, and for a quorum
+bridge the inner scheme's view of the holders it delegates to.  The
+exhaustive engine shares one cell of decode outcomes among all (state,
+subset) pairs with the same view; the verdict is then replayed against
+every full state so reports and witnesses still range over the whole
+state space.
 """
 
 import math
@@ -164,7 +167,7 @@ def _witness(state, T, vt: VersionTuple, code: int, threshold: int) -> Witness:
 
 
 class _Cell:
-    """Decode outcomes of one (subset, version-set rows) combination."""
+    """Decode outcomes of one read view, over every tuple."""
 
     __slots__ = ("codes", "sorted_codes")
 
@@ -235,10 +238,11 @@ def _exhaustive_run(
             threshold = threshold_of(state, T)
             if threshold is None:
                 continue
-            rows = tuple(state.per_server[t] for t in T)
-            cell = cells.get((T, rows))
+            view = scheme.read_view(T, state)
+            cell = cells.get(view)
             if cell is None:
-                cell = cells[T, rows] = _cell_outcomes(
+                rows = tuple(state.per_server[t] for t in T)
+                cell = cells[view] = _cell_outcomes(
                     scheme, T, rows, tuples, encode_cache
                 )
             fails = cell.failure_count(threshold)
@@ -460,6 +464,10 @@ class QuorumBridge(MvcScheme):
     Any complete version is held by at least c_w + c_r - n members of
     every read quorum, so the delegated subset shares the newest complete
     version or a newer one whenever a complete version exists.
+
+    A decode reads only those holders, so the read view is the inner
+    scheme's view of them, or None when no version has enough holders
+    and the decode returns None.
     """
 
     def __init__(self, inner: MvcScheme, c_w: int, c_r: int):
@@ -486,13 +494,27 @@ class QuorumBridge(MvcScheme):
     def encode(self, server, received, versions):
         return self.inner.encode(server, received, versions)
 
-    def decode(self, T, state, symbols):
-        rows = [(t, state.per_server[t]) for t in sorted(T)]
-        for u in sorted(frozenset().union(*(row for _, row in rows)), reverse=True):
-            holders = tuple(t for t, row in rows if u in row)
+    def _holders(self, T, state) -> Optional[tuple[int, ...]]:
+        """The servers a read from T delegates to, or None."""
+        rows = state.per_server
+        order = sorted(T)
+        for u in sorted(frozenset().union(*[rows[t] for t in order]), reverse=True):
+            holders = [t for t in order if u in rows[t]]
             if len(holders) >= self.overlap:
-                return self.inner.decode(holders[: self.overlap], state, symbols)
+                return tuple(holders[: self.overlap])
         return None
+
+    def decode(self, T, state, symbols):
+        holders = self._holders(T, state)
+        if holders is None:
+            return None
+        return self.inner.decode(holders, state, symbols)
+
+    def read_view(self, T, state):
+        holders = self._holders(T, state)
+        if holders is None:
+            return None
+        return self.inner.read_view(holders, state)
 
     @property
     def error_budget(self):

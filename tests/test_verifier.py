@@ -244,6 +244,34 @@ def test_bridge_claims_the_inner_error_budget():
     assert inner.error_budget == Fraction(1, 4)
 
 
+class _CountingDecodes(MvcScheme):
+    """Forwards to a scheme and counts its decodes."""
+
+    def __init__(self, inner: MvcScheme):
+        super().__init__(inner.model, inner.n, inner.c)
+        self.inner = inner
+        self.decodes = 0
+
+    def encode(self, server, received, versions):
+        return self.inner.encode(server, received, versions)
+
+    def decode(self, T, state, symbols):
+        self.decodes += 1
+        return self.inner.decode(T, state, symbols)
+
+
+def test_bridged_verify_decodes_each_inner_view_once():
+    # At the anchor 192 (read quorum, rows) cells reach only 42 distinct
+    # (delegated holders, their rows) views; each is decoded once per tuple.
+    inner = _CountingDecodes(_mds_reference())
+    report = verify_definition_2(
+        quorum_bridge(inner, 3, 3), 3, 3, mode="exhaustive"
+    )
+    assert report.attempts == 1_244_160
+    assert report.failure_count == 0
+    assert inner.decodes == 42 * 2304
+
+
 def _fig1_state() -> SystemState:
     # A write of version 2 reached two servers and stalled; version 1 is
     # complete at five of six, one server has nothing yet.
