@@ -231,11 +231,11 @@ class BinaryGenerator:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
+    @cached_property
     def symbol_bits(self) -> int:
         return self.code.field.m
 
-    @property
+    @cached_property
     def stored_bits_per_server(self) -> int:
         return self.blocks * self.symbol_bits
 

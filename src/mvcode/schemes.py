@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import log2
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -177,7 +178,7 @@ class _RsBackedScheme(MvcScheme):
             RsCode.standard(n, c), model.K
         )
 
-    @property
+    @cached_property
     def symbol_vector_bits(self) -> int:
         return self.generator.stored_bits_per_server
 
@@ -301,6 +302,8 @@ class DeltaScheme(_RsBackedScheme):
     def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
         super().__init__(model, n, c)
         self._volumes: dict[int, int] = {}
+        # stored bits of ball member ``index`` at ``server``, by (server, index)
+        self._steps: dict[tuple[int, int], int] = {}
 
     def _volume(self, gap: int) -> int:
         """Size of the Hamming ball a step across ``gap`` versions lies in."""
@@ -348,7 +351,12 @@ class DeltaScheme(_RsBackedScheme):
                 break
             if index >= self._volume(b - a):
                 raise DecodingError(f"step index {index} outside its Hamming ball")
-            vec ^= self.generator.apply(server, ball_unrank(index, self.model.K))
+            step = self._steps.get((server, index))
+            if step is None:
+                step = self._steps[server, index] = self.generator.apply(
+                    server, ball_unrank(index, self.model.K)
+                )
+            vec ^= step
         return vec
 
     def worst_case_cost(self):
@@ -373,11 +381,11 @@ class RsUpdateScheme(_RsBackedScheme):
 
     name = "rs-update"
 
-    @property
+    @cached_property
     def _count_bits(self) -> int:
         return self.generator.blocks.bit_length()
 
-    @property
+    @cached_property
     def _index_bits(self) -> int:
         return (self.generator.blocks - 1).bit_length()
 
