@@ -119,6 +119,11 @@ class RunConfig:
             raise UsageError("delta must lie in [0, 1]")
         if self.cap < 0:
             raise UsageError(f"cap must be nonnegative, got {self.cap}")
+        if not 0 < self.epsilon < 1:
+            raise UsageError(
+                "epsilon must lie strictly between 0 and 1, got "
+                + format_rational(self.epsilon)
+            )
 
     # -- derived views ------------------------------------------------
 

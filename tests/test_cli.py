@@ -336,6 +336,20 @@ def test_negative_cap_is_a_usage_error(capsys):
         config_from_text("cap=-1")
 
 
+def test_epsilon_outside_zero_one_is_a_usage_error(capsys):
+    # every scheme, not only binning, which reads epsilon
+    for scheme in ("mds", "binning"):
+        for value in ("2", "0", "1"):
+            code, _, err = _run(
+                capsys, "verify", "--scheme", scheme, "--epsilon", value,
+                "--mode", "monte-carlo", "--trials", "10",
+            )
+            assert code == 2
+            assert f"epsilon must lie strictly between 0 and 1, got {value}" in err
+    with pytest.raises(UsageError, match="epsilon must lie strictly"):
+        config_from_text("epsilon=3/2")
+
+
 # ---------------------------------------------------------------------------
 # bound
 
