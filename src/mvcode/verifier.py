@@ -192,17 +192,17 @@ class _Cell:
 def _cell_outcomes(
     scheme: MvcScheme,
     T: tuple[int, ...],
-    rows: tuple[frozenset, ...],
+    state: SystemState,
     tuples: Sequence[VersionTuple],
     encode_cache: dict,
 ) -> _Cell:
     sets = [frozenset()] * scheme.n
-    for t, row in zip(T, rows):
-        sets[t] = row
+    for t in T:
+        sets[t] = state.per_server[t]
     cell_state = SystemState(tuple(sets))
     symbol_rows = []
-    for t, row in zip(T, rows):
-        got = tuple(sorted(row))
+    for t in T:
+        got = tuple(sorted(sets[t]))
         key = (t, got)
         cached = encode_cache.get(key)
         if cached is None:
@@ -241,9 +241,8 @@ def _exhaustive_run(
             view = scheme.read_view(T, state)
             cell = cells.get(view)
             if cell is None:
-                rows = tuple(state.per_server[t] for t in T)
                 cell = cells[view] = _cell_outcomes(
-                    scheme, T, rows, tuples, encode_cache
+                    scheme, T, state, tuples, encode_cache
                 )
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)

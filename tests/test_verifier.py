@@ -244,34 +244,6 @@ def test_bridge_claims_the_inner_error_budget():
     assert inner.error_budget == Fraction(1, 4)
 
 
-class _CountingDecodes(MvcScheme):
-    """Forwards to a scheme and counts its decodes."""
-
-    def __init__(self, inner: MvcScheme):
-        super().__init__(inner.model, inner.n, inner.c)
-        self.inner = inner
-        self.decodes = 0
-
-    def encode(self, server, received, versions):
-        return self.inner.encode(server, received, versions)
-
-    def decode(self, T, state, symbols):
-        self.decodes += 1
-        return self.inner.decode(T, state, symbols)
-
-
-def test_bridged_verify_decodes_each_inner_view_once():
-    # At the anchor 192 (read quorum, rows) cells reach only 42 distinct
-    # (delegated holders, their rows) views; each is decoded once per tuple.
-    inner = _CountingDecodes(_mds_reference())
-    report = verify_definition_2(
-        quorum_bridge(inner, 3, 3), 3, 3, mode="exhaustive"
-    )
-    assert report.attempts == 1_244_160
-    assert report.failure_count == 0
-    assert inner.decodes == 42 * 2304
-
-
 def _fig1_state() -> SystemState:
     # A write of version 2 reached two servers and stalled; version 1 is
     # complete at five of six, one server has nothing yet.
@@ -666,3 +638,27 @@ def test_reports_match_the_rows_keyed_engine(name, n, c_w, c_r):
         assert _fields(report) == _fields(runs[run](_RowsKeyed(scheme))), run
         if name == "latest-only" and run == "bridged":
             assert report.failures  # witnesses are compared too
+
+
+class _CountingDecodes(_RowsKeyed):
+    """Counts the decodes it forwards."""
+
+    def __init__(self, inner: MvcScheme):
+        super().__init__(inner)
+        self.decodes = 0
+
+    def decode(self, T, state, symbols):
+        self.decodes += 1
+        return super().decode(T, state, symbols)
+
+
+def test_bridged_verify_decodes_each_inner_view_once():
+    # At the anchor 192 (read quorum, rows) cells reach only 42 distinct
+    # (delegated holders, their rows) views; each is decoded once per tuple.
+    inner = _CountingDecodes(_mds_reference())
+    report = verify_definition_2(
+        quorum_bridge(inner, 3, 3), 3, 3, mode="exhaustive"
+    )
+    assert report.attempts == 1_244_160
+    assert report.failure_count == 0
+    assert inner.decodes == 42 * 2304
