@@ -7,59 +7,28 @@ model, several storage schemes (replication, erasure-coded, delta, and
 bin-index constructions), exhaustive and sampled verifiers for the decode
 guarantee, converse storage bounds, and a schedule simulator, all behind
 one CLI.
+
+The root re-exports the library's entry points and the errors they
+raise; everything else is imported from its submodule, for example
+``mvcode.bounds.gap_factor`` or ``mvcode.sim.schedule_from_text``.
+Importing ``binning`` here also registers ``make_scheme("binning")``.
 """
 
-from .binning import (
-    BinningCodebook,
-    BinningScheme,
-    RateAllocation,
-    binning_worst_case_cost,
-    empirical_error_survey,
-    even_parity_probability,
-    example1_rate_comparison,
-    rate_region_check,
-    seed_search,
-)
-from .bounds import (
-    BoundParams,
-    gap_factor,
-    lower_bound_general,
-    lower_bound_two_versions,
-)
+from .binning import BinningCodebook, RateAllocation, seed_search
+from .bounds import BoundParams, lower_bound_general
 from .model import (
-    DEFAULT_ENUMERATION_CAP,
     CorrelationModel,
     EnumerationCapExceeded,
-    Message,
     SystemState,
-    VersionTuple,
-    hamming_ball_volume,
-    latest_common_version,
-    latest_complete_version,
     sample_tuple,
 )
-from .schemes import (
-    CostReport,
-    Decoded,
-    DecodingError,
-    MvcScheme,
-    StoredSymbol,
-    make_scheme,
-    register_scheme,
-    scheme_names,
-)
+from .schemes import DecodingError, MvcScheme, make_scheme
 from .sim import (
-    ExecutionTrace,
-    Schedule,
     adversarial_schedule_search,
     partial_update_crash_schedule,
     run_simulation,
-    schedule_from_text,
-    schedule_to_text,
 )
 from .verifier import (
-    EpsilonEstimate,
-    VerificationReport,
     estimate_epsilon,
     quorum_bridge,
     verify_definition_2,
@@ -70,48 +39,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinningCodebook",
-    "BinningScheme",
     "BoundParams",
     "CorrelationModel",
-    "CostReport",
-    "Decoded",
     "DecodingError",
-    "DEFAULT_ENUMERATION_CAP",
     "EnumerationCapExceeded",
-    "EpsilonEstimate",
-    "ExecutionTrace",
-    "Message",
     "MvcScheme",
     "RateAllocation",
-    "Schedule",
-    "StoredSymbol",
     "SystemState",
-    "VerificationReport",
-    "VersionTuple",
     "adversarial_schedule_search",
-    "binning_worst_case_cost",
-    "empirical_error_survey",
     "estimate_epsilon",
-    "even_parity_probability",
-    "example1_rate_comparison",
-    "gap_factor",
-    "hamming_ball_volume",
-    "latest_common_version",
-    "latest_complete_version",
     "lower_bound_general",
-    "lower_bound_two_versions",
     "make_scheme",
     "partial_update_crash_schedule",
     "quorum_bridge",
-    "rate_region_check",
-    "register_scheme",
     "run_simulation",
     "sample_tuple",
-    "scheme_names",
-    "schedule_from_text",
-    "schedule_to_text",
     "seed_search",
     "verify_definition_2",
     "verify_requirement_A",
-    "__version__",
 ]

@@ -241,12 +241,6 @@ class RateAllocation:
         epsilon under the union bound the widths are sized for."""
         return self.epsilon / (1 << (self.model.nu * self.n))
 
-    @property
-    def log_error_term(self) -> float:
-        """E = nu*n - log2(epsilon), the safety summand of every rate."""
-        nu_n = Fraction(self.model.nu * self.n)
-        return self.evaluate(RateTerm(nu_n, Fraction(0), Fraction(-1)))
-
 
 # ---------------------------------------------------------------------------
 # Codebooks
@@ -535,7 +529,6 @@ def possible_set_decode(
     T: Sequence[int],
     state: SystemState,
     indices: Mapping[int, Mapping[int, int]],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PossibleSetOutcome:
     """Decode the newest version common to T from the stored bin indices.
 
@@ -547,9 +540,9 @@ def possible_set_decode(
     T shares nothing, and an error outcome when several survive or none do.
 
     The decode plan depends only on the allocation, T and the rows of T
-    (what the reader sees), so the codebook keeps one per such view;
-    ``cap`` is checked against the plan's enumeration estimate on every
-    call, cached or not.
+    (what the reader sees), so the codebook keeps one per such view; its
+    enumeration estimate is checked against DEFAULT_ENUMERATION_CAP on
+    every call, cached or not.
     """
     T = tuple(T)
     if state.n != codebook.n:
@@ -564,8 +557,8 @@ def possible_set_decode(
         return PossibleSetOutcome(
             PossibleSetOutcome.NO_COMMON, None, None, "no version common to T"
         )
-    if plan.estimate > cap:
-        raise EnumerationCapExceeded(plan.estimate, cap)
+    if plan.estimate > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(plan.estimate, DEFAULT_ENUMERATION_CAP)
 
     def target(server: int, version: int, wmask: int) -> int:
         try:
@@ -840,11 +833,10 @@ def empirical_error_survey(
     codebook: BinningCodebook,
     rates: RateAllocation,
     tuples: Sequence[VersionTuple],
-    states: Optional[Iterable[SystemState]] = None,
 ) -> ErrorSurvey:
     """Decode every (state, reading set) cell against every sampled tuple.
 
-    Defaults to all 2^(n*nu) states and all size-c reading sets.  Failure
+    The cells are all 2^(n*nu) states by all size-c reading sets.  Failure
     means the survivors did not reduce to exactly the true newest-common
     value; cells without a common version are skipped as vacuous.  The
     cells run on the verifier's exhaustive engine, decoding through a
@@ -857,7 +849,7 @@ def empirical_error_survey(
         BinningScheme.over(codebook, rates),
         list(combinations(range(n), rates.c)),
         latest_common_version,
-        iter_states(n, codebook.model.nu) if states is None else states,
+        iter_states(n, codebook.model.nu),
         tuples,
         0,
     )
@@ -945,12 +937,11 @@ class BinningScheme(MvcScheme):
         c: int,
         epsilon=Fraction(1, 4),
         seed: int = 0,
-        kind: str = "random-uniform",
     ) -> None:
         super().__init__(model, n, c)
         self.allocation = RateAllocation(model, n, c, Fraction(epsilon))
         self.codebook = BinningCodebook.create(
-            model, n, c, self.allocation.epsilon, kind=kind, seed=seed
+            model, n, c, self.allocation.epsilon, seed=seed
         )
 
     @property

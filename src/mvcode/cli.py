@@ -81,7 +81,7 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One command's parameter set; round-trips through key=value text.
+    """One command's parameter set, from flags over key=value config text.
 
     Exactly one of ``c`` and the pair ``c_w``/``c_r`` may be given, and
     likewise ``radius`` against the rational ``delta`` (which converts to
@@ -109,6 +109,9 @@ class RunConfig:
             raise UsageError("give either c or the pair c-w/c-r, not both")
         if (self.c_w is None) != (self.c_r is None):
             raise UsageError("c-w and c-r must be given together")
+        for key, size in (("c-w", self.c_w), ("c-r", self.c_r)):
+            if size is not None and not 1 <= size <= self.n:
+                raise UsageError(f"{key} must lie in [1, n={self.n}], got {size}")
         if self.delta is not None and self.radius is not None:
             raise UsageError("give either radius or delta, not both")
         if self.mode not in _MODES:
@@ -182,24 +185,12 @@ class RunConfig:
             )
         return lines
 
-    # -- config file round trip ----------------------------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for spec in _CONFIG_FIELDS:
-            value = getattr(self, spec.attr)
-            if value is None:
-                continue
-            lines.append(f"{spec.key}={spec.serialize(value)}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class _FieldSpec:
     key: str
     attr: str
     parse: callable
-    serialize: callable = str
 
 
 _CONFIG_FIELDS = (
@@ -211,8 +202,8 @@ _CONFIG_FIELDS = (
     _FieldSpec("nu", "nu", int),
     _FieldSpec("K", "K", int),
     _FieldSpec("radius", "radius", int),
-    _FieldSpec("delta", "delta", parse_rational, format_rational),
-    _FieldSpec("epsilon", "epsilon", parse_rational, format_rational),
+    _FieldSpec("delta", "delta", parse_rational),
+    _FieldSpec("epsilon", "epsilon", parse_rational),
     _FieldSpec("seed", "seed", int),
     _FieldSpec("mode", "mode", str),
     _FieldSpec("cap", "cap", int),
@@ -240,11 +231,6 @@ def _config_values(text: str) -> dict:
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {exc}") from exc
     return values
-
-
-def config_from_text(text: str) -> RunConfig:
-    """Parse the key=value config format; unknown keys are errors."""
-    return RunConfig(**_config_values(text))
 
 
 # ---------------------------------------------------------------------------

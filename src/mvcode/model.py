@@ -66,12 +66,6 @@ class Message:
         if not 0 <= self.bits < (1 << self.K):
             raise ValueError("bits out of range for length K")
 
-    def coordinate(self, i: int) -> int:
-        """Bit at 1-based coordinate i."""
-        if not 1 <= i <= self.K:
-            raise IndexError(f"coordinate {i} out of range 1..{self.K}")
-        return (self.bits >> (i - 1)) & 1
-
     def distance_to(self, other: "Message") -> int:
         if other.K != self.K:
             raise ValueError("messages have different lengths")
@@ -129,9 +123,6 @@ class VersionTuple:
         return tuple(
             a.distance_to(b) for a, b in zip(self.versions, self.versions[1:])
         )
-
-    def to_hex(self) -> str:
-        return ",".join(m.to_hex() for m in self.versions)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,10 +11,12 @@ c = c_w + c_r - n.
 
 Exhaustive mode enumerates every state, every subset, and every admissible
 tuple, so zero failures is a proof at those parameters.  Monte-Carlo mode
-samples (tuple, state, subset) trials.  In both, NULL under a vacuous
-guard (nothing shared, nothing complete) counts as a pass; NULL under a
-live guard is a failure, as are raised decode errors, stale versions, and
-wrong content.
+samples (tuple, state, subset) trials.  Under a vacuous guard (nothing
+shared, nothing complete) neither engine decodes, so every such
+combination passes: exhaustive mode does not count it as an attempt, and
+Monte-Carlo mode counts it as a passing trial.  Under a live guard NULL
+is a failure, as are raised decode errors, stale versions, and wrong
+content.
 
 A decode outcome is a function of the scheme's ``read_view`` of the
 state: by default the contacted subset and its rows, since a reader only
@@ -99,6 +101,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
+        """Zero failures.  The CLI verdict instead judges the per-state or
+        sampled rate against the scheme's error budget, so a scheme with
+        a nonzero budget (binning) can fail this and still pass there."""
         return self.failure_count == 0
 
     def to_text(self) -> str:
@@ -292,7 +297,6 @@ def _monte_carlo_run(
     trials: int,
     seed: int,
     witness_cap: int,
-    state_pool: Optional[Sequence[SystemState]],
 ) -> VerificationReport:
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -305,10 +309,7 @@ def _monte_carlo_run(
     per_state: dict[tuple, list[int]] = {}
     for _ in range(trials):
         vt = sample_tuple(model, rng)
-        if state_pool is None:
-            state = _random_state(rng, n, model.nu)
-        else:
-            state = state_pool[rng.randrange(len(state_pool))]
+        state = _random_state(rng, n, model.nu)
         T = tuple(sorted(rng.sample(range(n), subset_size)))
         subsets_seen.add(T)
         record = per_state.setdefault(state.key(), [0, 0])
@@ -365,25 +366,22 @@ def _verify(
     mode: str,
     trials: int,
     seed: int,
-    states: Optional[Sequence[SystemState]],
     cap: int,
     witness_cap: int,
 ) -> VerificationReport:
     model = scheme.model
     n = scheme.n
     subsets = list(combinations(range(n), subset_size))
-    state_list = None if states is None else list(states)
-    n_states = (1 << (model.nu * n)) if state_list is None else len(state_list)
-    work = n_states * len(subsets) * model.tuple_count()
+    work = (1 << (model.nu * n)) * len(subsets) * model.tuple_count()
     chosen = _resolve_mode(mode, work, cap)
     if chosen == MODE_EXHAUSTIVE:
         tuples = list(enumerate_possible_set(model, cap))
-        states = iter_states(n, model.nu) if state_list is None else state_list
+        states = iter_states(n, model.nu)
         return _exhaustive_run(
             scheme, subsets, threshold_of, states, tuples, witness_cap
         )
     return _monte_carlo_run(
-        scheme, subset_size, threshold_of, trials, seed, witness_cap, state_list
+        scheme, subset_size, threshold_of, trials, seed, witness_cap
     )
 
 
@@ -392,7 +390,6 @@ def verify_requirement_A(
     mode: str = "auto",
     trials: int = 2000,
     seed: int = 0,
-    states: Optional[Sequence[SystemState]] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     witness_cap: int = 200,
 ) -> VerificationReport:
@@ -401,8 +398,7 @@ def verify_requirement_A(
 
     ``auto`` runs exhaustively when states x subsets x tuples fits under
     ``cap`` and otherwise warns and samples; ``exhaustive`` raises
-    EnumerationCapExceeded instead of sampling.  ``states`` restricts the
-    sweep to the given states (replays).
+    EnumerationCapExceeded instead of sampling.
     """
     return _verify(
         scheme,
@@ -411,7 +407,6 @@ def verify_requirement_A(
         mode,
         trials,
         seed,
-        states,
         cap,
         witness_cap,
     )
@@ -424,7 +419,6 @@ def verify_definition_2(
     mode: str = "auto",
     trials: int = 2000,
     seed: int = 0,
-    states: Optional[Sequence[SystemState]] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     witness_cap: int = 200,
 ) -> VerificationReport:
@@ -448,7 +442,6 @@ def verify_definition_2(
         mode,
         trials,
         seed,
-        states,
         cap,
         witness_cap,
     )
@@ -569,7 +562,7 @@ def estimate_epsilon(
     Monte-Carlo verification does.
     """
     report = _monte_carlo_run(
-        scheme, scheme.c, latest_common_version, trials, seed, 0, None
+        scheme, scheme.c, latest_common_version, trials, seed, 0
     )
     low, high = wilson_interval(report.failure_count, report.attempts)
     return EpsilonEstimate(

@@ -31,6 +31,7 @@ from mvcode.binning import (
     seed_search,
 )
 from mvcode.model import (
+    DEFAULT_ENUMERATION_CAP,
     CorrelationModel,
     EnumerationCapExceeded,
     Message,
@@ -43,7 +44,7 @@ from mvcode.model import (
     sample_tuple,
 )
 from mvcode.schemes import DecodingError, StoredSymbol, make_scheme
-from mvcode.verifier import verify_requirement_A
+from mvcode.verifier import _exhaustive_run, verify_requirement_A
 
 # The reference configuration most frozen numbers below belong to.
 REF_MODEL = CorrelationModel(8, 1, 2)
@@ -62,7 +63,6 @@ def ref_allocation() -> RateAllocation:
 def test_reference_widths_frozen():
     alloc = ref_allocation()
     # safety term: nu*n - log2(eps) = 8 + 2 = 10 bits
-    assert alloc.log_error_term == 10.0
     assert alloc.union_share == Fraction(1, 1024)
     # first received v1: (8 + 10) / 2 = 9 exactly
     assert alloc.rate_bits((1, 2), 1) == 9.0
@@ -277,10 +277,27 @@ def test_decode_missing_index_is_a_usage_error():
         possible_set_decode(UNIFORM_CB, alloc, (1, 3), state, indices)
 
 
-def test_decode_enumeration_cap():
+# A K=16, radius-3 plan enumerates 2^16 * Vol(3, 16) = 2^16 * 697 values,
+# over the default cap of 2^24.
+_OVER_CAP_MODEL = CorrelationModel(16, 3, 2)
+_OVER_CAP_ESTIMATE = (1 << 16) * 697
+
+
+def _decode_over_cap(codebook, alloc):
     state = SystemState((frozenset({1, 2}),) * REF_N)
-    with pytest.raises(EnumerationCapExceeded):
-        possible_set_decode(UNIFORM_CB, ref_allocation(), (0, 1), state, {}, cap=10)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        possible_set_decode(codebook, alloc, (0, 1), state, {})
+    assert (err.value.estimate, err.value.cap) == (
+        _OVER_CAP_ESTIMATE,
+        DEFAULT_ENUMERATION_CAP,
+    )
+
+
+def test_decode_enumeration_cap():
+    _decode_over_cap(
+        BinningCodebook.create(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS),
+        RateAllocation(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,20 +409,12 @@ def test_plans_are_built_once_per_reader_view(monkeypatch):
 
 
 def test_cached_plan_still_honours_the_cap():
-    codebook = BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, seed=9)
-    alloc = ref_allocation()
-    state = SystemState((frozenset({1, 2}),) * REF_N)
-    vt = VersionTuple((Message(0x21, 8), Message(0x23, 8)))
-    indices = {
-        t: {u: codebook.index_of(t, u, vt.version(u).bits, alloc.index_bits((1, 2), u))
-            for u in (1, 2)}
-        for t in (0, 1)
-    }
-    out = possible_set_decode(codebook, alloc, (0, 1), state, indices)
-    assert out.message == vt.version(2)
-    with pytest.raises(EnumerationCapExceeded) as err:
-        possible_set_decode(codebook, alloc, (0, 1), state, indices, cap=10)
-    assert (err.value.estimate, err.value.cap) == (256 * 9, 10)
+    codebook = BinningCodebook.create(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS, seed=9)
+    alloc = RateAllocation(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS)
+    _decode_over_cap(codebook, alloc)
+    assert len(codebook._plans) == 1
+    _decode_over_cap(codebook, alloc)  # the plan is cached now
+    assert len(codebook._plans) == 1
 
 
 class _FixedWidths(RateAllocation):
@@ -630,7 +639,8 @@ def test_cheaper_than_difference_coding_when_balls_are_large():
     alloc = RateAllocation(model, n, c, Fraction(1, 4))
     log_vol = math.log2(hamming_ball_volume(radius, K))
     shared_saving = (nu - 1) * (1 - 1 / c) * log_vol
-    safety = (nu * (nu - 1) / 2 + nu * alloc.log_error_term) / c
+    log_error = nu * n - math.log2(alloc.epsilon)  # the safety summand
+    safety = (nu * (nu - 1) / 2 + nu * log_error) / c
     assert shared_saving > safety  # the premise of the claim
     delta_cost = make_scheme("delta", model, n, c).worst_case_cost().measured_bits
     assert binning_worst_case_cost(alloc) < delta_cost
@@ -765,24 +775,11 @@ def test_survey_counts_match_direct_decoding():
     eps = Fraction(1, 4)
     scheme = make_scheme("binning", model, n, c, epsilon=eps, seed=3)
     tuples = sample_tuples(model, 40, 5)
-    rng = random.Random(9)
-    states = []
-    while len(states) < 12:
-        state = SystemState(
-            tuple(
-                frozenset(u for u in (1, 2) if rng.random() < 0.7) for _ in range(n)
-            )
-        )
-        if any(
-            latest_common_version(state, T) is not None
-            for T in combinations(range(n), c)
-        ):
-            states.append(state)
-    survey = empirical_error_survey(scheme.codebook, scheme.allocation, tuples, states)
+    survey = empirical_error_survey(scheme.codebook, scheme.allocation, tuples)
 
     failures = 0
     cells = 0
-    for state in states:
+    for state in iter_states(n, model.nu):
         for T in combinations(range(n), c):
             if latest_common_version(state, T) is None:
                 continue
@@ -825,6 +822,20 @@ class _ScaledDown(RateAllocation):
         return max(1, super().index_bits(received, u) - self.CUT)
 
 
+def _failures_in_state(codebook, allocation, tuples, state):
+    """The survey's failure count restricted to one state: the same engine
+    over every size-c reading set of that state alone."""
+    report = _exhaustive_run(
+        BinningScheme.over(codebook, allocation),
+        list(combinations(range(codebook.n), allocation.c)),
+        latest_common_version,
+        [state],
+        tuples,
+        0,
+    )
+    return report.failure_count
+
+
 def test_reduced_rates_raise_error_rate_and_kinds_agree():
     # A single linear codebook has a fixed failure set (its null spaces), so
     # one seed can land on 0% or 50%; aggregate over seeds before comparing.
@@ -842,10 +853,8 @@ def test_reduced_rates_raise_error_rate_and_kinds_agree():
         for seed in range(seeds):
             codebook = BinningCodebook.create(model, n, c, eps, kind=kind, seed=seed)
             batch = tuples[seed * per_seed : (seed + 1) * per_seed]
-            clean += empirical_error_survey(codebook, nominal, batch, [state]).failures
-            stressed += empirical_error_survey(
-                codebook, starved, batch, [state]
-            ).failures
+            clean += _failures_in_state(codebook, nominal, batch, state)
+            stressed += _failures_in_state(codebook, starved, batch, state)
         # nominal widths decode cleanly; three bits less per index does not
         assert stressed > 1000, (kind, stressed)
         assert clean < stressed / 100, (kind, clean, stressed)

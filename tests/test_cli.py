@@ -16,16 +16,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvcode
 from mvcode.cli import (
     _CONFIG_FIELDS,
     RunConfig,
     UsageError,
-    config_from_text,
+    _config_values,
     format_rational,
     main,
     parse_rational,
 )
 from mvcode.sim import partial_update_crash_schedule, schedule_to_text
+
+
+def _config_from_text(text):
+    """A --config file's text as the RunConfig it yields with no flags."""
+    return RunConfig(**_config_values(text))
+
+
+def _config_text(cfg):
+    """cfg as config-file text: one key=value line per field that is set."""
+    lines = []
+    for spec in _CONFIG_FIELDS:
+        value = getattr(cfg, spec.attr)
+        if value is not None:
+            shown = format_rational(value) if isinstance(value, Fraction) else value
+            lines.append(f"{spec.key}={shown}")
+    return "\n".join(lines)
 
 
 def _run(capsys, *argv):
@@ -65,6 +82,24 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+# The package root holds what the benchmark harness and the README import
+# from it, plus the errors those calls raise; the rest stays in submodules.
+_ROOT_NAMES = {
+    "BinningCodebook", "BoundParams", "CorrelationModel", "DecodingError",
+    "EnumerationCapExceeded", "MvcScheme", "RateAllocation", "SystemState",
+    "adversarial_schedule_search", "estimate_epsilon", "lower_bound_general",
+    "make_scheme", "partial_update_crash_schedule", "quorum_bridge",
+    "run_simulation", "sample_tuple", "seed_search", "verify_definition_2",
+    "verify_requirement_A",
+}
+
+
+def test_package_root_exports_the_audited_names():
+    assert set(mvcode.__all__) == _ROOT_NAMES
+    for name in mvcode.__all__:
+        assert getattr(mvcode, name) is not None, name
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +143,7 @@ def test_config_text_round_trip_is_identity():
         RunConfig(scheme="binning", c=3, n=6, epsilon=Fraction(1, 8), seed=11),
         RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16), K=64),
     ):
-        assert config_from_text(cfg.to_text()) == cfg
+        assert _config_from_text(_config_text(cfg)) == cfg
 
 
 _CONFIG_VALUES = (
@@ -123,7 +158,7 @@ def _config_texts(draw):
     the real keys (and one unknown) and small, odd and malformed values;
     a later line overrides an earlier one."""
     bases = (RunConfig(), RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16)))
-    lines = draw(st.sampled_from(bases)).to_text().splitlines()
+    lines = _config_text(draw(st.sampled_from(bases))).splitlines()
     keys = st.sampled_from([spec.key for spec in _CONFIG_FIELDS] + ["colour"])
     value = st.one_of(st.sampled_from(_CONFIG_VALUES), st.text(max_size=5))
     for _ in range(draw(st.integers(0, 3))):
@@ -136,10 +171,10 @@ def _config_texts(draw):
 @given(st.one_of(st.text(max_size=30), _config_texts()))
 def test_config_text_rejects_or_round_trips(text):
     try:
-        cfg = config_from_text(text)
+        cfg = _config_from_text(text)
     except ValueError:
         return
-    assert config_from_text(cfg.to_text()) == cfg
+    assert _config_from_text(_config_text(cfg)) == cfg
 
 
 def test_runs_without_mpmath():
@@ -166,11 +201,11 @@ def test_config_rejects_conflicts_and_unknowns():
     with pytest.raises(UsageError, match="not both"):
         RunConfig(radius=1, delta=Fraction(1, 8))
     with pytest.raises(UsageError, match="unknown config key"):
-        config_from_text("verbosity=3")
+        _config_from_text("verbosity=3")
     with pytest.raises(UsageError, match="malformed"):
-        config_from_text("n")
+        _config_from_text("n")
     with pytest.raises(UsageError, match="bad value"):
-        config_from_text("epsilon=half")
+        _config_from_text("epsilon=half")
 
 
 def test_quorum_overlap_is_the_effective_decode_size():
@@ -202,6 +237,25 @@ def test_half_quorum_pair_exits_two(capsys):
     code, _, err = _run(capsys, "cost", "--c-w", "3")
     assert code == 2
     assert "error:" in err
+
+
+def test_quorum_outside_one_to_n_names_its_flag(tmp_path, capsys):
+    for c_w, c_r, flag, got in (
+        ("5", "4", "c-w", "5"),
+        ("0", "4", "c-w", "0"),
+        ("3", "9", "c-r", "9"),
+        ("3", "-1", "c-r", "-1"),
+    ):
+        code, _, err = _run(
+            capsys, "verify", "--c-w", c_w, "--c-r", c_r, "-n", "4"
+        )
+        assert code == 2
+        assert err == f"error: {flag} must lie in [1, n=4], got {got}\n"
+    path = tmp_path / "run.cfg"
+    path.write_text("n=4\nc-w=3\nc-r=5\n")
+    code, _, err = _run(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert err == "error: c-r must lie in [1, n=4], got 5\n"
 
 
 def test_config_file_feeds_flags(tmp_path, capsys):
@@ -333,7 +387,7 @@ def test_negative_cap_is_a_usage_error(capsys):
         assert code == 2
         assert "cap must be nonnegative, got -1" in err
     with pytest.raises(UsageError, match="cap must be nonnegative"):
-        config_from_text("cap=-1")
+        _config_from_text("cap=-1")
 
 
 def test_epsilon_outside_zero_one_is_a_usage_error(capsys):
@@ -347,7 +401,7 @@ def test_epsilon_outside_zero_one_is_a_usage_error(capsys):
             assert code == 2
             assert f"epsilon must lie strictly between 0 and 1, got {value}" in err
     with pytest.raises(UsageError, match="epsilon must lie strictly"):
-        config_from_text("epsilon=3/2")
+        _config_from_text("epsilon=3/2")
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ class TestHammingBallVolume:
 
 
 class TestMessage:
-    def test_coordinate_order(self):
-        m = Message(0b1001, 4)
-        assert m.coordinate(1) == 1
-        assert m.coordinate(4) == 1
-        assert m.coordinate(2) == 0
-
     def test_equality_is_exact(self):
         assert Message(3, 4) == Message(3, 4)
         assert Message(3, 4) != Message(3, 5)
@@ -140,13 +134,11 @@ class TestEnumeration:
 
     def test_count_three_versions_vs_brute_force(self):
         model = CorrelationModel(K=3, radius=1, nu=3)
-        enumerated = {t.to_hex() for t in enumerate_possible_set(model)}
+        enumerated = set(enumerate_possible_set(model))
         brute = set()
         for a, b, c in product(range(8), repeat=3):
             if (a ^ b).bit_count() <= 1 and (b ^ c).bit_count() <= 1:
-                brute.add(
-                    VersionTuple(tuple(Message(v, 3) for v in (a, b, c))).to_hex()
-                )
+                brute.add(VersionTuple(tuple(Message(v, 3) for v in (a, b, c))))
         assert enumerated == brute
         assert len(enumerated) == 128
 

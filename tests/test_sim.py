@@ -4,12 +4,20 @@ partial-update replay, the adversarial schedule search, and agreement
 between simulated reads and the quorum-contract verifier."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvcode.model import CorrelationModel, Message, SystemState, sample_tuple
+from mvcode.model import (
+    CorrelationModel,
+    Message,
+    SystemState,
+    enumerate_possible_set,
+    latest_complete_version,
+    sample_tuple,
+)
 from mvcode.schemes import (
     Decoded,
     DecodingError,
@@ -31,7 +39,7 @@ from mvcode.sim import (
     server_crash,
     write_start,
 )
-from mvcode.verifier import quorum_bridge, verify_definition_2
+from mvcode.verifier import _exhaustive_run, quorum_bridge
 
 
 def _model(K=8):
@@ -599,8 +607,17 @@ def test_search_witness_replays_deterministically():
 # Agreement with the quorum-contract verifier
 
 
-def _snapshot_state(read):
-    return SystemState(tuple(frozenset(row) for row in read.snapshot))
+def _verify_snapshot(scheme, c_w, c_r, read):
+    """verify_definition_2's exhaustive engine over the read's snapshot
+    state alone: every c_r-subset against every admissible tuple."""
+    return _exhaustive_run(
+        scheme,
+        list(combinations(range(scheme.n), c_r)),
+        lambda state, T: latest_complete_version(state, c_w),
+        [SystemState(tuple(frozenset(row) for row in read.snapshot))],
+        list(enumerate_possible_set(scheme.model)),
+        200,
+    )
 
 
 def test_simulated_reads_agree_with_verifier_on_certified_scheme():
@@ -612,9 +629,7 @@ def test_simulated_reads_agree_with_verifier_on_certified_scheme():
         sched = _random_schedule(random.Random(seed), 4, 3, 3, 1, 2)
         trace = run_simulation(scheme, sched)
         for read in trace.reads:
-            report = verify_definition_2(
-                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read)]
-            )
+            report = _verify_snapshot(scheme, 3, 3, read)
             assert report.passed
             assert read.consistent, (seed, read)
 
@@ -632,9 +647,7 @@ def test_inconsistent_reads_are_confirmed_by_verifier():
             if read.consistent:
                 continue
             bad_reads += 1
-            report = verify_definition_2(
-                scheme, 3, 3, mode="exhaustive", states=[_snapshot_state(read)]
-            )
+            report = _verify_snapshot(scheme, 3, 3, read)
             assert not report.passed
             assert report.failure_count > 0
     assert bad_reads > 0  # the sweep actually exercised the failing path

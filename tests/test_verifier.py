@@ -14,7 +14,9 @@ from mvcode.model import (
     Message,
     SystemState,
     VersionTuple,
+    enumerate_possible_set,
     latest_common_version,
+    latest_complete_version,
     sample_tuple,
 )
 from mvcode.schemes import Decoded, DecodingError, MvcScheme, StoredSymbol, make_scheme
@@ -23,6 +25,7 @@ from mvcode.verifier import (
     QuorumBridge,
     VerificationReport,
     Witness,
+    _exhaustive_run,
     estimate_epsilon,
     quorum_bridge,
     verify_definition_2,
@@ -36,6 +39,18 @@ def _mds_reference():
 
 def _latest_only_small():
     return make_scheme("latest-only", CorrelationModel(6, 1, 2), 3, 2)
+
+
+def _definition_2_in_states(scheme, c_w, c_r, states, witness_cap=200):
+    """verify_definition_2's exhaustive engine over the given states only."""
+    return _exhaustive_run(
+        scheme,
+        list(combinations(range(scheme.n), c_r)),
+        lambda state, T: latest_complete_version(state, c_w),
+        states,
+        list(enumerate_possible_set(scheme.model)),
+        witness_cap,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +141,6 @@ def test_report_text_round_trips_the_verdict():
 
     clean = verify_requirement_A(_mds_reference()).to_text()
     assert clean.splitlines()[0] == "mvc-verification mode=exhaustive passed=yes"
-
-
-def test_states_parameter_restricts_the_sweep():
-    scheme = _mds_reference()
-    states = [
-        SystemState((frozenset({1, 2}),) * 4),
-        SystemState((frozenset({1}), frozenset({2}), frozenset(), frozenset())),
-    ]
-    report = verify_requirement_A(scheme, states=states)
-    assert report.states_checked == 2
-    # second state shares nothing anywhere: only the first contributes
-    assert report.attempts == 6 * 2304
-    assert report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +256,8 @@ def _fig1_state() -> SystemState:
 
 def test_partial_write_replay_bridged_mds_decodes():
     model = CorrelationModel(6, 1, 2)
-    report = verify_definition_2(
-        quorum_bridge(make_scheme("mds", model, 6, 4), 5, 5), 5, 5,
-        states=[_fig1_state()],
+    report = _definition_2_in_states(
+        quorum_bridge(make_scheme("mds", model, 6, 4), 5, 5), 5, 5, [_fig1_state()]
     )
     assert report.passed
     assert report.states_checked == 1
@@ -265,9 +266,9 @@ def test_partial_write_replay_bridged_mds_decodes():
 
 def test_partial_write_replay_latest_only_fails():
     model = CorrelationModel(6, 1, 2)
-    report = verify_definition_2(
+    report = _definition_2_in_states(
         quorum_bridge(make_scheme("latest-only", model, 6, 4), 5, 5), 5, 5,
-        states=[_fig1_state()], witness_cap=4,
+        [_fig1_state()], witness_cap=4,
     )
     assert not report.passed
     assert report.failure_count == 6 * 448  # every read quorum, every tuple
@@ -499,8 +500,8 @@ def _pinned_runs():
         "D2-all": lambda: verify_definition_2(
             bridged, 3, 3, mode="exhaustive", witness_cap=5
         ),
-        "D2-states": lambda: verify_definition_2(
-            bridged, 3, 3, mode="exhaustive", states=replay, witness_cap=5
+        "D2-states": lambda: _definition_2_in_states(
+            bridged, 3, 3, replay, witness_cap=5
         ),
         "D2-monte-carlo": lambda: verify_definition_2(
             bridged, 3, 3, mode="monte-carlo", trials=400, seed=7, witness_cap=5
