@@ -247,6 +247,8 @@ class RateAllocation:
 
 _CODEBOOK_KINDS = ("random-uniform", "linear")
 _PRF_BITS = 256
+# Largest K whose decodes can read index tables of all 2^K values.
+TABLE_MAX_K = 16
 
 
 def _uniform_entries(rng: np.random.Generator, count: int, width: int):
@@ -340,7 +342,7 @@ class BinningCodebook:
     def uses_table(self) -> bool:
         # i.i.d.-uniform indices are materialized exactly for small K; the
         # keyed hash beyond that is the documented uniform approximation.
-        return self.kind == "random-uniform" and self.model.K <= 16
+        return self.kind == "random-uniform" and self.model.K <= TABLE_MAX_K
 
     def _validate_pair(self, server: int, version: int) -> None:
         if not 0 <= server < self.n:
@@ -394,11 +396,11 @@ class BinningCodebook:
         """Full-capacity indices of all 2^K values; K <= 16 only."""
         self._validate_pair(server, version)
         K = self.model.K
-        if K > 16:
+        if K > TABLE_MAX_K:
             raise EnumerationCapExceeded(
                 1 << K,
-                1 << 16,
-                f"binning index tables cover K <= 16 only, got K={K}",
+                1 << TABLE_MAX_K,
+                f"binning index tables cover K <= {TABLE_MAX_K} only, got K={K}",
             )
         key = ("table", server, version)
         if key not in self._maps:

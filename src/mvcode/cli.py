@@ -26,6 +26,7 @@ from typing import Optional
 
 from .binning import (
     _CODEBOOK_KINDS,
+    TABLE_MAX_K,
     RateAllocation,
     binning_worst_case_cost,
     example1_rate_comparison,
@@ -109,7 +110,10 @@ class RunConfig:
             raise UsageError("give either c or the pair c-w/c-r, not both")
         if (self.c_w is None) != (self.c_r is None):
             raise UsageError("c-w and c-r must be given together")
-        for key, size in (("c-w", self.c_w), ("c-r", self.c_r)):
+        if self.n < 1:
+            raise UsageError(f"n must be at least 1, got {self.n}")
+        c = self.effective_c if self.c_w is None else None
+        for key, size in (("c", c), ("c-w", self.c_w), ("c-r", self.c_r)):
             if size is not None and not 1 <= size <= self.n:
                 raise UsageError(f"{key} must lie in [1, n={self.n}], got {size}")
         if self.delta is not None and self.radius is not None:
@@ -156,12 +160,17 @@ class RunConfig:
     def model(self) -> CorrelationModel:
         return CorrelationModel(self.K, self.effective_radius, self.nu)
 
-    def echo_lines(self) -> list[str]:
-        parts = [f"scheme={self.scheme}", f"n={self.n}"]
-        if self.c_w is not None:
-            parts += [f"c-w={self.c_w}", f"c-r={self.c_r}"]
+    def echo_lines(self, quorums: bool = True) -> list[str]:
+        """The params line (and a derived-radius line); ``quorums=False``
+        leaves out n and the quorum sizes, for a run that takes them from
+        elsewhere."""
+        parts = [f"scheme={self.scheme}"]
+        if quorums:
+            parts.append(f"n={self.n}")
+            if self.c_w is not None:
+                parts += [f"c-w={self.c_w}", f"c-r={self.c_r}"]
+            parts.append(f"c={self.effective_c}")
         parts += [
-            f"c={self.effective_c}",
             f"nu={self.nu}",
             f"K={self.K}",
             f"radius={self.effective_radius}",
@@ -211,6 +220,8 @@ _CONFIG_FIELDS = (
     _FieldSpec("trials", "trials", int),
 )
 _BY_KEY = {spec.key: spec for spec in _CONFIG_FIELDS}
+# Keys a schedule replay reads from its schedule instead.
+_REPLAY_FIXED = ("n", "c", "c-w", "c-r")
 
 
 def _config_values(text: str) -> dict:
@@ -299,6 +310,16 @@ class _Table:
 # Commands
 
 
+def _check_binning_decodes(K: int) -> None:
+    """Binning decodes read index tables of 2^K entries; refuse a larger K
+    before any work.  ``cost`` decodes nothing and takes any K."""
+    if K > TABLE_MAX_K:
+        raise UsageError(
+            f"binning decodes need K <= {TABLE_MAX_K} (index tables of 2^K "
+            f"entries), got K={K}"
+        )
+
+
 def _build_scheme(cfg: RunConfig, model: CorrelationModel, c: int):
     if cfg.scheme == "binning":
         return make_scheme(
@@ -340,6 +361,8 @@ def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
+    if cfg.scheme == "binning":
+        _check_binning_decodes(cfg.K)
     model = cfg.model()
     c = cfg.effective_c
     scheme = _build_scheme(cfg, model, c)
@@ -427,6 +450,8 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
+    if cfg.scheme == "binning":
+        _check_binning_decodes(cfg.K)
     if args.search is not None:
         if cfg.c_w is None:
             raise UsageError("--search needs --c-w and --c-r")
@@ -462,9 +487,9 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
     if overlap < 1:
         raise UsageError("schedule quorums must overlap")
     model = CorrelationModel(cfg.K, cfg.effective_radius, cfg.nu)
-    inner = _build_scheme(replace(cfg, n=schedule.n), model, overlap)
+    inner = _build_scheme(replace(cfg, n=schedule.n, c=overlap), model, overlap)
     scheme = quorum_bridge(inner, schedule.c_w, schedule.c_r)
-    lines = cfg.echo_lines()
+    lines = cfg.echo_lines(quorums=False)
     lines.append(
         "schedule source={} n={} c-w={} c-r={} f={} events={}".format(
             _quote(source),
@@ -481,6 +506,7 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
+    _check_binning_decodes(cfg.K)
     model = cfg.model()
     c = cfg.effective_c
     seeds = list(range(cfg.seed, cfg.seed + args.seeds))
@@ -643,7 +669,15 @@ def _config_from_args(args) -> RunConfig:
         for spec in _CONFIG_FIELDS
         if getattr(args, spec.attr, None) is not None
     }
-    return RunConfig(**{**base, **overrides})
+    values = {**base, **overrides}
+    if args.command == "sim" and args.search is None:
+        fixed = [key for key in _REPLAY_FIXED if _BY_KEY[key].attr in values]
+        if fixed:
+            raise UsageError(
+                "a replay takes n and its quorums from the schedule; "
+                "drop " + ", ".join(fixed)
+            )
+    return RunConfig(**values)
 
 
 _DISPATCH = {

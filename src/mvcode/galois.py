@@ -247,23 +247,26 @@ class BinaryGenerator:
         """The padded message stored as the given (server, stored bits)
         pairs at exactly c distinct servers."""
         servers = tuple(s for s, _ in holders)
-        masks = self._inverses.get(servers)
-        if masks is None:
-            masks = self._inverses[servers] = self._inverse(servers)
+        masks = self._inverses.get(servers) or self.inverse(servers)
         width = self.stored_bits_per_server
         stacked = 0
         for i, (_, vec) in enumerate(holders):
             stacked |= vec << (i * width)
         return xor_rows(masks, stacked)
 
-    def _inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
-        """One message mask per bit of the holders' concatenated stored bits."""
-        width = self.stored_bits_per_server
-        stacked = [
-            sum(self.rows[s][k] << (i * width) for i, s in enumerate(servers))
-            for k in range(self.padded_K)
-        ]
-        return gf2_inverse(stacked)
+    def inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
+        """Rows of the inverse of the given c servers' stacked generator,
+        cached: one message mask per bit of their concatenated stored
+        bits."""
+        masks = self._inverses.get(servers)
+        if masks is None:
+            width = self.stored_bits_per_server
+            stacked = [
+                sum(self.rows[s][k] << (i * width) for i, s in enumerate(servers))
+                for k in range(self.padded_K)
+            ]
+            masks = self._inverses[servers] = gf2_inverse(stacked)
+        return masks
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:

@@ -11,6 +11,12 @@ Four honest schemes live here (full replication, per-version MDS symbols,
 difference coding against a base version, and update-record coding), plus a
 deliberately broken one (keep only the newest symbol) used to demonstrate
 what the honest schemes rule out.
+
+Each of the five also judges a whole read view at once (``cell_codes``):
+the tuples' versions become 0/1 bit matrices, encoding is a product with
+the servers' GF(2) generators and decoding a product with the holders'
+cached inverse, so one exhaustive-verifier cell costs a few matrix
+products instead of one Python decode per tuple.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from functools import cached_property
 from math import log2
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .bitio import BitReader, BitWriter
 from .galois import BinaryGenerator, RsCode, binary_expand_generator
 from .model import (
@@ -32,8 +40,16 @@ from .model import (
     ball_rank,
     ball_unrank,
     hamming_ball_volume,
+    iter_ball_masks,
     latest_common_version,
 )
+
+# Outcome codes of one decode attempt, judged against the tuple that was
+# encoded.  A positive value is the decoded version index after the
+# content check passed; the rest always fail.
+_NULL = 0
+_RAISED = -1
+_WRONG = -2
 
 
 class DecodingError(Exception):
@@ -107,6 +123,63 @@ def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
     return fields
 
 
+def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple) -> int:
+    """Outcome code of one decode from T of the symbols encoding ``vt``."""
+    try:
+        out = scheme.decode(tuple(T), state, symbols)
+    except DecodingError:
+        return _RAISED
+    if out is None:
+        return _NULL
+    version, message = out
+    if not 1 <= version <= scheme.model.nu:
+        return _WRONG
+    if message != vt.version(version):
+        return _WRONG
+    return version
+
+
+# ---------------------------------------------------------------------------
+# Whole-cell decoding over GF(2) bit matrices.  A 0/1 uint8 matrix holds one
+# bit string per row, bit k in column k; a GF(2) product is an integer
+# product taken mod 2, which uint8 wrap-around (mod 256) leaves intact.
+
+
+def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """0/1 matrix whose row i holds bits 0..width-1 of ``values[i]``."""
+    nbytes = -(-width // 8)
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a @ b) & 1
+
+
+def _run_cached(cache: dict, key, build):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
+
+
+def _version_bits(tuples, u: int, width: int, cache: dict) -> np.ndarray:
+    """Version u of every tuple as a len(tuples) x width bit matrix."""
+    return _run_cached(
+        cache,
+        ("version-bits", u, width),
+        lambda: _bit_rows([vt.versions[u - 1].bits for vt in tuples], width),
+    )
+
+
+def _batch_codes(version: int, decoded, expected, raised=False) -> list[int]:
+    """Per-row codes: ``version`` where a decoded row equals the expected
+    row, _WRONG where it differs, _RAISED where ``raised`` is set."""
+    match = (decoded == expected).all(axis=1)
+    return np.where(raised, _RAISED, np.where(match, version, _WRONG)).tolist()
+
+
 class MvcScheme(ABC):
     """Shared contract: pure encode per server, pure decode per subset.
 
@@ -115,6 +188,13 @@ class MvcScheme(ABC):
     views must give the same outcome.  The default view is T with its
     rows of the state, which holds for any decoder that reads only the
     version sets of the servers it contacts.
+
+    ``cell_codes(T, state, tuples, cache)`` is the batch form of the same
+    contract: the outcome code of encoding each tuple at the servers of
+    T and decoding it from T, for the whole tuple list at once.  The
+    default encodes and decodes tuple by tuple; an override must return
+    the same codes, as plain Python ints, computing what its own encode
+    stores and reading it back the way its decode does.
     """
 
     name: str = "abstract"
@@ -148,6 +228,40 @@ class MvcScheme(ABC):
     def read_view(self, T: Sequence[int], state: SystemState) -> Hashable:
         """Hashable view of ``state`` that decoding from T reads."""
         return (tuple(T), tuple(state.per_server[t] for t in T))
+
+    def cell_codes(
+        self,
+        T: Sequence[int],
+        state: SystemState,
+        tuples: Sequence[VersionTuple],
+        cache: dict,
+    ) -> list[int]:
+        """Outcome code of a decode from T for every tuple, reading only
+        the rows of T.
+
+        ``cache`` lives for one run over this same tuple list and is
+        shared by every view of the run; nothing tuple-dependent is kept
+        on the scheme.  This default is the per-tuple loop, and the
+        differential oracle of every override.
+        """
+        sets = [frozenset()] * self.n
+        for t in T:
+            sets[t] = state.per_server[t]
+        cell_state = SystemState(tuple(sets))
+        symbol_rows = []
+        for t in T:
+            got = tuple(sorted(sets[t]))
+            key = (t, got)
+            cached = cache.get(key)
+            if cached is None:
+                cached = [self.encode(t, got, vt) for vt in tuples]
+                cache[key] = cached
+            symbol_rows.append((t, cached))
+        codes = []
+        for i, vt in enumerate(tuples):
+            symbols = {t: row[i] for t, row in symbol_rows}
+            codes.append(_judge(self, T, cell_state, symbols, vt))
+        return codes
 
     def worst_case_cost(self) -> CostReport:
         """Analytic and realized worst-case per-server bits.
@@ -193,6 +307,54 @@ class _RsBackedScheme(MvcScheme):
             holders.append((server, vec))
         return self._interpolate(holders, target)
 
+    def cell_codes(self, T, state, tuples, cache):
+        target = latest_common_version(state, T)
+        if target is None or len(T) < self.c:
+            return [_NULL] * len(tuples)
+        holders = tuple(T[: self.c])
+        vectors, raised = [], False
+        for server in holders:
+            received = self._received_of(state, server)
+            vec, bad = self._vectors_at(server, received, target, tuples, cache)
+            vectors.append(vec)
+            raised = raised | bad
+        return self._interpolate_batch(
+            holders, vectors, raised, target, tuples, cache
+        )
+
+    def _vectors_at(self, server, received, target, tuples, cache):
+        """Batch ``_vector_at``: the symbol vectors of version ``target``
+        rebuilt from what ``server`` stores for each tuple, as a bit
+        matrix, and a mask of the tuples whose decode raises (or False)."""
+        raise NotImplementedError
+
+    def _generator_bits(self, server, cache) -> np.ndarray:
+        """The server's generator, padded_K x stored bits."""
+        return _run_cached(
+            cache,
+            ("generator", server),
+            lambda: _bit_rows(self.generator.rows[server], self.symbol_vector_bits),
+        )
+
+    def _stored_vectors(self, server, u, tuples, cache) -> np.ndarray:
+        """Symbol vectors of version u at ``server``: the tuples' bits
+        times the server's generator."""
+        bits = _version_bits(tuples, u, self.generator.padded_K, cache)
+        return _gf2(bits, self._generator_bits(server, cache))
+
+    def _interpolate_batch(self, holders, vectors, raised, version, tuples, cache):
+        """Batch ``_interpolate`` judged against version ``version``."""
+        gen = self.generator
+        inverse = _run_cached(
+            cache,
+            ("inverse", holders),
+            lambda: _bit_rows(gen.inverse(holders), gen.padded_K),
+        )
+        bits = _gf2(np.concatenate(vectors, axis=1), inverse)
+        raised = raised | bits[:, self.model.K :].any(axis=1)  # nonzero padding
+        expected = _version_bits(tuples, version, gen.padded_K, cache)
+        return _batch_codes(version, bits, expected, raised)
+
     def _vector_at(
         self,
         server: int,
@@ -232,7 +394,9 @@ class ReplicationScheme(MvcScheme):
             return StoredSymbol.empty()
         return StoredSymbol(versions.version(got[-1]).bits, self.model.K)
 
-    def decode(self, T, state, symbols):
+    def _newest_copy(self, T, state) -> Optional[tuple[int, int]]:
+        """(version, server) of the newest copy in T, the first server of
+        T holding it; None when T shares no version."""
         if latest_common_version(state, T) is None:
             return None
         best = None
@@ -242,11 +406,27 @@ class ReplicationScheme(MvcScheme):
                 continue
             if best is None or received[-1] > best[0]:
                 best = (received[-1], server)
+        return best
+
+    def decode(self, T, state, symbols):
+        best = self._newest_copy(T, state)
+        if best is None:
+            return None
         version, server = best
         sym = symbols[server]
         if sym.bit_length != self.model.K:
             raise DecodingError("full copy has wrong length")
         return Decoded(version, Message(sym.payload, self.model.K))
+
+    def cell_codes(self, T, state, tuples, cache):
+        best = self._newest_copy(T, state)
+        if best is None:
+            return [_NULL] * len(tuples)
+        version, server = best
+        K = self.model.K
+        # a column select: the server stores a copy of its newest version
+        copies = _version_bits(tuples, self._received_of(state, server)[-1], K, cache)
+        return _batch_codes(version, copies, _version_bits(tuples, version, K, cache))
 
     def worst_case_cost(self):
         K = self.model.K
@@ -272,6 +452,10 @@ class MdsMvcScheme(_RsBackedScheme):
     def _vector_at(self, server, received, symbol, target):
         vectors = split_fields(symbol, [self.symbol_vector_bits] * len(received))
         return vectors[received.index(target)]
+
+    def _vectors_at(self, server, received, target, tuples, cache):
+        # the target's field is the target's vector as encoded
+        return self._stored_vectors(server, target, tuples, cache), False
 
     def worst_case_cost(self):
         nu = self.model.nu
@@ -358,6 +542,54 @@ class DeltaScheme(_RsBackedScheme):
                 )
             vec ^= step
         return vec
+
+    def _vectors_at(self, server, received, target, tuples, cache):
+        vec = self._stored_vectors(server, received[0], tuples, cache)
+        raised = np.zeros(len(tuples), dtype=bool)
+        for a, b in zip(received, received[1:]):
+            if b > target:
+                break
+            index = self._step_indices(a, b, tuples, cache)
+            outside = index >= self._volume(b - a)
+            raised |= outside
+            steps = self._step_vectors(server, b - a, cache)
+            vec = vec ^ steps[np.where(outside, 0, index)]
+        return vec, raised
+
+    def _step_indices(self, a, b, tuples, cache) -> np.ndarray:
+        """The ball index encode stores for the step a -> b of each tuple,
+        by lookup in the ball's rank table."""
+
+        def build():
+            K = self.model.K
+            ranks = {
+                mask: ball_rank(mask, K)
+                for mask in iter_ball_masks(K, min((b - a) * self.model.radius, K))
+            }
+            try:
+                return np.array(
+                    [ranks[vt.version(b).bits ^ vt.version(a).bits] for vt in tuples],
+                    dtype=np.int64,
+                )
+            except KeyError:
+                raise ValueError(
+                    "difference weight exceeds the correlation model's step cap"
+                ) from None
+
+        return _run_cached(cache, ("step-indices", a, b), build)
+
+    def _step_vectors(self, server, gap, cache) -> np.ndarray:
+        """Stored bits at ``server`` of every member of a step's ball,
+        by index: the unrank table times the server's generator."""
+
+        def build():
+            members = [ball_unrank(i, self.model.K) for i in range(self._volume(gap))]
+            return _gf2(
+                _bit_rows(members, self.generator.padded_K),
+                self._generator_bits(server, cache),
+            )
+
+        return _run_cached(cache, ("step-vectors", server, gap), build)
 
     def worst_case_cost(self):
         model = self.model
@@ -454,6 +686,27 @@ class RsUpdateScheme(_RsBackedScheme):
             raise DecodingError("trailing bits after last update record")
         return snapshot
 
+    def _vectors_at(self, server, received, target, tuples, cache):
+        """A record list overwrites the changed blocks and keeps the rest,
+        so reading it back is a blockwise select.  A record list is only
+        written for fewer than ``blocks`` changed blocks (``blocks``
+        records would cost at least a full vector), so its count never
+        reads as the full-vector sentinel, and records after the target
+        cannot fail the range checks."""
+        gen = self.generator
+        m = gen.symbol_bits
+        prev = vec = self._stored_vectors(server, received[0], tuples, cache)
+        for u in received[1:]:
+            if u > target:
+                break
+            new = self._stored_vectors(server, u, tuples, cache)
+            changed = (prev ^ new).reshape(len(tuples), gen.blocks, m).any(axis=2)
+            full = changed.sum(axis=1) * (self._index_bits + m) >= self.symbol_vector_bits
+            overwrite = np.repeat(changed | full[:, None], m, axis=1)
+            vec = np.where(overwrite, new, vec)
+            prev = new
+        return vec, False
+
     def _witness_tuple(self, pattern: tuple[int, ...]) -> VersionTuple:
         """A tuple inside the model that attains the per-gap analytic worst
         case.
@@ -548,21 +801,43 @@ class LatestOnlyScheme(_RsBackedScheme):
             self.symbol_vector_bits,
         )
 
-    def decode(self, T, state, symbols):
-        by_version: dict[int, list[tuple[int, int]]] = {}
+    def _newest_holders(self, T, state) -> Optional[tuple[int, tuple[int, ...]]]:
+        """The newest version that c servers of T hold as their newest,
+        with the first c of them; None when there is none."""
+        by_version: dict[int, list[int]] = {}
         for server in T:
             received = self._received_of(state, server)
-            if not received:
-                continue
-            sym = symbols[server]
-            if sym.bit_length != self.symbol_vector_bits:
-                raise DecodingError("unexpected stored length")
-            by_version.setdefault(received[-1], []).append((server, sym.payload))
+            if received:
+                by_version.setdefault(received[-1], []).append(server)
         for version in sorted(by_version, reverse=True):
             holders = by_version[version]
             if len(holders) >= self.c:
-                return self._interpolate(holders[: self.c], version)
+                return version, tuple(holders[: self.c])
         return None
+
+    def decode(self, T, state, symbols):
+        for server in T:
+            sym = symbols[server]
+            if state.per_server[server] and sym.bit_length != self.symbol_vector_bits:
+                raise DecodingError("unexpected stored length")
+        chosen = self._newest_holders(T, state)
+        if chosen is None:
+            return None
+        version, holders = chosen
+        return self._interpolate(
+            [(server, symbols[server].payload) for server in holders], version
+        )
+
+    def cell_codes(self, T, state, tuples, cache):
+        chosen = self._newest_holders(T, state)
+        if chosen is None:
+            return [_NULL] * len(tuples)
+        version, holders = chosen
+        # each holder stores the vector of its newest version, ``version``
+        vectors = [
+            self._stored_vectors(server, version, tuples, cache) for server in holders
+        ]
+        return self._interpolate_batch(holders, vectors, False, version, tuples, cache)
 
     def worst_case_cost(self):
         spb = self.symbol_vector_bits

@@ -26,12 +26,18 @@ exhaustive engine shares one cell of decode outcomes among all (state,
 subset) pairs with the same view; the verdict is then replayed against
 every full state so reports and witnesses still range over the whole
 state space.
+
+A cell is one batch: the engine asks the scheme for the outcome codes of
+the whole tuple list at once (``MvcScheme.cell_codes``), handing it a
+cache that lives for the run.  The default encodes and decodes tuple by
+tuple; the Reed-Solomon-backed schemes and replication override it with
+GF(2) bit-matrix products, and must return exactly the default's codes.
 """
 
 import math
 import random
 import warnings
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -47,15 +53,9 @@ from .model import (
     latest_complete_version,
     sample_tuple,
 )
-from .schemes import DecodingError, MvcScheme
+from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
 
 _WILSON_Z = 1.959963984540054
-
-# Outcome codes for one decode attempt.  A positive value is the decoded
-# version index after the content check passed; the rest always fail.
-_NULL = 0
-_RAISED = -1
-_WRONG = -2
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -137,21 +137,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple) -> int:
-    try:
-        out = scheme.decode(tuple(T), state, symbols)
-    except DecodingError:
-        return _RAISED
-    if out is None:
-        return _NULL
-    version, message = out
-    if not 1 <= version <= scheme.model.nu:
-        return _WRONG
-    if message != vt.version(version):
-        return _WRONG
-    return version
-
-
 def _reason(code: int, threshold: int) -> str:
     if code == _NULL:
         return "returned NULL under a live guard"
@@ -174,15 +159,16 @@ def _witness(state, T, vt: VersionTuple, code: int, threshold: int) -> Witness:
 class _Cell:
     """Decode outcomes of one read view, over every tuple."""
 
-    __slots__ = ("codes", "sorted_codes")
+    __slots__ = ("codes", "tally")
 
     def __init__(self, codes: list[int]):
         self.codes = codes
-        self.sorted_codes = sorted(codes)
+        # at most nu + 3 distinct codes: NULL, raised, wrong, 1..nu
+        self.tally = Counter(codes)
 
     def failure_count(self, threshold: int) -> int:
         # every failing code (NULL, raised, wrong) is < 1 <= threshold
-        return bisect_left(self.sorted_codes, threshold)
+        return sum(k for code, k in self.tally.items() if code < threshold)
 
     def failing_indices(self, threshold: int, limit: int):
         out = []
@@ -194,33 +180,6 @@ class _Cell:
         return out
 
 
-def _cell_outcomes(
-    scheme: MvcScheme,
-    T: tuple[int, ...],
-    state: SystemState,
-    tuples: Sequence[VersionTuple],
-    encode_cache: dict,
-) -> _Cell:
-    sets = [frozenset()] * scheme.n
-    for t in T:
-        sets[t] = state.per_server[t]
-    cell_state = SystemState(tuple(sets))
-    symbol_rows = []
-    for t in T:
-        got = tuple(sorted(sets[t]))
-        key = (t, got)
-        cached = encode_cache.get(key)
-        if cached is None:
-            cached = [scheme.encode(t, got, vt) for vt in tuples]
-            encode_cache[key] = cached
-        symbol_rows.append((t, cached))
-    codes = []
-    for i, vt in enumerate(tuples):
-        symbols = {t: row[i] for t, row in symbol_rows}
-        codes.append(_judge(scheme, T, cell_state, symbols, vt))
-    return _Cell(codes)
-
-
 def _exhaustive_run(
     scheme: MvcScheme,
     subsets: Sequence[tuple[int, ...]],
@@ -229,7 +188,7 @@ def _exhaustive_run(
     tuples: Sequence[VersionTuple],
     witness_cap: int,
 ) -> VerificationReport:
-    encode_cache: dict = {}
+    run_cache: dict = {}
     cells: dict[tuple, _Cell] = {}
     attempts = 0
     failure_count = 0
@@ -246,8 +205,8 @@ def _exhaustive_run(
             view = scheme.read_view(T, state)
             cell = cells.get(view)
             if cell is None:
-                cell = cells[view] = _cell_outcomes(
-                    scheme, T, state, tuples, encode_cache
+                cell = cells[view] = _Cell(
+                    scheme.cell_codes(T, state, tuples, run_cache)
                 )
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
@@ -459,7 +418,9 @@ class QuorumBridge(MvcScheme):
 
     A decode reads only those holders, so the read view is the inner
     scheme's view of them, or None when no version has enough holders
-    and the decode returns None.
+    and the decode returns None.  ``cell_codes`` likewise hands a whole
+    cell to the inner scheme's batch over those holders, and is all NULL
+    when there are none.
     """
 
     def __init__(self, inner: MvcScheme, c_w: int, c_r: int):
@@ -507,6 +468,12 @@ class QuorumBridge(MvcScheme):
         if holders is None:
             return None
         return self.inner.read_view(holders, state)
+
+    def cell_codes(self, T, state, tuples, cache):
+        holders = self._holders(T, state)
+        if holders is None:
+            return [_NULL] * len(tuples)
+        return self.inner.cell_codes(holders, state, tuples, cache)
 
     @property
     def error_budget(self):

@@ -258,6 +258,18 @@ def test_quorum_outside_one_to_n_names_its_flag(tmp_path, capsys):
     assert err == "error: c-r must lie in [1, n=4], got 5\n"
 
 
+def test_c_and_n_outside_their_range_name_their_flag(capsys):
+    for argv, message in (
+        (("-c", "5"), "c must lie in [1, n=4], got 5"),
+        (("-c", "0"), "c must lie in [1, n=4], got 0"),
+        (("-n", "3", "-c", "4"), "c must lie in [1, n=3], got 4"),
+        (("-n", "0"), "n must be at least 1, got 0"),
+    ):
+        code, out, err = _run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n"
+
+
 def test_config_file_feeds_flags(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("# job\nscheme=mds\nn=4\nc=2\nepsilon=1/4\n")
@@ -472,6 +484,27 @@ def test_sim_replays_schedule_files(tmp_path, capsys):
     assert code == 2 and "bad schedule file" in err
 
 
+def test_sim_replay_takes_its_quorums_from_the_schedule(tmp_path, capsys):
+    code, out, _ = _run(capsys, "sim", "--scheme", "mds")
+    params, schedule = out.splitlines()[:2]
+    assert params.startswith("params scheme=mds nu=2 ")
+    assert " n=" not in params and " c=" not in params
+    assert schedule.endswith("n=6 c-w=5 c-r=5 f=1 events=13")
+    for flags in (("-n", "5"), ("-c", "2"), ("--c-w", "3", "--c-r", "3", "-n", "5")):
+        code, out, err = _run(capsys, "sim", *flags)
+        assert (code, out) == (2, ""), flags
+        assert "from the schedule" in err
+    path = tmp_path / "run.cfg"
+    path.write_text("n=5\n")
+    code, _, err = _run(capsys, "sim", "--config", str(path))
+    assert code == 2 and "drop n" in err
+    # the default c=2 does not apply to a schedule of one server
+    path = tmp_path / "one.sched"
+    path.write_text("schedule n=1 c-w=1 c-r=1 f=0\nwrite-start time=0 version=1")
+    code, out, _ = _run(capsys, "sim", "--schedule", str(path))
+    assert code == 0 and "trace consistent=yes" in out
+
+
 def test_sim_search_finds_latest_only_witness(capsys):
     code, out, _ = _run(
         capsys,
@@ -523,11 +556,17 @@ def test_binning_kind_reaches_the_linear_codebook(capsys):
 
 
 def test_binning_index_table_limit_names_itself(capsys):
-    code, _, err = _run(
-        capsys, "verify", "--scheme", "binning", "--K", "20", "--mode", "monte-carlo"
-    )
-    assert code == 3
-    assert "K <= 16" in err and "cap" not in err
+    for argv in (
+        ("verify", "--scheme", "binning", "--K", "20", "--mode", "monte-carlo"),
+        ("binning", "--K", "20"),
+        ("binning", "--kind", "linear", "--K", "20"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""  # refused before any work
+        assert "K <= 16" in err and "K=20" in err and "cap" not in err
+    code, _, _ = _run(capsys, "cost", "--K", "64")
+    assert code == 0
 
 
 def test_example1_exclusions_hold_at_reference_flip_rate(capsys):

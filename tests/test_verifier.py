@@ -15,6 +15,7 @@ from mvcode.model import (
     SystemState,
     VersionTuple,
     enumerate_possible_set,
+    iter_states,
     latest_common_version,
     latest_complete_version,
     sample_tuple,
@@ -663,3 +664,57 @@ def test_bridged_verify_decodes_each_inner_view_once():
     assert report.attempts == 1_244_160
     assert report.failure_count == 0
     assert inner.decodes == 42 * 2304
+
+
+# ---------------------------------------------------------------------------
+# Batch cell decoding: every override returns the default loop's codes
+
+
+_BATCHED = ("replication", "mds", "delta", "rs-update", "latest-only")
+
+
+def _live_views(scheme, subset_size, threshold_of):
+    """One (T, state) per distinct live read view, as the engine meets them."""
+    seen = set()
+    for state in iter_states(scheme.n, scheme.model.nu):
+        for T in combinations(range(scheme.n), subset_size):
+            if threshold_of(state, T) is None:
+                continue
+            view = scheme.read_view(T, state)
+            if view not in seen:
+                seen.add(view)
+                yield T, state
+
+
+@pytest.mark.parametrize(
+    "K,radius,nu,n,c,quorums",
+    [
+        (8, 1, 2, 4, 2, None),  # the anchor
+        (4, 1, 2, 5, 3, None),
+        (3, 1, 3, 3, 2, None),  # chains of two steps
+        (8, 1, 2, 4, 2, (3, 3)),
+        (4, 1, 2, 5, 2, (3, 4)),
+    ],
+)
+@pytest.mark.parametrize("name", _BATCHED)
+def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
+    scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
+    if quorums is None:
+        subset_size, threshold_of = c, latest_common_version
+    else:
+        c_w, c_r = quorums
+        scheme = quorum_bridge(scheme, c_w, c_r)
+        subset_size = c_r
+        threshold_of = lambda state, T: latest_complete_version(state, c_w)
+    tuples = list(enumerate_possible_set(scheme.model))
+    batch_cache, loop_cache = {}, {}
+    views = 0
+    for T, state in _live_views(scheme, subset_size, threshold_of):
+        got = scheme.cell_codes(T, state, tuples, batch_cache)
+        want = MvcScheme.cell_codes(scheme, T, state, tuples, loop_cache)
+        assert got == want, (T, state.key())
+        assert all(type(code) is int for code in got)
+        views += 1
+    assert views > 0
+    if (K, n, quorums) == (8, 4, None):
+        assert views == 42
