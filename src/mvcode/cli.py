@@ -126,6 +126,10 @@ class RunConfig:
             raise UsageError("delta must lie in [0, 1]")
         if self.cap < 0:
             raise UsageError(f"cap must be nonnegative, got {self.cap}")
+        if not 0 <= self.seed < 1 << 64:
+            raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.trials < 1:
+            raise UsageError(f"trials must be at least 1, got {self.trials}")
         if not 0 < self.epsilon < 1:
             raise UsageError(
                 "epsilon must lie strictly between 0 and 1, got "
@@ -461,7 +465,12 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
         )
         lines = cfg.echo_lines()
         witness = adversarial_schedule_search(
-            scheme, cfg.c_w, cfg.c_r, f=args.crashes, depth=args.search, seed=cfg.seed
+            scheme,
+            cfg.c_w,
+            cfg.c_r,
+            f=args.crashes or 0,
+            depth=args.search,
+            seed=cfg.seed,
         )
         if witness is None:
             lines.append(f"search none-found depth={args.search}")
@@ -639,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--search", type=int, metavar="DEPTH", help="adversarial search depth"
     )
     sim.add_argument(
-        "--crashes", type=int, default=0, help="crash budget for --search"
+        "--crashes", type=int, help="crash budget for --search (default 0)"
     )
     binning = sub.add_parser("binning", parents=[common], help="seed survey")
     binning.add_argument(
@@ -672,10 +681,12 @@ def _config_from_args(args) -> RunConfig:
     values = {**base, **overrides}
     if args.command == "sim" and args.search is None:
         fixed = [key for key in _REPLAY_FIXED if _BY_KEY[key].attr in values]
+        if args.crashes is not None:
+            fixed.append("crashes")
         if fixed:
             raise UsageError(
-                "a replay takes n and its quorums from the schedule; "
-                "drop " + ", ".join(fixed)
+                "a replay takes n, its quorums and its crash budget from the "
+                "schedule; drop " + ", ".join(fixed)
             )
     return RunConfig(**values)
 

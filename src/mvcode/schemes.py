@@ -123,20 +123,25 @@ def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
     return fields
 
 
-def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple) -> int:
-    """Outcome code of one decode from T of the symbols encoding ``vt``."""
+def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple):
+    """The one read judgment: every verifier engine and the simulator turn
+    a decode from T of the symbols encoding ``vt`` into an outcome here.
+
+    Returns (code, got): ``got`` is what decode gave (the Decoded pair,
+    None, or the DecodingError it raised), and the code is _RAISED, _NULL,
+    _WRONG (a version out of range, or content other than vt's), or else
+    the decoded version index.
+    """
     try:
-        out = scheme.decode(tuple(T), state, symbols)
-    except DecodingError:
-        return _RAISED
-    if out is None:
-        return _NULL
-    version, message = out
-    if not 1 <= version <= scheme.model.nu:
-        return _WRONG
-    if message != vt.version(version):
-        return _WRONG
-    return version
+        got = scheme.decode(tuple(T), state, symbols)
+    except DecodingError as exc:
+        return _RAISED, exc
+    if got is None:
+        return _NULL, None
+    version, message = got
+    if 1 <= version <= scheme.model.nu and message == vt.version(version):
+        return version, got
+    return _WRONG, got
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ class MvcScheme(ABC):
         codes = []
         for i, vt in enumerate(tuples):
             symbols = {t: row[i] for t, row in symbol_rows}
-            codes.append(_judge(self, T, cell_state, symbols, vt))
+            codes.append(_judge(self, T, cell_state, symbols, vt)[0])
         return codes
 
     def worst_case_cost(self) -> CostReport:

@@ -11,12 +11,13 @@ A write completes when its c_w-th server acknowledges the arrival; acks
 already sent survive a later crash of their server.  A read contacts all
 servers and proceeds with the first c_r responders, modeled as the c_r
 lowest-indexed servers that have not crashed; each responder re-encodes
-its stored symbol from everything it has received so far.  The read is
-consistent when the decoder returns a correct version at least as new as
-the newest write completed before the read started (or anything, when no
-write has completed).  A consistent read of a version that is itself not
-yet complete is flagged but not failed.  A raised decode error is always
-an inconsistent read.
+its stored symbol from everything it has received so far.  Reads are
+judged by the same function the verifier uses (``schemes._judge``): the
+read is consistent when the decoder returns a correct version at least as
+new as the newest write completed before the read started (when no write
+has completed, any correct version or NULL).  A consistent read of a
+version that is itself not yet complete is flagged but not failed.  A
+raised decode error or wrong content is always an inconsistent read.
 
 Arrivals addressed to a crashed server are dropped, matching a message
 that reaches a dead machine.
@@ -24,17 +25,11 @@ that reaches a dead machine.
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from .model import (
-    CorrelationModel,
-    SystemState,
-    VersionTuple,
-    latest_complete_version,
-    sample_tuple,
-)
-from .schemes import DecodingError, MvcScheme
+from .model import SystemState, VersionTuple, latest_complete_version, sample_tuple
+from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
 
 KIND_WRITE = "write-start"
 KIND_ARRIVAL = "server-arrival"
@@ -316,11 +311,24 @@ class ExecutionTrace:
         return "\n".join(lines)
 
 
-def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo):
-    """A read against the receipt sets ``received``, as (responders,
-    snapshot, decoded version, hex content, latest complete version,
-    consistent, flagged, note): the fields of a ReadRecord after its time,
-    with the snapshot still a SystemState.
+class _Read(NamedTuple):
+    """A read's verdict: the fields of a ReadRecord after its time, with
+    the snapshot still a SystemState."""
+
+    responders: tuple[int, ...]
+    snapshot: SystemState
+    decoded_version: Optional[int]
+    content: Optional[str]
+    latest_complete: Optional[int]
+    consistent: bool
+    flagged: bool
+    note: str
+
+
+def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo) -> _Read:
+    """A read against the receipt sets ``received``, judged by
+    ``schemes._judge``; what the simulator adds is that a NULL read passes
+    while nothing is complete, the flag, and the notes.
 
     ``encode_memo`` maps (server, receipt set) to that server's symbol.
     The schedule keeps c_r <= n - f, so enough servers are alive.
@@ -337,32 +345,27 @@ def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo):
             symbol = scheme.encode(t, tuple(sorted(received[t])), versions)
             encode_memo[key] = symbol
         symbols[t] = symbol
+    code, got = _judge(scheme, responders, snapshot, symbols, versions)
     version = content = None
-    consistent = flagged = False
-    note = ""
-    try:
-        out = scheme.decode(responders, snapshot, symbols)
-    except DecodingError as exc:
-        note = f"decode error: {exc}"
+    if code not in (_RAISED, _NULL):
+        version, message = got
+        content = message.to_hex()
+    # the verifier's rule, code < threshold fails, with threshold 0 while
+    # nothing is complete: raised and wrong fail, NULL passes
+    need = latest or 0
+    if code == _RAISED:
+        note = f"decode error: {got}"
+    elif code == _WRONG:
+        note = "wrong content"
+    elif code == _NULL:
+        note = "NULL with a complete version present" if latest else ""
+    elif code < need:
+        note = f"stale version {code} < complete {latest}"
     else:
-        if out is None:
-            consistent = latest is None
-            note = "" if consistent else "NULL with a complete version present"
-        else:
-            version, message = out
-            content = message.to_hex()
-            if not (
-                1 <= version <= len(versions.versions)
-                and message == versions.version(version)
-            ):
-                note = "wrong content"
-            elif latest is not None and version < latest:
-                note = f"stale version {version} < complete {latest}"
-            else:
-                consistent = True
-                flagged = latest is None or version > latest
-                note = "returned version is not yet complete" if flagged else ""
-    return responders, snapshot, version, content, latest, consistent, flagged, note
+        note = "returned version is not yet complete" if code > need else ""
+    return _Read(
+        responders, snapshot, version, content, latest, code >= need, code > need, note
+    )
 
 
 def run_simulation(
@@ -412,7 +415,7 @@ def run_simulation(
         elif event.kind == KIND_CRASH:
             crashed.add(event.server)
         else:
-            responders, snapshot, *verdict = _read(
+            read = _read(
                 scheme,
                 schedule.c_w,
                 schedule.c_r,
@@ -421,11 +424,9 @@ def run_simulation(
                 versions,
                 encode_memo,
             )
-            reads.append(
-                ReadRecord(
-                    event.reader, event.time, responders, snapshot.key(), *verdict
-                )
-            )
+            # _Read names its fields as ReadRecord does
+            fields = read._replace(snapshot=read.snapshot.key())._asdict()
+            reads.append(ReadRecord(event.reader, event.time, **fields))
 
     writes = tuple(
         WriteRecord(w.version, w.start, completions.get(w.version))
@@ -500,10 +501,9 @@ def adversarial_schedule_search(
         node, path = queue.popleft()
         used = len(path)
         received, written, crashed = node
-        # item 5 of a read is its consistent flag
         if used + 1 <= depth and not _read(
             scheme, c_w, c_r, received, crashed, versions, encode_memo
-        )[5]:
+        ).consistent:
             events = tuple(
                 SimEvent(kind, t, version=version, server=server)
                 for t, (kind, version, server) in enumerate(path)

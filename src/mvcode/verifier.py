@@ -279,7 +279,7 @@ def _monte_carlo_run(
         symbols = {
             t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt) for t in T
         }
-        code = _judge(scheme, T, state, symbols, vt)
+        code, _ = _judge(scheme, T, state, symbols, vt)
         if code < threshold:
             failures += 1
             record[1] += 1

@@ -7,16 +7,23 @@ fine; independent is the point.  The mpmath rate arithmetic, the quorum
 bridge's subset scan and the GF(2^m) Vandermonde inverse at the end are the
 implementations the exact paths, the direct bridge rule and the GF(2) mask
 decode replaced, kept as their oracles.
+
+The parity lemma of the linear codebook and the binning rate-region check
+with its scenario rates are analytics only tests call; they live here and
+use the library's exact rate arithmetic (``RateAllocation.sign``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from mpmath import mp
+
+from mvcode.binning import _ZERO_TERM, RateTerm, _decoding_chain
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -102,6 +109,117 @@ def even_parity_monte_carlo(
     return float(np.mean((parities == 0).all(axis=1)))
 
 
+def even_parity_probability(p, w: int, M: int) -> float:
+    """P(all M column parities even) for a w-row slice of a Bernoulli(p)
+    binary matrix: ((1 + (1-2p)^w) / 2)^M, exact in the rationals."""
+    prob = Fraction(p)
+    if not 0 <= prob <= 1:
+        raise ValueError("p must be a probability")
+    if w < 0 or M < 0:
+        raise ValueError("w and M must be nonnegative")
+    return float(((1 + (1 - 2 * prob) ** w) / 2) ** M)
+
+
+# ---------------------------------------------------------------------------
+# The relaxed decodability region of the binning allocation, decided
+# exactly on symbolic rates.
+
+
+def term_minus(a: RateTerm, b: RateTerm) -> RateTerm:
+    return RateTerm(*(x - y for x, y in zip(a, b)))
+
+
+def _as_term(value) -> RateTerm:
+    if isinstance(value, RateTerm):
+        return value
+    return RateTerm(Fraction(value), Fraction(0), Fraction(0))
+
+
+@dataclass(frozen=True)
+class RegionCheck:
+    """Outcome of the relaxed decodability region test for one scenario.
+
+    ``slacks[0]`` belongs to the full-sum constraint (which carries the
+    extra +K for the oldest version's content); ``slacks[j]`` for j >= 1 to
+    the suffix constraint starting at the scenario's (j+1)-th version.
+    """
+
+    scenario: tuple[int, ...]
+    satisfied: bool
+    slacks: tuple[float, ...]
+
+
+def rate_region_check(allocation, rates, scenario) -> RegionCheck:
+    """Check the suffix-sum decodability inequalities for one scenario.
+
+    ``scenario`` is the ascending version chain u_1 < ... < u_L a reading
+    group must untangle; ``rates[u]`` is the total number of stored index
+    bits about version u across that group (symbolic terms keep the check
+    exact, plain numbers are accepted too).  Constraint i in 2..L:
+
+        sum_{j=i..L} rates[u_j]
+            >= sum_{j=i..L} (u_j - u_{j-1})*log2(Vol) + (L-1) + E
+
+    and the full sum additionally covers the oldest version's content, with
+    the first gap term replaced by K.  E = nu*n - log2(epsilon).
+    """
+    chain = tuple(scenario)
+    if not chain or list(chain) != sorted(set(chain)):
+        raise ValueError("scenario must be strictly ascending and nonempty")
+    if chain[0] < 1 or chain[-1] > allocation.model.nu:
+        raise ValueError("scenario versions out of range")
+    L = len(chain)
+    terms = {u: _as_term(rates[u]) for u in chain}
+    budget = RateTerm(
+        Fraction(L - 1 + allocation.model.nu * allocation.n),
+        Fraction(0),
+        Fraction(-1),
+    )
+
+    slacks = []
+    satisfied = True
+    for i in range(1, L + 1):
+        lhs = _ZERO_TERM
+        for u in chain[i - 1 :]:
+            lhs = lhs.plus(terms[u])
+        rhs = budget
+        gap_vol = Fraction(0)
+        for j in range(max(i, 2), L + 1):
+            gap_vol += chain[j - 1] - chain[j - 2]
+        rhs = rhs.plus(RateTerm(Fraction(0), gap_vol, Fraction(0)))
+        if i == 1:
+            rhs = rhs.plus(
+                RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
+            )
+        gap = term_minus(lhs, rhs)
+        sign = allocation.sign(gap)
+        slacks.append(allocation.evaluate(gap) if sign else 0.0)
+        if sign < 0:
+            satisfied = False
+    return RegionCheck(chain, satisfied, tuple(slacks))
+
+
+def scenario_rates(allocation, state, T) -> tuple[tuple[int, ...], dict]:
+    """The decode scenario of (state, T) and its aggregated symbolic rates.
+
+    For each version in the chain, sums the allocated per-server rates over
+    the members of T holding it; that total is what the region constrains.
+    Raises if T shares no version.
+    """
+    found = _decoding_chain([state.per_server[t] for t in T])
+    if found is None:
+        raise ValueError("T shares no version in this state")
+    _u_L, chain = found
+    totals: dict[int, RateTerm] = {}
+    for u in chain:
+        total = _ZERO_TERM
+        for t in T:
+            if u in state.per_server[t]:
+                total = total.plus(allocation.rate_term(state.per_server[t], u))
+        totals[u] = total
+    return chain, totals
+
+
 # ---------------------------------------------------------------------------
 # The 128-bit mpmath rate arithmetic that exact big-integer ceilings and the
 # 50-digit decimal logarithms replaced, kept verbatim as their oracle.
@@ -169,8 +287,6 @@ def snapped_ceil_bits(allocation, term) -> int:
 
 def snapped_region_slacks(allocation, rates, scenario) -> tuple[float, ...]:
     """The slacks rate_region_check reported for symbolic ``rates``."""
-    from mvcode.binning import RateTerm
-
     chain = tuple(scenario)
     L = len(chain)
     zero = RateTerm(Fraction(0), Fraction(0), Fraction(0))
@@ -193,7 +309,7 @@ def snapped_region_slacks(allocation, rates, scenario) -> tuple[float, ...]:
             rhs = rhs.plus(
                 RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
             )
-        gap = lhs.minus(rhs)
+        gap = term_minus(lhs, rhs)
         if gap.is_zero():
             slack = 0.0
         else:

@@ -8,17 +8,20 @@ desk scale.
 from fractions import Fraction
 from itertools import combinations
 
-from oracles import ball_volume, even_parity_monte_carlo, log2_fixed
+from oracles import (
+    ball_volume,
+    even_parity_monte_carlo,
+    even_parity_probability,
+    log2_fixed,
+    rate_region_check,
+    scenario_rates,
+)
 
 from mvcode.binning import (
-    BinningScheme,
     RateAllocation,
     binary_entropy,
-    even_parity_probability,
     example1_rate_comparison,
-    rate_region_check,
     sample_tuples,
-    scenario_rates,
     seed_search,
 )
 from mvcode.bounds import BoundParams, lower_bound_general

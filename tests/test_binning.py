@@ -11,23 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import even_parity_monte_carlo, log2_fixed, wilson_upper
+from oracles import (
+    even_parity_monte_carlo,
+    even_parity_probability,
+    log2_fixed,
+    rate_region_check,
+    scenario_rates,
+    wilson_upper,
+)
 from mvcode import binning as binning_module
 from mvcode.binning import (
     BinningCodebook,
     BinningScheme,
     PossibleSetOutcome,
     RateAllocation,
-    RateTerm,
     binary_entropy,
     binning_worst_case_cost,
     empirical_error_survey,
-    even_parity_probability,
     example1_rate_comparison,
     possible_set_decode,
-    rate_region_check,
     sample_tuples,
-    scenario_rates,
     seed_search,
 )
 from mvcode.model import (

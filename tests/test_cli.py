@@ -2,6 +2,7 @@
 subcommand's output shape and exit code, byte-level determinism, and the
 README's library example."""
 
+import ast
 import csv
 import io
 import os
@@ -100,6 +101,41 @@ def test_package_root_exports_the_audited_names():
     assert set(mvcode.__all__) == _ROOT_NAMES
     for name in mvcode.__all__:
         assert getattr(mvcode, name) is not None, name
+
+
+def _own_definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield member
+
+
+def test_src_defines_only_what_something_calls():
+    # code only tests call belongs in the tests (tests/oracles.py)
+    repo = Path(__file__).resolve().parents[1]
+    package = sorted((repo / "src" / "mvcode").glob("*.py"))
+    texts = {
+        path: path.read_text()
+        for path in [*package, *sorted((repo / "perfbench").glob("*.py"))]
+    }
+    texts[repo / "README.md"] = (repo / "README.md").read_text()
+    uncalled = []
+    for path in package:
+        lines = texts[path].splitlines()
+        for node in _own_definitions(ast.parse(texts[path])):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            outside = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+            named = re.compile(rf"\b{node.name}\b")
+            others = (text for other, text in texts.items() if other != path)
+            if not any(named.search(text) for text in (outside, *others)):
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+    assert uncalled == []
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +304,37 @@ def test_c_and_n_outside_their_range_name_their_flag(capsys):
         code, out, err = _run(capsys, "verify", *argv)
         assert (code, out) == (2, ""), argv
         assert err == f"error: {message}\n"
+
+
+def test_seed_and_trials_outside_their_range_name_their_flag(tmp_path, capsys):
+    # a search refuses a bad seed before it runs, with empty stdout
+    mds = ("sim", "--search", "4", "--scheme", "mds", "-n", "4", "--c-w", "3")
+    lo = ("sim", "--search", "8", "--scheme", "latest-only", "-n", "2", "--K", "4")
+    negative = "seed must lie in [0, 2^64), got -1"
+    for argv, message in (
+        ((*mds, "--c-r", "3", "--seed", "-1"), negative),
+        ((*lo, "--c-w", "2", "--c-r", "2", "--seed", "-1"), negative),
+        (("cost", "--seed", "-1"), negative),
+        (("cost", "--seed", str(2**64)), f"seed must lie in [0, 2^64), got {2**64}"),
+        (
+            ("verify", "--K", "4", "--mode", "exhaustive", "--trials", "-3"),
+            "trials must be at least 1, got -3",
+        ),
+        (("binning", "--trials", "0"), "trials must be at least 1, got 0"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n"
+    path = tmp_path / "run.cfg"
+    for text, message in (
+        ("seed=-2\n", "seed must lie in [0, 2^64), got -2"),
+        ("trials=0\n", "trials must be at least 1, got 0"),
+    ):
+        path.write_text(text)
+        code, out, err = _run(capsys, "verify", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, _, _ = _run(capsys, "cost", "--seed", str(2**64 - 1))
+    assert code == 0
 
 
 def test_config_file_feeds_flags(tmp_path, capsys):
@@ -490,10 +557,23 @@ def test_sim_replay_takes_its_quorums_from_the_schedule(tmp_path, capsys):
     assert params.startswith("params scheme=mds nu=2 ")
     assert " n=" not in params and " c=" not in params
     assert schedule.endswith("n=6 c-w=5 c-r=5 f=1 events=13")
-    for flags in (("-n", "5"), ("-c", "2"), ("--c-w", "3", "--c-r", "3", "-n", "5")):
+    for flags in (
+        ("-n", "5"),
+        ("-c", "2"),
+        ("--c-w", "3", "--c-r", "3", "-n", "5"),
+        ("--scheme", "mds", "--crashes", "3"),
+    ):
         code, out, err = _run(capsys, "sim", *flags)
         assert (code, out) == (2, ""), flags
         assert "from the schedule" in err
+    assert err.endswith("drop crashes\n")
+    # a search takes the crash budget, 0 when unset
+    search = ("sim", "--search", "2", "-n", "3", "--c-w", "2", "--c-r", "2")
+    for flags in ((), ("--crashes", "1")):
+        code, out, _ = _run(capsys, *search, *flags)
+        assert (code, out.splitlines()[-1]) == (0, "search none-found depth=2")
+    code, _, err = _run(capsys, *search, "--crashes", "2")
+    assert code == 2 and "n - f" in err
     path = tmp_path / "run.cfg"
     path.write_text("n=5\n")
     code, _, err = _run(capsys, "sim", "--config", str(path))

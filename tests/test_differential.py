@@ -16,8 +16,11 @@ from oracles import (
     latest_complete_by_count,
     mpmath_evaluate,
     mpmath_log2,
+    rate_region_check,
+    scenario_rates,
     snapped_ceil_bits,
     snapped_region_slacks,
+    term_minus,
     vandermonde_decode,
     vandermonde_interpolate,
 )
@@ -28,9 +31,7 @@ from mvcode.binning import (
     RateTerm,
     binning_worst_case_cost,
     empirical_error_survey,
-    rate_region_check,
     sample_tuples,
-    scenario_rates,
 )
 from mvcode.bounds import log2_exact
 from mvcode.model import (
@@ -86,7 +87,7 @@ def test_rates_ceilings_and_region_match_the_mpmath_oracle(K):
                     T = tuple(range(c))
                     for state in _region_states(n, nu):
                         chain, totals = scenario_rates(alloc, state, T)
-                        short = {u: r.minus(HALF_BIT) for u, r in totals.items()}
+                        short = {u: term_minus(r, HALF_BIT) for u, r in totals.items()}
                         for rates in (totals, short):
                             check = rate_region_check(alloc, rates, chain)
                             want = snapped_region_slacks(alloc, rates, chain)

@@ -15,6 +15,7 @@ from mvcode.model import (
     Message,
     SystemState,
     enumerate_possible_set,
+    iter_states,
     latest_complete_version,
     sample_tuple,
 )
@@ -26,9 +27,9 @@ from mvcode.schemes import (
     make_scheme,
 )
 from mvcode.sim import (
-    ExecutionTrace,
     Schedule,
     SimEvent,
+    _read,
     adversarial_schedule_search,
     partial_update_crash_schedule,
     read_start,
@@ -651,3 +652,32 @@ def test_inconsistent_reads_are_confirmed_by_verifier():
             assert not report.passed
             assert report.failure_count > 0
     assert bad_reads > 0  # the sweep actually exercised the failing path
+
+
+@pytest.mark.parametrize(
+    "name", ["replication", "mds", "delta", "rs-update", "latest-only"]
+)
+def test_sim_read_agrees_with_the_quorum_verifier(name):
+    # every state and read quorum, the remaining server crashed so the
+    # quorum is the responder set: the simulator's read of one tuple is
+    # consistent exactly when the verifier's code for it meets the newest
+    # complete version, or when nothing is complete
+    model = CorrelationModel(4, 1, 2)
+    scheme = quorum_bridge(make_scheme(name, model, 4, 2), 3, 3)
+    tuples = [sample_tuple(model, seed) for seed in range(3)]
+    reads = inconsistent = 0
+    for state in iter_states(4, 2):
+        latest = latest_complete_version(state, 3)
+        for T in combinations(range(4), 3):
+            crashed = set(range(4)) - set(T)
+            for vt in tuples:
+                read = _read(scheme, 3, 3, state.per_server, crashed, vt, {})
+                (code,) = scheme.cell_codes(T, state, [vt], {})
+                assert read.responders == T
+                assert read.consistent == (latest is None or code >= latest), (
+                    state.key(), T, vt, read.note
+                )
+                reads += 1
+                inconsistent += not read.consistent
+    assert reads == 256 * 4 * 3
+    assert inconsistent == (240 if name == "latest-only" else 0)
