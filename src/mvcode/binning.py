@@ -18,14 +18,13 @@ safety term -log2(epsilon * 2^(-nu*n)) so a union bound over the at most
 2^(nu*n) reachable states keeps the total failure probability below epsilon.
 
 Two codebook kinds are supported.  "random-uniform" draws each index i.i.d.
-uniform: an explicit table for K <= 16, a keyed hash beyond.  "linear"
-multiplies the value by a seeded random binary matrix, whose column-prefix
-structure gives the same truncation semantics.
+uniform into a table of all 2^K values, so it needs K <= TABLE_MAX_K.
+"linear" multiplies the value by a seeded random binary matrix, whose
+column-prefix structure gives the same truncation semantics, at any K.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -233,19 +232,25 @@ class RateAllocation:
 # Codebooks
 
 _CODEBOOK_KINDS = ("random-uniform", "linear")
-_PRF_BITS = 256
 # Largest K whose decodes can read index tables of all 2^K values.
 TABLE_MAX_K = 16
 
 
-def _uniform_entries(rng: np.random.Generator, count: int, width: int):
-    """``count`` i.i.d. uniform ``width``-bit integers from one stream.
+def check_decodable(K: int) -> None:
+    """Refuse a K whose index tables of 2^K entries binning cannot build."""
+    if K > TABLE_MAX_K:
+        raise ValueError(
+            f"binning decodes need K <= {TABLE_MAX_K} (index tables of 2^K "
+            f"entries), got K={K}"
+        )
 
-    Returns a numpy array when a uint64 holds them, else a list of ints
-    assembled from 64-bit limbs (low limbs drawn first, then the remainder).
-    """
+
+def _uniform_entries(rng: np.random.Generator, count: int, width: int) -> list[int]:
+    """``count`` i.i.d. uniform ``width``-bit integers from one stream; past
+    64 bits each is assembled from 64-bit limbs (low limbs drawn first, then
+    the remainder)."""
     if width <= 64:
-        return rng.integers(0, 1 << width, size=count, dtype=np.uint64)
+        return rng.integers(0, 1 << width, size=count, dtype=np.uint64).tolist()
     limbs, rem = divmod(width, 64)
     base = rng.integers(0, 1 << 64, size=(count, limbs), dtype=np.uint64)
     tops = rng.integers(0, 1 << rem, size=count, dtype=np.uint64) if rem else None
@@ -279,7 +284,9 @@ class BinningCodebook:
 
     Per (server, version) pair the map is derived from an independent
     pseudorandom stream keyed by [seed, server, version], so adding servers
-    or versions never shifts existing entries.
+    or versions never shifts existing entries.  A random-uniform map is its
+    table of 2^K indices; a linear map is its K row masks, doubled into a
+    table only for decoding.
     """
 
     kind: str
@@ -302,15 +309,6 @@ class BinningCodebook:
             raise ValueError("need at least one server")
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
-        if (
-            self.kind == "random-uniform"
-            and not self.uses_table
-            and self.capacity > _PRF_BITS
-        ):
-            raise ValueError(
-                f"index capacity {self.capacity} exceeds the {_PRF_BITS}-bit "
-                "hash output available for K > 16"
-            )
 
     @classmethod
     def create(
@@ -325,45 +323,19 @@ class BinningCodebook:
         allocation = RateAllocation(model, n, c, Fraction(epsilon))
         return cls(kind, seed, model, n, allocation.matrix_columns)
 
-    @property
-    def uses_table(self) -> bool:
-        # i.i.d.-uniform indices are materialized exactly for small K; the
-        # keyed hash beyond that is the documented uniform approximation.
-        return self.kind == "random-uniform" and self.model.K <= TABLE_MAX_K
-
     def _validate_pair(self, server: int, version: int) -> None:
         if not 0 <= server < self.n:
             raise ValueError(f"server {server} out of range 0..{self.n - 1}")
         if not 1 <= version <= self.model.nu:
             raise ValueError(f"version {version} out of range 1..{self.model.nu}")
 
-    def _pair_map(self, server: int, version: int):
+    def _row_masks(self, server: int, version: int) -> tuple[int, ...]:
         key = (server, version)
         if key not in self._maps:
-            if self.kind == "linear":
-                self._maps[key] = _linear_row_masks(
-                    self.seed, server, version, self.model.K, self.capacity
-                )
-            elif self.uses_table:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([self.seed, server, version])
-                )
-                entries = _uniform_entries(rng, 1 << self.model.K, self.capacity)
-                self._maps[key] = [int(v) for v in entries]
-            else:
-                self._maps[key] = None  # hashed on demand
+            self._maps[key] = _linear_row_masks(
+                self.seed, server, version, self.model.K, self.capacity
+            )
         return self._maps[key]
-
-    def _prf_index(self, server: int, version: int, w_bits: int) -> int:
-        h = hashlib.blake2b(
-            digest_size=_PRF_BITS // 8,
-            key=self.seed.to_bytes(16, "big"),
-            person=b"binindex",
-        )
-        h.update(server.to_bytes(4, "big"))
-        h.update(version.to_bytes(4, "big"))
-        h.update(w_bits.to_bytes((self.model.K + 7) // 8, "big"))
-        return int.from_bytes(h.digest(), "big") & ((1 << self.capacity) - 1)
 
     def index_of(self, server: int, version: int, w_bits: int, bits: int) -> int:
         self._validate_pair(server, version)
@@ -372,37 +344,33 @@ class BinningCodebook:
         if not 0 <= w_bits < 1 << self.model.K:
             raise ValueError("value out of range for length K")
         mask = (1 << bits) - 1
-        pair = self._pair_map(server, version)
         if self.kind == "linear":
-            return xor_rows(pair, w_bits) & mask
-        if pair is not None:
-            return pair[w_bits] & mask
-        return self._prf_index(server, version, w_bits) & mask
+            return xor_rows(self._row_masks(server, version), w_bits) & mask
+        table = self._maps.get(("table", server, version))
+        if table is None:
+            table = self.index_table(server, version)
+        return table[w_bits] & mask
 
     def index_table(self, server: int, version: int) -> list[int]:
-        """Full-capacity indices of all 2^K values; K <= 16 only."""
+        """Full-capacity indices of all 2^K values; K <= TABLE_MAX_K only."""
         self._validate_pair(server, version)
-        K = self.model.K
-        if K > TABLE_MAX_K:
-            raise EnumerationCapExceeded(
-                1 << K,
-                1 << TABLE_MAX_K,
-                f"binning index tables cover K <= {TABLE_MAX_K} only, got K={K}",
-            )
         key = ("table", server, version)
         if key not in self._maps:
+            K = self.model.K
+            check_decodable(K)
             if self.kind == "linear":
-                rows = self._pair_map(server, version)
+                rows = self._row_masks(server, version)
                 table = [0] * (1 << K)
-                for k in range(K):
+                for k, mask in enumerate(rows):
                     size = 1 << k
-                    mask = rows[k]
                     for w in range(size):
                         table[size + w] = table[w] ^ mask
-                self._maps[key] = table
             else:
-                # K <= 16, so a random-uniform codebook has its table
-                self._maps[key] = self._pair_map(server, version)
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([self.seed, server, version])
+                )
+                table = _uniform_entries(rng, 1 << K, self.capacity)
+            self._maps[key] = table
         return self._maps[key]
 
     def _values_by_index(self, server: int, version: int, bits: int) -> dict:
@@ -878,10 +846,6 @@ class BinningScheme(MvcScheme):
         table = model.K / self.c + (model.nu - 1) * log2(
             model.ball_volume()
         ) / self.c
-        probe = self.encode(
-            0, full, VersionTuple(tuple(Message(0, model.K) for _ in full))
-        )
-        assert probe.bit_length == storage
         notes = (
             f"real-rate total {binning_worst_case_cost(self.allocation):.4f} bits",
             f"ceiling slack {self.allocation.ceiling_slack(full):.4f} bits",

@@ -26,9 +26,9 @@ from typing import Optional
 
 from .binning import (
     _CODEBOOK_KINDS,
-    TABLE_MAX_K,
     RateAllocation,
     binning_worst_case_cost,
+    check_decodable,
     example1_rate_comparison,
     sample_tuples,
     seed_search,
@@ -46,16 +46,16 @@ from .model import (
 )
 from .schemes import make_scheme, scheme_names
 from .sim import (
+    MAX_SEARCH_DEPTH,
     adversarial_schedule_search,
     partial_update_crash_schedule,
     run_simulation,
     schedule_from_text,
     schedule_to_text,
 )
-from .verifier import quorum_bridge, verify_definition_2, verify_requirement_A
+from .verifier import _MODES, quorum_bridge, verify_definition_2, verify_requirement_A
 
 _FORMATS = ("text", "csv", "structured")
-_MODES = ("auto", "exhaustive", "monte-carlo")
 
 
 class UsageError(ValueError):
@@ -314,16 +314,6 @@ class _Table:
 # Commands
 
 
-def _check_binning_decodes(K: int) -> None:
-    """Binning decodes read index tables of 2^K entries; refuse a larger K
-    before any work.  ``cost`` decodes nothing and takes any K."""
-    if K > TABLE_MAX_K:
-        raise UsageError(
-            f"binning decodes need K <= {TABLE_MAX_K} (index tables of 2^K "
-            f"entries), got K={K}"
-        )
-
-
 def _build_scheme(cfg: RunConfig, model: CorrelationModel, c: int):
     if cfg.scheme == "binning":
         return make_scheme(
@@ -366,7 +356,7 @@ def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
 
 def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     if cfg.scheme == "binning":
-        _check_binning_decodes(cfg.K)
+        check_decodable(cfg.K)
     model = cfg.model()
     c = cfg.effective_c
     scheme = _build_scheme(cfg, model, c)
@@ -455,10 +445,21 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
 
 def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
     if cfg.scheme == "binning":
-        _check_binning_decodes(cfg.K)
+        check_decodable(cfg.K)
     if args.search is not None:
         if cfg.c_w is None:
             raise UsageError("--search needs --c-w and --c-r")
+        if not 0 <= args.search <= MAX_SEARCH_DEPTH:
+            raise UsageError(
+                f"search must lie in [0, {MAX_SEARCH_DEPTH}], got {args.search}"
+            )
+        crashes = args.crashes or 0
+        room = cfg.n - max(cfg.c_w, cfg.c_r)
+        if not 0 <= crashes <= room:
+            raise UsageError(
+                f"crashes must lie in [0, n - max(c-w, c-r) = {room}], "
+                f"got {crashes}"
+            )
         model = cfg.model()
         scheme = quorum_bridge(
             _build_scheme(cfg, model, cfg.effective_c), cfg.c_w, cfg.c_r
@@ -468,7 +469,7 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
             scheme,
             cfg.c_w,
             cfg.c_r,
-            f=args.crashes or 0,
+            f=crashes,
             depth=args.search,
             seed=cfg.seed,
         )
@@ -515,7 +516,9 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
-    _check_binning_decodes(cfg.K)
+    check_decodable(cfg.K)
+    if args.seeds < 1:
+        raise UsageError(f"seeds must be at least 1, got {args.seeds}")
     model = cfg.model()
     c = cfg.effective_c
     seeds = list(range(cfg.seed, cfg.seed + args.seeds))

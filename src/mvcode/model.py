@@ -29,13 +29,11 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """An exhaustive walk would visit more elements than the configured cap,
-    or than a fixed internal limit, which ``message`` then names."""
+    """An exhaustive walk would visit more elements than its cap allows."""
 
-    def __init__(self, estimate: int, cap: int, message: Optional[str] = None):
+    def __init__(self, estimate: int, cap: int):
         super().__init__(
-            message
-            or f"enumeration would visit about {estimate} elements, cap is {cap}"
+            f"enumeration would visit about {estimate} elements, cap is {cap}"
         )
         self.estimate = estimate
         self.cap = cap

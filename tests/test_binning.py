@@ -207,28 +207,50 @@ def test_truncation_is_a_prefix(linear, server, version, bits, value):
     assert codebook.index_of(server, version, w.bits, bits) == full & ((1 << bits) - 1)
 
 
-def test_hashed_kind_beyond_table_range():
+@pytest.mark.parametrize("kind", ["random-uniform", "linear"])
+def test_index_of_reads_the_decode_table(kind):
+    # encodes (index_of) and decodes (index_table) must bin every value
+    # alike; two fresh codebooks keep the two from sharing a cache
+    encoder, decoder = (
+        BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, kind=kind, seed=9)
+        for _ in range(2)
+    )
+    for t in range(REF_N):
+        for u in (1, 2):
+            encoded = [encoder.index_of(t, u, w, encoder.capacity) for w in range(256)]
+            assert encoded == decoder.index_table(t, u)
+
+
+_TABLE_LIMIT = "binning decodes need K <= 16 (index tables of 2^K entries), got K=18"
+
+
+def test_codebooks_beyond_table_range():
     model = CorrelationModel(18, 1, 2)
-    codebook = BinningCodebook.create(model, 3, 2, REF_EPS, seed=4)
-    assert not codebook.uses_table
     w = Message(0x2ABCD, 18)
+    # a random-uniform codebook is its index table, which K=18 cannot have
+    uniform = BinningCodebook.create(model, 3, 2, REF_EPS, seed=4)
+    with pytest.raises(ValueError) as err:
+        uniform.index_of(0, 1, w.bits, uniform.capacity)
+    assert str(err.value) == _TABLE_LIMIT
+    with pytest.raises(ValueError) as err:
+        uniform.index_table(0, 1)
+    assert str(err.value) == _TABLE_LIMIT
+    # a linear one encodes from its row masks at any K
+    codebook = BinningCodebook.create(model, 3, 2, REF_EPS, kind="linear", seed=4)
     full = codebook.index_of(0, 1, w.bits, codebook.capacity)
     assert codebook.index_of(0, 1, w.bits, 5) == full & 31
-    again = BinningCodebook.create(model, 3, 2, REF_EPS, seed=4)
+    again = BinningCodebook.create(model, 3, 2, REF_EPS, kind="linear", seed=4)
     assert again.index_of(0, 1, w.bits, codebook.capacity) == full
-    other = BinningCodebook.create(model, 3, 2, REF_EPS, seed=5)
+    other = BinningCodebook.create(model, 3, 2, REF_EPS, kind="linear", seed=5)
     assert other.index_of(0, 1, w.bits, codebook.capacity) != full
-    # survivor enumeration over 2^18 values is out of reach by design
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(ValueError) as err:
         codebook.index_table(0, 1)
+    assert str(err.value) == _TABLE_LIMIT
 
 
-def test_capacity_beyond_hash_output_rejected():
+def test_unknown_codebook_kind_rejected():
     with pytest.raises(ValueError):
         BinningCodebook("affine", 0, REF_MODEL, REF_N, 12)
-    model = CorrelationModel(20, 1, 2)
-    with pytest.raises(ValueError):
-        BinningCodebook.create(model, 2, 1, Fraction(1, 2**300))
 
 
 # ---------------------------------------------------------------------------

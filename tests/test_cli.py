@@ -573,7 +573,7 @@ def test_sim_replay_takes_its_quorums_from_the_schedule(tmp_path, capsys):
         code, out, _ = _run(capsys, *search, *flags)
         assert (code, out.splitlines()[-1]) == (0, "search none-found depth=2")
     code, _, err = _run(capsys, *search, "--crashes", "2")
-    assert code == 2 and "n - f" in err
+    assert code == 2 and "crashes must lie in [0, n - max(c-w, c-r) = 1]" in err
     path = tmp_path / "run.cfg"
     path.write_text("n=5\n")
     code, _, err = _run(capsys, "sim", "--config", str(path))
@@ -613,6 +613,19 @@ def test_sim_search_requires_quorums(capsys):
     assert code == 2 and "--c-w" in err
 
 
+def test_sim_search_flags_name_themselves(capsys):
+    search = ("sim", "-n", "3", "--c-w", "2", "--c-r", "2")
+    for flags, message in (
+        (("--search", "2", "--crashes", "2"),
+         "crashes must lie in [0, n - max(c-w, c-r) = 1], got 2"),
+        (("--search", "2", "--crashes", "-1"),
+         "crashes must lie in [0, n - max(c-w, c-r) = 1], got -1"),
+        (("--search", "-1"), "search must lie in [0, 12], got -1"),
+        (("--search", "13"), "search must lie in [0, 12], got 13"),
+    ):
+        assert _run(capsys, *search, *flags) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # binning and example1
 
@@ -633,6 +646,13 @@ def test_binning_kind_reaches_the_linear_codebook(capsys):
     assert code == 0
     assert "search kind=linear seeds=1 tuples-per-cell=50" in out
     assert any(line.startswith("0     672    33600 ") for line in out.splitlines())
+
+
+def test_binning_seed_count_names_its_flag(capsys):
+    for seeds in ("0", "-2"):
+        code, out, err = _run(capsys, "binning", "--seeds", seeds)
+        assert (code, out) == (2, "")  # refused before any work
+        assert err == f"error: seeds must be at least 1, got {seeds}\n"
 
 
 def test_binning_index_table_limit_names_itself(capsys):

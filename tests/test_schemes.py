@@ -410,7 +410,7 @@ def brute_force_worst(scheme):
     return worst
 
 
-@pytest.mark.parametrize("name", ["delta", "rs-update"])
+@pytest.mark.parametrize("name", ["delta", "rs-update", "binning"])
 def test_measured_matches_exhaustive_maximum(name):
     model = CorrelationModel(K=4, radius=1, nu=2)
     scheme = make_scheme(name, model, 4, 2)
