@@ -10,6 +10,11 @@ candidates are the values one admissible step from a survivor of the version
 before.  Decoding succeeds when exactly one value of the newest common version
 survives; older versions may keep several survivors, which is harmless.
 
+One decode walks Python sets of survivors.  The exhaustive verifier and the
+codebook survey judge a whole read view at once (``BinningScheme.cell_codes``):
+the survivors of every tuple are flat (tuple row, value) numpy arrays,
+stepped by the same ball masks and filtered by the same checks.
+
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
 one pays only for the conditional uncertainty of its gap from the previously
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, lcm, log2
+from math import ceil, lcm, log2, prod
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,11 +55,15 @@ from .model import (
     sample_tuple,
 )
 from .schemes import (
+    _NULL,
+    _RAISED,
+    _WRONG,
     CostReport,
     Decoded,
     DecodingError,
     MvcScheme,
     StoredSymbol,
+    _run_cached,
     register_scheme,
     split_fields,
 )
@@ -373,17 +382,43 @@ class BinningCodebook:
             self._maps[key] = table
         return self._maps[key]
 
+    def _index_keys(self, server: int, version: int, bits: int) -> "_IndexKeys":
+        """All 2^K values grouped by their ``bits``-wide index; K <= 16
+        only.  Decode plans and batch decodes share these groups."""
+        key = ("keys", server, version, bits)
+        if key not in self._maps:
+            mask = (1 << bits) - 1
+            masked = np.array(
+                [index & mask for index in self.index_table(server, version)],
+                dtype=np.int64 if bits < 64 else object,
+            )
+            distinct, keys = np.unique(masked, return_inverse=True)
+            order = np.argsort(keys, kind="stable")
+            starts = np.searchsorted(keys[order], np.arange(len(distinct) + 1))
+            self._maps[key] = _IndexKeys(distinct, keys, order, starts)
+        return self._maps[key]
+
     def _values_by_index(self, server: int, version: int, bits: int) -> dict:
-        """All 2^K values grouped by their ``bits``-wide index, ascending
-        within a group; K <= 16 only.  Decode plans share these groups."""
+        """The same groups keyed by the index itself, for one decode."""
         key = ("groups", server, version, bits)
         if key not in self._maps:
-            groups: dict[int, list[int]] = {}
-            mask = (1 << bits) - 1
-            for w, index in enumerate(self.index_table(server, version)):
-                groups.setdefault(index & mask, []).append(w)
-            self._maps[key] = {i: tuple(ws) for i, ws in groups.items()}
+            index = self._index_keys(server, version, bits)
+            values, starts = index.order.tolist(), index.starts.tolist()
+            self._maps[key] = {
+                i: tuple(values[lo:hi])
+                for i, lo, hi in zip(index.distinct.tolist(), starts, starts[1:])
+            }
         return self._maps[key]
+
+
+class _IndexKeys(NamedTuple):
+    """Value w has index ``distinct[keys[w]]``; the values with key k are
+    ``order[starts[k]:starts[k + 1]]``, ascending."""
+
+    distinct: np.ndarray
+    keys: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +515,95 @@ def _run_plan(plan: _DecodePlan, targets: Sequence[Sequence[int]]) -> set[int]:
     return survivors
 
 
+# (tuple row, value) pairs a batch decode holds at once, plus at most one
+# row's own enumeration estimate
+_PAIR_BUDGET = 1 << 16
+
+
+def _plan_for(
+    codebook: BinningCodebook,
+    rates: RateAllocation,
+    T: tuple[int, ...],
+    rows: tuple[frozenset, ...],
+) -> Optional[_DecodePlan]:
+    """The codebook's plan for this view, built on first use.  Its
+    enumeration estimate is checked against DEFAULT_ENUMERATION_CAP on
+    every call, cached or not."""
+    key = (rates, T, rows)
+    try:
+        plan = codebook._plans[key]
+    except KeyError:
+        plan = codebook._plans[key] = _build_plan(codebook, rates, T, rows)
+    if plan is not None and plan.estimate > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(plan.estimate, DEFAULT_ENUMERATION_CAP)
+    return plan
+
+
+def _run_plan_batch(
+    codebook: BinningCodebook, plan: _DecodePlan, tuples, cache: dict
+) -> np.ndarray:
+    """Outcome codes of ``plan`` for every tuple, its indices stored as
+    ``encode`` stores them: ``_run_plan`` with the survivors of all tuples
+    held as (tuple row, value) pairs.
+
+    The first check's group gives each row's first survivors.  A row's
+    later survivors are at most that many times the ball volumes of the
+    later layers, so the rows run in chunks of about _PAIR_BUDGET such
+    pairs (one row at least).
+    """
+    K = codebook.model.K
+
+    def values(u: int) -> np.ndarray:
+        return _run_cached(
+            cache,
+            ("values", u),
+            lambda: np.array([vt.versions[u - 1].bits for vt in tuples], np.int64),
+        )
+
+    layers = []  # (ball masks or None, [(index keys, stored key per row)])
+    for version, masks, checks in plan.layers:
+        truth = values(version)
+        bound = []
+        for t, _tab, wmask in checks:
+            index = codebook._index_keys(t, version, wmask.bit_length())
+            bound.append((index, index.keys[truth]))
+        layers.append((None if masks is None else np.array(masks, np.int64), bound))
+    # the first check picks each row's group, which matches it throughout
+    first, stored = layers[0][1].pop(0)
+    lo = first.starts[stored]
+    count = first.starts[stored + 1] - lo
+    pairs = count * prod(len(masks) for masks, _bound in layers[1:])
+    chunk = (np.cumsum(pairs) - pairs) // _PAIR_BUDGET
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(tuples)]
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        row = np.repeat(np.arange(b - a), count[a:b])
+        skip = np.cumsum(count[a:b]) - count[a:b]
+        value = first.order[np.repeat(lo[a:b] - skip, count[a:b]) + np.arange(row.size)]
+        for masks, bound in layers:
+            if masks is not None:
+                value = (value[:, None] ^ masks).ravel()
+                row = np.repeat(row, len(masks))
+            for index, wanted in bound:
+                keep = index.keys[value] == wanted[a:b][row]
+                row, value = row[keep], value[keep]
+            if masks is not None:  # dedupe; np.unique would import numpy.ma
+                pair = np.sort(row << K | value)
+                fresh = np.ones(pair.size, bool)
+                fresh[1:] = pair[1:] != pair[:-1]
+                row, value = pair[fresh] >> K, pair[fresh] & ((1 << K) - 1)
+        survivors = np.bincount(row, minlength=b - a)
+        final = np.zeros(b - a, np.int64)
+        final[row] = value
+        right = final == values(plan.latest_common)[a:b]
+        out.append(
+            np.where(
+                survivors != 1, _RAISED, np.where(right, plan.latest_common, _WRONG)
+            )
+        )
+    return np.concatenate(out)
+
+
 def possible_set_decode(
     codebook: BinningCodebook,
     rates: RateAllocation,
@@ -497,25 +621,17 @@ def possible_set_decode(
     T shares nothing, and an error outcome when several survive or none do.
 
     The decode plan depends only on the allocation, T and the rows of T
-    (what the reader sees), so the codebook keeps one per such view; its
-    enumeration estimate is checked against DEFAULT_ENUMERATION_CAP on
-    every call, cached or not.
+    (what the reader sees), so the codebook keeps one per such view
+    (``_plan_for``).
     """
     T = tuple(T)
     if state.n != codebook.n:
         raise ValueError("state has a different server count than the codebook")
-    rows = tuple(state.per_server[t] for t in T)
-    key = (rates, T, rows)
-    try:
-        plan = codebook._plans[key]
-    except KeyError:
-        plan = codebook._plans[key] = _build_plan(codebook, rates, T, rows)
+    plan = _plan_for(codebook, rates, T, tuple(state.per_server[t] for t in T))
     if plan is None:
         return PossibleSetOutcome(
             PossibleSetOutcome.NO_COMMON, None, None, "no version common to T"
         )
-    if plan.estimate > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(plan.estimate, DEFAULT_ENUMERATION_CAP)
 
     def target(server: int, version: int, wmask: int) -> int:
         try:
@@ -772,7 +888,8 @@ class BinningScheme(MvcScheme):
     Encodes one index per received version at the allocated width; decodes
     through the survivor sets of ``possible_set_decode``.  An ambiguous or
     empty final survivor set surfaces as a DecodingError so the verifier
-    counts it like any other decode failure.
+    counts it like any other decode failure.  ``cell_codes`` runs the same
+    plan over a whole tuple list at once.
     """
 
     name = "binning"
@@ -838,6 +955,15 @@ class BinningScheme(MvcScheme):
         if outcome.status == PossibleSetOutcome.ERROR:
             raise DecodingError(outcome.reason)
         return Decoded(outcome.version, outcome.message)
+
+    def cell_codes(self, T, state, tuples, cache):
+        T = tuple(T)
+        plan = _plan_for(
+            self.codebook, self.allocation, T, tuple(state.per_server[t] for t in T)
+        )
+        if plan is None:
+            return [_NULL] * len(tuples)
+        return _run_plan_batch(self.codebook, plan, tuples, cache).tolist()
 
     def worst_case_cost(self) -> CostReport:
         model = self.model

@@ -118,12 +118,18 @@ class RunConfig:
                 raise UsageError(f"{key} must lie in [1, n={self.n}], got {size}")
         if self.delta is not None and self.radius is not None:
             raise UsageError("give either radius or delta, not both")
+        for key, size in (("K", self.K), ("nu", self.nu)):
+            if size < 1:
+                raise UsageError(f"{key} must be at least 1, got {size}")
+        if self.delta is not None and not 0 <= self.delta <= 1:
+            raise UsageError(
+                f"delta must lie in [0, 1], got {format_rational(self.delta)}"
+            )
+        self.radius_at(self.K)  # refuses a given radius outside [0, K]
         if self.mode not in _MODES:
             raise UsageError(f"mode must be one of {', '.join(_MODES)}")
         if self.fmt not in _FORMATS:
             raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-        if self.delta is not None and not 0 <= self.delta <= 1:
-            raise UsageError("delta must lie in [0, 1]")
         if self.cap < 0:
             raise UsageError(f"cap must be nonnegative, got {self.cap}")
         if not 0 <= self.seed < 1 << 64:
@@ -143,8 +149,13 @@ class RunConfig:
         return self.radius_at(self.K)
 
     def radius_at(self, K: int) -> int:
-        """The radius at message length K: floor(delta*K) when delta is given."""
+        """The radius at message length K: floor(delta*K) when delta is given.
+        A given radius must lie in [0, K]."""
         if self.radius is not None:
+            if not 0 <= self.radius <= K:
+                raise UsageError(
+                    f"radius must lie in [0, K={K}], got {self.radius}"
+                )
             return self.radius
         if self.delta is not None:
             return int(self.delta * K)  # floor for nonnegative delta
@@ -606,6 +617,9 @@ def _parse_sweep(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad sweep list: {exc}")
     if not values:
         raise argparse.ArgumentTypeError("sweep list is empty")
+    low = min(values)
+    if low < 1:
+        raise argparse.ArgumentTypeError(f"sweep values must be at least 1, got {low}")
     return values
 
 

@@ -16,7 +16,9 @@ Each of the five also judges a whole read view at once (``cell_codes``):
 the tuples' versions become 0/1 bit matrices, encoding is a product with
 the servers' GF(2) generators and decoding a product with the holders'
 cached inverse, so one exhaustive-verifier cell costs a few matrix
-products instead of one Python decode per tuple.
+products instead of one Python decode per tuple.  The binning scheme
+(``binning.BinningScheme``) judges a view at once too, holding every
+tuple's survivors as numpy (tuple row, value) arrays.
 """
 
 from __future__ import annotations

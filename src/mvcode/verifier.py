@@ -31,7 +31,8 @@ A cell is one batch: the engine asks the scheme for the outcome codes of
 the whole tuple list at once (``MvcScheme.cell_codes``), handing it a
 cache that lives for the run.  The default encodes and decodes tuple by
 tuple; the Reed-Solomon-backed schemes and replication override it with
-GF(2) bit-matrix products, and must return exactly the default's codes.
+GF(2) bit-matrix products, binning with its survivors as numpy (tuple
+row, value) arrays, and each must return exactly the default's codes.
 """
 
 import math

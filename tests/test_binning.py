@@ -46,7 +46,7 @@ from mvcode.model import (
     latest_common_version,
     sample_tuple,
 )
-from mvcode.schemes import DecodingError, StoredSymbol, make_scheme
+from mvcode.schemes import _RAISED, DecodingError, MvcScheme, StoredSymbol, make_scheme
 from mvcode.verifier import _exhaustive_run, verify_requirement_A
 
 # The reference configuration most frozen numbers below belong to.
@@ -442,6 +442,53 @@ def test_cached_plan_still_honours_the_cap():
     assert len(codebook._plans) == 1
 
 
+class _UnreadTuples:
+    """A tuple list that fails on any use."""
+
+    def __len__(self, *_):
+        raise AssertionError("tuples read")
+
+    __iter__ = __getitem__ = __len__
+
+
+def test_batch_honours_the_cap_before_building_arrays(monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("survivor arrays built")
+
+    monkeypatch.setattr(binning_module, "_run_plan_batch", no_batch)
+    codebook = BinningCodebook.create(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS, seed=9)
+    scheme = BinningScheme.over(
+        codebook, RateAllocation(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS)
+    )
+    state = SystemState((frozenset({1, 2}),) * REF_N)
+    for _ in range(2):  # a new plan, then the cached one
+        with pytest.raises(EnumerationCapExceeded) as err:
+            scheme.cell_codes((0, 1), state, _UnreadTuples(), {})
+        assert (err.value.estimate, err.value.cap) == (
+            _OVER_CAP_ESTIMATE,
+            DEFAULT_ENUMERATION_CAP,
+        )
+        assert len(codebook._plans) == 1
+
+
+def _batch_against_loop(scheme, tuples):
+    """Check the batch codes of every live read view against the per-tuple
+    loop, and return every code seen."""
+    seen, views = set(), set()
+    batch_cache, loop_cache = {}, {}
+    for state in iter_states(scheme.n, scheme.model.nu):
+        for T in combinations(range(scheme.n), scheme.c):
+            view = scheme.read_view(T, state)
+            if latest_common_version(state, T) is None or view in views:
+                continue
+            views.add(view)
+            got = scheme.cell_codes(T, state, tuples, batch_cache)
+            want = MvcScheme.cell_codes(scheme, T, state, tuples, loop_cache)
+            assert got == want, (T, state.key())
+            seen.update(got)
+    return seen
+
+
 class _FixedWidths(RateAllocation):
     """Test override: hand-picked index widths instead of the rate formula."""
 
@@ -526,6 +573,29 @@ def test_decoder_outcomes_match_the_blind_oracle():
         "stored indices leave the newest common version ambiguous",
         "no admissible assignment matches the stored indices",
     }
+
+
+class _NarrowWidths(_FixedWidths):
+    """Indices short enough at the reference model that many reads keep
+    several newest values."""
+
+    WIDTHS = {1: 3, 2: 4}
+
+
+@pytest.mark.parametrize("kind", ["linear", "random-uniform"])
+@pytest.mark.parametrize(
+    "model,n,c,widths",
+    [
+        (REF_MODEL, REF_N, REF_C, _NarrowWidths),
+        (CorrelationModel(4, 1, 3), 3, 2, _ShortChainWidths),
+    ],
+)
+def test_batch_matches_the_loop_when_reads_are_ambiguous(kind, model, n, c, widths):
+    alloc = widths(model, n, c, Fraction(1, 2))
+    codebook = BinningCodebook(kind, 3, model, n, max(widths.WIDTHS.values()))
+    tuples = list(enumerate_possible_set(model))[::8]
+    seen = _batch_against_loop(BinningScheme.over(codebook, alloc), tuples)
+    assert _RAISED in seen and any(code > 0 for code in seen)
 
 
 def test_zero_radius_forces_equal_versions():
@@ -778,6 +848,13 @@ def test_codebooks_wider_than_a_limb_are_pinned_and_decode(seed):
     for t, want in ((0, 2), (1, 1), (3, 2)):
         symbol = scheme.encode(t, state.per_server[t], vt)
         assert scheme.decode((t,), state, {t: symbol}) == (want, vt.version(want))
+
+
+def test_batch_matches_the_loop_past_one_limb():
+    scheme = BinningScheme(REF_MODEL, REF_N, 1, epsilon=_WIDE_EPS, seed=0)
+    assert scheme.allocation.index_bits((1, 2), 1) > 64
+    tuples = list(enumerate_possible_set(REF_MODEL))[::7]
+    assert _batch_against_loop(scheme, tuples) == {1, 2}
 
 
 def test_scheme_rejects_malformed_symbols():

@@ -337,6 +337,43 @@ def test_seed_and_trials_outside_their_range_name_their_flag(tmp_path, capsys):
     assert code == 0
 
 
+def test_model_flags_outside_their_range_name_flag_limit_and_value(tmp_path, capsys):
+    for argv, message in (
+        (("cost", "--radius", "9"), "radius must lie in [0, K=8], got 9"),
+        (("cost", "--K", "4", "--radius", "-1"), "radius must lie in [0, K=4], got -1"),
+        (("cost", "--K", "0"), "K must be at least 1, got 0"),
+        (("cost", "--nu", "0"), "nu must be at least 1, got 0"),
+        (("cost", "--delta", "2"), "delta must lie in [0, 1], got 2"),
+        (("bound", "--sweep", "4,8", "--radius", "6"), "radius must lie in [0, K=4], got 6"),
+        (("verify", "--K", "-2"), "K must be at least 1, got -2"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv  # refused before any work
+        assert err == f"error: {message}\n"
+    path = tmp_path / "run.cfg"
+    for text, message in (
+        ("radius=9\n", "radius must lie in [0, K=8], got 9"),
+        ("K=0\n", "K must be at least 1, got 0"),
+        ("nu=-1\n", "nu must be at least 1, got -1"),
+        ("delta=3/2\n", "delta must lie in [0, 1], got 3/2"),
+    ):
+        path.write_text(text)
+        code, out, err = _run(capsys, "cost", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, _, _ = _run(capsys, "cost", "--K", "3", "--radius", "3")
+    assert code == 0
+
+
+def test_bound_sweep_refuses_values_below_one(capsys):
+    for sweep, low in (("0", "0"), ("8,-3", "-3")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bound", "--sweep", sweep])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out) == (2, "")
+        assert f"sweep values must be at least 1, got {low}\n" in captured.err
+        assert "K must be positive" not in captured.err
+
+
 def test_config_file_feeds_flags(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("# job\nscheme=mds\nn=4\nc=2\nepsilon=1/4\n")

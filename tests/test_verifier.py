@@ -670,7 +670,7 @@ def test_bridged_verify_decodes_each_inner_view_once():
 # Batch cell decoding: every override returns the default loop's codes
 
 
-_BATCHED = ("replication", "mds", "delta", "rs-update", "latest-only")
+_BATCHED = ("replication", "mds", "delta", "rs-update", "latest-only", "binning")
 
 
 def _live_views(scheme, subset_size, threshold_of):
