@@ -388,6 +388,42 @@ def test_config_file_feeds_flags(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
+# Every parameter as flags and as config lines, each off its default; the
+# quorum pair only goes together.
+_FLAGS_AND_KEYS = (
+    (("--scheme", "delta"), "scheme=delta"),
+    (("-n", "5"), "n=5"),
+    (("-c", "3"), "c=3"),
+    (("--c-w", "4", "--c-r", "3"), "c-w=4\nc-r=3"),
+    (("--nu", "3"), "nu=3"),
+    (("--K", "12"), "K=12"),
+    (("--radius", "2"), "radius=2"),
+    (("--delta", "1/4"), "delta=1/4"),
+    (("--epsilon", "1/8"), "epsilon=1/8"),
+    (("--seed", "5"), "seed=5"),
+    (("--mode", "exhaustive"), "mode=exhaustive"),
+    (("--cap", "100"), "cap=100"),
+    (("--format", "csv"), "format=csv"),
+    (("--trials", "7"), "trials=7"),
+)
+
+
+@pytest.mark.parametrize(
+    "flags, lines",
+    _FLAGS_AND_KEYS,
+    ids=[lines.replace("\n", ",") for _, lines in _FLAGS_AND_KEYS],
+)
+def test_each_parameter_reads_the_same_by_flag_and_by_config_key(
+    flags, lines, tmp_path, capsys
+):
+    path = tmp_path / "run.cfg"
+    path.write_text(lines + "\n")
+    by_flag = _run(capsys, "cost", *flags)
+    assert by_flag == _run(capsys, "cost", "--config", str(path))
+    assert by_flag[0] == 0
+    assert by_flag[1] != _run(capsys, "cost")[1]
+
+
 # ---------------------------------------------------------------------------
 # cost
 

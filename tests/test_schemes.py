@@ -410,6 +410,16 @@ def brute_force_worst(scheme):
     return worst
 
 
+# (K, radius, nu, n, c) points where rs-update stores the full vector behind
+# its sentinel count, or record lists across padded blocks.
+_RS_UPDATE_POINTS = (
+    (5, 2, 2, 4, 2),
+    (7, 1, 2, 4, 2),
+    (6, 3, 2, 3, 1),
+    (5, 1, 3, 4, 2),
+)
+
+
 @pytest.mark.parametrize("name", ["delta", "rs-update", "binning"])
 def test_measured_matches_exhaustive_maximum(name):
     model = CorrelationModel(K=4, radius=1, nu=2)
@@ -418,6 +428,10 @@ def test_measured_matches_exhaustive_maximum(name):
     model3 = CorrelationModel(K=6, radius=1, nu=3)
     scheme3 = make_scheme(name, model3, 3, 2)
     assert scheme3.worst_case_cost().measured_bits == brute_force_worst(scheme3)
+    points = _RS_UPDATE_POINTS if name == "rs-update" else ()
+    for K, radius, nu, n, c in points:
+        scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
+        assert scheme.worst_case_cost().measured_bits == brute_force_worst(scheme)
 
 
 def test_rs_update_cost_monotone_in_radius():
