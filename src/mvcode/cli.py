@@ -126,10 +126,6 @@ class RunConfig:
                 f"delta must lie in [0, 1], got {format_rational(self.delta)}"
             )
         self.radius_at(self.K)  # refuses a given radius outside [0, K]
-        if self.mode not in _MODES:
-            raise UsageError(f"mode must be one of {', '.join(_MODES)}")
-        if self.fmt not in _FORMATS:
-            raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
         if self.cap < 0:
             raise UsageError(f"cap must be nonnegative, got {self.cap}")
         if not 0 <= self.seed < 1 << 64:
@@ -210,31 +206,26 @@ class RunConfig:
         return lines
 
 
-@dataclass(frozen=True)
-class _FieldSpec:
-    key: str
-    attr: str
-    parse: callable
-
-
-_CONFIG_FIELDS = (
-    _FieldSpec("scheme", "scheme", str),
-    _FieldSpec("n", "n", int),
-    _FieldSpec("c", "c", int),
-    _FieldSpec("c-w", "c_w", int),
-    _FieldSpec("c-r", "c_r", int),
-    _FieldSpec("nu", "nu", int),
-    _FieldSpec("K", "K", int),
-    _FieldSpec("radius", "radius", int),
-    _FieldSpec("delta", "delta", parse_rational),
-    _FieldSpec("epsilon", "epsilon", parse_rational),
-    _FieldSpec("seed", "seed", int),
-    _FieldSpec("mode", "mode", str),
-    _FieldSpec("cap", "cap", int),
-    _FieldSpec("format", "fmt", str),
-    _FieldSpec("trials", "trials", int),
+# Each parameter once: flag, RunConfig field, value parser, allowed values
+# (or None) and help.  Its config key is the flag without its dashes.
+_PARAMS = (
+    ("--scheme", "scheme", str, scheme_names(), "storage scheme (default mds)"),
+    ("-n", "n", int, None, "number of servers (default 4)"),
+    ("-c", "c", int, None, "decode-set size; excludes --c-w/--c-r (default 2)"),
+    ("--c-w", "c_w", int, None, "write quorum size (with --c-r)"),
+    ("--c-r", "c_r", int, None, "read quorum size (with --c-w)"),
+    ("--nu", "nu", int, None, "maximum concurrent versions (default 2)"),
+    ("--K", "K", int, None, "message bits (default 8)"),
+    ("--radius", "radius", int, None, "correlation ball radius (default 1)"),
+    ("--delta", "delta", parse_rational, None, "radius as a fraction of K"),
+    ("--epsilon", "epsilon", parse_rational, None, "error budget (default 1/4)"),
+    ("--seed", "seed", int, None, "root seed (default 0)"),
+    ("--mode", "mode", str, _MODES, "verification mode (default auto)"),
+    ("--cap", "cap", int, None, "enumeration cap (default 2^24)"),
+    ("--format", "fmt", str, _FORMATS, "output format"),
+    ("--trials", "trials", int, None, "sampling trials (default 1000)"),
 )
-_BY_KEY = {spec.key: spec for spec in _CONFIG_FIELDS}
+_BY_KEY = {flag.lstrip("-"): row for flag, *row in _PARAMS}
 # Keys a schedule replay reads from its schedule instead.
 _REPLAY_FIXED = ("n", "c", "c-w", "c-r")
 
@@ -249,13 +240,15 @@ def _config_values(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not value:
             raise UsageError(f"malformed config line {raw!r}")
-        spec = _BY_KEY.get(key)
-        if spec is None:
+        if key not in _BY_KEY:
             raise UsageError(f"unknown config key {key!r}")
+        attr, parse, choices, _ = _BY_KEY[key]
         try:
-            values[spec.attr] = spec.parse(value)
+            values[attr] = parse(value)
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {exc}") from exc
+        if choices is not None and values[attr] not in choices:
+            raise UsageError(f"{key} must be one of {', '.join(choices)}")
     return values
 
 
@@ -439,14 +432,10 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
             else Fraction(0)
         )
         params = BoundParams(cfg.n, c, cfg.nu, K, radius, bound_eps)
-        row = [
-            K,
-            radius,
-            lower_bound_general(params),
-            leading,
-            realized,
-            gap_factor(params, leading),
-        ]
+        bound = lower_bound_general(params)
+        # a nonpositive converse says nothing, so its row has no gap factor
+        gap = gap_factor(params, leading) if bound > 0 else None
+        row = [K, radius, bound, leading, realized, gap]
         if cfg.nu == 2:
             row.append(lower_bound_two_versions(params))
         table.add(*row)
@@ -625,23 +614,13 @@ def _parse_sweep(text: str) -> list[int]:
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    add = common.add_argument
-    add("--config", metavar="FILE", help="key=value config file; flags override it")
-    add("--scheme", choices=scheme_names(), help="storage scheme (default mds)")
-    add("-n", type=int, help="number of servers (default 4)")
-    add("-c", type=int, help="decode-set size; excludes --c-w/--c-r (default 2)")
-    add("--c-w", type=int, help="write quorum size (with --c-r)")
-    add("--c-r", type=int, help="read quorum size (with --c-w)")
-    add("--nu", type=int, help="maximum concurrent versions (default 2)")
-    add("--K", type=int, help="message bits (default 8)")
-    add("--radius", type=int, help="correlation ball radius (default 1)")
-    add("--delta", type=parse_rational, help="radius as a fraction of K")
-    add("--epsilon", type=parse_rational, help="error budget (default 1/4)")
-    add("--seed", type=int, help="root seed (default 0)")
-    add("--mode", choices=_MODES, help="verification mode (default auto)")
-    add("--cap", type=int, help="enumeration cap (default 2^24)")
-    add("--format", choices=_FORMATS, dest="fmt", help="output format")
-    add("--trials", type=int, help="sampling trials (default 1000)")
+    common.add_argument(
+        "--config", metavar="FILE", help="key=value config file; flags override it"
+    )
+    for flag, attr, parse, choices, help_text in _PARAMS:
+        common.add_argument(
+            flag, dest=attr, type=parse, choices=choices, help=help_text
+        )
     return common
 
 
@@ -691,13 +670,13 @@ def _config_from_args(args) -> RunConfig:
             raise UsageError(f"cannot read config: {exc}") from exc
         base = _config_values(text)
     overrides = {
-        spec.attr: getattr(args, spec.attr)
-        for spec in _CONFIG_FIELDS
-        if getattr(args, spec.attr, None) is not None
+        attr: getattr(args, attr)
+        for attr, *_ in _BY_KEY.values()
+        if getattr(args, attr) is not None
     }
     values = {**base, **overrides}
     if args.command == "sim" and args.search is None:
-        fixed = [key for key in _REPLAY_FIXED if _BY_KEY[key].attr in values]
+        fixed = [key for key in _REPLAY_FIXED if _BY_KEY[key][0] in values]
         if args.crashes is not None:
             fixed.append("crashes")
         if fixed:

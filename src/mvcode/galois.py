@@ -135,6 +135,11 @@ class RsCode:
         """The code used throughout this package: GF(2^ceil(log2 n)),
         evaluation points 0..n-1 in integer order."""
         m = max(1, (n - 1).bit_length())
+        if m > 16:
+            raise ValueError(
+                "n must be at most 65536, the evaluation points of GF(2^16), "
+                f"got {n}"
+            )
         return cls(Field(m), n, c)
 
     def encode(self, block: Sequence[int]) -> tuple[int, ...]:

@@ -92,7 +92,8 @@ class CostReport:
     guarantee_bits is the analytic ceiling at realized widths (padding,
     index ceilings, count framing included): no encoding may exceed it.
     measured_bits is the realized maximum over receipt patterns and version
-    tuples.  framing_bits is the share of measured_bits spent on record
+    tuples, computed exactly from the scheme's field widths (brute-force
+    encodes check it in the tests).  framing_bits is the share of measured_bits spent on record
     counts rather than content.
     """
 
@@ -275,7 +276,8 @@ class MvcScheme(ABC):
 
         Each scheme's model finds the realized maximum exactly without
         enumerating version tuples: its field widths depend only on the
-        receipt pattern, or (rs-update) on a witness tuple per pattern.
+        receipt pattern, or (rs-update) on how many blocks each gap between
+        received versions can change.
         """
         raise TypeError(f"no cost model for scheme {self.name!r}")
 
@@ -714,50 +716,14 @@ class RsUpdateScheme(_RsBackedScheme):
             prev = new
         return vec, False
 
-    def _witness_tuple(self, pattern: tuple[int, ...]) -> VersionTuple:
-        """A tuple inside the model that attains the per-gap analytic worst
-        case.
-
-        Between consecutive received versions a < b, flip one bit in each of
-        min((b-a)*radius, blocks) distinct blocks, at in-block offset 0 so
-        the flip lands in a nonzero generator row at every server (offset 0
-        carries the block's constant coefficient, which no evaluation point
-        kills).
-        """
-        model = self.model
-        gen = self.generator
-        block_bits = self.c * gen.symbol_bits
-        current = 0
-        values = {}
-        prev = None
-        for u in pattern:
-            if prev is not None:
-                budget = min((u - prev) * model.radius, gen.blocks, model.K)
-                mask = 0
-                placed = 0
-                b = 0
-                while placed < budget and b < gen.blocks:
-                    pos = b * block_bits
-                    if pos < model.K:
-                        mask |= 1 << pos
-                        placed += 1
-                    b += 1
-                current ^= mask
-            values[u] = current
-            prev = u
-        filled = []
-        last = 0
-        for u in range(1, model.nu + 1):
-            if u in values:
-                last = values[u]
-            filled.append(Message(last, model.K))
-        return VersionTuple(tuple(filled))
-
     def worst_case_cost(self):
         """The realized maximum needs no sweep over version tuples: a step's
-        record count depends only on its difference vector, and the
-        analytic per-gap worst is attained by an in-model witness tuple,
-        which is encoded to check it."""
+        record count depends only on its difference vector, so a gap of
+        ``gap`` versions changes at most min(gap*radius, blocks, K) blocks.
+        That many are reached: one flipped bit at in-block offset 0 in each
+        of them (offset 0 carries the block's constant coefficient, which
+        no evaluation point kills) changes that many stored symbols at
+        every server."""
         model = self.model
         K, nu, r, c = model.K, model.nu, model.radius, self.c
         gen = self.generator
@@ -771,22 +737,16 @@ class RsUpdateScheme(_RsBackedScheme):
             + min(min(gap * r, gen.blocks, K) * (self._index_bits + m), spb)
             for gap in range(1, nu)
         }
-        best = best_framing = measured = 0
+        best = best_framing = 0
         for pattern in _receipt_patterns(nu):
             gaps = [b - a for a, b in zip(pattern, pattern[1:])]
             cost = spb + sum(per_gap_worst[gap] for gap in gaps)
             if cost > best:
                 best, best_framing = cost, len(gaps) * self._count_bits
-            witness = self._witness_tuple(pattern)
-            for server in range(self.n):
-                sym = self.encode(server, pattern, witness)
-                measured = max(measured, sym.bit_length)
         notes = self._padding_notes() + (
             f"count framing {best_framing} bits included",
         )
-        return CostReport(
-            self.name, table, float(best), measured, best_framing, notes
-        )
+        return CostReport(self.name, table, float(best), best, best_framing, notes)
 
 
 class LatestOnlyScheme(_RsBackedScheme):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import mvcode
 from mvcode.cli import (
-    _CONFIG_FIELDS,
+    _PARAMS,
     RunConfig,
     UsageError,
     _config_values,
@@ -38,11 +38,11 @@ def _config_from_text(text):
 def _config_text(cfg):
     """cfg as config-file text: one key=value line per field that is set."""
     lines = []
-    for spec in _CONFIG_FIELDS:
-        value = getattr(cfg, spec.attr)
+    for flag, attr, *_ in _PARAMS:
+        value = getattr(cfg, attr)
         if value is not None:
             shown = format_rational(value) if isinstance(value, Fraction) else value
-            lines.append(f"{spec.key}={shown}")
+            lines.append(f"{flag.lstrip('-')}={shown}")
     return "\n".join(lines)
 
 
@@ -195,7 +195,7 @@ def _config_texts(draw):
     a later line overrides an earlier one."""
     bases = (RunConfig(), RunConfig(c_w=3, c_r=3, delta=Fraction(1, 16)))
     lines = _config_text(draw(st.sampled_from(bases))).splitlines()
-    keys = st.sampled_from([spec.key for spec in _CONFIG_FIELDS] + ["colour"])
+    keys = st.sampled_from([flag.lstrip("-") for flag, *_ in _PARAMS] + ["colour"])
     value = st.one_of(st.sampled_from(_CONFIG_VALUES), st.text(max_size=5))
     for _ in range(draw(st.integers(0, 3))):
         line = f"{draw(keys)}={draw(value)}"
@@ -263,10 +263,16 @@ def test_missing_subcommand_is_a_usage_error():
     assert err.value.code == 2
 
 
-def test_unknown_scheme_is_a_usage_error():
+def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["cost", "--scheme", "carrier-pigeon"])
     assert err.value.code == 2
+    capsys.readouterr()
+    path = tmp_path / "run.cfg"
+    path.write_text("scheme=carrier-pigeon\n")
+    code, out, err = _run(capsys, "cost", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scheme must be one of binning, delta, ")
 
 
 def test_half_quorum_pair_exits_two(capsys):
@@ -585,6 +591,19 @@ def test_bound_sweep_gap_shrinks_toward_asymptote(capsys):
     assert "gap-factor-limit=(c+nu-1)/c=9/8" in out
 
 
+def test_bound_prints_no_gap_factor_for_a_nonpositive_bound(capsys):
+    code, out, _ = _run(
+        capsys, "bound", "--sweep", "8,12", "-n", "4", "-c", "4",
+        "--nu", "4", "--radius", "0",
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line[:1].isdigit()]
+    assert [row[0] for row in rows] == ["8", "12"]
+    assert float(rows[0][2]) < 0 and rows[0][5] == "-"
+    assert rows[1][2].startswith("0.3265")
+    assert float(rows[1][5]) == pytest.approx(float(rows[1][3]) / float(rows[1][2]))
+
+
 def test_bound_radius_tracks_delta_across_sweep(capsys):
     _, out, _ = _run(
         capsys,
@@ -622,6 +641,17 @@ def test_sim_replays_schedule_files(tmp_path, capsys):
     broken.write_text("schedule n=2 c-w=1 c-r=1 f=0\nwrite-start time=0 version=7")
     code, _, err = _run(capsys, "sim", "--schedule", str(broken))
     assert code == 2 and "bad schedule file" in err
+
+
+def test_more_servers_than_gf_2_16_points_is_a_usage_error(tmp_path, capsys):
+    message = (
+        "error: n must be at most 65536, the evaluation points of GF(2^16), "
+        "got 70000\n"
+    )
+    assert _run(capsys, "cost", "-n", "70000", "--K", "4") == (2, "", message)
+    path = tmp_path / "big.sched"
+    path.write_text("schedule n=70000 c-w=69999 c-r=69999 f=0 seed=0\n")
+    assert _run(capsys, "sim", "--schedule", str(path)) == (2, "", message)
 
 
 def test_sim_replay_takes_its_quorums_from_the_schedule(tmp_path, capsys):
