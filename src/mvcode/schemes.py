@@ -93,8 +93,8 @@ class CostReport:
     index ceilings, count framing included): no encoding may exceed it.
     measured_bits is the realized maximum over receipt patterns and version
     tuples, computed exactly from the scheme's field widths (brute-force
-    encodes check it in the tests).  framing_bits is the share of measured_bits spent on record
-    counts rather than content.
+    encodes check it in the tests).  framing_bits is the share of
+    measured_bits spent on record counts rather than content.
     """
 
     scheme: str
