@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bitio import BitWriter
-from .bounds import LOG_DIGITS, log2_decimal
+from .bounds import LOG_DIGITS, format_rational, log2_decimal
 from .galois import xor_rows
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -975,7 +975,7 @@ class BinningScheme(MvcScheme):
         notes = (
             f"real-rate total {binning_worst_case_cost(self.allocation):.4f} bits",
             f"ceiling slack {self.allocation.ceiling_slack(full):.4f} bits",
-            f"union-bound share {self.allocation.union_share}",
+            f"union-bound share {format_rational(self.allocation.union_share)}",
             f"codebook {self.codebook.kind} seed {self.codebook.seed}",
         )
         return CostReport(self.name, table, float(storage), storage, 0, notes)

@@ -38,6 +38,17 @@ def log2_exact(x: int | Fraction) -> float:
     return float(log2_decimal(x))
 
 
+def format_rational(x: Fraction) -> str:
+    """``p`` or ``p/q``; past a 64-bit denominator ``p/q*2^-k`` with q odd,
+    or ``2^-k`` when p/q is 1, so a tiny power of two stays short."""
+    den = x.denominator
+    k = (den & -den).bit_length() - 1
+    if den.bit_length() <= 64 or not k:
+        return str(x.numerator) if den == 1 else f"{x.numerator}/{den}"
+    mantissa = format_rational(x * 2**k)
+    return f"2^-{k}" if mantissa == "1" else f"{mantissa}*2^-{k}"
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Parameter point for the converse bounds.

@@ -35,6 +35,7 @@ from .binning import (
 )
 from .bounds import (
     BoundParams,
+    format_rational,
     gap_factor,
     lower_bound_general,
     lower_bound_two_versions,
@@ -74,10 +75,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)

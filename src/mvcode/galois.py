@@ -231,7 +231,6 @@ class BinaryGenerator:
     K: int
     padded_K: int
     blocks: int
-    rows: tuple[tuple[int, ...], ...]
     _inverses: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -243,6 +242,25 @@ class BinaryGenerator:
     @cached_property
     def stored_bits_per_server(self) -> int:
         return self.blocks * self.symbol_bits
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        f, m, c = self.code.field, self.symbol_bits, self.code.c
+        block_bits = c * m
+        rows_per_server = []
+        for point in self.code.evaluation_points:
+            # Bit t' of message symbol j contributes mul(2^t', point^j) to the
+            # stored symbol of its block.
+            contribution = [
+                [f.mul(1 << t, f.pow(point, j)) for t in range(m)] for j in range(c)
+            ]
+            rows = []
+            for k in range(self.padded_K):
+                block, offset = divmod(k, block_bits)
+                j, t = divmod(offset, m)
+                rows.append(contribution[j][t] << (block * m))
+            rows_per_server.append(tuple(rows))
+        return tuple(rows_per_server)
 
     def apply(self, server: int, message_bits: int) -> int:
         """Stored bit string (packed int) for a full message at one server."""
@@ -275,31 +293,12 @@ class BinaryGenerator:
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:
-    """Expand the per-server symbol maps of ``code`` into GF(2) row masks.
+    """The GF(2) view of ``code``'s per-server symbol maps for K-bit messages.
 
     K is padded up to a multiple of c*m.  Every message bit lands in exactly
     one block, so each row touches at most one stored symbol per server.
+    Only the layout is computed here; the row masks are built on first use.
     """
-    f = code.field
-    m = f.m
-    c = code.c
-    block_bits = c * m
-    padded = -(-K // block_bits) * block_bits
-    blocks = padded // block_bits
-    rows_per_server = []
-    for server in range(code.n):
-        point = code.evaluation_points[server]
-        # Bit t' of message symbol j contributes mul(2^t', point^j) to the
-        # stored symbol of its block.
-        contribution = [
-            [f.mul(1 << t, f.pow(point, j)) for t in range(m)] for j in range(c)
-        ]
-        rows = []
-        for k in range(padded):
-            block, offset = divmod(k, block_bits)
-            j, t = divmod(offset, m)
-            rows.append(contribution[j][t] << (block * m))
-        rows_per_server.append(tuple(rows))
-    return BinaryGenerator(
-        code=code, K=K, padded_K=padded, blocks=blocks, rows=tuple(rows_per_server)
-    )
+    block_bits = code.c * code.field.m
+    blocks = -(-K // block_bits)
+    return BinaryGenerator(code=code, K=K, padded_K=blocks * block_bits, blocks=blocks)

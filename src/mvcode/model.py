@@ -22,7 +22,8 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 from typing import Iterator, Optional, Sequence
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -39,16 +40,19 @@ class EnumerationCapExceeded(RuntimeError):
         self.cap = cap
 
 
+@cache
 def hamming_ball_volume(radius: int, K: int) -> int:
     """Number of length-K bit vectors within Hamming distance ``radius`` of a point.
 
-    Exact big-integer value of sum(C(K, j) for j in 0..radius).
+    Exact big-integer value of sum(C(K, j) for j in 0..radius), each
+    binomial from the one before; computed once per (radius, K).
     """
     if radius < 0 or K < 0:
         raise ValueError("radius and K must be nonnegative")
     if radius > K:
         raise ValueError(f"radius {radius} exceeds vector length {K}")
-    return sum(math.comb(K, j) for j in range(radius + 1))
+    binomials = accumulate(range(radius), lambda b, j: b * (K - j) // (j + 1), initial=1)
+    return sum(binomials)
 
 
 @dataclass(frozen=True, slots=True)

@@ -93,7 +93,8 @@ class CostReport:
     index ceilings, count framing included): no encoding may exceed it.
     measured_bits is the realized maximum over receipt patterns and version
     tuples, computed exactly from the scheme's field widths (brute-force
-    encodes check it in the tests).  framing_bits is the share of
+    encodes check it in the tests); for every scheme here that maximum is
+    taken at the full receipt pattern 1..nu.  framing_bits is the share of
     measured_bits spent on record counts rather than content.
     """
 
@@ -103,12 +104,6 @@ class CostReport:
     measured_bits: int
     framing_bits: int
     notes: tuple[str, ...] = ()
-
-
-def _receipt_patterns(nu: int):
-    """Every nonempty receipt set of nu versions, ascending."""
-    for mask in range(1, 1 << nu):
-        yield tuple(u + 1 for u in range(nu) if (mask >> u) & 1)
 
 
 def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
@@ -274,10 +269,9 @@ class MvcScheme(ABC):
     def worst_case_cost(self) -> CostReport:
         """Analytic and realized worst-case per-server bits.
 
-        Each scheme's model finds the realized maximum exactly without
-        enumerating version tuples: its field widths depend only on the
-        receipt pattern, or (rs-update) on how many blocks each gap between
-        received versions can change.
+        Each scheme's model finds the realized maximum exactly, with no
+        sweep over version tuples or receipt patterns (see each override),
+        and builds no generator rows.
         """
         raise TypeError(f"no cost model for scheme {self.name!r}")
 
@@ -494,18 +488,13 @@ class DeltaScheme(_RsBackedScheme):
 
     def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
         super().__init__(model, n, c)
-        self._volumes: dict[int, int] = {}
         # stored bits of ball member ``index`` at ``server``, by (server, index)
         self._steps: dict[tuple[int, int], int] = {}
 
     def _volume(self, gap: int) -> int:
         """Size of the Hamming ball a step across ``gap`` versions lies in."""
-        volume = self._volumes.get(gap)
-        if volume is None:
-            K = self.model.K
-            volume = hamming_ball_volume(min(gap * self.model.radius, K), K)
-            self._volumes[gap] = volume
-        return volume
+        K = self.model.K
+        return hamming_ball_volume(min(gap * self.model.radius, K), K)
 
     def _step_bits(self, gap: int) -> int:
         return (self._volume(gap) - 1).bit_length()
@@ -601,9 +590,13 @@ class DeltaScheme(_RsBackedScheme):
         return _run_cached(cache, ("step-vectors", server, gap), build)
 
     def worst_case_cost(self):
+        """Widest at the full receipt pattern: a step across a + b versions
+        is one across a then one across b (split the support), so
+        Vol(a+b) <= Vol(a)*Vol(b) and, ceilings being subadditive, its index
+        is no wider than theirs; a further version only adds a field."""
         model = self.model
         table = model.K / self.c + (model.nu - 1) * log2(model.ball_volume())
-        worst = max(sum(self._widths(p)) for p in _receipt_patterns(model.nu))
+        worst = sum(self._widths(range(1, model.nu + 1)))
         return CostReport(
             self.name, table, float(worst), worst, 0, self._padding_notes()
         )
@@ -723,7 +716,10 @@ class RsUpdateScheme(_RsBackedScheme):
         That many are reached: one flipped bit at in-block offset 0 in each
         of them (offset 0 carries the block's constant coefficient, which
         no evaluation point kills) changes that many stored symbols at
-        every server."""
+        every server.  So a gap's worst is count_bits + min(min(gap*r,
+        blocks, K) * (index_bits + m), spb); the min term is subadditive and
+        count_bits >= 1, so splitting a gap or adding a version strictly adds
+        bits, and the full pattern, nu - 1 gaps of one, is the unique worst."""
         model = self.model
         K, nu, r, c = model.K, model.nu, model.radius, self.c
         gen = self.generator
@@ -732,21 +728,11 @@ class RsUpdateScheme(_RsBackedScheme):
         nominal_blocks = max(1, K // (c * m))
         record = (nominal_blocks - 1).bit_length() + m
         table = K / c + (nu - 1) * min(r * record, K / c)
-        per_gap_worst = {
-            gap: self._count_bits
-            + min(min(gap * r, gen.blocks, K) * (self._index_bits + m), spb)
-            for gap in range(1, nu)
-        }
-        best = best_framing = 0
-        for pattern in _receipt_patterns(nu):
-            gaps = [b - a for a, b in zip(pattern, pattern[1:])]
-            cost = spb + sum(per_gap_worst[gap] for gap in gaps)
-            if cost > best:
-                best, best_framing = cost, len(gaps) * self._count_bits
-        notes = self._padding_notes() + (
-            f"count framing {best_framing} bits included",
-        )
-        return CostReport(self.name, table, float(best), best, best_framing, notes)
+        step = min(min(r, gen.blocks) * (self._index_bits + m), spb)  # r <= K
+        best = spb + (nu - 1) * (self._count_bits + step)
+        framing = (nu - 1) * self._count_bits
+        notes = self._padding_notes() + (f"count framing {framing} bits included",)
+        return CostReport(self.name, table, float(best), best, framing, notes)
 
 
 class LatestOnlyScheme(_RsBackedScheme):

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
 fine; independent is the point.  The mpmath rate arithmetic, the quorum
-bridge's subset scan and the GF(2^m) Vandermonde inverse at the end are the
-implementations the exact paths, the direct bridge rule and the GF(2) mask
-decode replaced, kept as their oracles.
+bridge's subset scan, the GF(2^m) Vandermonde inverse and the receipt-
+pattern sweep at the end are the implementations the exact paths, the
+direct bridge rule, the GF(2) mask decode and the closed-form worst cases
+replaced, kept as their oracles.
 
 The parity lemma of the linear codebook and the binning rate-region check
 with its scenario rates are analytics only tests call; they live here and
@@ -420,3 +421,33 @@ def vandermonde_interpolate(generator, holders) -> int:
         for j, val in enumerate(block):
             bits |= val << (b * code.c * m + j * m)
     return bits
+
+
+# ---------------------------------------------------------------------------
+# The worst receipt pattern by sweep, as delta and rs-update found it before
+# their closed forms, kept as their oracle.
+
+
+def worst_over_receipt_patterns(scheme) -> tuple[int, int]:
+    """(measured_bits, framing_bits) of a delta or rs-update scheme: the
+    widest of all 2^nu - 1 receipt patterns, the first in ascending mask
+    order on ties, from the scheme's per-gap field widths."""
+    nu, K, r = scheme.model.nu, scheme.model.K, scheme.model.radius
+    spb = scheme.symbol_vector_bits
+    best = None
+    for mask in range(1, 1 << nu):
+        pattern = [u + 1 for u in range(nu) if (mask >> u) & 1]
+        gaps = [b - a for a, b in zip(pattern, pattern[1:])]
+        if scheme.name == "delta":
+            cost, framing = sum(scheme._widths(pattern)), 0
+        else:
+            gen = scheme.generator
+            record = scheme._index_bits + gen.symbol_bits
+            cost = spb + sum(
+                scheme._count_bits + min(min(g * r, gen.blocks, K) * record, spb)
+                for g in gaps
+            )
+            framing = len(gaps) * scheme._count_bits
+        if best is None or cost > best[0]:
+            best = (cost, framing)
+    return best

@@ -169,8 +169,20 @@ def test_zero_denominator_exits_two(tmp_path, capsys):
 
 
 def test_format_rational_round_trips():
-    for f in (Fraction(1, 4), Fraction(3), Fraction(7, 64), Fraction(1, 2**20)):
+    for f in (
+        Fraction(1, 4), Fraction(3), Fraction(7, 64), Fraction(1, 2**20),
+        Fraction(1, 2**64), Fraction(1, 2**15000),
+    ):
         assert parse_rational(format_rational(f)) == f
+
+
+def test_format_rational_shortens_past_a_64_bit_denominator():
+    assert format_rational(Fraction(1, 2**64 - 1)) == "1/18446744073709551615"
+    assert format_rational(Fraction(1, 2**63)) == "1/9223372036854775808"
+    assert format_rational(Fraction(1, 2**64)) == "2^-64"
+    assert format_rational(Fraction(3, 2**16002)) == "3*2^-16002"
+    assert format_rational(Fraction(1, 3 * 2**70)) == "1/3*2^-70"
+    assert format_rational(Fraction(1, 3**50)) == f"1/{3**50}"
 
 
 def test_config_text_round_trip_is_identity():
@@ -227,6 +239,41 @@ def test_runs_without_mpmath():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+# Each ran away, ran out of memory or failed to print its result before
+# cost came from closed forms and shortened its long rationals.
+_LARGE_COST_INPUTS = (
+    ["--nu", "40"],
+    ["-n", "65536", "--K", "4"],
+    ["--K", "1000000"],
+    ["-n", "8000", "--K", "4"],
+    ["--epsilon", "2^-15000"],
+)
+
+
+@pytest.mark.parametrize("flags", _LARGE_COST_INPUTS, ids=" ".join)
+def test_cost_answers_large_inputs_quickly(flags):
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from mvcode.cli import main\n"
+        f"sys.exit(main(['cost', *{flags!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=2,
+    )
+    assert done.returncode == 0, done.stderr
+    row = next(
+        line for line in done.stdout.splitlines() if line.startswith("binning ")
+    )
+    assert int(row.split()[3]) > 0
+    if flags == ["-n", "8000", "--K", "4"]:
+        assert "union-bound share 2^-16002;" in row
 
 
 def test_config_rejects_conflicts_and_unknowns():

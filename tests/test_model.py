@@ -46,6 +46,13 @@ class TestHammingBallVolume:
             return
         assert hamming_ball_volume(radius, K) == oracle_ball_volume(radius, K)
 
+    def test_each_volume_is_computed_once(self):
+        model = CorrelationModel(K=4000, radius=2000, nu=2)
+        first = model.ball_volume()
+        hits = hamming_ball_volume.cache_info().hits
+        assert model.ball_volume() == first
+        assert hamming_ball_volume.cache_info().hits == hits + 1
+
     def test_index_bits(self):
         # Vol(1, 8) = 9 -> 4 bits; Vol(0, 8) = 1 -> 0 bits.
         assert ball_index_bits(1, 8) == 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ball_index_bits
+from oracles import ball_index_bits, worst_over_receipt_patterns
 from mvcode.bitio import BitReader, BitWriter
 from mvcode.model import (
     CorrelationModel,
@@ -432,6 +432,27 @@ def test_measured_matches_exhaustive_maximum(name):
     for K, radius, nu, n, c in points:
         scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
         assert scheme.worst_case_cost().measured_bits == brute_force_worst(scheme)
+
+
+@pytest.mark.parametrize("name", ["delta", "rs-update"])
+def test_closed_form_matches_receipt_pattern_sweep(name):
+    for (K, radius, _), n, c in _COST_GRID:
+        for r in sorted({0, radius, K}):
+            for nu in range(1, 13):
+                scheme = make_scheme(name, CorrelationModel(K, r, nu), n, c)
+                report = scheme.worst_case_cost()
+                assert (report.measured_bits, report.framing_bits) == (
+                    worst_over_receipt_patterns(scheme)
+                ), (name, K, r, nu, n, c)
+
+
+@pytest.mark.parametrize("name", ["mds", "delta", "rs-update", "latest-only"])
+def test_cost_builds_no_generator_rows(name):
+    scheme = make_scheme(name, CorrelationModel(64, 2, 3), 8, 4)
+    scheme.worst_case_cost()
+    assert "rows" not in scheme.generator.__dict__
+    scheme.encode(0, (1,), VersionTuple((Message(0, 64),) * 3))
+    assert "rows" in scheme.generator.__dict__
 
 
 def test_rs_update_cost_monotone_in_radius():
