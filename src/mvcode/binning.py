@@ -130,20 +130,23 @@ class RateAllocation:
 
     # -- symbolic rates ---------------------------------------------------
 
-    def rate_term(self, received: Iterable[int], u: int) -> RateTerm:
-        got = tuple(sorted(set(received)))
+    def _steps(self, received: Iterable[int]) -> list[tuple[Optional[int], int]]:
+        """(previous, u) for every u of the receipt set, sorted once, with
+        previous the version received before u (None for the first); a
+        rate depends on the receipt set only through this step."""
+        got = sorted(set(received))
         if not got or got[0] < 1 or got[-1] > self.model.nu:
             raise ValueError("receipt set out of range")
-        if u not in got:
-            raise ValueError(f"version {u} not in receipt set {got}")
+        return list(zip([None] + got, got))
+
+    def _step_term(self, previous: Optional[int], u: int) -> RateTerm:
         budget = Fraction(self.model.nu * self.n)
-        pos = got.index(u)
-        if pos == 0:
+        if previous is None:
             const = Fraction(self.model.K + (u - 1)) + budget
             vol = Fraction(u - 1)
         else:
             const = Fraction(u - 1) + budget
-            vol = Fraction(u - got[pos - 1])
+            vol = Fraction(u - previous)
         return RateTerm(const / self.c, vol / self.c, Fraction(-1, self.c))
 
     def evaluate(self, term: RateTerm) -> float:
@@ -200,27 +203,34 @@ class RateAllocation:
 
     # -- realized widths ---------------------------------------------------
 
-    def rate_bits(self, received: Iterable[int], u: int) -> float:
-        return self.evaluate(self.rate_term(received, u))
+    def _step_bits(self, previous: Optional[int], u: int) -> int:
+        key = ("step", previous, u)
+        if key not in self._cache:
+            self._cache[key] = self._ceil_bits(self._step_term(previous, u))
+        return self._cache[key]
 
     def index_bits(self, received: Iterable[int], u: int) -> int:
+        # encode and decode ask version by version; a hit on the
+        # receipt-set key costs one sort and one lookup
         got = tuple(sorted(set(received)))
         key = ("width", got, u)
         if key not in self._cache:
-            self._cache[key] = self._ceil_bits(self.rate_term(got, u))
+            previous = {v: p for p, v in self._steps(got)}
+            if u not in previous:
+                raise ValueError(f"version {u} not in receipt set {got}")
+            self._cache[key] = self._step_bits(previous[u], u)
         return self._cache[key]
 
     def index_widths(self, received: Iterable[int]) -> dict[int, int]:
-        got = tuple(sorted(set(received)))
-        return {u: self.index_bits(got, u) for u in got}
+        return {u: self._step_bits(p, u) for p, u in self._steps(received)}
 
     def storage_bits(self, received: Iterable[int]) -> int:
         return sum(self.index_widths(received).values())
 
     def ceiling_slack(self, received: Iterable[int]) -> float:
-        got = tuple(sorted(set(received)))
         return sum(
-            self.index_bits(got, u) - self.rate_bits(got, u) for u in got
+            self._step_bits(p, u) - self.evaluate(self._step_term(p, u))
+            for p, u in self._steps(received)
         )
 
     @property
@@ -672,11 +682,9 @@ def binning_worst_case_cost(allocation: RateAllocation) -> float:
     summands telescope to the quadratic constant exactly, so the sum and
     the closed form agree identically.
     """
-    nu = allocation.model.nu
-    full = tuple(range(1, nu + 1))
     total = _ZERO_TERM
-    for u in full:
-        total = total.plus(allocation.rate_term(full, u))
+    for previous, u in allocation._steps(range(1, allocation.model.nu + 1)):
+        total = total.plus(allocation._step_term(previous, u))
     return allocation.evaluate(total)
 
 

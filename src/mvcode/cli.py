@@ -315,7 +315,8 @@ class _Table:
 # Commands
 
 
-def _build_scheme(cfg: RunConfig, model: CorrelationModel, c: int):
+def _build_scheme(cfg: RunConfig):
+    model, c = cfg.model(), cfg.effective_c
     if cfg.scheme == "binning":
         return make_scheme(
             "binning", model, cfg.n, c, epsilon=cfg.epsilon, seed=cfg.seed
@@ -327,14 +328,13 @@ _COST_ROWS = ("replication", "mds", "delta", "rs-update", "binning")
 
 
 def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
-    model = cfg.model()
     c = cfg.effective_c
     table = _Table(
         "cost",
         ("scheme", "formula-bits", "ceiling-bits", "measured-bits", "notes"),
     )
     for name in _COST_ROWS:
-        scheme = _build_scheme(replace(cfg, scheme=name), model, c)
+        scheme = _build_scheme(replace(cfg, scheme=name))
         report = scheme.worst_case_cost()
         table.add(
             name,
@@ -358,9 +358,8 @@ def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
 def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     if cfg.scheme == "binning":
         check_decodable(cfg.K)
-    model = cfg.model()
     c = cfg.effective_c
-    scheme = _build_scheme(cfg, model, c)
+    scheme = _build_scheme(cfg)
     lines = cfg.echo_lines()
     kwargs = dict(
         mode=cfg.mode,
@@ -457,10 +456,7 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
                 f"crashes must lie in [0, n - max(c-w, c-r) = {room}], "
                 f"got {crashes}"
             )
-        model = cfg.model()
-        scheme = quorum_bridge(
-            _build_scheme(cfg, model, cfg.effective_c), cfg.c_w, cfg.c_r
-        )
+        scheme = quorum_bridge(_build_scheme(cfg), cfg.c_w, cfg.c_r)
         lines = cfg.echo_lines()
         witness = adversarial_schedule_search(
             scheme,
@@ -493,8 +489,7 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
     overlap = schedule.c_w + schedule.c_r - schedule.n
     if overlap < 1:
         raise UsageError("schedule quorums must overlap")
-    model = CorrelationModel(cfg.K, cfg.effective_radius, cfg.nu)
-    inner = _build_scheme(replace(cfg, n=schedule.n, c=overlap), model, overlap)
+    inner = _build_scheme(replace(cfg, n=schedule.n, c=overlap))
     scheme = quorum_bridge(inner, schedule.c_w, schedule.c_r)
     lines = cfg.echo_lines(quorums=False)
     lines.append(

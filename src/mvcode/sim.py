@@ -11,13 +11,15 @@ A write completes when its c_w-th server acknowledges the arrival; acks
 already sent survive a later crash of their server.  A read contacts all
 servers and proceeds with the first c_r responders, modeled as the c_r
 lowest-indexed servers that have not crashed; each responder re-encodes
-its stored symbol from everything it has received so far.  Reads are
-judged by the same function the verifier uses (``schemes._judge``): the
-read is consistent when the decoder returns a correct version at least as
-new as the newest write completed before the read started (when no write
-has completed, any correct version or NULL).  A consistent read of a
-version that is itself not yet complete is flagged but not failed.  A
-raised decode error or wrong content is always an inconsistent read.
+its stored symbol from everything it has received so far.  The read is
+consistent when the decoder returns a correct version at least as new as
+the newest write completed before the read started (when no write has
+completed, any correct version or NULL).  A consistent read of a version
+that is itself not yet complete is flagged but not failed.  A raised
+decode error or wrong content is always an inconsistent read.  So a
+read's verdict is a function of its read view and the latest complete
+version: the replay judges it with ``schemes._judge``, and the search
+with the exhaustive verifier's cell of its view, whose codes agree.
 
 Arrivals addressed to a crashed server are dropped, matching a message
 that reaches a dead machine.
@@ -26,10 +28,11 @@ that reaches a dead machine.
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .model import SystemState, VersionTuple, latest_complete_version, sample_tuple
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
+from .verifier import _cell
 
 KIND_WRITE = "write-start"
 KIND_ARRIVAL = "server-arrival"
@@ -311,40 +314,23 @@ class ExecutionTrace:
         return "\n".join(lines)
 
 
-class _Read(NamedTuple):
-    """A read's verdict: the fields of a ReadRecord after its time, with
-    the snapshot still a SystemState."""
-
-    responders: tuple[int, ...]
-    snapshot: SystemState
-    decoded_version: Optional[int]
-    content: Optional[str]
-    latest_complete: Optional[int]
-    consistent: bool
-    flagged: bool
-    note: str
+def _responders(received, crashed, c_r) -> tuple[int, ...]:
+    """The c_r lowest-indexed live servers; the schedule keeps
+    c_r <= n - f, so there are enough."""
+    return tuple(s for s in range(len(received)) if s not in crashed)[:c_r]
 
 
-def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo) -> _Read:
-    """A read against the receipt sets ``received``, judged by
-    ``schemes._judge``; what the simulator adds is that a NULL read passes
-    while nothing is complete, the flag, and the notes.
-
-    ``encode_memo`` maps (server, receipt set) to that server's symbol.
-    The schedule keeps c_r <= n - f, so enough servers are alive.
-    """
-    alive = [s for s in range(len(received)) if s not in crashed]
-    responders = tuple(alive[:c_r])
+def _read(scheme, c_w, c_r, event, received, crashed, versions) -> ReadRecord:
+    """The record of the read ``event`` against the receipt sets
+    ``received``, judged by ``schemes._judge``; what the simulator adds is
+    that a NULL read passes while nothing is complete, the flag, and the
+    notes."""
+    responders = _responders(received, crashed, c_r)
     snapshot = SystemState(received)
     latest = latest_complete_version(snapshot, c_w)
-    symbols = {}
-    for t in responders:
-        key = (t, received[t])
-        symbol = encode_memo.get(key)
-        if symbol is None:
-            symbol = scheme.encode(t, tuple(sorted(received[t])), versions)
-            encode_memo[key] = symbol
-        symbols[t] = symbol
+    symbols = {
+        t: scheme.encode(t, tuple(sorted(received[t])), versions) for t in responders
+    }
     code, got = _judge(scheme, responders, snapshot, symbols, versions)
     version = content = None
     if code not in (_RAISED, _NULL):
@@ -363,8 +349,9 @@ def _read(scheme, c_w, c_r, received, crashed, versions, encode_memo) -> _Read:
         note = f"stale version {code} < complete {latest}"
     else:
         note = "returned version is not yet complete" if code > need else ""
-    return _Read(
-        responders, snapshot, version, content, latest, code >= need, code > need, note
+    return ReadRecord(
+        event.reader, event.time, responders, snapshot.key(), version, content,
+        latest, code >= need, code > need, note
     )
 
 
@@ -399,7 +386,6 @@ def run_simulation(
     write_records: list[WriteRecord] = []
     completions: dict[int, int] = {}
     reads: list[ReadRecord] = []
-    encode_memo: dict = {}
 
     for event in schedule.events:
         if event.kind == KIND_WRITE:
@@ -415,18 +401,9 @@ def run_simulation(
         elif event.kind == KIND_CRASH:
             crashed.add(event.server)
         else:
-            read = _read(
-                scheme,
-                schedule.c_w,
-                schedule.c_r,
-                tuple(frozenset(r) for r in received),
-                crashed,
-                versions,
-                encode_memo,
-            )
-            # _Read names its fields as ReadRecord does
-            fields = read._replace(snapshot=read.snapshot.key())._asdict()
-            reads.append(ReadRecord(event.reader, event.time, **fields))
+            rows = tuple(frozenset(r) for r in received)
+            c_w, c_r = schedule.c_w, schedule.c_r
+            reads.append(_read(scheme, c_w, c_r, event, rows, crashed, versions))
 
     writes = tuple(
         WriteRecord(w.version, w.start, completions.get(w.version))
@@ -481,7 +458,9 @@ def adversarial_schedule_search(
     are useless, and reads do not change state.  Breadth-first search over
     (incidence, written count, crash set) nodes therefore covers every
     schedule behavior of the given size, and the first hit is a witness of
-    minimal event count.
+    minimal event count.  A read's verdict is a function of its read view
+    and the latest complete version, so each distinct view is decoded
+    once, as a verifier cell over the one content tuple.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -490,8 +469,9 @@ def adversarial_schedule_search(
     model = scheme.model
     n = scheme.n
     Schedule(n, c_w, c_r, f, ())  # validates the quorum geometry
-    versions = sample_tuple(model, seed)
-    encode_memo: dict = {}
+    versions = [sample_tuple(model, seed)]
+    cells: dict = {}
+    cache: dict = {}
 
     empty = tuple(frozenset() for _ in range(n))
     start = (empty, 0, frozenset())
@@ -501,9 +481,12 @@ def adversarial_schedule_search(
         node, path = queue.popleft()
         used = len(path)
         received, written, crashed = node
-        if used + 1 <= depth and not _read(
-            scheme, c_w, c_r, received, crashed, versions, encode_memo
-        ).consistent:
+        if used >= depth:
+            continue  # no room for the read
+        state = SystemState(received)
+        T = _responders(received, crashed, c_r)
+        cell = _cell(scheme, T, state, versions, cells, cache)
+        if cell.failure_count(latest_complete_version(state, c_w) or 0):
             events = tuple(
                 SimEvent(kind, t, version=version, server=server)
                 for t, (kind, version, server) in enumerate(path)

@@ -25,7 +25,8 @@ bridge the inner scheme's view of the holders it delegates to.  The
 exhaustive engine shares one cell of decode outcomes among all (state,
 subset) pairs with the same view; the verdict is then replayed against
 every full state so reports and witnesses still range over the whole
-state space.
+state space.  The schedule search judges its reads with these same cells,
+over a one-tuple list.
 
 A cell is one batch: the engine asks the scheme for the outcome codes of
 the whole tuple list at once (``MvcScheme.cell_codes``), handing it a
@@ -181,6 +182,15 @@ class _Cell:
         return out
 
 
+def _cell(scheme, T, state, tuples, cells: dict, cache: dict) -> _Cell:
+    """The cell of T's read view of ``state``, built on first use."""
+    view = scheme.read_view(T, state)
+    cell = cells.get(view)
+    if cell is None:
+        cell = cells[view] = _Cell(scheme.cell_codes(T, state, tuples, cache))
+    return cell
+
+
 def _exhaustive_run(
     scheme: MvcScheme,
     subsets: Sequence[tuple[int, ...]],
@@ -203,12 +213,7 @@ def _exhaustive_run(
             threshold = threshold_of(state, T)
             if threshold is None:
                 continue
-            view = scheme.read_view(T, state)
-            cell = cells.get(view)
-            if cell is None:
-                cell = cells[view] = _Cell(
-                    scheme.cell_codes(T, state, tuples, run_cache)
-                )
+            cell = _cell(scheme, T, state, tuples, cells, run_cache)
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
             state_failures += fails

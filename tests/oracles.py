@@ -4,18 +4,21 @@ Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
 fine; independent is the point.  The mpmath rate arithmetic, the quorum
-bridge's subset scan, the GF(2^m) Vandermonde inverse and the receipt-
-pattern sweep at the end are the implementations the exact paths, the
-direct bridge rule, the GF(2) mask decode and the closed-form worst cases
-replaced, kept as their oracles.
+bridge's subset scan, the GF(2^m) Vandermonde inverse, the receipt-
+pattern sweep and the per-node read search at the end are the
+implementations the exact paths, the direct bridge rule, the GF(2) mask
+decode, the closed-form worst cases and the view-keyed search replaced,
+kept as their oracles.
 
-The parity lemma of the linear codebook and the binning rate-region check
-with its scenario rates are analytics only tests call; they live here and
-use the library's exact rate arithmetic (``RateAllocation.sign``).
+The parity lemma of the linear codebook, the receipt-set rate formula and
+the binning rate-region check with its scenario rates are analytics only
+tests call; they live here and use the library's exact rate arithmetic
+(``RateAllocation.sign``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +28,16 @@ import numpy as np
 from mpmath import mp
 
 from mvcode.binning import _ZERO_TERM, RateTerm, _decoding_chain
+from mvcode.model import SystemState, latest_complete_version, sample_tuple
+from mvcode.schemes import _judge
+from mvcode.sim import (
+    KIND_ARRIVAL,
+    KIND_CRASH,
+    KIND_WRITE,
+    Schedule,
+    SimEvent,
+    read_start,
+)
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -200,6 +213,26 @@ def rate_region_check(allocation, rates, scenario) -> RegionCheck:
     return RegionCheck(chain, satisfied, tuple(slacks))
 
 
+def rate_term(allocation, received, u: int) -> RateTerm:
+    """The symbolic rate of version u at a server holding ``received``,
+    read off the whole sorted receipt set (the class docstring's formula)."""
+    got = tuple(sorted(set(received)))
+    if not got or got[0] < 1 or got[-1] > allocation.model.nu:
+        raise ValueError("receipt set out of range")
+    if u not in got:
+        raise ValueError(f"version {u} not in receipt set {got}")
+    budget = Fraction(allocation.model.nu * allocation.n)
+    pos = got.index(u)
+    if pos == 0:
+        const = Fraction(allocation.model.K + (u - 1)) + budget
+        vol = Fraction(u - 1)
+    else:
+        const = Fraction(u - 1) + budget
+        vol = Fraction(u - got[pos - 1])
+    c = allocation.c
+    return RateTerm(const / c, vol / c, Fraction(-1, c))
+
+
 def scenario_rates(allocation, state, T) -> tuple[tuple[int, ...], dict]:
     """The decode scenario of (state, T) and its aggregated symbolic rates.
 
@@ -216,7 +249,7 @@ def scenario_rates(allocation, state, T) -> tuple[tuple[int, ...], dict]:
         total = _ZERO_TERM
         for t in T:
             if u in state.per_server[t]:
-                total = total.plus(allocation.rate_term(state.per_server[t], u))
+                total = total.plus(rate_term(allocation, state.per_server[t], u))
         totals[u] = total
     return chain, totals
 
@@ -451,3 +484,64 @@ def worst_over_receipt_patterns(scheme) -> tuple[int, int]:
         if best is None or cost > best[0]:
             best = (cost, framing)
     return best
+
+
+def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: int = 0):
+    """The adversarial schedule search judging every node's read on its
+    own: the c_r lowest-indexed live servers encode their receipt sets
+    (memoised per server and set) and one ``_judge`` decode must reach the
+    latest complete version, or 0 while nothing is complete."""
+    model, n = scheme.model, scheme.n
+    versions = sample_tuple(model, seed)
+    memo = {}
+
+    def consistent(received, crashed):
+        T = tuple(s for s in range(n) if s not in crashed)[:c_r]
+        symbols = {}
+        for t in T:
+            key = (t, received[t])
+            if key not in memo:
+                memo[key] = scheme.encode(t, tuple(sorted(received[t])), versions)
+            symbols[t] = memo[key]
+        state = SystemState(received)
+        code, _ = _judge(scheme, T, state, symbols, versions)
+        return code >= (latest_complete_version(state, c_w) or 0)
+
+    start = (tuple(frozenset() for _ in range(n)), 0, frozenset())
+    queue = deque([(start, ())])
+    seen = {start}
+    while queue:
+        (received, written, crashed), path = queue.popleft()
+        used = len(path)
+        if used + 1 <= depth and not consistent(received, crashed):
+            events = tuple(
+                SimEvent(kind, t, version=version, server=server)
+                for t, (kind, version, server) in enumerate(path)
+            )
+            return Schedule(n, c_w, c_r, f, events + (read_start(used, 0),), seed)
+        if used + 2 > depth:
+            continue
+        children = []
+        if written < model.nu:
+            children.append(
+                ((received, written + 1, crashed), (KIND_WRITE, written + 1, None))
+            )
+        for u in range(1, written + 1):
+            for s in range(n):
+                if s not in crashed and u not in received[s]:
+                    rows = list(received)
+                    rows[s] = received[s] | {u}
+                    children.append(
+                        ((tuple(rows), written, crashed), (KIND_ARRIVAL, u, s))
+                    )
+        if len(crashed) < f:
+            for s in range(n):
+                if s not in crashed:
+                    children.append(
+                        ((received, written, crashed | {s}), (KIND_CRASH, None, s))
+                    )
+        for child, step in children:
+            if child not in seen:
+                seen.add(child)
+                queue.append((child, path + (step,)))
+    return None

@@ -16,6 +16,7 @@ from oracles import (
     even_parity_probability,
     log2_fixed,
     rate_region_check,
+    rate_term,
     scenario_rates,
     wilson_upper,
 )
@@ -65,17 +66,21 @@ def ref_allocation() -> RateAllocation:
 
 def test_reference_widths_frozen():
     alloc = ref_allocation()
+
+    def rate(got, u):
+        return alloc.evaluate(rate_term(alloc, got, u))
+
     # safety term: nu*n - log2(eps) = 8 + 2 = 10 bits
     assert alloc.union_share == Fraction(1, 1024)
     # first received v1: (8 + 10) / 2 = 9 exactly
-    assert alloc.rate_bits((1, 2), 1) == 9.0
+    assert rate((1, 2), 1) == 9.0
     assert alloc.index_widths((1, 2)) == {1: 9, 2: 8}
     assert alloc.index_bits((2,), 2) == 12
     assert alloc.storage_bits((1, 2)) == 17
     # v2 after v1: (log2(9) + 1 + 10) / 2; v2 first: (8 + log2(9) + 1 + 10) / 2
     log9 = float(log2_fixed(Fraction(9)))
-    assert alloc.rate_bits((1, 2), 2) == pytest.approx((log9 + 11) / 2, rel=1e-12)
-    assert alloc.rate_bits((2,), 2) == pytest.approx((log9 + 19) / 2, rel=1e-12)
+    assert rate((1, 2), 2) == pytest.approx((log9 + 11) / 2, rel=1e-12)
+    assert rate((2,), 2) == pytest.approx((log9 + 19) / 2, rel=1e-12)
     assert alloc.ceiling_slack((1, 2)) == pytest.approx(
         17 - 9 - (log9 + 11) / 2, rel=1e-9
     )
@@ -92,7 +97,7 @@ def test_allocation_validation():
     with pytest.raises(ValueError):
         alloc.index_bits((1,), 2)
     with pytest.raises(ValueError):
-        alloc.rate_term((0, 1), 1)
+        alloc.index_bits((0, 1), 1)
 
 
 @pytest.mark.parametrize(

@@ -249,6 +249,7 @@ _LARGE_COST_INPUTS = (
     ["--K", "1000000"],
     ["-n", "8000", "--K", "4"],
     ["--epsilon", "2^-15000"],
+    ["--nu", "3000"],
 )
 
 

@@ -2,8 +2,9 @@
 replaced: big-integer width ceilings and region signs against the snapped
 128-bit mpmath oracle, the decimal logarithms against mpmath, the folded
 estimate_epsilon and survey paths against values of the previous
-implementation, the direct quorum read rules against brute force, and the
-GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse."""
+implementation, the direct quorum read rules against brute force, the
+GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse,
+and the view-keyed schedule search against the per-node read search."""
 
 import random
 from fractions import Fraction
@@ -16,6 +17,8 @@ from oracles import (
     latest_complete_by_count,
     mpmath_evaluate,
     mpmath_log2,
+    per_node_read_search,
+    rate_term,
     rate_region_check,
     scenario_rates,
     snapped_ceil_bits,
@@ -41,6 +44,7 @@ from mvcode.model import (
     latest_complete_version,
 )
 from mvcode.schemes import DecodingError, MvcScheme
+from mvcode.sim import adversarial_schedule_search, schedule_to_text
 from mvcode.verifier import quorum_bridge
 
 GRID_K = (4, 8, 16, 64, 128)
@@ -72,15 +76,15 @@ def test_rates_ceilings_and_region_match_the_mpmath_oracle(K):
                     alloc = RateAllocation(model, n, c, eps)
                     for got in _receipt_sets(nu):
                         for u in got:
-                            term = alloc.rate_term(got, u)
+                            term = rate_term(alloc, got, u)
                             assert alloc.index_bits(got, u) == snapped_ceil_bits(
                                 alloc, term
                             )
                             assert alloc.evaluate(term) == mpmath_evaluate(alloc, term)
                     full = range(1, nu + 1)
-                    total = alloc.rate_term(full, 1)
+                    total = rate_term(alloc, full, 1)
                     for u in full[1:]:
-                        total = total.plus(alloc.rate_term(full, u))
+                        total = total.plus(rate_term(alloc, full, u))
                     assert binning_worst_case_cost(alloc) == mpmath_evaluate(
                         alloc, total
                     )
@@ -300,3 +304,26 @@ def test_mask_decode_matches_the_vandermonde_oracle(n, c, K):
         for symbols in symbol_words:
             pairs = [(s, symbols[s]) for s in servers]
             assert code.decode(pairs) == vandermonde_decode(code, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Schedule search: view-keyed cells against the per-node read
+
+
+_SEARCH_CASES = [
+    (name, 4, 3, 1, 8)
+    for name in ("replication", "mds", "delta", "rs-update", "binning", "latest-only")
+] + [("mds", 6, 5, 1, 8), ("latest-only", 6, 5, 1, 8), ("latest-only", 2, 2, 0, 4)]
+
+
+@pytest.mark.parametrize("name,n,q,f,K", _SEARCH_CASES)
+def test_search_matches_the_per_node_read_search(name, n, q, f, K):
+    # event for event, including None for the zero-error schemes; the last
+    # case is the golden `sim --search` transcript's
+    inner = make_scheme(name, CorrelationModel(K, 1, 2), n, 2 * q - n)
+    scheme = quorum_bridge(inner, q, q)
+    got = adversarial_schedule_search(scheme, q, q, f=f, depth=12)
+    want = per_node_read_search(scheme, q, q, f, 12)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert schedule_to_text(got) == schedule_to_text(want)

@@ -671,7 +671,9 @@ def test_sim_read_agrees_with_the_quorum_verifier(name):
         for T in combinations(range(4), 3):
             crashed = set(range(4)) - set(T)
             for vt in tuples:
-                read = _read(scheme, 3, 3, state.per_server, crashed, vt, {})
+                read = _read(
+                    scheme, 3, 3, read_start(0, 0), state.per_server, crashed, vt
+                )
                 (code,) = scheme.cell_codes(T, state, [vt], {})
                 assert read.responders == T
                 assert read.consistent == (latest is None or code >= latest), (
