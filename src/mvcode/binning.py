@@ -464,12 +464,9 @@ def _decoding_chain(rows: Sequence[frozenset]) -> Optional[tuple]:
 
     ``rows`` are the version sets of the servers a reader contacted.
     """
-    if not rows:
-        raise ValueError("T must be nonempty")
-    common = frozenset.intersection(*rows)
-    if not common:
+    u_L = latest_common_version(SystemState(tuple(rows)), range(len(rows)))
+    if u_L is None:
         return None
-    u_L = max(common)
     return u_L, tuple(sorted({u for row in rows for u in row if u <= u_L}))
 
 

@@ -511,9 +511,12 @@ def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
     check_decodable(cfg.K)
     if args.seeds < 1:
         raise UsageError(f"seeds must be at least 1, got {args.seeds}")
+    room = (1 << 64) - cfg.seed
+    if args.seeds > room:
+        raise UsageError(f"seeds must lie in [1, 2^64 - seed = {room}], got {args.seeds}")
     model = cfg.model()
     c = cfg.effective_c
-    seeds = list(range(cfg.seed, cfg.seed + args.seeds))
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
     tuples = sample_tuples(model, cfg.trials, cfg.seed)
     report = seed_search(
         model, cfg.n, c, cfg.epsilon, seeds, tuples, kind=args.kind

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
@@ -171,13 +170,26 @@ def iter_states(n: int, nu: int) -> Iterator[SystemState]:
         yield SystemState(tuple(sets))
 
 
+def newest_held(
+    T: Sequence[int], rows: Sequence[frozenset[int]], k: int
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(u, holders): the newest version u that at least k servers of T hold
+    in ``rows``, with the first k of those servers in T's order; None when
+    no version has k holders.  ``rows[t]`` is server t's version set."""
+    for u in sorted(frozenset().union(*[rows[t] for t in T]), reverse=True):
+        holders = [t for t in T if u in rows[t]]
+        if len(holders) >= k:
+            return u, tuple(holders[:k])
+    return None
+
+
 def latest_complete_version(state: SystemState, c_w: int) -> Optional[int]:
     """Largest version held by at least ``c_w`` servers (a write quorum),
     or None if there is none; ``c_w`` must lie in [1, n]."""
     if not 1 <= c_w <= state.n:
         raise ValueError("c_w must lie in [1, n]")
-    holders = Counter(u for s in state.per_server for u in s)
-    return max((u for u, k in holders.items() if k >= c_w), default=None)
+    found = newest_held(range(state.n), state.per_server, c_w)
+    return None if found is None else found[0]
 
 
 def latest_common_version(state: SystemState, T: Sequence[int]) -> Optional[int]:

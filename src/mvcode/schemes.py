@@ -10,7 +10,8 @@ return the newest version shared by all of T, or anything newer.
 Four honest schemes live here (full replication, per-version MDS symbols,
 difference coding against a base version, and update-record coding), plus a
 deliberately broken one (keep only the newest symbol) used to demonstrate
-what the honest schemes rule out.
+what the honest schemes rule out.  All but replication, the broken one
+included, decode through one Reed-Solomon reader (``_RsBackedScheme``).
 
 Each of the five also judges a whole read view at once (``cell_codes``):
 the tuples' versions become 0/1 bit matrices, encoding is a product with
@@ -44,6 +45,7 @@ from .model import (
     hamming_ball_volume,
     iter_ball_masks,
     latest_common_version,
+    newest_held,
 )
 
 # Outcome codes of one decode attempt, judged against the tuple that was
@@ -278,6 +280,11 @@ class MvcScheme(ABC):
     def _received_of(self, state: SystemState, server: int) -> tuple[int, ...]:
         return tuple(sorted(state.per_server[server]))
 
+    def _newest_rows(self, T, state) -> dict[int, frozenset[int]]:
+        """Each server of T's newest received version as a one-version
+        row, empty where the server received nothing."""
+        return {t: frozenset(self._received_of(state, t)[-1:]) for t in T}
+
 
 def _sorted_received(received: Iterable[int], nu: int) -> tuple[int, ...]:
     out = tuple(sorted(set(received)))
@@ -299,22 +306,31 @@ class _RsBackedScheme(MvcScheme):
     def symbol_vector_bits(self) -> int:
         return self.generator.stored_bits_per_server
 
-    def decode(self, T, state, symbols):
+    def _read_plan(self, T, state) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(target, holders): the version a read from T rebuilds and the c
+        servers it reads it from; None when the read returns None."""
         target = latest_common_version(state, T)
         if target is None or len(T) < self.c:
             return None
+        return target, tuple(T[: self.c])
+
+    def decode(self, T, state, symbols):
+        plan = self._read_plan(T, state)
+        if plan is None:
+            return None
+        target, servers = plan
         holders = []
-        for server in T[: self.c]:
+        for server in servers:
             received = self._received_of(state, server)
             vec = self._vector_at(server, received, symbols[server], target)
             holders.append((server, vec))
         return self._interpolate(holders, target)
 
     def cell_codes(self, T, state, tuples, cache):
-        target = latest_common_version(state, T)
-        if target is None or len(T) < self.c:
+        plan = self._read_plan(T, state)
+        if plan is None:
             return [_NULL] * len(tuples)
-        holders = tuple(T[: self.c])
+        target, holders = plan
         vectors, raised = [], False
         for server in holders:
             received = self._received_of(state, server)
@@ -328,8 +344,10 @@ class _RsBackedScheme(MvcScheme):
     def _vectors_at(self, server, received, target, tuples, cache):
         """Batch ``_vector_at``: the symbol vectors of version ``target``
         rebuilt from what ``server`` stores for each tuple, as a bit
-        matrix, and a mask of the tuples whose decode raises (or False)."""
-        raise NotImplementedError
+        matrix, and a mask of the tuples whose decode raises (or False).
+        The default is the target's vectors as encoded, for a scheme that
+        stores them as they are."""
+        return self._stored_vectors(server, target, tuples, cache), False
 
     def _generator_bits(self, server, cache) -> np.ndarray:
         """The server's generator, padded_K x stored bits."""
@@ -402,14 +420,8 @@ class ReplicationScheme(MvcScheme):
         T holding it; None when T shares no version."""
         if latest_common_version(state, T) is None:
             return None
-        best = None
-        for server in T:
-            received = self._received_of(state, server)
-            if not received:
-                continue
-            if best is None or received[-1] > best[0]:
-                best = (received[-1], server)
-        return best
+        version, (server,) = newest_held(T, self._newest_rows(T, state), 1)
+        return version, server
 
     def decode(self, T, state, symbols):
         best = self._newest_copy(T, state)
@@ -455,10 +467,6 @@ class MdsMvcScheme(_RsBackedScheme):
     def _vector_at(self, server, received, symbol, target):
         vectors = split_fields(symbol, [self.symbol_vector_bits] * len(received))
         return vectors[received.index(target)]
-
-    def _vectors_at(self, server, received, target, tuples, cache):
-        # the target's field is the target's vector as encoded
-        return self._stored_vectors(server, target, tuples, cache), False
 
     def worst_case_cost(self):
         nu = self.model.nu
@@ -754,43 +762,20 @@ class LatestOnlyScheme(_RsBackedScheme):
             self.symbol_vector_bits,
         )
 
-    def _newest_holders(self, T, state) -> Optional[tuple[int, tuple[int, ...]]]:
+    def _read_plan(self, T, state):
         """The newest version that c servers of T hold as their newest,
-        with the first c of them; None when there is none."""
-        by_version: dict[int, list[int]] = {}
-        for server in T:
-            received = self._received_of(state, server)
-            if received:
-                by_version.setdefault(received[-1], []).append(server)
-        for version in sorted(by_version, reverse=True):
-            holders = by_version[version]
-            if len(holders) >= self.c:
-                return version, tuple(holders[: self.c])
-        return None
+        with the first c of them; each stores that version's vector."""
+        return newest_held(T, self._newest_rows(T, state), self.c)
+
+    def _vector_at(self, server, received, symbol, target):
+        return symbol.payload
 
     def decode(self, T, state, symbols):
         for server in T:
             sym = symbols[server]
             if state.per_server[server] and sym.bit_length != self.symbol_vector_bits:
                 raise DecodingError("unexpected stored length")
-        chosen = self._newest_holders(T, state)
-        if chosen is None:
-            return None
-        version, holders = chosen
-        return self._interpolate(
-            [(server, symbols[server].payload) for server in holders], version
-        )
-
-    def cell_codes(self, T, state, tuples, cache):
-        chosen = self._newest_holders(T, state)
-        if chosen is None:
-            return [_NULL] * len(tuples)
-        version, holders = chosen
-        # each holder stores the vector of its newest version, ``version``
-        vectors = [
-            self._stored_vectors(server, version, tuples, cache) for server in holders
-        ]
-        return self._interpolate_batch(holders, vectors, False, version, tuples, cache)
+        return super().decode(T, state, symbols)
 
     def worst_case_cost(self):
         spb = self.symbol_vector_bits

@@ -53,6 +53,7 @@ from .model import (
     iter_states,
     latest_common_version,
     latest_complete_version,
+    newest_held,
     sample_tuple,
 )
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
@@ -420,7 +421,10 @@ class QuorumBridge(MvcScheme):
     and delegates to the c_w + c_r - n lowest-indexed of its holders.
     Any complete version is held by at least c_w + c_r - n members of
     every read quorum, so the delegated subset shares the newest complete
-    version or a newer one whenever a complete version exists.
+    version or a newer one whenever a complete version exists.  The
+    holders and the complete version are one rule, ``model.newest_held``,
+    over different (set, k): (the read quorum, c_w + c_r - n) here and
+    (all servers, c_w) in ``latest_complete_version``.
 
     A decode reads only those holders, so the read view is the inner
     scheme's view of them, or None when no version has enough holders
@@ -455,13 +459,8 @@ class QuorumBridge(MvcScheme):
 
     def _holders(self, T, state) -> Optional[tuple[int, ...]]:
         """The servers a read from T delegates to, or None."""
-        rows = state.per_server
-        order = sorted(T)
-        for u in sorted(frozenset().union(*[rows[t] for t in order]), reverse=True):
-            holders = [t for t in order if u in rows[t]]
-            if len(holders) >= self.overlap:
-                return tuple(holders[: self.overlap])
-        return None
+        found = newest_held(sorted(T), state.per_server, self.overlap)
+        return None if found is None else found[1]
 
     def decode(self, T, state, symbols):
         holders = self._holders(T, state)

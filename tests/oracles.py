@@ -8,7 +8,8 @@ bridge's subset scan, the GF(2^m) Vandermonde inverse, the receipt-
 pattern sweep and the per-node read search at the end are the
 implementations the exact paths, the direct bridge rule, the GF(2) mask
 decode, the closed-form worst cases and the view-keyed search replaced,
-kept as their oracles.
+kept as their oracles; so are the latest-only and replication newest-
+version scans that ``model.newest_held`` replaced.
 
 The parity lemma of the linear codebook, the receipt-set rate formula and
 the binning rate-region check with its scenario rates are analytics only
@@ -386,6 +387,38 @@ def bridge_subset_scan(per_server, T, overlap: int):
         if u is not None and (best is None or u > best[0]):
             best = (u, S)
     return None if best is None else best[1]
+
+
+def latest_only_newest_holders(per_server, T, c: int):
+    """The latest-only read plan before the shared k-of-T rule: the newest
+    version that c servers of T hold as their newest, with the first c of
+    them; None when there is none."""
+    by_version: dict[int, list[int]] = {}
+    for server in T:
+        received = sorted(per_server[server])
+        if received:
+            by_version.setdefault(received[-1], []).append(server)
+    for version in sorted(by_version, reverse=True):
+        holders = by_version[version]
+        if len(holders) >= c:
+            return version, tuple(holders[:c])
+    return None
+
+
+def replication_newest_copy(per_server, T):
+    """The replication read before the shared k-of-T rule: (version, server)
+    of the newest copy in T, the first server of T holding it; None when T
+    shares no version."""
+    if not frozenset.intersection(*(per_server[t] for t in T)):
+        return None
+    best = None
+    for server in T:
+        received = sorted(per_server[server])
+        if not received:
+            continue
+        if best is None or received[-1] > best[0]:
+            best = (received[-1], server)
+    return best
 
 
 # ---------------------------------------------------------------------------

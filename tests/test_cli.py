@@ -253,21 +253,27 @@ _LARGE_COST_INPUTS = (
 )
 
 
-@pytest.mark.parametrize("flags", _LARGE_COST_INPUTS, ids=" ".join)
-def test_cost_answers_large_inputs_quickly(flags):
+def _run_limited(argv):
+    """``main(argv)`` in a child process under a 2 GiB address-space limit
+    and a 2-s timeout."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from mvcode.cli import main\n"
-        f"sys.exit(main(['cost', *{flags!r}]))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=2,
     )
+
+
+@pytest.mark.parametrize("flags", _LARGE_COST_INPUTS, ids=" ".join)
+def test_cost_answers_large_inputs_quickly(flags):
+    done = _run_limited(["cost", *flags])
     assert done.returncode == 0, done.stderr
     row = next(
         line for line in done.stdout.splitlines() if line.startswith("binning ")
@@ -804,6 +810,24 @@ def test_binning_seed_count_names_its_flag(capsys):
         code, out, err = _run(capsys, "binning", "--seeds", seeds)
         assert (code, out) == (2, "")  # refused before any work
         assert err == f"error: seeds must be at least 1, got {seeds}\n"
+
+
+def test_binning_seed_range_stops_at_two_to_the_64(capsys):
+    # the first seed passes, so the survey used to exit 0 before reaching 2^64
+    last = str((1 << 64) - 1)
+    argv = ("binning", "--K", "4", "--seed", last, "--epsilon", "2^-40")
+    code, out, err = _run(capsys, *argv, "--seeds", "3")
+    assert (code, out) == (2, "")  # refused before any work
+    assert err == "error: seeds must lie in [1, 2^64 - seed = 1], got 3\n"
+    code, out, _ = _run(capsys, *argv, "--seeds", "1")
+    assert code == 0 and f"best-seed={last}" in out
+
+
+def test_binning_seed_count_builds_no_seed_list():
+    # a list of 10^9 seeds ran out of memory under the limit before any work
+    done = _run_limited(["binning", "--K", "4", "--seeds", "1000000000"])
+    assert done.returncode == 0, done.stderr
+    assert "search kind=random-uniform seeds=1000000000 " in done.stdout
 
 
 def test_binning_index_table_limit_names_itself(capsys):

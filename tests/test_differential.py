@@ -15,11 +15,13 @@ import pytest
 from oracles import (
     bridge_subset_scan,
     latest_complete_by_count,
+    latest_only_newest_holders,
     mpmath_evaluate,
     mpmath_log2,
     per_node_read_search,
     rate_term,
     rate_region_check,
+    replication_newest_copy,
     scenario_rates,
     snapped_ceil_bits,
     snapped_region_slacks,
@@ -42,6 +44,7 @@ from mvcode.model import (
     SystemState,
     iter_states,
     latest_complete_version,
+    newest_held,
 )
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import adversarial_schedule_search, schedule_to_text
@@ -264,6 +267,38 @@ def test_latest_complete_version_counts_holders(n, nu):
             assert latest_complete_version(state, c_w) == latest_complete_by_count(
                 state.per_server, c_w, nu
             ), (state.key(), c_w)
+
+
+def _held_by_count(T, rows, k, nu):
+    """newest_held by brute force: count each version's holders in T."""
+    held = [u for u in range(1, nu + 1) if sum(u in rows[t] for t in T) >= k]
+    if not held:
+        return None
+    u = max(held)
+    return u, tuple(t for t in T if u in rows[t])[:k]
+
+
+@pytest.mark.parametrize("n,nu", [(4, 2), (3, 3)])
+def test_newest_version_reads_match_their_scans(n, nu):
+    model = CorrelationModel(4, 1, nu)
+    latest_only = [make_scheme("latest-only", model, n, c) for c in range(1, n + 1)]
+    replication = make_scheme("replication", model, n, 1)
+    subsets = [T for size in range(1, n + 1) for T in permutations(range(n), size)]
+    for state in iter_states(n, nu):
+        rows = state.per_server
+        for T in subsets:
+            where = (state.key(), T)
+            for k in range(1, len(T) + 1):
+                assert newest_held(T, rows, k) == _held_by_count(T, rows, k, nu), (
+                    where, k,
+                )
+            for scheme in latest_only:
+                assert scheme._read_plan(T, state) == latest_only_newest_holders(
+                    rows, T, scheme.c
+                ), (where, scheme.c)
+            assert replication._newest_copy(T, state) == replication_newest_copy(
+                rows, T
+            ), where
 
 
 # ---------------------------------------------------------------------------

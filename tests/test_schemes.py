@@ -275,6 +275,19 @@ def test_latest_only_misses_overwritten_common_version():
     assert got == Decoded(2, vt.version(2))
 
 
+def test_latest_only_checks_the_length_of_every_symbol_in_T():
+    scheme = build("latest-only")
+    vt = tuple_of(0x0F, 0xF0)
+    state = SystemState((frozenset({1, 2}),) * 4)
+    symbols = {i: scheme.encode(i, {1, 2}, vt) for i in range(4)}
+    assert scheme.decode((0, 1, 2), state, symbols) == Decoded(2, vt.version(2))
+    # server 2 is not among the c = 2 servers decoded from
+    wide = symbols[2]
+    symbols[2] = StoredSymbol(wide.payload, wide.bit_length + 1)
+    with pytest.raises(DecodingError, match="unexpected stored length"):
+        scheme.decode((0, 1, 2), state, symbols)
+
+
 # ---------------------------------------------------------------------------
 # Worst-case cost
 
