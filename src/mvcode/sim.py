@@ -19,15 +19,18 @@ that is itself not yet complete is flagged but not failed.  A raised
 decode error or wrong content is always an inconsistent read.  So a
 read's verdict is a function of its read view and the latest complete
 version: the replay judges it with ``schemes._judge``, and the search
-with the exhaustive verifier's cell of its view, whose codes agree.
+with the exhaustive verifier's cell of its view, whose codes agree.  The
+search therefore tries pairs of receipt sets and crash set, not
+schedules, and writes the first failing pair as its cheapest schedule.
 
 Arrivals addressed to a crashed server are dropped, matching a message
 that reaches a dead machine.
 """
 
+import heapq
 import re
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .model import SystemState, VersionTuple, latest_complete_version, sample_tuple
@@ -452,70 +455,54 @@ def adversarial_schedule_search(
     """Smallest schedule of at most ``depth`` events ending in an
     inconsistent read, or None when no such schedule exists.
 
-    The read verdict depends only on the version-incidence state, the
-    crash set, and the content tuple: arrival and write times never matter
-    beyond their order, never-arrivals equal omissions, dropped arrivals
-    are useless, and reads do not change state.  Breadth-first search over
-    (incidence, written count, crash set) nodes therefore covers every
-    schedule behavior of the given size, and the first hit is a witness of
-    minimal event count.  A read's verdict is a function of its read view
-    and the latest complete version, so each distinct view is decoded
-    once, as a verifier cell over the one content tuple.
+    A read's verdict depends only on the receipt sets S, the crash set C
+    and the content tuple: times matter only through their order, and
+    never-arrivals, dropped arrivals and reads change nothing.  The
+    cheapest schedule reaching (S, C) writes 1..max(S), delivers S, then
+    crashes C.  The search tries (S, C) pairs by that cost, and within one
+    cost by those event lists in the token order writes < arrivals by
+    (version, server) < crashes by server: the order in which a
+    breadth-first search over schedules first meets each pair, so the
+    first failing pair is its minimal witness.  Each distinct read view is
+    decoded once, as a verifier cell over the one content tuple, and the
+    crash sets of one S share its state and latest complete version.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_SEARCH_DEPTH:
         raise ValueError(f"search depth is capped at {MAX_SEARCH_DEPTH}")
-    model = scheme.model
-    n = scheme.n
-    Schedule(n, c_w, c_r, f, ())  # validates the quorum geometry
-    versions = [sample_tuple(model, seed)]
+    n, nu = scheme.n, scheme.model.nu
+    Schedule(n, c_w, c_r, f, (), seed)  # validates the quorum geometry and seed
+    versions = [sample_tuple(scheme.model, seed)]
     cells: dict = {}
     cache: dict = {}
-
-    empty = tuple(frozenset() for _ in range(n))
-    start = (empty, 0, frozenset())
-    queue = deque([(start, ())])
-    seen = {start}
-    while queue:
-        node, path = queue.popleft()
-        used = len(path)
-        received, written, crashed = node
-        if used >= depth:
-            continue  # no room for the read
-        state = SystemState(received)
-        T = _responders(received, crashed, c_r)
-        cell = _cell(scheme, T, state, versions, cells, cache)
-        if cell.failure_count(latest_complete_version(state, c_w) or 0):
-            events = tuple(
-                SimEvent(kind, t, version=version, server=server)
-                for t, (kind, version, server) in enumerate(path)
-            ) + (read_start(used, 0),)
-            return Schedule(n, c_w, c_r, f, events, seed)
-        if used + 2 > depth:
-            continue
-        children = []
-        if written < model.nu:
-            children.append(
-                ((received, written + 1, crashed), (KIND_WRITE, written + 1, None))
-            )
-        for u in range(1, written + 1):
-            for s in range(n):
-                if s in crashed or u in received[s]:
-                    continue
-                rows = list(received)
-                rows[s] = received[s] | {u}
-                children.append(
-                    (((tuple(rows)), written, crashed), (KIND_ARRIVAL, u, s))
-                )
-        if len(crashed) < f:
-            for s in range(n):
-                if s not in crashed:
-                    children.append(
-                        ((received, written, crashed | {s}), (KIND_CRASH, None, s))
-                    )
-        for child, step in children:
-            if child not in seen:
-                seen.add(child)
-                queue.append((child, path + (step,)))
+    for used in range(depth):
+        for written in range(min(used, nu), -1, -1):
+            pairs = [(u, s) for u in range(1, written + 1) for s in range(n)]
+            room = used - written
+            # arrival sets of room - k members for k crashes, merged so that
+            # a set comes after its extensions: an arrival sorts before a crash
+            for got in heapq.merge(
+                *(combinations(pairs, room - k) for k in range(min(f, room) + 1)),
+                key=lambda got: got + ((written + 1,),),
+            ):
+                if written != (got[-1][0] if got else 0):
+                    continue  # a schedule with fewer writes reaches this (S, C)
+                rows: list[list[int]] = [[] for _ in range(n)]
+                for u, s in got:
+                    rows[s].append(u)
+                state = SystemState(tuple(map(frozenset, rows)))
+                need = latest_complete_version(state, c_w) or 0
+                for crashed in combinations(range(n), room - len(got)):
+                    T = _responders(state.per_server, crashed, c_r)
+                    cell = _cell(scheme, T, state, versions, cells, cache)
+                    if cell.failure_count(need):
+                        steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
+                        steps += [(KIND_ARRIVAL, u, s) for u, s in got]
+                        steps += [(KIND_CRASH, None, s) for s in crashed]
+                        events = tuple(
+                            SimEvent(kind, t, version=u, server=s)
+                            for t, (kind, u, s) in enumerate(steps)
+                        ) + (read_start(used, 0),)
+                        return Schedule(n, c_w, c_r, f, events, seed)
     return None

@@ -48,7 +48,7 @@ from mvcode.model import (
 )
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import adversarial_schedule_search, schedule_to_text
-from mvcode.verifier import quorum_bridge
+from mvcode.verifier import QuorumBridge, quorum_bridge
 
 GRID_K = (4, 8, 16, 64, 128)
 GRID_NC = ((2, 1), (4, 2), (5, 3))
@@ -362,3 +362,79 @@ def test_search_matches_the_per_node_read_search(name, n, q, f, K):
     assert (got is None) == (want is None)
     if want is not None:
         assert schedule_to_text(got) == schedule_to_text(want)
+
+
+class _NeedsServerZero(QuorumBridge):
+    """A bridge that decodes only when server 0 responds, so its outcome
+    depends on the responder set itself and every witness crashes server 0;
+    the default view and per-tuple cell keep the responders."""
+
+    read_view = MvcScheme.read_view
+    cell_codes = MvcScheme.cell_codes
+
+    def decode(self, T, state, symbols):
+        return super().decode(T, state, symbols) if 0 in T else None
+
+
+@pytest.mark.parametrize(
+    "n,c_w,c_r,f,nu", [(4, 2, 3, 1, 2), (5, 3, 3, 2, 2), (5, 3, 3, 2, 3)]
+)
+def test_search_matches_the_per_node_read_search_on_crash_witnesses(
+    n, c_w, c_r, f, nu
+):
+    inner = make_scheme("mds", CorrelationModel(4, 1, nu), n, c_w + c_r - n)
+    scheme = _NeedsServerZero(inner, c_w, c_r)
+    got = adversarial_schedule_search(scheme, c_w, c_r, f=f, depth=12)
+    want = per_node_read_search(scheme, c_w, c_r, f, 12)
+    assert schedule_to_text(got) == schedule_to_text(want)
+    assert [e.server for e in got.events if e.kind == "server-crash"] == [0]
+
+
+def test_search_matches_the_per_node_read_search_on_uneven_quorums():
+    inner = make_scheme("latest-only", CorrelationModel(4, 1, 3), 5, 2)
+    scheme = quorum_bridge(inner, 3, 4)
+    got = adversarial_schedule_search(scheme, 3, 4, f=1, depth=12)
+    want = per_node_read_search(scheme, 3, 4, 1, 12)
+    assert len(got.events) == 7
+    assert schedule_to_text(got) == schedule_to_text(want)
+
+
+class _RaisesOnViews(QuorumBridge):
+    """A bridge whose decode raises on the chosen read views, each a
+    responder set with its rows."""
+
+    read_view = MvcScheme.read_view
+    cell_codes = MvcScheme.cell_codes
+
+    def __init__(self, inner, c_w, c_r, failing):
+        super().__init__(inner, c_w, c_r)
+        self.failing = failing
+
+    def decode(self, T, state, symbols):
+        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
+        if (tuple(T), rows) in self.failing:
+            raise DecodingError("a chosen view")
+        return super().decode(T, state, symbols)
+
+
+@pytest.mark.parametrize(
+    "other,crashes",
+    [
+        # arrivals (1,2), (2,0), (2,1): the crash witness's (1,1) sorts first
+        (((0, 1, 2), ((2,), (2,), (1,))), 1),
+        # arrivals (1,1), (2,1), (2,2) extend the crash witness's, and an
+        # arrival sorts before a crash
+        (((0, 1, 2), ((), (1, 2), (2,))), 0),
+    ],
+)
+def test_search_orders_crash_witnesses_by_their_arrivals(other, crashes):
+    # both views are first reached by five events with two writes, one by
+    # arrivals (1,1), (2,1) and the crash of server 0
+    crash_view = ((1, 2, 3), ((1, 2), (), ()))
+    inner = make_scheme("mds", CorrelationModel(4, 1, 2), 4, 2)
+    scheme = _RaisesOnViews(inner, 3, 3, {crash_view, other})
+    got = adversarial_schedule_search(scheme, 3, 3, f=1, depth=8)
+    want = per_node_read_search(scheme, 3, 3, 1, 8)
+    assert schedule_to_text(got) == schedule_to_text(want)
+    assert len(got.events) == 6
+    assert [e.kind for e in got.events].count("server-crash") == crashes

@@ -4,6 +4,7 @@ partial-update replay, the adversarial schedule search, and agreement
 between simulated reads and the quorum-contract verifier."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -564,6 +565,28 @@ def test_search_rejects_out_of_range_depth():
         adversarial_schedule_search(scheme, 2, 2, depth=13)
     with pytest.raises(ValueError, match="nonnegative"):
         adversarial_schedule_search(scheme, 2, 2, depth=-1)
+
+
+def test_search_rejects_a_negative_seed_before_searching():
+    # refused up front, whether or not the search would find a witness
+    clean = quorum_bridge(make_scheme("mds", _model(), 4, 2), 3, 3)
+    failing = make_scheme("latest-only", _model(), 2, 2)
+    for scheme, q, depth in ((clean, 3, 6), (failing, 2, 12)):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            adversarial_schedule_search(scheme, q, q, depth=depth, seed=-1)
+
+
+def test_search_holds_no_per_schedule_state():
+    # the bridged n=6 mds search at full depth finds nothing; one state per
+    # receipt pattern and one cell per read view keep its peak small
+    scheme = _bridged_mds_n6()
+    tracemalloc.start()
+    try:
+        assert adversarial_schedule_search(scheme, 5, 5, f=1, depth=12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_search_depth_zero_finds_nothing():
