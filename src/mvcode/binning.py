@@ -13,7 +13,8 @@ survives; older versions may keep several survivors, which is harmless.
 One decode walks Python sets of survivors.  The exhaustive verifier and the
 codebook survey judge a whole read view at once (``BinningScheme.cell_codes``):
 the survivors of every tuple are flat (tuple row, value) numpy arrays,
-stepped by the same ball masks and filtered by the same checks.
+stepped by the same ball masks and filtered by the same checks.  numpy is
+imported inside those batch paths and the codebook draws only.
 
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
@@ -35,9 +36,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, lcm, log2, prod
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bitio import BitWriter
 from .bounds import LOG_DIGITS, format_rational, log2_decimal
@@ -68,6 +67,9 @@ from .schemes import (
     split_fields,
 )
 from .verifier import _exhaustive_run, wilson_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RateTerm(NamedTuple):
@@ -268,6 +270,8 @@ def _uniform_entries(rng: np.random.Generator, count: int, width: int) -> list[i
     """``count`` i.i.d. uniform ``width``-bit integers from one stream; past
     64 bits each is assembled from 64-bit limbs (low limbs drawn first, then
     the remainder)."""
+    import numpy as np
+
     if width <= 64:
         return rng.integers(0, 1 << width, size=count, dtype=np.uint64).tolist()
     limbs, rem = divmod(width, 64)
@@ -289,6 +293,8 @@ def _linear_row_masks(
 ) -> tuple[int, ...]:
     """Rows of the K x M Bernoulli(1/2) matrix, each packed with column j at
     bit j, so a column prefix is a low-bit mask."""
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, server, version]))
     rows = rng.integers(0, 2, size=(K, columns), dtype=np.uint8)
     return tuple(
@@ -385,6 +391,8 @@ class BinningCodebook:
                     for w in range(size):
                         table[size + w] = table[w] ^ mask
             else:
+                import numpy as np
+
                 rng = np.random.default_rng(
                     np.random.SeedSequence([self.seed, server, version])
                 )
@@ -397,6 +405,8 @@ class BinningCodebook:
         only.  Decode plans and batch decodes share these groups."""
         key = ("keys", server, version, bits)
         if key not in self._maps:
+            import numpy as np
+
             mask = (1 << bits) - 1
             masked = np.array(
                 [index & mask for index in self.index_table(server, version)],
@@ -558,6 +568,8 @@ def _run_plan_batch(
     later layers, so the rows run in chunks of about _PAIR_BUDGET such
     pairs (one row at least).
     """
+    import numpy as np
+
     K = codebook.model.K
 
     def values(u: int) -> np.ndarray:

@@ -54,7 +54,13 @@ from .sim import (
     schedule_from_text,
     schedule_to_text,
 )
-from .verifier import _MODES, quorum_bridge, verify_definition_2, verify_requirement_A
+from .verifier import (
+    _MODES,
+    quorum_bridge,
+    verdict,
+    verify_definition_2,
+    verify_requirement_A,
+)
 
 _FORMATS = ("text", "csv", "structured")
 
@@ -355,7 +361,16 @@ def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
+def _text_only(cfg: RunConfig, command: str) -> None:
+    if cfg.fmt != "text":
+        raise UsageError(
+            f"--format {cfg.fmt} applies to cost, bound, binning and example1 "
+            f"only; {command} prints text"
+        )
+
+
 def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
+    _text_only(cfg, "verify")
     if cfg.scheme == "binning":
         check_decodable(cfg.K)
     c = cfg.effective_c
@@ -382,14 +397,11 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     for w in caught:
         lines.append(f"warning {w.message}")
     lines.append(report.to_text())
-    # Judged against the budget the scheme claims: exhaustive runs know each
-    # state's failure rate, sampled runs only the overall one.
     budget = verified.error_budget
+    ok = verdict(report, budget)[0]
     if report.mode == "exhaustive":
-        ok = report.per_state_max_error <= budget
         lines.append(f"verdict {'pass' if ok else 'fail'} failures={report.failure_count}")
     else:
-        ok = report.empirical_error <= budget
         lines.append(
             "verdict {} empirical={!r} budget={}".format(
                 "pass" if ok else "fail",
@@ -440,6 +452,7 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
+    _text_only(cfg, "sim")
     if cfg.scheme == "binning":
         check_decodable(cfg.K)
     if args.search is not None:

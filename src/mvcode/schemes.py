@@ -19,7 +19,8 @@ the servers' GF(2) generators and decoding a product with the holders'
 cached inverse, so one exhaustive-verifier cell costs a few matrix
 products instead of one Python decode per tuple.  The binning scheme
 (``binning.BinningScheme``) judges a view at once too, holding every
-tuple's survivors as numpy (tuple row, value) arrays.
+tuple's survivors as numpy (tuple row, value) arrays.  numpy is imported
+inside these batch paths only, so single encodes and decodes run without it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import log2
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .bitio import BitReader, BitWriter
 from .galois import BinaryGenerator, RsCode, binary_expand_generator
@@ -47,6 +55,9 @@ from .model import (
     latest_common_version,
     newest_held,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Outcome codes of one decode attempt, judged against the tuple that was
 # encoded.  A positive value is the decoded version index after the
@@ -152,6 +163,8 @@ def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple):
 
 def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     """0/1 matrix whose row i holds bits 0..width-1 of ``values[i]``."""
+    import numpy as np
+
     nbytes = -(-width // 8)
     raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
     packed = np.frombuffer(raw, np.uint8).reshape(len(values), nbytes)
@@ -181,6 +194,8 @@ def _version_bits(tuples, u: int, width: int, cache: dict) -> np.ndarray:
 def _batch_codes(version: int, decoded, expected, raised=False) -> list[int]:
     """Per-row codes: ``version`` where a decoded row equals the expected
     row, _WRONG where it differs, _RAISED where ``raised`` is set."""
+    import numpy as np
+
     match = (decoded == expected).all(axis=1)
     return np.where(raised, _RAISED, np.where(match, version, _WRONG)).tolist()
 
@@ -365,6 +380,8 @@ class _RsBackedScheme(MvcScheme):
 
     def _interpolate_batch(self, holders, vectors, raised, version, tuples, cache):
         """Batch ``_interpolate`` judged against version ``version``."""
+        import numpy as np
+
         gen = self.generator
         inverse = _run_cached(
             cache,
@@ -550,6 +567,8 @@ class DeltaScheme(_RsBackedScheme):
         return vec
 
     def _vectors_at(self, server, received, target, tuples, cache):
+        import numpy as np
+
         vec = self._stored_vectors(server, received[0], tuples, cache)
         raised = np.zeros(len(tuples), dtype=bool)
         for a, b in zip(received, received[1:]):
@@ -567,6 +586,8 @@ class DeltaScheme(_RsBackedScheme):
         by lookup in the ball's rank table."""
 
         def build():
+            import numpy as np
+
             K = self.model.K
             ranks = {
                 mask: ball_rank(mask, K)
@@ -703,6 +724,8 @@ class RsUpdateScheme(_RsBackedScheme):
         records would cost at least a full vector), so its count never
         reads as the full-vector sentinel, and records after the target
         cannot fail the range checks."""
+        import numpy as np
+
         gen = self.generator
         m = gen.symbol_bits
         prev = vec = self._stored_vectors(server, received[0], tuples, cache)

@@ -104,9 +104,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """Zero failures.  The CLI verdict instead judges the per-state or
-        sampled rate against the scheme's error budget, so a scheme with
-        a nonzero budget (binning) can fail this and still pass there."""
+        """Zero failures.  ``verdict`` instead judges the report against
+        the scheme's error budget, so a scheme with a nonzero budget
+        (binning) can fail this and still pass there."""
         return self.failure_count == 0
 
     def to_text(self) -> str:
@@ -523,6 +523,26 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     lower = 0.0 if failures == 0 else max(0.0, (centre - half) / denom)
     upper = 1.0 if failures == trials else min(1.0, (centre + half) / denom)
     return (lower, upper)
+
+
+def verdict(report: VerificationReport, budget) -> tuple[bool, str, float]:
+    """Judge ``report`` against an error budget: (passed, rule, compared value).
+
+    ``zero-failures`` applies when the budget is 0, in either mode, and
+    compares the failure count.  Otherwise ``per-state-max`` (exhaustive)
+    compares the worst state's failure rate, the per-state epsilon-error;
+    ``sampled-wilson-upper`` (Monte-Carlo) compares the 95% Wilson upper
+    bound of the overall sampled rate (Wilson 1927).  That bounds an
+    average over states: a few trials per state cannot bound any one
+    state's rate.
+    """
+    if budget == 0:
+        return report.failure_count == 0, "zero-failures", report.failure_count
+    if report.mode == MODE_EXHAUSTIVE:
+        value = report.per_state_max_error
+        return value <= budget, "per-state-max", value
+    value = wilson_interval(report.failure_count, report.attempts)[1]
+    return value <= budget, "sampled-wilson-upper", value
 
 
 def estimate_epsilon(

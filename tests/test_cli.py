@@ -225,6 +225,17 @@ def test_config_text_rejects_or_round_trips(text):
     assert _config_from_text(_config_text(cfg)) == cfg
 
 
+def _run_script(script, timeout=None):
+    """``script`` in a fresh interpreter that imports mvcode from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def test_runs_without_mpmath():
     script = (
         "import sys; sys.modules['mpmath'] = None\n"
@@ -232,12 +243,40 @@ def test_runs_without_mpmath():
         "assert main(['cost']) == 0\n"
         "assert main(['bound', '--sweep', '32,64']) == 0\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    done = _run_script(script)
+    assert done.returncode == 0, done.stderr
+
+
+# Commands that reach no batch decoder and no binning codebook, with their
+# exit codes: latest-only fails its sampled verify and its replay by design.
+_NUMPY_FREE = (
+    (["cost"], 0),
+    (["cost", "--K", "64"], 0),
+    (["bound", "--sweep", "32,64"], 0),
+    (["example1"], 0),
+    (["sim", "--scheme", "mds"], 0),
+    (["sim", "--scheme", "latest-only"], 1),
+    *(
+        (
+            ["verify", "--scheme", name, "--mode", "monte-carlo", "--trials", "200"],
+            1 if name == "latest-only" else 0,
+        )
+        for name in ("replication", "mds", "delta", "rs-update", "latest-only")
+    ),
+)
+
+
+def test_quick_commands_run_without_numpy():
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import mvcode\n"
+        "from mvcode.cli import main\n"
+        + "".join(
+            f"assert main({argv!r}) == {code}, {argv!r}\n"
+            for argv, code in _NUMPY_FREE
+        )
     )
+    done = _run_script(script)
     assert done.returncode == 0, done.stderr
 
 
@@ -262,13 +301,7 @@ def _run_limited(argv):
         "from mvcode.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=2,
-    )
+    return _run_script(script, timeout=2)
 
 
 @pytest.mark.parametrize("flags", _LARGE_COST_INPUTS, ids=" ".join)
@@ -484,6 +517,17 @@ def test_each_parameter_reads_the_same_by_flag_and_by_config_key(
     assert by_flag[1] != _run(capsys, "cost")[1]
 
 
+@pytest.mark.parametrize("command", ["verify", "sim"])
+def test_text_only_commands_refuse_a_table_format(command, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("format=csv\n")
+    for flags in (["--format", "structured"], ["--config", str(path)]):
+        code, out, err = _run(capsys, command, *flags)
+        assert (code, out) == (2, "")
+        assert "--format" in err
+        assert "cost, bound, binning and example1" in err
+
+
 # ---------------------------------------------------------------------------
 # cost
 
@@ -559,6 +603,18 @@ def test_verify_sampled_zero_budget_scheme_fails(capsys):
     )
     assert code == 1
     assert "verdict fail empirical=0.103 budget=0" in out
+
+
+def test_verify_sampled_verdict_takes_the_wilson_upper_bound(capsys):
+    # no failure in five trials, yet the rate's Wilson upper bound, 0.434,
+    # is above epsilon = 1/4, though the point estimate 0 is below it
+    code, out, _ = _run(
+        capsys, "verify", "--scheme", "binning", "--K", "4",
+        "--mode", "monte-carlo", "--trials", "5",
+    )
+    assert code == 1
+    assert "failures=0 " in out
+    assert "verdict fail empirical=0.0 budget=1/4" in out
 
 
 def test_verify_binning_exhaustive_judges_the_per_state_rate(capsys):

@@ -29,8 +29,10 @@ from mvcode.verifier import (
     _exhaustive_run,
     estimate_epsilon,
     quorum_bridge,
+    verdict,
     verify_definition_2,
     verify_requirement_A,
+    wilson_interval,
 )
 
 
@@ -469,6 +471,38 @@ def test_starved_binning_rates_fail_measurably():
     nominal = BinningScheme(model, 4, 2, epsilon=Fraction(1, 4), seed=0)
     clean = estimate_epsilon(nominal, trials=600, seed=7)
     assert clean.rate < 0.25
+
+
+def _rates_report(mode, attempts, failures, per_state_max):
+    rate = failures / attempts
+    return VerificationReport(
+        mode, 1, 1, attempts, attempts, failures, (), rate, per_state_max, rate
+    )
+
+
+def test_verdict_names_the_rule_it_applies():
+    quarter = Fraction(1, 4)
+    for mode in ("exhaustive", "monte-carlo"):
+        assert verdict(_rates_report(mode, 100, 0, 0.0), 0) == (
+            True, "zero-failures", 0,
+        )
+        assert verdict(_rates_report(mode, 100, 1, 0.01), 0) == (
+            False, "zero-failures", 1,
+        )
+    assert verdict(_rates_report("exhaustive", 100, 30, 0.25), quarter) == (
+        True, "per-state-max", 0.25,
+    )
+    assert verdict(_rates_report("exhaustive", 100, 1, 0.5), quarter) == (
+        False, "per-state-max", 0.5,
+    )
+    # sampled: the Wilson upper bound, so a point estimate under the
+    # budget can still fail
+    for attempts, failures, ok in ((1000, 200, True), (1000, 230, False), (5, 0, False)):
+        upper = wilson_interval(failures, attempts)[1]
+        report = _rates_report("monte-carlo", attempts, failures, 1.0)
+        assert report.empirical_error < quarter
+        assert verdict(report, quarter) == (ok, "sampled-wilson-upper", upper)
+    assert round(wilson_interval(0, 5)[1], 3) == 0.434
 
 
 def test_trial_validation():
