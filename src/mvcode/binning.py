@@ -545,14 +545,19 @@ def _plan_for(
 ) -> Optional[_DecodePlan]:
     """The codebook's plan for this view, built on first use.  Its
     enumeration estimate is checked against DEFAULT_ENUMERATION_CAP on
-    every call, cached or not."""
+    every call, cached or not; that limit is fixed, and the verifier's
+    ``cap`` (the CLI's ``--cap``) does not raise it."""
     key = (rates, T, rows)
     try:
         plan = codebook._plans[key]
     except KeyError:
         plan = codebook._plans[key] = _build_plan(codebook, rates, T, rows)
     if plan is not None and plan.estimate > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(plan.estimate, DEFAULT_ENUMERATION_CAP)
+        raise EnumerationCapExceeded(
+            plan.estimate,
+            DEFAULT_ENUMERATION_CAP,
+            "the binning decode plan's fixed limit, which --cap does not raise,",
+        )
     return plan
 
 

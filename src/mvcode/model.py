@@ -23,17 +23,29 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
-class EnumerationCapExceeded(RuntimeError):
-    """An exhaustive walk would visit more elements than its cap allows."""
+def format_count(x: int) -> str:
+    """A nonnegative count in decimal, or past 64 bits as its magnitude,
+    ``2^k`` or ``2^k.kk``, so a count too long for ``str`` still prints."""
+    if x.bit_length() <= 64:
+        return str(x)
+    k = x.bit_length() - 1
+    return f"2^{k}" if x == 1 << k else f"2^{math.log2(x):.2f}"
 
-    def __init__(self, estimate: int, cap: int):
+
+class EnumerationCapExceeded(RuntimeError):
+    """An exhaustive walk would visit more elements than its cap allows.
+
+    ``limit`` names the cap in the message."""
+
+    def __init__(self, estimate: int, cap: int, limit: str = "cap"):
         super().__init__(
-            f"enumeration would visit about {estimate} elements, cap is {cap}"
+            f"enumeration would visit about {format_count(estimate)} elements, "
+            f"{limit} is {format_count(cap)}"
         )
         self.estimate = estimate
         self.cap = cap
@@ -282,6 +294,30 @@ def _sample_positions(rng: random.Random, count: int, K: int) -> list[int]:
     return pool[:count]
 
 
+def tuple_sampler(model: CorrelationModel) -> Callable[[random.Random], VersionTuple]:
+    """A function that draws one tuple of ``model`` from a random.Random,
+    as ``sample_tuple`` does, with the per-model set-up done once here so
+    a caller drawing many tuples pays it once."""
+    K = model.K
+    cumulative = [hamming_ball_volume(j, K) for j in range(model.radius + 1)]
+    total = cumulative[-1]
+    steps = range(model.nu - 1)
+
+    def draw(rng: random.Random) -> VersionTuple:
+        w = rng.getrandbits(K)
+        out = [w]
+        for _ in steps:
+            weight = bisect_right(cumulative, rng.randrange(total))
+            mask = 0
+            for p in _sample_positions(rng, weight, K):
+                mask |= 1 << p
+            w ^= mask
+            out.append(w)
+        return VersionTuple(tuple(Message(v, K) for v in out))
+
+    return draw
+
+
 def sample_tuple(model: CorrelationModel, seed) -> VersionTuple:
     """Draw one admissible tuple: w_1 uniform, each successor uniform in its ball.
 
@@ -290,20 +326,7 @@ def sample_tuple(model: CorrelationModel, seed) -> VersionTuple:
     j-subset of coordinates to flip.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    K = model.K
-    cumulative = [hamming_ball_volume(j, K) for j in range(model.radius + 1)]
-    total = cumulative[-1]
-    w = rng.getrandbits(K)
-    out = [w]
-    for _ in range(model.nu - 1):
-        draw = rng.randrange(total)
-        weight = bisect_right(cumulative, draw)
-        mask = 0
-        for p in _sample_positions(rng, weight, K):
-            mask |= 1 << p
-        w ^= mask
-        out.append(w)
-    return VersionTuple(tuple(Message(v, K) for v in out))
+    return tuple_sampler(model)(rng)
 
 
 def enumerate_possible_set(

@@ -34,6 +34,14 @@ cache that lives for the run.  The default encodes and decodes tuple by
 tuple; the Reed-Solomon-backed schemes and replication override it with
 GF(2) bit-matrix products, binning with its survivors as numpy (tuple
 row, value) arrays, and each must return exactly the default's codes.
+
+Monte-Carlo mode uses the same batches.  It draws its trials in blocks,
+each trial's tuple, state and subset in turn from one seeded generator,
+then judges a block per read view: one ``cell_codes`` call over the
+tuples of that view's trials, the default loop for a view with few of
+them.  Failures, per-state counts and witnesses are folded back in trial
+order, so the draws and every report are those of judging each trial on
+its own.
 """
 
 import math
@@ -50,13 +58,14 @@ from .model import (
     SystemState,
     VersionTuple,
     enumerate_possible_set,
+    format_count,
     iter_states,
     latest_common_version,
     latest_complete_version,
     newest_held,
-    sample_tuple,
+    tuple_sampler,
 )
-from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
+from .schemes import _NULL, _RAISED, _WRONG, MvcScheme
 
 _WILSON_Z = 1.959963984540054
 
@@ -247,13 +256,48 @@ def _exhaustive_run(
     )
 
 
-def _random_state(rng: random.Random, n: int, nu: int):
-    return SystemState(
-        tuple(
-            frozenset(u for u in range(1, nu + 1) if rng.getrandbits(1))
-            for _ in range(n)
-        )
-    )
+# Monte-Carlo draws and judges its trials in blocks of _BLOCK.  A read view
+# with fewer than _BATCH live trials in a block is judged tuple by tuple,
+# since the batch decoders' per-call cost (and numpy) does not pay there.
+_BLOCK = 1 << 12
+_BATCH = 32
+# Byte -> its top bit: bit 1 of a getrandbits(1) call is the top bit of
+# one 32-bit word of the generator.
+_TOP_BIT = bytes(128) + bytes([1]) * 128
+
+
+def _state_of(key: bytes, nu: int, rows: dict) -> SystemState:
+    """The state whose server i holds version u where byte i*nu + u-1 of
+    ``key`` is 1; each distinct row is built once, into ``rows``."""
+    sets = []
+    for i in range(0, len(key), nu):
+        row_key = key[i : i + nu]
+        row = rows.get(row_key)
+        if row is None:
+            row = rows[row_key] = frozenset(
+                u for u, bit in enumerate(row_key, 1) if bit
+            )
+        sets.append(row)
+    return SystemState(tuple(sets))
+
+
+def _judge_block(scheme: MvcScheme, live: list) -> list[int]:
+    """Outcome code of every live (tuple, state, T, ...) trial, in order:
+    one ``cell_codes`` call per read view over that view's tuples."""
+    groups: dict = {}
+    for i, (_, state, T, *_) in enumerate(live):
+        groups.setdefault(scheme.read_view(T, state), []).append(i)
+    codes = [0] * len(live)
+    for members in groups.values():
+        _, state, T, *_ = live[members[0]]
+        tuples = [live[i][0] for i in members]
+        if len(members) < _BATCH:
+            got = MvcScheme.cell_codes(scheme, T, state, tuples, {})
+        else:
+            got = scheme.cell_codes(T, state, tuples, {})
+        for i, code in zip(members, got):
+            codes[i] = code
+    return codes
 
 
 def _monte_carlo_run(
@@ -266,33 +310,44 @@ def _monte_carlo_run(
 ) -> VerificationReport:
     if trials < 1:
         raise ValueError("need at least one trial")
-    model = scheme.model
-    n = scheme.n
+    n, nu = scheme.n, scheme.model.nu
     rng = random.Random(seed)
+    draw_tuple = tuple_sampler(scheme.model)
+    servers = range(n)
+    # one getrandbits(32 * n * nu) yields the words of n * nu getrandbits(1)
+    # calls in order, least significant first; their top bytes are [3::4]
+    state_bits, state_bytes = 32 * n * nu, 4 * n * nu
+    rows: dict[bytes, frozenset[int]] = {}
+    # state key -> (state, [trials, failures]), in order of first draw
+    per_state: dict[bytes, tuple[SystemState, list[int]]] = {}
+    subsets_seen = set()
     failures = 0
     witnesses: list[Witness] = []
-    subsets_seen = set()
-    per_state: dict[tuple, list[int]] = {}
-    for _ in range(trials):
-        vt = sample_tuple(model, rng)
-        state = _random_state(rng, n, model.nu)
-        T = tuple(sorted(rng.sample(range(n), subset_size)))
-        subsets_seen.add(T)
-        record = per_state.setdefault(state.key(), [0, 0])
-        record[0] += 1
-        threshold = threshold_of(state, T)
-        if threshold is None:
-            continue  # vacuous guard: the trial passes
-        symbols = {
-            t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt) for t in T
-        }
-        code, _ = _judge(scheme, T, state, symbols, vt)
-        if code < threshold:
-            failures += 1
-            record[1] += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(_witness(state, T, vt, code, threshold))
-    rates = [f / a for a, f in per_state.values()]
+    for start in range(0, trials, _BLOCK):
+        live = []
+        for _ in range(min(_BLOCK, trials - start)):
+            vt = draw_tuple(rng)
+            raw = rng.getrandbits(state_bits).to_bytes(state_bytes, "little")
+            key = raw[3::4].translate(_TOP_BIT)
+            entry = per_state.get(key)
+            if entry is None:
+                entry = per_state[key] = (_state_of(key, nu, rows), [0, 0])
+            state, record = entry
+            T = tuple(sorted(rng.sample(servers, subset_size)))
+            subsets_seen.add(T)
+            record[0] += 1
+            threshold = threshold_of(state, T)
+            if threshold is not None:  # else a vacuous guard: the trial passes
+                live.append((vt, state, T, threshold, record))
+        for (vt, state, T, threshold, record), code in zip(
+            live, _judge_block(scheme, live)
+        ):
+            if code < threshold:
+                failures += 1
+                record[1] += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append(_witness(state, T, vt, code, threshold))
+    rates = [f / a for _, (a, f) in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
         len(per_state),
@@ -317,8 +372,8 @@ def _resolve_mode(mode: str, work: int, cap: int) -> str:
     if mode == MODE_EXHAUSTIVE:
         raise EnumerationCapExceeded(work, cap)
     warnings.warn(
-        f"exhaustive verification needs {work} decode attempts, over the cap "
-        f"of {cap}; falling back to Monte-Carlo sampling",
+        f"exhaustive verification needs {format_count(work)} decode attempts, "
+        f"over the cap of {format_count(cap)}; falling back to Monte-Carlo sampling",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -551,7 +606,9 @@ def estimate_epsilon(
     """Estimate the subset-contract failure probability over random tuples.
 
     Each trial draws a fresh tuple, state, and subset, exactly as
-    Monte-Carlo verification does.
+    Monte-Carlo verification does: the trials are drawn in blocks and
+    judged per read view through ``cell_codes``, and the draws and the
+    estimate are those of judging each trial on its own.
     """
     report = _monte_carlo_run(
         scheme, scheme.c, latest_common_version, trials, seed, 0

@@ -5,9 +5,10 @@ come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
 fine; independent is the point.  The mpmath rate arithmetic, the quorum
 bridge's subset scan, the GF(2^m) Vandermonde inverse, the receipt-
-pattern sweep and the per-node read search at the end are the
-implementations the exact paths, the direct bridge rule, the GF(2) mask
-decode, the closed-form worst cases and the view-keyed search replaced,
+pattern sweep, the per-node read search and the per-trial Monte-Carlo
+engine at the end are the implementations the exact paths, the direct
+bridge rule, the GF(2) mask decode, the closed-form worst cases, the
+view-keyed search and the per-view Monte-Carlo blocks replaced,
 kept as their oracles; so are the latest-only and replication newest-
 version scans that ``model.newest_held`` replaced.
 
@@ -19,6 +20,7 @@ tests call; they live here and use the library's exact rate arithmetic
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +41,7 @@ from mvcode.sim import (
     SimEvent,
     read_start,
 )
+from mvcode.verifier import MODE_MONTE_CARLO, VerificationReport, _witness
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -578,3 +581,64 @@ def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: i
                 seen.add(child)
                 queue.append((child, path + (step,)))
     return None
+
+
+# ---------------------------------------------------------------------------
+# The Monte-Carlo engine that judged each trial on its own, one getrandbits(1)
+# per server and version, before trials were judged per read view in blocks;
+# kept verbatim as its oracle.
+
+
+def random_state(rng, n: int, nu: int):
+    return SystemState(
+        tuple(
+            frozenset(u for u in range(1, nu + 1) if rng.getrandbits(1))
+            for _ in range(n)
+        )
+    )
+
+
+def per_trial_monte_carlo_run(
+    scheme, subset_size, threshold_of, trials, seed, witness_cap
+) -> VerificationReport:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    model = scheme.model
+    n = scheme.n
+    rng = random.Random(seed)
+    failures = 0
+    witnesses = []
+    subsets_seen = set()
+    per_state: dict[tuple, list[int]] = {}
+    for _ in range(trials):
+        vt = sample_tuple(model, rng)
+        state = random_state(rng, n, model.nu)
+        T = tuple(sorted(rng.sample(range(n), subset_size)))
+        subsets_seen.add(T)
+        record = per_state.setdefault(state.key(), [0, 0])
+        record[0] += 1
+        threshold = threshold_of(state, T)
+        if threshold is None:
+            continue  # vacuous guard: the trial passes
+        symbols = {
+            t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt) for t in T
+        }
+        code, _ = _judge(scheme, T, state, symbols, vt)
+        if code < threshold:
+            failures += 1
+            record[1] += 1
+            if len(witnesses) < witness_cap:
+                witnesses.append(_witness(state, T, vt, code, threshold))
+    rates = [f / a for a, f in per_state.values()]
+    return VerificationReport(
+        MODE_MONTE_CARLO,
+        len(per_state),
+        len(subsets_seen),
+        trials,
+        trials,
+        failures,
+        tuple(witnesses),
+        failures / trials,
+        max(rates, default=0.0),
+        sum(rates) / len(rates) if rates else 0.0,
+    )

@@ -886,6 +886,30 @@ def test_binning_seed_count_builds_no_seed_list():
     assert "search kind=random-uniform seeds=1000000000 " in done.stdout
 
 
+def test_verify_prints_work_past_4300_digits():
+    # 2^(nu*n) states at n=8000 made str() of the work raise ValueError
+    argv = ["verify", "--scheme", "mds", "-n", "8000", "-c", "1", "--trials", "5"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert "needs 2^16024.14 decode attempts, over the cap of 16777216" in done.stdout
+    assert "states=5 subsets=5 tuples=5 attempts=5" in done.stdout
+    done = _run_limited([*argv, "--mode", "exhaustive"])
+    assert done.returncode == 3
+    assert done.stderr == (
+        "error: enumeration would visit about 2^16024.14 elements, "
+        "cap is 16777216\n"
+    )
+
+
+def test_binning_decode_plan_limit_names_itself(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--scheme", "binning", "--K", "16", "--radius", "8",
+        "--mode", "monte-carlo", "--trials", "20", "--cap", "100000000000",
+    )
+    assert code == 3
+    assert "decode plan's fixed limit, which --cap does not raise, is 16777216" in err
+
+
 def test_binning_index_table_limit_names_itself(capsys):
     for argv in (
         ("verify", "--scheme", "binning", "--K", "20", "--mode", "monte-carlo"),

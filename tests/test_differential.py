@@ -4,7 +4,8 @@ replaced: big-integer width ceilings and region signs against the snapped
 estimate_epsilon and survey paths against values of the previous
 implementation, the direct quorum read rules against brute force, the
 GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse,
-and the view-keyed schedule search against the per-node read search."""
+the view-keyed schedule search against the per-node read search, and the
+per-view Monte-Carlo blocks against the per-trial engine."""
 
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from oracles import (
     mpmath_evaluate,
     mpmath_log2,
     per_node_read_search,
+    per_trial_monte_carlo_run,
     rate_term,
     rate_region_check,
     replication_newest_copy,
@@ -43,12 +45,13 @@ from mvcode.model import (
     CorrelationModel,
     SystemState,
     iter_states,
+    latest_common_version,
     latest_complete_version,
     newest_held,
 )
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import adversarial_schedule_search, schedule_to_text
-from mvcode.verifier import QuorumBridge, quorum_bridge
+from mvcode.verifier import _BATCH, _BLOCK, QuorumBridge, _monte_carlo_run, quorum_bridge
 
 GRID_K = (4, 8, 16, 64, 128)
 GRID_NC = ((2, 1), (4, 2), (5, 3))
@@ -438,3 +441,79 @@ def test_search_orders_crash_witnesses_by_their_arrivals(other, crashes):
     assert schedule_to_text(got) == schedule_to_text(want)
     assert len(got.events) == 6
     assert [e.kind for e in got.events].count("server-crash") == crashes
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo: per-view blocks against the per-trial engine.  At n=5, c=2
+# a block's 4096 trials spread over 160 (subset, rows) views, about 26 per
+# view, so its groups fall on both sides of _BATCH; at n=3 that happens
+# near 1500 trials, and at n=64 views never repeat.
+
+
+def _mc_case(name, n, c, quorums=None, **extra):
+    model = CorrelationModel(5 if name == "binning" else 4, 1, 2)
+    scheme = make_scheme(name, model, n, c, **extra)
+    if quorums is None:
+        return scheme, c, latest_common_version
+    c_w, c_r = quorums
+    return (
+        quorum_bridge(scheme, c_w, c_r),
+        c_r,
+        lambda state, T: latest_complete_version(state, c_w),
+    )
+
+
+_BLOCK_TRIALS = (1, _BLOCK + 1)
+# name -> (scheme, n, c, quorums, extra, trial counts)
+_MC_CASES = {
+    **{
+        name: (name, 5, 2, None, {}, _BLOCK_TRIALS)
+        for name in ("replication", "mds", "delta", "rs-update", "latest-only")
+    },
+    # codebook seed 1 fails a few dozen of 4097 trials
+    "binning": (
+        "binning", 3, 2, None, {"epsilon": Fraction(1, 2), "seed": 1},
+        (1, 1500, _BLOCK + 1),
+    ),
+    # several subsets delegate to the same holders, so one bridged view
+    # gathers trials of different T
+    "bridge(mds)": ("mds", 5, 2, (3, 4), {}, _BLOCK_TRIALS),
+    "bridge(latest-only)": ("latest-only", 5, 2, (3, 4), {}, _BLOCK_TRIALS),
+    "mds n=64": ("mds", 64, 2, None, {}, (1, 300)),
+    "latest-only n=64": ("latest-only", 64, 2, None, {}, (1, 300)),
+}
+
+
+@pytest.mark.parametrize("case", _MC_CASES)
+def test_monte_carlo_blocks_match_the_per_trial_engine(case):
+    name, n, c, quorums, extra, counts = _MC_CASES[case]
+    args = _mc_case(name, n, c, quorums, **extra)
+    for seed in (0, 1):
+        for trials in counts:
+            got = _monte_carlo_run(*args, trials, seed, 40)
+            want = per_trial_monte_carlo_run(*args, trials, seed, 40)
+            assert got == want, (trials, seed)
+    if "latest-only" in case or name == "binning":
+        assert got.failures  # the witnesses were compared too
+
+
+def test_monte_carlo_groups_cross_the_batch_size(monkeypatch):
+    """The geometry above sends some views of a block through the batch
+    decoder and the rest through the per-tuple loop."""
+    scheme, size, threshold_of = _mc_case("mds", 5, 2)
+    sizes = {"loop": [], "batch": []}
+
+    def spy(kind, cell_codes):
+        def wrapped(self, T, state, tuples, cache):
+            sizes[kind].append(len(tuples))
+            return cell_codes(self, T, state, tuples, cache)
+
+        return wrapped
+
+    monkeypatch.setattr(MvcScheme, "cell_codes", spy("loop", MvcScheme.cell_codes))
+    monkeypatch.setattr(
+        type(scheme), "cell_codes", spy("batch", type(scheme).cell_codes)
+    )
+    _monte_carlo_run(scheme, size, threshold_of, _BLOCK, 0, 0)
+    assert sizes["loop"] and max(sizes["loop"]) < _BATCH
+    assert sizes["batch"] and min(sizes["batch"]) >= _BATCH

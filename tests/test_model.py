@@ -16,6 +16,7 @@ from mvcode.model import (
     ball_rank,
     ball_unrank,
     enumerate_possible_set,
+    format_count,
     hamming_ball_volume,
     iter_ball_masks,
     latest_common_version,
@@ -164,6 +165,17 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapExceeded) as err:
             list(enumerate_possible_set(model, cap=1000))
         assert err.value.estimate == model.tuple_count()
+
+    def test_counts_past_64_bits_print_as_magnitudes(self):
+        assert format_count((1 << 64) - 1) == str((1 << 64) - 1)
+        assert format_count(1 << 64) == "2^64"
+        assert format_count(3 << 100) == "2^101.58"
+        # str() of a 16,000-bit int raises ValueError past 4300 digits
+        err = EnumerationCapExceeded(3 << 16000, 1 << 24)
+        assert str(err) == (
+            "enumeration would visit about 2^16001.58 elements, cap is 16777216"
+        )
+        assert err.estimate == 3 << 16000
 
 
 def _completions(model, fixed, targets=None):
