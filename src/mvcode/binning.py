@@ -31,6 +31,7 @@ column-prefix structure gives the same truncation semantics, at any K.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .model import (
     iter_ball_masks,
     iter_states,
     latest_common_version,
-    sample_tuple,
+    tuple_sampler,
 )
 from .schemes import (
     _NULL,
@@ -790,7 +791,8 @@ def example1_rate_comparison(delta) -> RateComparisonReport:
 def sample_tuples(model: CorrelationModel, count: int, seed: int):
     """``count`` admissible tuples; trial i uses derived seed (seed<<32)+i, so
     each trial's tuple is the same whatever ``count`` is."""
-    return tuple(sample_tuple(model, (int(seed) << 32) + i) for i in range(count))
+    draw = tuple_sampler(model)
+    return tuple(draw(random.Random((int(seed) << 32) + i)) for i in range(count))
 
 
 @dataclass(frozen=True)

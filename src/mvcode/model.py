@@ -284,36 +284,119 @@ def ball_unrank(index: int, K: int) -> int:
 # ---------------------------------------------------------------------------
 # Sampling and enumeration of admissible tuples.
 
-def _sample_positions(rng: random.Random, count: int, K: int) -> list[int]:
-    # Partial Fisher-Yates; spelled out so the draw sequence is stable
-    # across Python versions.
-    pool = list(range(K))
-    for idx in range(count):
-        swap = rng.randrange(idx, K)
-        pool[idx], pool[swap] = pool[swap], pool[idx]
-    return pool[:count]
+# Every draw below calls ``rng.getrandbits`` and nothing else, so it rests
+# only on MT19937's 32-bit word stream, which Python keeps stable across
+# versions.  A uniform r below m is random.Random's rejection loop spelled
+# out: k = m.bit_length(), then redraw getrandbits(k) while r >= m.  Each
+# sampler makes the getrandbits calls of the stdlib draw it names, so it
+# draws what that draw draws and leaves the generator where it leaves it.
+
+# Past this many distinct versions a sampler forgets the Messages it built.
+_MESSAGE_MEMO = 1 << 12
 
 
 def tuple_sampler(model: CorrelationModel) -> Callable[[random.Random], VersionTuple]:
     """A function that draws one tuple of ``model`` from a random.Random,
     as ``sample_tuple`` does, with the per-model set-up done once here so
-    a caller drawing many tuples pays it once."""
+    a caller drawing many tuples pays it once.
+
+    A step draws a uniform r below Vol, whose weight class is the weight
+    j, then the first j swaps of a Fisher-Yates shuffle of range(K), swap
+    i with a uniform one of i..K-1, as the stdlib's ``randrange`` does.
+    The shuffle keeps only its moved entries; a weight-1 step flips its
+    one drawn bit.  Each distinct version value gets one Message, reused.
+    """
     K = model.K
     cumulative = [hamming_ball_volume(j, K) for j in range(model.radius + 1)]
     total = cumulative[-1]
+    total_bits = total.bit_length()
+    spans = [(K - i, (K - i).bit_length()) for i in range(model.radius)]
+    K_bits = K.bit_length()
     steps = range(model.nu - 1)
+    messages: dict[int, Message] = {}
+
+    def message(v: int) -> Message:
+        m = messages.get(v)
+        if m is None:
+            if len(messages) >= _MESSAGE_MEMO:
+                messages.clear()
+            m = messages[v] = Message(v, K)
+        return m
 
     def draw(rng: random.Random) -> VersionTuple:
-        w = rng.getrandbits(K)
-        out = [w]
+        getrandbits = rng.getrandbits
+        w = getrandbits(K)
+        out = [message(w)]
         for _ in steps:
-            weight = bisect_right(cumulative, rng.randrange(total))
-            mask = 0
-            for p in _sample_positions(rng, weight, K):
-                mask |= 1 << p
-            w ^= mask
-            out.append(w)
-        return VersionTuple(tuple(Message(v, K) for v in out))
+            r = getrandbits(total_bits)
+            while r >= total:
+                r = getrandbits(total_bits)
+            weight = bisect_right(cumulative, r)
+            if weight == 1:
+                j = getrandbits(K_bits)
+                while j >= K:
+                    j = getrandbits(K_bits)
+                w ^= 1 << j
+            elif weight:
+                moved: dict[int, int] = {}
+                for i in range(weight):
+                    span, bits = spans[i]
+                    j = getrandbits(bits)
+                    while j >= span:
+                        j = getrandbits(bits)
+                    j += i
+                    # position i is never drawn again, so only j keeps a move
+                    w ^= 1 << moved.get(j, j)
+                    moved[j] = moved.get(i, i)
+            out.append(message(w))
+        return VersionTuple(tuple(out))
+
+    return draw
+
+
+def subset_sampler(n: int, c: int) -> Callable[[random.Random], list[int]]:
+    """A function that draws c distinct members of range(n) from a
+    random.Random, in draw order, as ``random.Random.sample`` draws c of
+    range(n): from a pool, moving its last member into each vacancy,
+    while n is at most the stdlib's set size (21, grown for c > 5), and
+    otherwise by redrawing from range(n) until a new member comes up."""
+    if not 0 <= c <= n:
+        raise ValueError("subset size must lie in [0, n]")
+    setsize = 21
+    if c > 5:
+        setsize += 4 ** math.ceil(math.log(c * 3, 4))
+    if n <= setsize:
+        members = list(range(n))
+        spans = [(n - i, (n - i).bit_length()) for i in range(c)]
+
+        def draw(rng: random.Random) -> list[int]:
+            getrandbits = rng.getrandbits
+            pool = members[:]
+            out = []
+            for span, bits in spans:
+                j = getrandbits(bits)
+                while j >= span:
+                    j = getrandbits(bits)
+                out.append(pool[j])
+                pool[j] = pool[span - 1]
+            return out
+
+        return draw
+
+    bits = n.bit_length()
+    picks = range(c)
+
+    def draw(rng: random.Random) -> list[int]:
+        getrandbits = rng.getrandbits
+        out = []
+        selected = set()
+        for _ in picks:
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            out.append(j)
+        return out
 
     return draw
 

@@ -36,12 +36,14 @@ GF(2) bit-matrix products, binning with its survivors as numpy (tuple
 row, value) arrays, and each must return exactly the default's codes.
 
 Monte-Carlo mode uses the same batches.  It draws its trials in blocks,
-each trial's tuple, state and subset in turn from one seeded generator,
-then judges a block per read view: one ``cell_codes`` call over the
-tuples of that view's trials, the default loop for a view with few of
-them.  Failures, per-state counts and witnesses are folded back in trial
-order, so the draws and every report are those of judging each trial on
-its own.
+each trial's tuple, state and subset in turn from one seeded generator
+through ``getrandbits`` alone, so the draws rest only on MT19937's word
+stream.  A (state, drawn subset) pair is judged for its sorted subset,
+threshold and read view once per run, on first draw.  A block is then
+judged per read view: one ``cell_codes`` call over the tuples of that
+view's trials, the default loop for a view with few of them.  Failures,
+per-state counts and witnesses are folded back in trial order, so the
+draws and every report are those of judging each trial on its own.
 """
 
 import math
@@ -63,6 +65,7 @@ from .model import (
     latest_common_version,
     latest_complete_version,
     newest_held,
+    subset_sampler,
     tuple_sampler,
 )
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme
@@ -281,15 +284,13 @@ def _state_of(key: bytes, nu: int, rows: dict) -> SystemState:
     return SystemState(tuple(sets))
 
 
-def _judge_block(scheme: MvcScheme, live: list) -> list[int]:
-    """Outcome code of every live (tuple, state, T, ...) trial, in order:
-    one ``cell_codes`` call per read view over that view's tuples."""
-    groups: dict = {}
-    for i, (_, state, T, *_) in enumerate(live):
-        groups.setdefault(scheme.read_view(T, state), []).append(i)
+def _judge_block(scheme: MvcScheme, live: list, groups: dict) -> list[int]:
+    """Outcome code of every live (tuple, state, read, record) trial, in
+    order: one ``cell_codes`` call per read view, ``groups`` listing the
+    trials of each view."""
     codes = [0] * len(live)
     for members in groups.values():
-        _, state, T, *_ = live[members[0]]
+        _, state, (T, _, _), _ = live[members[0]]
         tuples = [live[i][0] for i in members]
         if len(members) < _BATCH:
             got = MvcScheme.cell_codes(scheme, T, state, tuples, {})
@@ -312,42 +313,54 @@ def _monte_carlo_run(
         raise ValueError("need at least one trial")
     n, nu = scheme.n, scheme.model.nu
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     draw_tuple = tuple_sampler(scheme.model)
-    servers = range(n)
+    draw_subset = subset_sampler(n, subset_size)
     # one getrandbits(32 * n * nu) yields the words of n * nu getrandbits(1)
     # calls in order, least significant first; their top bytes are [3::4]
     state_bits, state_bytes = 32 * n * nu, 4 * n * nu
     rows: dict[bytes, frozenset[int]] = {}
-    # state key -> (state, [trials, failures]), in order of first draw
-    per_state: dict[bytes, tuple[SystemState, list[int]]] = {}
+    # state key -> (state, [trials, failures], reads), in order of first
+    # draw; reads maps a drawn subset to (T, threshold, view index)
+    per_state: dict[bytes, tuple[SystemState, list[int], dict]] = {}
+    views: dict = {}  # read view -> its index, by which a block groups trials
     subsets_seen = set()
     failures = 0
     witnesses: list[Witness] = []
     for start in range(0, trials, _BLOCK):
         live = []
+        groups: dict[int, list[int]] = {}
         for _ in range(min(_BLOCK, trials - start)):
             vt = draw_tuple(rng)
-            raw = rng.getrandbits(state_bits).to_bytes(state_bytes, "little")
+            raw = getrandbits(state_bits).to_bytes(state_bytes, "little")
             key = raw[3::4].translate(_TOP_BIT)
             entry = per_state.get(key)
             if entry is None:
-                entry = per_state[key] = (_state_of(key, nu, rows), [0, 0])
-            state, record = entry
-            T = tuple(sorted(rng.sample(servers, subset_size)))
-            subsets_seen.add(T)
+                entry = per_state[key] = (_state_of(key, nu, rows), [0, 0], {})
+            state, record, reads = entry
+            drawn = tuple(draw_subset(rng))
+            read = reads.get(drawn)
+            if read is None:
+                T = tuple(sorted(drawn))
+                subsets_seen.add(T)
+                threshold = threshold_of(state, T)
+                view = None
+                if threshold is not None:
+                    view = views.setdefault(scheme.read_view(T, state), len(views))
+                read = reads[drawn] = (T, threshold, view)
             record[0] += 1
-            threshold = threshold_of(state, T)
-            if threshold is not None:  # else a vacuous guard: the trial passes
-                live.append((vt, state, T, threshold, record))
-        for (vt, state, T, threshold, record), code in zip(
-            live, _judge_block(scheme, live)
+            if read[1] is not None:  # else a vacuous guard: the trial passes
+                groups.setdefault(read[2], []).append(len(live))
+                live.append((vt, state, read, record))
+        for (vt, state, (T, threshold, _), record), code in zip(
+            live, _judge_block(scheme, live, groups)
         ):
             if code < threshold:
                 failures += 1
                 record[1] += 1
                 if len(witnesses) < witness_cap:
                     witnesses.append(_witness(state, T, vt, code, threshold))
-    rates = [f / a for _, (a, f) in per_state.values()]
+    rates = [f / a for _, (a, f), _ in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
         len(per_state),
@@ -606,9 +619,10 @@ def estimate_epsilon(
     """Estimate the subset-contract failure probability over random tuples.
 
     Each trial draws a fresh tuple, state, and subset, exactly as
-    Monte-Carlo verification does: the trials are drawn in blocks and
-    judged per read view through ``cell_codes``, and the draws and the
-    estimate are those of judging each trial on its own.
+    Monte-Carlo verification does, from ``getrandbits`` alone: the trials
+    are drawn in blocks and judged per read view through ``cell_codes``,
+    and the draws and the estimate are those of judging each trial on its
+    own.
     """
     report = _monte_carlo_run(
         scheme, scheme.c, latest_common_version, trials, seed, 0

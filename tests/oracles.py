@@ -10,7 +10,9 @@ engine at the end are the implementations the exact paths, the direct
 bridge rule, the GF(2) mask decode, the closed-form worst cases, the
 view-keyed search and the per-view Monte-Carlo blocks replaced,
 kept as their oracles; so are the latest-only and replication newest-
-version scans that ``model.newest_held`` replaced.
+version scans that ``model.newest_held`` replaced, and the tuple and
+subset draws through ``randrange`` and ``random.sample`` that the
+``getrandbits``-only samplers replaced.
 
 The parity lemma of the linear codebook, the receipt-set rate formula and
 the binning rate-region check with its scenario rates are analytics only
@@ -21,6 +23,7 @@ tests call; they live here and use the library's exact rate arithmetic
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +34,13 @@ import numpy as np
 from mpmath import mp
 
 from mvcode.binning import _ZERO_TERM, RateTerm, _decoding_chain
-from mvcode.model import SystemState, latest_complete_version, sample_tuple
+from mvcode.model import (
+    Message,
+    SystemState,
+    VersionTuple,
+    latest_complete_version,
+    sample_tuple,
+)
 from mvcode.schemes import _judge
 from mvcode.sim import (
     KIND_ARRIVAL,
@@ -584,9 +593,42 @@ def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: i
 
 
 # ---------------------------------------------------------------------------
+# The tuple and subset draws through the stdlib's randrange and sample, made
+# before the package's samplers called getrandbits alone; the reference
+# those must equal call for call.
+
+
+@lru_cache(maxsize=None)
+def _cumulative_volumes(radius: int, K: int) -> tuple[int, ...]:
+    return tuple(ball_volume(j, K) for j in range(radius + 1))
+
+
+def reference_sample_tuple(model, rng: random.Random) -> VersionTuple:
+    K = model.K
+    cumulative = _cumulative_volumes(model.radius, K)
+    w = rng.getrandbits(K)
+    out = [w]
+    for _ in range(model.nu - 1):
+        weight = bisect_right(cumulative, rng.randrange(cumulative[-1]))
+        # partial Fisher-Yates over range(K)
+        pool = list(range(K))
+        for idx in range(weight):
+            swap = rng.randrange(idx, K)
+            pool[idx], pool[swap] = pool[swap], pool[idx]
+        for p in pool[:weight]:
+            w ^= 1 << p
+        out.append(w)
+    return VersionTuple(tuple(Message(v, K) for v in out))
+
+
+def reference_sample_subset(rng: random.Random, n: int, c: int) -> list[int]:
+    return rng.sample(range(n), c)
+
+
+# ---------------------------------------------------------------------------
 # The Monte-Carlo engine that judged each trial on its own, one getrandbits(1)
 # per server and version, before trials were judged per read view in blocks;
-# kept verbatim as its oracle.
+# kept as its oracle, drawing through the reference draws above.
 
 
 def random_state(rng, n: int, nu: int):
@@ -611,9 +653,9 @@ def per_trial_monte_carlo_run(
     subsets_seen = set()
     per_state: dict[tuple, list[int]] = {}
     for _ in range(trials):
-        vt = sample_tuple(model, rng)
+        vt = reference_sample_tuple(model, rng)
         state = random_state(rng, n, model.nu)
-        T = tuple(sorted(rng.sample(range(n), subset_size)))
+        T = tuple(sorted(reference_sample_subset(rng, n, subset_size)))
         subsets_seen.add(T)
         record = per_state.setdefault(state.key(), [0, 0])
         record[0] += 1

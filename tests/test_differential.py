@@ -4,8 +4,10 @@ replaced: big-integer width ceilings and region signs against the snapped
 estimate_epsilon and survey paths against values of the previous
 implementation, the direct quorum read rules against brute force, the
 GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse,
-the view-keyed schedule search against the per-node read search, and the
-per-view Monte-Carlo blocks against the per-trial engine."""
+the view-keyed schedule search against the per-node read search, the
+per-view Monte-Carlo blocks against the per-trial engine, and the
+getrandbits-only tuple and subset draws against randrange and
+random.sample."""
 
 import random
 from fractions import Fraction
@@ -23,6 +25,8 @@ from oracles import (
     per_trial_monte_carlo_run,
     rate_term,
     rate_region_check,
+    reference_sample_subset,
+    reference_sample_tuple,
     replication_newest_copy,
     scenario_rates,
     snapped_ceil_bits,
@@ -48,6 +52,8 @@ from mvcode.model import (
     latest_common_version,
     latest_complete_version,
     newest_held,
+    subset_sampler,
+    tuple_sampler,
 )
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import adversarial_schedule_search, schedule_to_text
@@ -517,3 +523,46 @@ def test_monte_carlo_groups_cross_the_batch_size(monkeypatch):
     _monte_carlo_run(scheme, size, threshold_of, _BLOCK, 0, 0)
     assert sizes["loop"] and max(sizes["loop"]) < _BATCH
     assert sizes["batch"] and min(sizes["batch"]) >= _BATCH
+
+
+# ---------------------------------------------------------------------------
+# Draws: getrandbits alone against the stdlib's randrange and sample.  One
+# generator feeds many draws, so a call one draw adds or drops shows in all
+# that follow and in the final generator state.
+
+
+@pytest.mark.parametrize("K", (8, 31, 40, 64))
+@pytest.mark.parametrize("radius", ("0", "1", "3", "K"))
+def test_tuple_draws_match_the_randrange_reference(K, radius):
+    model = CorrelationModel(K, K if radius == "K" else int(radius), 3)
+    draw = tuple_sampler(model)
+    for seed in range(3):
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            assert draw(got) == reference_sample_tuple(model, want)
+        assert got.getstate() == want.getstate()
+
+
+# Pool branch while n is at most the stdlib's set size (21, grown for c > 5),
+# set branch past it: (30, 6) and (100, 6) sit on either side of the grown
+# size, 85.
+_SUBSET_CASES = (
+    (1, 1), (4, 1), (4, 2), (4, 4), (21, 1), (21, 5), (21, 21), (22, 1),
+    (22, 5), (30, 6), (100, 6), (7000, 1), (100, 100), (200, 3), (40, 0),
+)
+
+
+@pytest.mark.parametrize("n, c", _SUBSET_CASES)
+def test_subset_draws_match_random_sample(n, c):
+    draw = subset_sampler(n, c)
+    for seed in range(3):
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert draw(got) == reference_sample_subset(want, n, c)
+        assert got.getstate() == want.getstate()
+
+
+def test_subset_draw_rejects_sizes_outside_the_population():
+    for n, c in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            subset_sampler(n, c)

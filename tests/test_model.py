@@ -102,6 +102,29 @@ class TestSampling:
         model = CorrelationModel(K=8, radius=2, nu=3)
         assert sample_tuple(model, 1234) == sample_tuple(model, 1234)
 
+    # Draws computed before the samplers called getrandbits alone: K=64
+    # draws multi-word getrandbits, radius 4 = K flips up to K bits.
+    PINNED_DRAWS = {
+        (8, 1, 2): [(216, 152), (34, 50), (244, 244), (60, 56)],
+        (64, 3, 3): [
+            (7106521602475165645, 16329893639330072557, 12871129125576640493),
+            (10499958131665514997, 10499958127370547445, 9347041020877320437),
+            (15921556852572072307, 15921556852605624627, 15921555203338051891),
+            (10932295209482665981, 9779373704892530685, 10932296858766819325),
+        ],
+        (4, 4, 3): [(13, 6, 9), (2, 6, 14), (15, 14, 10), (3, 7, 8)],
+        (8, 2, 1): [(216,), (34,), (244,), (60,)],
+    }
+
+    @pytest.mark.parametrize("params", PINNED_DRAWS)
+    def test_draws_are_pinned(self, params):
+        model = CorrelationModel(*params)
+        got = [
+            tuple(m.bits for m in sample_tuple(model, seed).versions)
+            for seed in range(4)
+        ]
+        assert got == self.PINNED_DRAWS[params]
+
     def test_radius_zero_keeps_versions_identical(self):
         model = CorrelationModel(K=6, radius=0, nu=4)
         t = sample_tuple(model, 7)
