@@ -10,11 +10,12 @@ candidates are the values one admissible step from a survivor of the version
 before.  Decoding succeeds when exactly one value of the newest common version
 survives; older versions may keep several survivors, which is harmless.
 
-One decode walks Python sets of survivors.  The exhaustive verifier and the
-codebook survey judge a whole read view at once (``BinningScheme.cell_codes``):
-the survivors of every tuple are flat (tuple row, value) numpy arrays,
-stepped by the same ball masks and filtered by the same checks.  numpy is
-imported inside those batch paths and the codebook draws only.
+One decode walks Python sets of survivors.  The verifier's engines and the
+codebook survey judge a read view of ``verifier._BATCH`` or more tuples at
+once (``BinningScheme.cell_codes``): the survivors of every tuple are flat
+(tuple row, value) numpy arrays, stepped by the same ball masks and
+filtered by the same checks.  numpy is imported inside those batch paths
+and the codebook draws only.
 
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, lcm, log2, prod
+from math import ceil, comb, lcm, log2, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bitio import BitWriter
@@ -816,10 +817,18 @@ class ErrorSurvey:
     wilson_upper: float
 
 
+def _check_survey_work(model, n: int, c: int, trials: int, cap: int) -> None:
+    """Refuse a survey whose states x reading sets x tuples exceed ``cap``."""
+    work = (1 << (n * model.nu)) * comb(n, c) * trials
+    if work > cap:
+        raise EnumerationCapExceeded(work, cap)
+
+
 def empirical_error_survey(
     codebook: BinningCodebook,
     rates: RateAllocation,
     tuples: Sequence[VersionTuple],
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ErrorSurvey:
     """Decode every (state, reading set) cell against every sampled tuple.
 
@@ -827,11 +836,14 @@ def empirical_error_survey(
     means the survivors did not reduce to exactly the true newest-common
     value; cells without a common version are skipped as vacuous.  The
     cells run on the verifier's exhaustive engine, decoding through a
-    BinningScheme over the given codebook and allocation.
+    BinningScheme over the given codebook and allocation.  Raises
+    EnumerationCapExceeded when states x reading sets x tuples exceed
+    ``cap``.
     """
     if not tuples:
         raise ValueError("need at least one sampled tuple")
     n = codebook.n
+    _check_survey_work(codebook.model, n, rates.c, len(tuples), cap)
     report = _exhaustive_run(
         BinningScheme.over(codebook, rates),
         list(combinations(range(n), rates.c)),
@@ -875,6 +887,7 @@ def seed_search(
     tuples: Sequence[VersionTuple],
     kind: str = "random-uniform",
     stop_at_target: bool = True,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SeedSearchReport:
     """Survey codebook seeds in order, keeping the best observed worst-cell
     rate.
@@ -883,18 +896,20 @@ def seed_search(
     reports per-seed empirical rates rather than certifying any one seed.
     By default the search stops at the first seed whose worst cell meets
     the target epsilon (any later seed could only tie the pass/fail
-    verdict).
+    verdict).  Each survey is held to ``cap`` as in
+    ``empirical_error_survey``, checked before the first seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     allocation = RateAllocation(model, n, c, Fraction(epsilon))
+    _check_survey_work(model, n, c, len(tuples), cap)
     goal = allocation.epsilon
     surveys = []
     for seed in seeds:
         codebook = BinningCodebook.create(
             model, n, c, allocation.epsilon, kind=kind, seed=seed
         )
-        survey = empirical_error_survey(codebook, allocation, tuples)
+        survey = empirical_error_survey(codebook, allocation, tuples, cap)
         surveys.append(survey)
         if stop_at_target and survey.worst_rate <= goal:
             break

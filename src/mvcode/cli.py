@@ -27,6 +27,7 @@ from typing import Optional
 from .binning import (
     _CODEBOOK_KINDS,
     RateAllocation,
+    _check_survey_work,
     binning_worst_case_cost,
     check_decodable,
     example1_rate_comparison,
@@ -529,10 +530,11 @@ def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
         raise UsageError(f"seeds must lie in [1, 2^64 - seed = {room}], got {args.seeds}")
     model = cfg.model()
     c = cfg.effective_c
+    _check_survey_work(model, cfg.n, c, cfg.trials, cfg.cap)  # before any sampling
     seeds = range(cfg.seed, cfg.seed + args.seeds)
     tuples = sample_tuples(model, cfg.trials, cfg.seed)
     report = seed_search(
-        model, cfg.n, c, cfg.epsilon, seeds, tuples, kind=args.kind
+        model, cfg.n, c, cfg.epsilon, seeds, tuples, kind=args.kind, cap=cfg.cap
     )
     lines = cfg.echo_lines()
     lines.append(

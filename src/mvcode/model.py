@@ -150,7 +150,8 @@ class SystemState:
     per_server: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        for s in self.per_server:
+        # each distinct row once; a frozenset caches its hash
+        for s in set(self.per_server):
             if any(u < 1 for u in s):
                 raise ValueError("version indices are 1-based")
 

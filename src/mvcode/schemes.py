@@ -20,7 +20,9 @@ cached inverse, so one exhaustive-verifier cell costs a few matrix
 products instead of one Python decode per tuple.  The binning scheme
 (``binning.BinningScheme``) judges a view at once too, holding every
 tuple's survivors as numpy (tuple row, value) arrays.  numpy is imported
-inside these batch paths only, so single encodes and decodes run without it.
+inside these batch paths only, which the verifier runs for a view judged
+over ``verifier._BATCH`` tuples or more, so single encodes and decodes and
+short tuple lists run without it.
 """
 
 from __future__ import annotations

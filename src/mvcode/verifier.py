@@ -28,22 +28,19 @@ every full state so reports and witnesses still range over the whole
 state space.  The schedule search judges its reads with these same cells,
 over a one-tuple list.
 
-A cell is one batch: the engine asks the scheme for the outcome codes of
-the whole tuple list at once (``MvcScheme.cell_codes``), handing it a
-cache that lives for the run.  The default encodes and decodes tuple by
-tuple; the Reed-Solomon-backed schemes and replication override it with
-GF(2) bit-matrix products, binning with its survivors as numpy (tuple
-row, value) arrays, and each must return exactly the default's codes.
-
-Monte-Carlo mode uses the same batches.  It draws its trials in blocks,
-each trial's tuple, state and subset in turn from one seeded generator
-through ``getrandbits`` alone, so the draws rest only on MT19937's word
-stream.  A (state, drawn subset) pair is judged for its sorted subset,
-threshold and read view once per run, on first draw.  A block is then
-judged per read view: one ``cell_codes`` call over the tuples of that
-view's trials, the default loop for a view with few of them.  Failures,
-per-state counts and witnesses are folded back in trial order, so the
-draws and every report are those of judging each trial on its own.
+Every engine turns a read view into outcome codes through ``_codes``, by
+one rule: a view judged over fewer than ``_BATCH`` tuples runs the
+per-tuple default of ``MvcScheme.cell_codes``, and a longer one the
+scheme's own batch (GF(2) bit-matrix products for the Reed-Solomon-backed
+schemes and replication, numpy survivor arrays for binning), which must
+return exactly the default's codes.  Monte-Carlo mode draws its trials in
+blocks, each trial's tuple, state and subset in turn from one seeded
+generator through ``getrandbits`` alone, so the draws rest only on
+MT19937's word stream.  A (state, drawn subset) pair is judged for its
+sorted subset, threshold and read view once per run, on first draw, and a
+block is judged per read view over the tuples of that view's trials.
+Failures, per-state counts and witnesses are folded back in trial order,
+so the draws and every report are those of judging each trial on its own.
 """
 
 import math
@@ -195,12 +192,25 @@ class _Cell:
         return out
 
 
+# The batch decoders' per-call cost (and numpy) does not pay below _BATCH
+# tuples.
+_BATCH = 32
+
+
+def _codes(scheme, T, state, tuples, cache) -> list[int]:
+    """``cell_codes`` of T's read view of ``state``: the per-tuple default
+    below _BATCH tuples, the scheme's batch from there."""
+    if len(tuples) < _BATCH:
+        return MvcScheme.cell_codes(scheme, T, state, tuples, cache)
+    return scheme.cell_codes(T, state, tuples, cache)
+
+
 def _cell(scheme, T, state, tuples, cells: dict, cache: dict) -> _Cell:
     """The cell of T's read view of ``state``, built on first use."""
     view = scheme.read_view(T, state)
     cell = cells.get(view)
     if cell is None:
-        cell = cells[view] = _Cell(scheme.cell_codes(T, state, tuples, cache))
+        cell = cells[view] = _Cell(_codes(scheme, T, state, tuples, cache))
     return cell
 
 
@@ -259,11 +269,8 @@ def _exhaustive_run(
     )
 
 
-# Monte-Carlo draws and judges its trials in blocks of _BLOCK.  A read view
-# with fewer than _BATCH live trials in a block is judged tuple by tuple,
-# since the batch decoders' per-call cost (and numpy) does not pay there.
+# Monte-Carlo draws and judges its trials in blocks of _BLOCK.
 _BLOCK = 1 << 12
-_BATCH = 32
 # Byte -> its top bit: bit 1 of a getrandbits(1) call is the top bit of
 # one 32-bit word of the generator.
 _TOP_BIT = bytes(128) + bytes([1]) * 128
@@ -282,23 +289,6 @@ def _state_of(key: bytes, nu: int, rows: dict) -> SystemState:
             )
         sets.append(row)
     return SystemState(tuple(sets))
-
-
-def _judge_block(scheme: MvcScheme, live: list, groups: dict) -> list[int]:
-    """Outcome code of every live (tuple, state, read, record) trial, in
-    order: one ``cell_codes`` call per read view, ``groups`` listing the
-    trials of each view."""
-    codes = [0] * len(live)
-    for members in groups.values():
-        _, state, (T, _, _), _ = live[members[0]]
-        tuples = [live[i][0] for i in members]
-        if len(members) < _BATCH:
-            got = MvcScheme.cell_codes(scheme, T, state, tuples, {})
-        else:
-            got = scheme.cell_codes(T, state, tuples, {})
-        for i, code in zip(members, got):
-            codes[i] = code
-    return codes
 
 
 def _monte_carlo_run(
@@ -352,9 +342,13 @@ def _monte_carlo_run(
             if read[1] is not None:  # else a vacuous guard: the trial passes
                 groups.setdefault(read[2], []).append(len(live))
                 live.append((vt, state, read, record))
-        for (vt, state, (T, threshold, _), record), code in zip(
-            live, _judge_block(scheme, live, groups)
-        ):
+        codes = [0] * len(live)
+        for members in groups.values():
+            _, state, (T, _, _), _ = live[members[0]]
+            got = _codes(scheme, T, state, [live[i][0] for i in members], {})
+            for i, code in zip(members, got):
+                codes[i] = code
+        for (vt, state, (T, threshold, _), record), code in zip(live, codes):
             if code < threshold:
                 failures += 1
                 record[1] += 1
@@ -405,14 +399,16 @@ def _verify(
 ) -> VerificationReport:
     model = scheme.model
     n = scheme.n
-    subsets = list(combinations(range(n), subset_size))
-    work = (1 << (model.nu * n)) * len(subsets) * model.tuple_count()
+    work = (1 << (model.nu * n)) * math.comb(n, subset_size) * model.tuple_count()
     chosen = _resolve_mode(mode, work, cap)
     if chosen == MODE_EXHAUSTIVE:
-        tuples = list(enumerate_possible_set(model, cap))
-        states = iter_states(n, model.nu)
         return _exhaustive_run(
-            scheme, subsets, threshold_of, states, tuples, witness_cap
+            scheme,
+            list(combinations(range(n), subset_size)),
+            threshold_of,
+            iter_states(n, model.nu),
+            list(enumerate_possible_set(model, cap)),
+            witness_cap,
         )
     return _monte_carlo_run(
         scheme, subset_size, threshold_of, trials, seed, witness_cap

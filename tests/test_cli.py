@@ -247,8 +247,9 @@ def test_runs_without_mpmath():
     assert done.returncode == 0, done.stderr
 
 
-# Commands that reach no batch decoder and no binning codebook, with their
-# exit codes: latest-only fails its sampled verify and its replay by design.
+# Commands that judge no read view over _BATCH or more tuples and build no
+# binning codebook, with their exit codes: latest-only fails its sampled
+# verify, its replay and its search by design.
 _NUMPY_FREE = (
     (["cost"], 0),
     (["cost", "--K", "64"], 0),
@@ -256,6 +257,9 @@ _NUMPY_FREE = (
     (["example1"], 0),
     (["sim", "--scheme", "mds"], 0),
     (["sim", "--scheme", "latest-only"], 1),
+    (["sim", "--search", "12", "--c-w", "3", "--c-r", "3", "--scheme", "latest-only"], 1),
+    (["sim", "--search", "8", "-n", "6", "--c-w", "5", "--c-r", "5", "--crashes", "1"], 0),
+    (["verify", "--K", "2", "--mode", "exhaustive"], 0),  # 12 tuples
     *(
         (
             ["verify", "--scheme", name, "--mode", "monte-carlo", "--trials", "200"],
@@ -899,6 +903,42 @@ def test_verify_prints_work_past_4300_digits():
         "error: enumeration would visit about 2^16024.14 elements, "
         "cap is 16777216\n"
     )
+
+
+# Each listed every subset before it picked Monte-Carlo, and ran out of
+# memory under the limit or out of time.
+_WIDE_MONTE_CARLO = (
+    ["-n", "30", "-c", "15"],
+    ["-n", "300", "-c", "150"],
+    ["-n", "40", "--c-w", "30", "--c-r", "30"],
+)
+
+
+@pytest.mark.parametrize("flags", _WIDE_MONTE_CARLO, ids=" ".join)
+def test_monte_carlo_verify_counts_subsets_without_listing_them(flags):
+    argv = ["verify", "--scheme", "mds", *flags, "--mode", "monte-carlo"]
+    done = _run_limited([*argv, "--trials", "3"])
+    assert done.returncode == 0, done.stderr
+    assert "attempts=3" in done.stdout
+
+
+def test_binning_survey_is_held_to_the_cap(capsys):
+    # 2^24 states x 66 reading sets x 2 tuples ran on past the cap
+    done = _run_limited(["binning", "-n", "12", "--seeds", "1", "--trials", "2"])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: enumeration would visit about 2214592512 elements, "
+        "cap is 16777216\n"
+    )
+    # 10^8 tuples were sampled before the survey checked the cap
+    done = _run_limited(["binning", "--trials", "100000000", "--seeds", "1"])
+    assert done.returncode == 3 and done.stdout == "", done.stderr
+    # 256 states x 6 reading sets x 2 tuples; the survey ignored --cap
+    code, out, err = _run(capsys, "binning", "--cap", "1000", "--trials", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration would visit about 3072 elements, cap is 1000\n"
+    code, out, _ = _run(capsys, "binning", "--cap", "3072", "--trials", "2")
+    assert code == 0 and "tuples-per-cell=2" in out
 
 
 def test_binning_decode_plan_limit_names_itself(capsys):

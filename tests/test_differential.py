@@ -48,6 +48,7 @@ from mvcode.bounds import log2_exact
 from mvcode.model import (
     CorrelationModel,
     SystemState,
+    enumerate_possible_set,
     iter_states,
     latest_common_version,
     latest_complete_version,
@@ -57,7 +58,14 @@ from mvcode.model import (
 )
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import adversarial_schedule_search, schedule_to_text
-from mvcode.verifier import _BATCH, _BLOCK, QuorumBridge, _monte_carlo_run, quorum_bridge
+from mvcode.verifier import (
+    _BATCH,
+    _BLOCK,
+    QuorumBridge,
+    _exhaustive_run,
+    _monte_carlo_run,
+    quorum_bridge,
+)
 
 GRID_K = (4, 8, 16, 64, 128)
 GRID_NC = ((2, 1), (4, 2), (5, 3))
@@ -523,6 +531,39 @@ def test_monte_carlo_groups_cross_the_batch_size(monkeypatch):
     _monte_carlo_run(scheme, size, threshold_of, _BLOCK, 0, 0)
     assert sizes["loop"] and max(sizes["loop"]) < _BATCH
     assert sizes["batch"] and min(sizes["batch"]) >= _BATCH
+
+
+class _CountsBatches(QuorumBridge):
+    """A bridge whose batch counts its calls."""
+
+    def __init__(self, inner, c_w, c_r):
+        super().__init__(inner, c_w, c_r)
+        self.batches = 0
+
+    def cell_codes(self, T, state, tuples, cache):
+        self.batches += 1
+        return super().cell_codes(T, state, tuples, cache)
+
+
+def test_every_engine_batches_from_the_batch_size_on():
+    """The search and an exhaustive run over fewer than _BATCH tuples run
+    the per-tuple loop; from _BATCH tuples on the scheme's batch runs."""
+    model = CorrelationModel(4, 1, 2)
+    scheme = _CountsBatches(make_scheme("mds", model, 4, 2), 3, 3)
+    assert adversarial_schedule_search(scheme, 3, 3, f=1, depth=8) is None
+    assert scheme.batches == 0
+    tuples = list(enumerate_possible_set(model))
+    for size in (_BATCH - 1, _BATCH):
+        report = _exhaustive_run(
+            scheme,
+            list(combinations(range(4), 3)),
+            lambda state, T: latest_complete_version(state, 3),
+            iter_states(4, 2),
+            tuples[:size],
+            0,
+        )
+        assert report.passed and report.attempts
+        assert (scheme.batches > 0) == (size == _BATCH)
 
 
 # ---------------------------------------------------------------------------

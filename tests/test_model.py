@@ -303,6 +303,12 @@ class TestSystemState:
         state = SystemState((frozenset({1, 2}),))
         assert latest_common_version(state, [0]) == 2
 
+    def test_zero_version_rejected_among_many_equal_rows(self):
+        # distinct rows are checked once each; the one bad row still counts
+        rows = (frozenset({1, 2}),) * 7000 + (frozenset({0, 1}),)
+        with pytest.raises(ValueError, match="1-based"):
+            SystemState(rows)
+
     def test_quorum_overlap_gives_common_version(self):
         # Whenever the write and read quorums overlap in c servers, some
         # c-subset of any read set shares the latest complete version.
