@@ -27,7 +27,9 @@ safety term -log2(epsilon * 2^(-nu*n)) so a union bound over the at most
 Two codebook kinds are supported.  "random-uniform" draws each index i.i.d.
 uniform into a table of all 2^K values, so it needs K <= TABLE_MAX_K.
 "linear" multiplies the value by a seeded random binary matrix, whose
-column-prefix structure gives the same truncation semantics, at any K.
+column-prefix structure gives the same truncation semantics.  It encodes
+at any K; decoding reads the same index tables, so either kind decodes
+only at K <= TABLE_MAX_K (``check_decodable``).
 """
 
 from __future__ import annotations

@@ -457,6 +457,8 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
     if cfg.scheme == "binning":
         check_decodable(cfg.K)
     if args.search is not None:
+        if args.schedule is not None:
+            raise UsageError("--search builds its own schedule; drop --schedule")
         if cfg.c_w is None:
             raise UsageError("--search needs --c-w and --c-r")
         if not 0 <= args.search <= MAX_SEARCH_DEPTH:

@@ -82,15 +82,18 @@ class Field:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "polynomial", irreducible_polynomial(self.m))
-        table = _mul_table(self.m, self.polynomial) if self.m <= 8 else None
-        object.__setattr__(self, "_mul_table", table)
 
     @property
     def order(self) -> int:
         return 1 << self.m
 
+    @cached_property
+    def _table(self) -> tuple[int, ...] | None:
+        """The full product table for m <= 8, built on the first ``mul``."""
+        return _mul_table(self.m, self.polynomial) if self.m <= 8 else None
+
     def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
+        table = self._table
         if table is not None:
             return table[(a << self.m) | b]
         return _poly_mulmod(a, b, self.polynomial)

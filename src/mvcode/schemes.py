@@ -53,7 +53,6 @@ from .model import (
     ball_rank,
     ball_unrank,
     hamming_ball_volume,
-    iter_ball_masks,
     latest_common_version,
     newest_held,
 )
@@ -533,6 +532,24 @@ class DeltaScheme(_RsBackedScheme):
             self._step_bits(b - a) for a, b in zip(received, received[1:])
         ]
 
+    def _index(self, diff: int, gap: int) -> int:
+        """The ball index stored for a step across ``gap`` versions whose
+        difference vector is ``diff``."""
+        if diff.bit_count() > gap * self.model.radius:
+            raise ValueError(
+                "difference weight exceeds the correlation model's step cap"
+            )
+        return ball_rank(diff, self.model.K)
+
+    def _step(self, server: int, index: int) -> int:
+        """Stored bits at ``server`` of ball member ``index``."""
+        step = self._steps.get((server, index))
+        if step is None:
+            step = self._steps[server, index] = self.generator.apply(
+                server, ball_unrank(index, self.model.K)
+            )
+        return step
+
     def encode(self, server, received, versions):
         got = _sorted_received(received, len(versions))
         if not got:
@@ -545,11 +562,7 @@ class DeltaScheme(_RsBackedScheme):
         prev = got[0]
         for u in got[1:]:
             diff = versions.version(u).bits ^ versions.version(prev).bits
-            if diff.bit_count() > (u - prev) * self.model.radius:
-                raise ValueError(
-                    "difference weight exceeds the correlation model's step cap"
-                )
-            writer.write(ball_rank(diff, self.model.K), self._step_bits(u - prev))
+            writer.write(self._index(diff, u - prev), self._step_bits(u - prev))
             prev = u
         return StoredSymbol(writer.payload, writer.bit_length)
 
@@ -560,65 +573,38 @@ class DeltaScheme(_RsBackedScheme):
                 break
             if index >= self._volume(b - a):
                 raise DecodingError(f"step index {index} outside its Hamming ball")
-            step = self._steps.get((server, index))
-            if step is None:
-                step = self._steps[server, index] = self.generator.apply(
-                    server, ball_unrank(index, self.model.K)
-                )
-            vec ^= step
+            vec ^= self._step(server, index)
         return vec
 
     def _vectors_at(self, server, received, target, tuples, cache):
-        import numpy as np
-
+        """Each step XORs in the ``_step`` of the index encode stores; a
+        stored index is a rank inside its own ball, so no tuple raises."""
         vec = self._stored_vectors(server, received[0], tuples, cache)
-        raised = np.zeros(len(tuples), dtype=bool)
         for a, b in zip(received, received[1:]):
             if b > target:
                 break
-            index = self._step_indices(a, b, tuples, cache)
-            outside = index >= self._volume(b - a)
-            raised |= outside
-            steps = self._step_vectors(server, b - a, cache)
-            vec = vec ^ steps[np.where(outside, 0, index)]
-        return vec, raised
+            indices, where = self._step_indices(a, b, tuples, cache)
+            steps = [self._step(server, index) for index in indices]
+            vec = vec ^ _bit_rows(steps, self.symbol_vector_bits)[where]
+        return vec, False
 
-    def _step_indices(self, a, b, tuples, cache) -> np.ndarray:
-        """The ball index encode stores for the step a -> b of each tuple,
-        by lookup in the ball's rank table."""
+    def _step_indices(self, a, b, tuples, cache):
+        """The distinct ball indices encode stores for the step a -> b of
+        the tuples, and each tuple's position among them; each distinct
+        difference is ranked once."""
 
         def build():
             import numpy as np
 
-            K = self.model.K
-            ranks = {
-                mask: ball_rank(mask, K)
-                for mask in iter_ball_masks(K, min((b - a) * self.model.radius, K))
-            }
-            try:
-                return np.array(
-                    [ranks[vt.version(b).bits ^ vt.version(a).bits] for vt in tuples],
-                    dtype=np.int64,
-                )
-            except KeyError:
-                raise ValueError(
-                    "difference weight exceeds the correlation model's step cap"
-                ) from None
+            slots: dict[int, int] = {}
+            where = [
+                slots.setdefault(vt.version(b).bits ^ vt.version(a).bits, len(slots))
+                for vt in tuples
+            ]
+            indices = [self._index(diff, b - a) for diff in slots]
+            return indices, np.array(where, dtype=np.intp)
 
         return _run_cached(cache, ("step-indices", a, b), build)
-
-    def _step_vectors(self, server, gap, cache) -> np.ndarray:
-        """Stored bits at ``server`` of every member of a step's ball,
-        by index: the unrank table times the server's generator."""
-
-        def build():
-            members = [ball_unrank(i, self.model.K) for i in range(self._volume(gap))]
-            return _gf2(
-                _bit_rows(members, self.generator.padded_K),
-                self._generator_bits(server, cache),
-            )
-
-        return _run_cached(cache, ("step-vectors", server, gap), build)
 
     def worst_case_cost(self):
         """Widest at the full receipt pattern: a step across a + b versions

@@ -830,6 +830,16 @@ def test_sim_search_requires_quorums(capsys):
     assert code == 2 and "--c-w" in err
 
 
+def test_sim_search_refuses_a_schedule_file(capsys):
+    code, out, err = _run(
+        capsys,
+        "sim", "--search", "3", "--schedule", "/nonexistent",
+        "--c-w", "3", "--c-r", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --search builds its own schedule; drop --schedule\n"
+
+
 def test_sim_search_flags_name_themselves(capsys):
     search = ("sim", "-n", "3", "--c-w", "2", "--c-r", "2")
     for flags, message in (
@@ -920,6 +930,16 @@ def test_monte_carlo_verify_counts_subsets_without_listing_them(flags):
     done = _run_limited([*argv, "--trials", "3"])
     assert done.returncode == 0, done.stderr
     assert "attempts=3" in done.stdout
+
+
+def test_delta_monte_carlo_verify_answers_at_K_64():
+    # the batch ranked and unranked all 679,121 members of the step's ball
+    # and ran out of time
+    argv = ["verify", "--scheme", "delta", "--K", "64", "--radius", "4"]
+    done = _run_limited([*argv, "--mode", "monte-carlo", "--trials", "3000"])
+    assert done.returncode == 0, done.stderr
+    assert "attempts=3000" in done.stdout
+    assert "verdict pass" in done.stdout
 
 
 def test_binning_survey_is_held_to_the_cap(capsys):

@@ -135,6 +135,25 @@ def test_large_field_no_table():
     assert f.pow(a, f.order - 1) == 1
 
 
+def test_field_builds_its_table_on_first_mul(monkeypatch):
+    import mvcode.galois as galois
+
+    calls = []
+    real = galois._mul_table
+
+    def counted(m, polynomial):
+        calls.append(m)
+        return real(m, polynomial)
+
+    monkeypatch.setattr(galois, "_mul_table", counted)
+    f = RsCode.standard(256, 2).field
+    assert f.m == 8 and calls == []  # building a code multiplies nothing
+    a, b = 0b10110011, 0b01110101
+    assert f.mul(a, b) == galois._poly_mulmod(a, b, f.polynomial)
+    assert f.mul(b, a) == f.mul(a, b)
+    assert calls == [8]
+
+
 def test_field_mul_matches_oracle():
     f = Field(2)
     assert f.mul(3, 3) == gf4_mul_oracle(3, 3)

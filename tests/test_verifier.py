@@ -728,6 +728,8 @@ def _live_views(scheme, subset_size, threshold_of):
         (3, 1, 3, 3, 2, None),  # chains of two steps
         (8, 1, 2, 4, 2, (3, 3)),
         (4, 1, 2, 5, 2, (3, 4)),
+        (4, 2, 2, 3, 2, None),
+        (3, 2, 3, 3, 2, None),  # a two-version step over a radius-3 ball
     ],
 )
 @pytest.mark.parametrize("name", _BATCHED)
@@ -752,3 +754,32 @@ def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
     assert views > 0
     if (K, n, quorums) == (8, 4, None):
         assert views == 42
+
+
+def test_delta_batch_ranks_only_the_differences_it_decodes(monkeypatch):
+    import mvcode.schemes as schemes
+
+    calls = {"ball_rank": 0, "ball_unrank": 0}
+
+    def counted(name):
+        real = getattr(schemes, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(schemes, name, call)
+
+    counted("ball_rank")
+    counted("ball_unrank")
+    model = CorrelationModel(16, 4, 2)
+    scheme = make_scheme("delta", model, 3, 2)
+    rng = random.Random(0)
+    tuples = [sample_tuple(model, rng) for _ in range(64)]
+    both = frozenset({1, 2})
+    state = SystemState((both, both, both))
+    codes = scheme.cell_codes((0, 1), state, tuples, {})
+    assert codes == [2] * len(tuples)
+    diffs = len({vt.version(2).bits ^ vt.version(1).bits for vt in tuples})
+    assert 0 < calls["ball_rank"] <= diffs  # not the ball's 2,517 members
+    assert 0 < calls["ball_unrank"] <= 2 * diffs
