@@ -481,6 +481,7 @@ def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
             f=crashes,
             depth=args.search,
             seed=cfg.seed,
+            cap=cfg.cap,
         )
         if witness is None:
             lines.append(f"search none-found depth={args.search}")

@@ -499,6 +499,10 @@ class MdsMvcScheme(_RsBackedScheme):
         )
 
 
+# Past this many (server, index) entries DeltaScheme forgets its steps.
+_STEP_MEMO = 1 << 12
+
+
 class DeltaScheme(_RsBackedScheme):
     """Symbol vector for the first received version, then one Hamming-ball
     index per later received version.
@@ -545,6 +549,8 @@ class DeltaScheme(_RsBackedScheme):
         """Stored bits at ``server`` of ball member ``index``."""
         step = self._steps.get((server, index))
         if step is None:
+            if len(self._steps) >= _STEP_MEMO:
+                self._steps.clear()
             step = self._steps[server, index] = self.generator.apply(
                 server, ball_unrank(index, self.model.K)
             )

@@ -31,9 +31,17 @@ import heapq
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
-from .model import SystemState, VersionTuple, latest_complete_version, sample_tuple
+from .model import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapExceeded,
+    SystemState,
+    VersionTuple,
+    latest_complete_version,
+    sample_tuple,
+)
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
 from .verifier import _cell
 
@@ -317,10 +325,10 @@ class ExecutionTrace:
         return "\n".join(lines)
 
 
-def _responders(received, crashed, c_r) -> tuple[int, ...]:
-    """The c_r lowest-indexed live servers; the schedule keeps
+def _responders(n, crashed, c_r) -> tuple[int, ...]:
+    """The c_r lowest-indexed live servers of n; the schedule keeps
     c_r <= n - f, so there are enough."""
-    return tuple(s for s in range(len(received)) if s not in crashed)[:c_r]
+    return tuple(s for s in range(n) if s not in crashed)[:c_r]
 
 
 def _read(scheme, c_w, c_r, event, received, crashed, versions) -> ReadRecord:
@@ -328,7 +336,7 @@ def _read(scheme, c_w, c_r, event, received, crashed, versions) -> ReadRecord:
     ``received``, judged by ``schemes._judge``; what the simulator adds is
     that a NULL read passes while nothing is complete, the flag, and the
     notes."""
-    responders = _responders(received, crashed, c_r)
+    responders = _responders(len(received), crashed, c_r)
     snapshot = SystemState(received)
     latest = latest_complete_version(snapshot, c_w)
     symbols = {
@@ -444,6 +452,21 @@ def partial_update_crash_schedule() -> Schedule:
 # Adversarial schedule search
 
 
+def _search_pairs(n: int, nu: int, f: int, depth: int) -> int:
+    """The (receipt sets S, crash set C) pairs a search to ``depth`` tries
+    when it finds nothing: w writes, m arrivals whose newest version is w,
+    and k <= f crashes, w + m + k < depth, in closed form."""
+    total = 0
+    for used in range(depth):
+        for w in range(min(used, nu) + 1):
+            room = used - w
+            for k in range(min(f, room) + 1):
+                m = room - k
+                newest = comb(w * n, m) - (comb((w - 1) * n, m) if w else 0)
+                total += newest * comb(n, k)
+    return total
+
+
 def adversarial_schedule_search(
     scheme: MvcScheme,
     c_w: int,
@@ -451,6 +474,7 @@ def adversarial_schedule_search(
     f: int = 0,
     depth: int = MAX_SEARCH_DEPTH,
     seed: int = 0,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Optional[Schedule]:
     """Smallest schedule of at most ``depth`` events ending in an
     inconsistent read, or None when no such schedule exists.
@@ -463,9 +487,18 @@ def adversarial_schedule_search(
     cost by those event lists in the token order writes < arrivals by
     (version, server) < crashes by server: the order in which a
     breadth-first search over schedules first meets each pair, so the
-    first failing pair is its minimal witness.  Each distinct read view is
-    decoded once, as a verifier cell over the one content tuple, and the
-    crash sets of one S share its state and latest complete version.
+    first failing pair is its minimal witness.  EnumerationCapExceeded is
+    raised before the first read when the pairs exceed ``cap``.
+
+    The responders T depend only on C, so each crash count has one table
+    of (C, T).  A decode from T reads only T's rows, so a read's verdict
+    is a function of T, its rows and the latest complete version ``need``:
+    each distinct such read is judged once, as the verifier cell of its
+    view over the one content tuple, and the reads that pass are kept for
+    the length of the search as one int each, T's index, ``need`` and the
+    (server, version) inclusion bits of S masked to T's rows.  ``need`` is
+    counted from S's arrivals, and a state is built only for an S with a
+    read not seen before.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -473,7 +506,23 @@ def adversarial_schedule_search(
         raise ValueError(f"search depth is capped at {MAX_SEARCH_DEPTH}")
     n, nu = scheme.n, scheme.model.nu
     Schedule(n, c_w, c_r, f, (), seed)  # validates the quorum geometry and seed
+    count = _search_pairs(n, nu, f, depth)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
     versions = [sample_tuple(scheme.model, seed)]
+    # bit s * nu + u - 1 of S marks version u at server s
+    row = (1 << nu) - 1
+    index: dict[tuple[int, ...], int] = {}
+    reads = []  # per crash count: (C, T, T's index, T's rows' bits)
+    for k in range(min(f, depth - 1) + 1):
+        table = []
+        for crashed in combinations(range(n), k):
+            T = _responders(n, crashed, c_r)
+            mask = sum(row << (s * nu) for s in T)
+            table.append((crashed, T, index.setdefault(T, len(index)), mask))
+        reads.append(table)
+    responder_sets = len(index)
+    passed: set[int] = set()
     cells: dict = {}
     cache: dict = {}
     for used in range(depth):
@@ -488,21 +537,34 @@ def adversarial_schedule_search(
             ):
                 if written != (got[-1][0] if got else 0):
                     continue  # a schedule with fewer writes reaches this (S, C)
-                rows: list[list[int]] = [[] for _ in range(n)]
+                bits = 0
+                held = [0] * (written + 1)
                 for u, s in got:
-                    rows[s].append(u)
-                state = SystemState(tuple(map(frozenset, rows)))
-                need = latest_complete_version(state, c_w) or 0
-                for crashed in combinations(range(n), room - len(got)):
-                    T = _responders(state.per_server, crashed, c_r)
+                    bits |= 1 << (s * nu + u - 1)
+                    held[u] += 1
+                need = written  # latest_complete_version of S, or 0
+                while need and held[need] < c_w:
+                    need -= 1
+                state = None
+                for crashed, T, t, mask in reads[room - len(got)]:
+                    key = ((bits & mask) * (nu + 1) + need) * responder_sets + t
+                    if key in passed:
+                        continue
+                    if state is None:
+                        rows: list[list[int]] = [[] for _ in range(n)]
+                        for u, s in got:
+                            rows[s].append(u)
+                        state = SystemState(tuple(map(frozenset, rows)))
                     cell = _cell(scheme, T, state, versions, cells, cache)
-                    if cell.failure_count(need):
-                        steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
-                        steps += [(KIND_ARRIVAL, u, s) for u, s in got]
-                        steps += [(KIND_CRASH, None, s) for s in crashed]
-                        events = tuple(
-                            SimEvent(kind, t, version=u, server=s)
-                            for t, (kind, u, s) in enumerate(steps)
-                        ) + (read_start(used, 0),)
-                        return Schedule(n, c_w, c_r, f, events, seed)
+                    if not cell.failure_count(need):
+                        passed.add(key)
+                        continue
+                    steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
+                    steps += [(KIND_ARRIVAL, u, s) for u, s in got]
+                    steps += [(KIND_CRASH, None, s) for s in crashed]
+                    events = tuple(
+                        SimEvent(kind, time, version=u, server=s)
+                        for time, (kind, u, s) in enumerate(steps)
+                    ) + (read_start(used, 0),)
+                    return Schedule(n, c_w, c_r, f, events, seed)
     return None

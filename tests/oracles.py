@@ -531,43 +531,25 @@ def worst_over_receipt_patterns(scheme) -> tuple[int, int]:
     return best
 
 
-def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: int = 0):
-    """The adversarial schedule search judging every node's read on its
-    own: the c_r lowest-indexed live servers encode their receipt sets
-    (memoised per server and set) and one ``_judge`` decode must reach the
-    latest complete version, or 0 while nothing is complete."""
-    model, n = scheme.model, scheme.n
-    versions = sample_tuple(model, seed)
-    memo = {}
-
-    def consistent(received, crashed):
-        T = tuple(s for s in range(n) if s not in crashed)[:c_r]
-        symbols = {}
-        for t in T:
-            key = (t, received[t])
-            if key not in memo:
-                memo[key] = scheme.encode(t, tuple(sorted(received[t])), versions)
-            symbols[t] = memo[key]
-        state = SystemState(received)
-        code, _ = _judge(scheme, T, state, symbols, versions)
-        return code >= (latest_complete_version(state, c_w) or 0)
-
+def schedule_nodes(n: int, nu: int, f: int, depth: int):
+    """Breadth-first over schedules: each (receipt sets, writes, crash set)
+    node that a schedule of at most depth - 1 events reaches, once, with
+    the first event path to it, children in token order writes <
+    arrivals by (version, server) < crashes by server."""
     start = (tuple(frozenset() for _ in range(n)), 0, frozenset())
     queue = deque([(start, ())])
     seen = {start}
     while queue:
-        (received, written, crashed), path = queue.popleft()
+        node, path = queue.popleft()
         used = len(path)
-        if used + 1 <= depth and not consistent(received, crashed):
-            events = tuple(
-                SimEvent(kind, t, version=version, server=server)
-                for t, (kind, version, server) in enumerate(path)
-            )
-            return Schedule(n, c_w, c_r, f, events + (read_start(used, 0),), seed)
+        if used + 1 > depth:
+            continue
+        yield node, path
         if used + 2 > depth:
             continue
+        received, written, crashed = node
         children = []
-        if written < model.nu:
+        if written < nu:
             children.append(
                 ((received, written + 1, crashed), (KIND_WRITE, written + 1, None))
             )
@@ -589,6 +571,36 @@ def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: i
             if child not in seen:
                 seen.add(child)
                 queue.append((child, path + (step,)))
+
+
+def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: int = 0):
+    """The adversarial schedule search judging every node's read on its
+    own: the c_r lowest-indexed live servers encode their receipt sets
+    (memoised per server and set) and one ``_judge`` decode must reach the
+    latest complete version, or 0 while nothing is complete."""
+    model, n = scheme.model, scheme.n
+    versions = sample_tuple(model, seed)
+    memo = {}
+
+    def consistent(received, crashed):
+        T = tuple(s for s in range(n) if s not in crashed)[:c_r]
+        symbols = {}
+        for t in T:
+            key = (t, received[t])
+            if key not in memo:
+                memo[key] = scheme.encode(t, tuple(sorted(received[t])), versions)
+            symbols[t] = memo[key]
+        state = SystemState(received)
+        code, _ = _judge(scheme, T, state, symbols, versions)
+        return code >= (latest_complete_version(state, c_w) or 0)
+
+    for (received, _, crashed), path in schedule_nodes(n, model.nu, f, depth):
+        if not consistent(received, crashed):
+            events = tuple(
+                SimEvent(kind, t, version=version, server=server)
+                for t, (kind, version, server) in enumerate(path)
+            )
+            return Schedule(n, c_w, c_r, f, events + (read_start(len(path), 0),), seed)
     return None
 
 

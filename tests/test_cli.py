@@ -840,6 +840,29 @@ def test_sim_search_refuses_a_schedule_file(capsys):
     assert err == "error: --search builds its own schedule; drop --schedule\n"
 
 
+def test_sim_search_refuses_past_the_cap_before_reading():
+    # 1.08e11 (receipt sets, crash set) pairs, counted in closed form
+    argv = ["sim", "--search", "12", "-n", "30", "--c-w", "29", "--c-r", "29",
+            "--crashes", "1"]
+    done = _run_limited(argv)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: enumeration would visit about 108269583688 elements, "
+        "cap is 16777216\n"
+    )
+
+
+def test_sim_search_honours_the_cap(capsys):
+    # the n=4 search reads 1,280 pairs
+    search = ("sim", "--search", "12", "-n", "4", "--c-w", "3", "--c-r", "3",
+              "--crashes", "1")
+    code, out, err = _run(capsys, *search, "--cap", "1279")
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration would visit about 1280 elements, cap is 1279\n"
+    code, out, _ = _run(capsys, *search, "--cap", "1280")
+    assert code == 0 and "search none-found depth=12" in out
+
+
 def test_sim_search_flags_name_themselves(capsys):
     search = ("sim", "-n", "3", "--c-w", "2", "--c-r", "2")
     for flags, message in (

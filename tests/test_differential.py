@@ -29,6 +29,7 @@ from oracles import (
     reference_sample_tuple,
     replication_newest_copy,
     scenario_rates,
+    schedule_nodes,
     snapped_ceil_bits,
     snapped_region_slacks,
     term_minus,
@@ -57,7 +58,7 @@ from mvcode.model import (
     tuple_sampler,
 )
 from mvcode.schemes import DecodingError, MvcScheme
-from mvcode.sim import adversarial_schedule_search, schedule_to_text
+from mvcode.sim import _search_pairs, adversarial_schedule_search, schedule_to_text
 from mvcode.verifier import (
     _BATCH,
     _BLOCK,
@@ -455,6 +456,60 @@ def test_search_orders_crash_witnesses_by_their_arrivals(other, crashes):
     assert schedule_to_text(got) == schedule_to_text(want)
     assert len(got.events) == 6
     assert [e.kind for e in got.events].count("server-crash") == crashes
+
+
+class _NullOnViews(_RaisesOnViews):
+    """A bridge whose decode returns NULL on the chosen read views, which
+    passes while nothing is complete and fails once something is."""
+
+    def decode(self, T, state, symbols):
+        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
+        if (tuple(T), rows) in self.failing:
+            return None
+        return QuorumBridge.decode(self, T, state, symbols)
+
+
+def test_search_tells_apart_reads_that_differ_only_in_need():
+    # arrivals (1,0), (1,1) leave version 1 incomplete and the NULL read
+    # passes; (1,3) completes it with T's rows unchanged, and that read fails
+    view = ((0, 1, 2), ((1,), (1,), ()))
+    inner = make_scheme("mds", CorrelationModel(4, 1, 2), 4, 2)
+    scheme = _NullOnViews(inner, 3, 3, {view})
+    got = adversarial_schedule_search(scheme, 3, 3, f=1, depth=8)
+    want = per_node_read_search(scheme, 3, 3, 1, 8)
+    assert schedule_to_text(got) == schedule_to_text(want)
+    arrivals = [(e.version, e.server) for e in got.events if e.server is not None]
+    assert arrivals == [(1, 0), (1, 1), (1, 3)]
+
+
+class _CountsViews(QuorumBridge):
+    """A bridge counting the read views the search asks it for."""
+
+    def __init__(self, inner, c_w, c_r):
+        super().__init__(inner, c_w, c_r)
+        self.views = 0
+
+    def read_view(self, T, state):
+        self.views += 1
+        return super().read_view(T, state)
+
+
+@pytest.mark.parametrize("n,f,depth", [(4, 1, 12), (6, 1, 12), (5, 2, 9), (3, 0, 8)])
+def test_search_judges_each_distinct_read_once(n, f, depth):
+    # a zero-error scheme fails no read, so the search tries every pair of
+    # the breadth-first walk and judges each (T, need, T's rows) once
+    q = n - f
+    inner = make_scheme("mds", CorrelationModel(4, 1, 2), n, 2 * q - n)
+    scheme = _CountsViews(inner, q, q)
+    assert adversarial_schedule_search(scheme, q, q, f=f, depth=depth) is None
+    pairs = {(got, crashed) for (got, _, crashed), _ in schedule_nodes(n, 2, f, depth)}
+    reads = set()
+    for got, crashed in pairs:
+        T = tuple(s for s in range(n) if s not in crashed)[:q]
+        need = latest_complete_version(SystemState(got), q) or 0
+        reads.add((T, need, tuple(got[t] for t in T)))
+    assert scheme.views == len(reads)
+    assert _search_pairs(n, 2, f, depth) == len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from mvcode.model import (
     sample_tuple,
 )
 from mvcode.schemes import (
+    _STEP_MEMO,
     CostReport,
     Decoded,
     DecodingError,
@@ -255,6 +256,32 @@ def test_delta_rejects_step_index_outside_its_ball():
     }
     with pytest.raises(DecodingError):
         delta.decode((0, 1), state, tampered)
+
+
+class _PeakDict(dict):
+    """A dict that counts its insertions and remembers its largest size."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserted = self.peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.inserted += 1
+        self.peak = max(self.peak, len(self))
+
+
+def test_delta_step_memo_stays_bounded_at_K_64():
+    # 2,500 tuples whose two versions every server holds: the batch decode
+    # of version 2 from two servers meets about 5,000 distinct steps
+    model = CorrelationModel(64, 4, 2)
+    scheme = build("delta", model)
+    scheme._steps = _PeakDict()
+    rng = random.Random(0)
+    tuples = [sample_tuple(model, rng) for _ in range(2500)]
+    state = SystemState((frozenset({1, 2}),) * 4)
+    assert scheme.cell_codes((0, 1), state, tuples, {}) == [2] * len(tuples)
+    assert scheme._steps.inserted > _STEP_MEMO >= scheme._steps.peak
 
 
 def test_latest_only_misses_overwritten_common_version():

@@ -31,6 +31,7 @@ from mvcode.sim import (
     Schedule,
     SimEvent,
     _read,
+    _search_pairs,
     adversarial_schedule_search,
     partial_update_crash_schedule,
     read_start,
@@ -587,6 +588,12 @@ def test_search_holds_no_per_schedule_state():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_search_pairs_at_depth_12_with_one_crash():
+    # the (receipt sets, crash set) pairs of the README's n-1 quorum searches
+    counts = [_search_pairs(n, 2, 1, 12) for n in (4, 6, 8, 9, 30)]
+    assert counts == [1280, 26799, 364267, 1116249, 108269583688]
 
 
 def test_search_depth_zero_finds_nothing():
