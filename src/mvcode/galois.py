@@ -197,6 +197,17 @@ def xor_rows(rows: Sequence[int], bits: int) -> int:
     return out
 
 
+def gf2_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """A GF(2) matrix by column: for each bit k < width, the rows with it set."""
+    columns: list[list[int]] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1].append(i)
+            row ^= low
+    return tuple(map(tuple, columns))
+
+
 def gf2_inverse(rows: Sequence[int]) -> tuple[int, ...]:
     """Rows of the inverse of a square GF(2) matrix given as row bitmasks,
     by Gauss-Jordan elimination on the matrix augmented with the identity."""
@@ -235,6 +246,9 @@ class BinaryGenerator:
     padded_K: int
     blocks: int
     _inverses: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _columns: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -293,6 +307,21 @@ class BinaryGenerator:
             ]
             masks = self._inverses[servers] = gf2_inverse(stacked)
         return masks
+
+    def columns(self, server: int) -> tuple[tuple[int, ...], ...]:
+        """The server's generator by column, cached: for each stored bit,
+        the message bits below K that flip it (padding bits are zero)."""
+        if server not in self._columns:
+            rows = self.rows[server][: self.K]
+            self._columns[server] = gf2_columns(rows, self.stored_bits_per_server)
+        return self._columns[server]
+
+    def inverse_columns(self, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """``inverse(servers)`` by column, cached: for each padded message
+        bit, the bits of the servers' stacked stored bits that flip it."""
+        if servers not in self._columns:
+            self._columns[servers] = gf2_columns(self.inverse(servers), self.padded_K)
+        return self._columns[servers]
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:

@@ -13,16 +13,11 @@ deliberately broken one (keep only the newest symbol) used to demonstrate
 what the honest schemes rule out.  All but replication, the broken one
 included, decode through one Reed-Solomon reader (``_RsBackedScheme``).
 
-Each of the five also judges a whole read view at once (``cell_codes``):
-the tuples' versions become 0/1 bit matrices, encoding is a product with
-the servers' GF(2) generators and decoding a product with the holders'
-cached inverse, so one exhaustive-verifier cell costs a few matrix
-products instead of one Python decode per tuple.  The binning scheme
-(``binning.BinningScheme``) judges a view at once too, holding every
-tuple's survivors as numpy (tuple row, value) arrays.  numpy is imported
-inside these batch paths only, which the verifier runs for a view judged
-over ``verifier._BATCH`` tuples or more, so single encodes and decodes and
-short tuple lists run without it.
+Each of the five also judges a whole read view at once (``cell_codes``),
+at every tuple count, over bit slices: one int per bit position holds that
+bit of every tuple, so encoding is one XOR of slices per entry of a
+server's GF(2) generator and decoding one per entry of the holders' cached
+inverse, all in plain Python ints.
 """
 
 from __future__ import annotations
@@ -30,10 +25,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import log2
+from operator import or_, xor
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Hashable,
     Iterable,
@@ -56,9 +51,6 @@ from .model import (
     latest_common_version,
     newest_held,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Outcome codes of one decode attempt, judged against the tuple that was
 # encoded.  A positive value is the decoded version index after the
@@ -157,23 +149,10 @@ def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple):
 
 
 # ---------------------------------------------------------------------------
-# Whole-cell decoding over GF(2) bit matrices.  A 0/1 uint8 matrix holds one
-# bit string per row, bit k in column k; a GF(2) product is an integer
-# product taken mod 2, which uint8 wrap-around (mod 256) leaves intact.
-
-
-def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
-    """0/1 matrix whose row i holds bits 0..width-1 of ``values[i]``."""
-    import numpy as np
-
-    nbytes = -(-width // 8)
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    packed = np.frombuffer(raw, np.uint8).reshape(len(values), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a @ b) & 1
+# Whole-cell decoding over bit slices (Biham, FSE 1997).  Slice j of a tuple
+# list is one int whose bit i*8*nbytes is bit j of tuple i's value, each
+# value in a lane of ``nbytes`` bytes; XOR and OR act on every lane at once
+# and never carry between lanes.
 
 
 def _run_cached(cache: dict, key, build):
@@ -183,22 +162,44 @@ def _run_cached(cache: dict, key, build):
     return value
 
 
-def _version_bits(tuples, u: int, width: int, cache: dict) -> np.ndarray:
-    """Version u of every tuple as a len(tuples) x width bit matrix."""
-    return _run_cached(
-        cache,
-        ("version-bits", u, width),
-        lambda: _bit_rows([vt.versions[u - 1].bits for vt in tuples], width),
+def _slices(values: Sequence[int], width: int, nbytes: int) -> list[int]:
+    """Slices 0..width-1 of ``values``, each below 2^(8*nbytes)."""
+    packed = int.from_bytes(
+        b"".join(v.to_bytes(nbytes, "little") for v in values), "little"
     )
+    lanes = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(values), "little")
+    return [packed >> j & lanes for j in range(width)]
 
 
-def _batch_codes(version: int, decoded, expected, raised=False) -> list[int]:
-    """Per-row codes: ``version`` where a decoded row equals the expected
-    row, _WRONG where it differs, _RAISED where ``raised`` is set."""
-    import numpy as np
+def _version_slices(tuples, u: int, K: int, nbytes: int, cache: dict) -> list[int]:
+    """The K slices of version u of every tuple."""
+    key = ("slices", u, nbytes)
+    if key not in cache:
+        cache[key] = _slices([vt.versions[u - 1].bits for vt in tuples], K, nbytes)
+    return cache[key]
 
-    match = (decoded == expected).all(axis=1)
-    return np.where(raised, _RAISED, np.where(match, version, _WRONG)).tolist()
+
+def _product(slices: Sequence[int], columns) -> list[int]:
+    """The slices times a GF(2) matrix given by column, one XOR per set
+    entry (a plain loop: reduce and map cost more per column)."""
+    out = []
+    for column in columns:
+        acc = 0
+        for j in column:
+            acc ^= slices[j]
+        out.append(acc)
+    return out
+
+
+def _slice_codes(version, got, want, raised, count: int, nbytes: int) -> list[int]:
+    """Per-tuple codes: ``version`` where the ``got`` and ``want`` slices
+    agree, _WRONG where they differ, _RAISED where ``raised`` is set."""
+    failing = reduce(or_, map(xor, got, want), 0)
+    if not failing | raised:
+        return [version] * count
+    flags = (failing | raised << 1).to_bytes(count * nbytes, "little")[::nbytes]
+    table = (version, _WRONG, _RAISED, _RAISED)
+    return [table[flag] for flag in flags]
 
 
 class MvcScheme(ABC):
@@ -317,6 +318,8 @@ class _RsBackedScheme(MvcScheme):
         self.generator: BinaryGenerator = binary_expand_generator(
             RsCode.standard(n, c), model.K
         )
+        # bytes per lane of a bit slice: a padded message or symbol vector fits
+        self._lane_bytes = -(-self.generator.padded_K // 8)
 
     @cached_property
     def symbol_vector_bits(self) -> int:
@@ -347,52 +350,30 @@ class _RsBackedScheme(MvcScheme):
         if plan is None:
             return [_NULL] * len(tuples)
         target, holders = plan
-        vectors, raised = [], False
+        stacked = []
         for server in holders:
             received = self._received_of(state, server)
-            vec, bad = self._vectors_at(server, received, target, tuples, cache)
-            vectors.append(vec)
-            raised = raised | bad
-        return self._interpolate_batch(
-            holders, vectors, raised, target, tuples, cache
-        )
+            stacked += self._vectors_at(server, received, target, tuples, cache)
+        K, nbytes = self.model.K, self._lane_bytes
+        bits = _product(stacked, self.generator.inverse_columns(holders))
+        raised = reduce(or_, bits[K:], 0)  # nonzero padding
+        want = _version_slices(tuples, target, K, nbytes, cache)
+        return _slice_codes(target, bits, want, raised, len(tuples), nbytes)
 
-    def _vectors_at(self, server, received, target, tuples, cache):
-        """Batch ``_vector_at``: the symbol vectors of version ``target``
-        rebuilt from what ``server`` stores for each tuple, as a bit
-        matrix, and a mask of the tuples whose decode raises (or False).
-        The default is the target's vectors as encoded, for a scheme that
-        stores them as they are."""
-        return self._stored_vectors(server, target, tuples, cache), False
+    def _vectors_at(self, server, received, target, tuples, cache) -> list[int]:
+        """Batch ``_vector_at``: slices of the symbol vectors of version
+        ``target`` rebuilt from what ``server`` stores for each tuple; by
+        default the target's vectors, for a scheme that stores them as is."""
+        return self._stored_vectors(server, target, tuples, cache)
 
-    def _generator_bits(self, server, cache) -> np.ndarray:
-        """The server's generator, padded_K x stored bits."""
-        return _run_cached(
-            cache,
-            ("generator", server),
-            lambda: _bit_rows(self.generator.rows[server], self.symbol_vector_bits),
-        )
-
-    def _stored_vectors(self, server, u, tuples, cache) -> np.ndarray:
-        """Symbol vectors of version u at ``server``: the tuples' bits
+    def _stored_vectors(self, server, u, tuples, cache) -> list[int]:
+        """Slices of version u's symbol vectors at ``server``: its slices
         times the server's generator."""
-        bits = _version_bits(tuples, u, self.generator.padded_K, cache)
-        return _gf2(bits, self._generator_bits(server, cache))
-
-    def _interpolate_batch(self, holders, vectors, raised, version, tuples, cache):
-        """Batch ``_interpolate`` judged against version ``version``."""
-        import numpy as np
-
-        gen = self.generator
-        inverse = _run_cached(
-            cache,
-            ("inverse", holders),
-            lambda: _bit_rows(gen.inverse(holders), gen.padded_K),
-        )
-        bits = _gf2(np.concatenate(vectors, axis=1), inverse)
-        raised = raised | bits[:, self.model.K :].any(axis=1)  # nonzero padding
-        expected = _version_bits(tuples, version, gen.padded_K, cache)
-        return _batch_codes(version, bits, expected, raised)
+        key = ("vectors", server, u)
+        if key not in cache:
+            bits = _version_slices(tuples, u, self.model.K, self._lane_bytes, cache)
+            cache[key] = _product(bits, self.generator.columns(server))
+        return cache[key]
 
     def _vector_at(
         self,
@@ -456,10 +437,12 @@ class ReplicationScheme(MvcScheme):
         if best is None:
             return [_NULL] * len(tuples)
         version, server = best
-        K = self.model.K
-        # a column select: the server stores a copy of its newest version
-        copies = _version_bits(tuples, self._received_of(state, server)[-1], K, cache)
-        return _batch_codes(version, copies, _version_bits(tuples, version, K, cache))
+        K, nbytes = self.model.K, -(-self.model.K // 8)
+        # a slice select: the server stores a copy of its newest version
+        newest = self._received_of(state, server)[-1]
+        copies = _version_slices(tuples, newest, K, nbytes, cache)
+        want = _version_slices(tuples, version, K, nbytes, cache)
+        return _slice_codes(version, copies, want, 0, len(tuples), nbytes)
 
     def worst_case_cost(self):
         K = self.model.K
@@ -583,16 +566,17 @@ class DeltaScheme(_RsBackedScheme):
         return vec
 
     def _vectors_at(self, server, received, target, tuples, cache):
-        """Each step XORs in the ``_step`` of the index encode stores; a
-        stored index is a rank inside its own ball, so no tuple raises."""
+        """Each step XORs in the slices of the ``_step`` of the index encode
+        stores; a stored index is a rank inside its own ball, so none raises."""
         vec = self._stored_vectors(server, received[0], tuples, cache)
         for a, b in zip(received, received[1:]):
             if b > target:
                 break
             indices, where = self._step_indices(a, b, tuples, cache)
             steps = [self._step(server, index) for index in indices]
-            vec = vec ^ _bit_rows(steps, self.symbol_vector_bits)[where]
-        return vec, False
+            gathered = _slices([steps[i] for i in where], len(vec), self._lane_bytes)
+            vec = [v ^ g for v, g in zip(vec, gathered)]
+        return vec
 
     def _step_indices(self, a, b, tuples, cache):
         """The distinct ball indices encode stores for the step a -> b of
@@ -600,15 +584,12 @@ class DeltaScheme(_RsBackedScheme):
         difference is ranked once."""
 
         def build():
-            import numpy as np
-
             slots: dict[int, int] = {}
             where = [
                 slots.setdefault(vt.version(b).bits ^ vt.version(a).bits, len(slots))
                 for vt in tuples
             ]
-            indices = [self._index(diff, b - a) for diff in slots]
-            return indices, np.array(where, dtype=np.intp)
+            return [self._index(diff, b - a) for diff in slots], where
 
         return _run_cached(cache, ("step-indices", a, b), build)
 
@@ -713,26 +694,26 @@ class RsUpdateScheme(_RsBackedScheme):
 
     def _vectors_at(self, server, received, target, tuples, cache):
         """A record list overwrites the changed blocks and keeps the rest,
-        so reading it back is a blockwise select.  A record list is only
-        written for fewer than ``blocks`` changed blocks (``blocks``
-        records would cost at least a full vector), so its count never
-        reads as the full-vector sentinel, and records after the target
-        cannot fail the range checks."""
-        import numpy as np
-
-        gen = self.generator
-        m = gen.symbol_bits
+        so reading it back is a blockwise mux of the old and new slices.
+        The full-vector sentinel needs no per-tuple count: the blocks the
+        mux keeps are unchanged, so they already hold the new symbols.  A
+        record list has fewer than ``blocks`` records (``blocks`` would cost
+        a full vector), so its count never reads as the sentinel, and
+        records after the target cannot fail the range checks."""
+        m = self.generator.symbol_bits
         prev = vec = self._stored_vectors(server, received[0], tuples, cache)
         for u in received[1:]:
             if u > target:
                 break
             new = self._stored_vectors(server, u, tuples, cache)
-            changed = (prev ^ new).reshape(len(tuples), gen.blocks, m).any(axis=2)
-            full = changed.sum(axis=1) * (self._index_bits + m) >= self.symbol_vector_bits
-            overwrite = np.repeat(changed | full[:, None], m, axis=1)
-            vec = np.where(overwrite, new, vec)
+            vec = list(vec)
+            for start in range(0, self.symbol_vector_bits, m):
+                block = range(start, start + m)
+                changed = reduce(or_, [prev[k] ^ new[k] for k in block])
+                for k in block:
+                    vec[k] ^= (vec[k] ^ new[k]) & changed
             prev = new
-        return vec, False
+        return vec
 
     def worst_case_cost(self):
         """The realized maximum needs no sweep over version tuples: a step's

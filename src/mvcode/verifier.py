@@ -28,12 +28,9 @@ every full state so reports and witnesses still range over the whole
 state space.  The schedule search judges its reads with these same cells,
 over a one-tuple list.
 
-Every engine turns a read view into outcome codes through ``_codes``, by
-one rule: a view judged over fewer than ``_BATCH`` tuples runs the
-per-tuple default of ``MvcScheme.cell_codes``, and a longer one the
-scheme's own batch (GF(2) bit-matrix products for the Reed-Solomon-backed
-schemes and replication, numpy survivor arrays for binning), which must
-return exactly the default's codes.  Monte-Carlo mode draws its trials in
+Every engine turns a read view into outcome codes through the scheme's
+own ``cell_codes``, which must return exactly the codes of the per-tuple
+default ``MvcScheme.cell_codes``.  Monte-Carlo mode draws its trials in
 blocks, each trial's tuple, state and subset in turn from one seeded
 generator through ``getrandbits`` alone, so the draws rest only on
 MT19937's word stream.  A (state, drawn subset) pair is judged for its
@@ -192,25 +189,12 @@ class _Cell:
         return out
 
 
-# The batch decoders' per-call cost (and numpy) does not pay below _BATCH
-# tuples.
-_BATCH = 32
-
-
-def _codes(scheme, T, state, tuples, cache) -> list[int]:
-    """``cell_codes`` of T's read view of ``state``: the per-tuple default
-    below _BATCH tuples, the scheme's batch from there."""
-    if len(tuples) < _BATCH:
-        return MvcScheme.cell_codes(scheme, T, state, tuples, cache)
-    return scheme.cell_codes(T, state, tuples, cache)
-
-
 def _cell(scheme, T, state, tuples, cells: dict, cache: dict) -> _Cell:
     """The cell of T's read view of ``state``, built on first use."""
     view = scheme.read_view(T, state)
     cell = cells.get(view)
     if cell is None:
-        cell = cells[view] = _Cell(_codes(scheme, T, state, tuples, cache))
+        cell = cells[view] = _Cell(scheme.cell_codes(T, state, tuples, cache))
     return cell
 
 
@@ -345,7 +329,7 @@ def _monte_carlo_run(
         codes = [0] * len(live)
         for members in groups.values():
             _, state, (T, _, _), _ = live[members[0]]
-            got = _codes(scheme, T, state, [live[i][0] for i in members], {})
+            got = scheme.cell_codes(T, state, [live[i][0] for i in members], {})
             for i, code in zip(members, got):
                 codes[i] = code
         for (vt, state, (T, threshold, _), record), code in zip(live, codes):

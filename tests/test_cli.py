@@ -247,9 +247,9 @@ def test_runs_without_mpmath():
     assert done.returncode == 0, done.stderr
 
 
-# Commands that judge no read view over _BATCH or more tuples and build no
-# binning codebook, with their exit codes: latest-only fails its sampled
-# verify, its replay and its search by design.
+# Commands that neither draw a binning codebook nor judge a binning read
+# view, with their exit codes: numpy serves binning alone.  latest-only
+# fails its verifies, its replay and its search by design.
 _NUMPY_FREE = (
     (["cost"], 0),
     (["cost", "--K", "64"], 0),
@@ -267,6 +267,16 @@ _NUMPY_FREE = (
         )
         for name in ("replication", "mds", "delta", "rs-update", "latest-only")
     ),
+    # the anchor's exhaustive verifies judge 2,304 tuples per view
+    *(
+        (
+            ["verify", "--scheme", name, "--mode", "exhaustive"],
+            1 if name == "latest-only" else 0,
+        )
+        for name in ("replication", "mds", "delta", "rs-update", "latest-only")
+    ),
+    (["verify", "--c-w", "3", "--c-r", "3", "--mode", "exhaustive"], 0),
+    (["verify", "--scheme", "mds", "--mode", "monte-carlo", "--trials", "2000"], 0),
 )
 
 

@@ -38,6 +38,7 @@ from oracles import (
 )
 from mvcode import estimate_epsilon, make_scheme
 from mvcode.binning import (
+    _BATCH,
     BinningCodebook,
     RateAllocation,
     RateTerm,
@@ -60,7 +61,6 @@ from mvcode.model import (
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import _search_pairs, adversarial_schedule_search, schedule_to_text
 from mvcode.verifier import (
-    _BATCH,
     _BLOCK,
     QuorumBridge,
     _exhaustive_run,
@@ -515,12 +515,12 @@ def test_search_judges_each_distinct_read_once(n, f, depth):
 # ---------------------------------------------------------------------------
 # Monte-Carlo: per-view blocks against the per-trial engine.  At n=5, c=2
 # a block's 4096 trials spread over 160 (subset, rows) views, about 26 per
-# view, so its groups fall on both sides of _BATCH; at n=3 that happens
-# near 1500 trials, and at n=64 views never repeat.
+# view; at n=3 binning's groups cross its _BATCH near 1500 trials, and at
+# n=64 views never repeat.  At K=64 a bit-slice lane is 8 bytes wide.
 
 
-def _mc_case(name, n, c, quorums=None, **extra):
-    model = CorrelationModel(5 if name == "binning" else 4, 1, 2)
+def _mc_case(name, n, c, quorums=None, K=None, radius=1, **extra):
+    model = CorrelationModel(K or (5 if name == "binning" else 4), radius, 2)
     scheme = make_scheme(name, model, n, c, **extra)
     if quorums is None:
         return scheme, c, latest_common_version
@@ -550,6 +550,9 @@ _MC_CASES = {
     "bridge(latest-only)": ("latest-only", 5, 2, (3, 4), {}, _BLOCK_TRIALS),
     "mds n=64": ("mds", 64, 2, None, {}, (1, 300)),
     "latest-only n=64": ("latest-only", 64, 2, None, {}, (1, 300)),
+    "delta K=64": ("delta", 5, 2, None, {"K": 64, "radius": 4}, (1, 300)),
+    "rs-update K=64": ("rs-update", 5, 2, None, {"K": 64, "radius": 4}, (1, 300)),
+    "bridge(mds) K=64": ("mds", 5, 2, (3, 4), {"K": 64, "radius": 4}, (1, 300)),
 }
 
 
@@ -567,49 +570,62 @@ def test_monte_carlo_blocks_match_the_per_trial_engine(case):
 
 
 def test_monte_carlo_groups_cross_the_batch_size(monkeypatch):
-    """The geometry above sends some views of a block through the batch
-    decoder and the rest through the per-tuple loop."""
-    scheme, size, threshold_of = _mc_case("mds", 5, 2)
-    sizes = {"loop": [], "batch": []}
+    """The geometry above sends some of binning's views of 1500 trials
+    through its batch decoder and the rest through the per-tuple loop."""
+    import mvcode.binning as binning
 
-    def spy(kind, cell_codes):
-        def wrapped(self, T, state, tuples, cache):
-            sizes[kind].append(len(tuples))
-            return cell_codes(self, T, state, tuples, cache)
-
-        return wrapped
-
-    monkeypatch.setattr(MvcScheme, "cell_codes", spy("loop", MvcScheme.cell_codes))
-    monkeypatch.setattr(
-        type(scheme), "cell_codes", spy("batch", type(scheme).cell_codes)
+    scheme, size, threshold_of = _mc_case(
+        "binning", 3, 2, epsilon=Fraction(1, 2), seed=1
     )
-    _monte_carlo_run(scheme, size, threshold_of, _BLOCK, 0, 0)
+    sizes = {"loop": [], "batch": []}
+    loop, batch = MvcScheme.cell_codes, binning._run_plan_batch
+
+    def spy_loop(self, T, state, tuples, cache):
+        sizes["loop"].append(len(tuples))
+        return loop(self, T, state, tuples, cache)
+
+    def spy_batch(codebook, plan, tuples, cache):
+        sizes["batch"].append(len(tuples))
+        return batch(codebook, plan, tuples, cache)
+
+    monkeypatch.setattr(MvcScheme, "cell_codes", spy_loop)
+    monkeypatch.setattr(binning, "_run_plan_batch", spy_batch)
+    _monte_carlo_run(scheme, size, threshold_of, 1500, 0, 0)
     assert sizes["loop"] and max(sizes["loop"]) < _BATCH
     assert sizes["batch"] and min(sizes["batch"]) >= _BATCH
 
 
-class _CountsBatches(QuorumBridge):
-    """A bridge whose batch counts its calls."""
+def test_every_engine_batches_from_the_batch_size_on(monkeypatch):
+    """The search and exhaustive runs over 1, 31 and 32 tuples judge every
+    view with a non-binning scheme's own cell_codes; a bridged binning
+    scheme runs the per-tuple loop below _BATCH and its batch from _BATCH
+    on."""
+    import mvcode.binning as binning
 
-    def __init__(self, inner, c_w, c_r):
-        super().__init__(inner, c_w, c_r)
-        self.batches = 0
+    calls = {"own": 0, "loop": 0, "batch": 0}
 
-    def cell_codes(self, T, state, tuples, cache):
-        self.batches += 1
-        return super().cell_codes(T, state, tuples, cache)
+    def spy(kind, call):
+        def wrapped(*args):
+            calls[kind] += 1
+            return call(*args)
 
+        return wrapped
 
-def test_every_engine_batches_from_the_batch_size_on():
-    """The search and an exhaustive run over fewer than _BATCH tuples run
-    the per-tuple loop; from _BATCH tuples on the scheme's batch runs."""
+    monkeypatch.setattr(MvcScheme, "cell_codes", spy("loop", MvcScheme.cell_codes))
+    batch = spy("batch", binning._run_plan_batch)
+    monkeypatch.setattr(binning, "_run_plan_batch", batch)
     model = CorrelationModel(4, 1, 2)
-    scheme = _CountsBatches(make_scheme("mds", model, 4, 2), 3, 3)
+    inner = make_scheme("mds", model, 4, 2)
+    inner.cell_codes = spy("own", inner.cell_codes)
+    scheme = quorum_bridge(inner, 3, 3)
     assert adversarial_schedule_search(scheme, 3, 3, f=1, depth=8) is None
-    assert scheme.batches == 0
+    assert calls["own"] and not calls["loop"] and not calls["batch"]
     tuples = list(enumerate_possible_set(model))
-    for size in (_BATCH - 1, _BATCH):
-        report = _exhaustive_run(
+
+    def run(scheme, size):
+        for kind in calls:
+            calls[kind] = 0
+        return _exhaustive_run(
             scheme,
             list(combinations(range(4), 3)),
             lambda state, T: latest_complete_version(state, 3),
@@ -617,8 +633,16 @@ def test_every_engine_batches_from_the_batch_size_on():
             tuples[:size],
             0,
         )
+
+    for size in (1, _BATCH - 1, _BATCH):
+        report = run(scheme, size)
         assert report.passed and report.attempts
-        assert (scheme.batches > 0) == (size == _BATCH)
+        assert calls["own"] and not calls["loop"] and not calls["batch"]
+    bridged_binning = quorum_bridge(make_scheme("binning", model, 4, 2), 3, 3)
+    for size in (_BATCH - 1, _BATCH):
+        assert run(bridged_binning, size).attempts
+        assert bool(calls["loop"]) == (size < _BATCH)
+        assert bool(calls["batch"]) == (size == _BATCH)
 
 
 # ---------------------------------------------------------------------------

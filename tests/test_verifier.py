@@ -20,7 +20,15 @@ from mvcode.model import (
     latest_complete_version,
     sample_tuple,
 )
-from mvcode.schemes import Decoded, DecodingError, MvcScheme, StoredSymbol, make_scheme
+from mvcode.schemes import (
+    _RAISED,
+    _WRONG,
+    Decoded,
+    DecodingError,
+    MvcScheme,
+    StoredSymbol,
+    make_scheme,
+)
 from mvcode.verifier import (
     EpsilonEstimate,
     QuorumBridge,
@@ -754,6 +762,27 @@ def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
     assert views > 0
     if (K, n, quorums) == (8, 4, None):
         assert views == 42
+
+
+@pytest.mark.parametrize("name", ["mds", "delta", "rs-update", "latest-only"])
+def test_cell_codes_match_the_default_loop_on_a_corrupted_inverse(name):
+    # K=6 pads to 8 bits at n=4, c=2.  One flipped padding bit and one
+    # flipped message bit in every holder tuple's inverse make some decodes
+    # raise and others return wrong content, on both paths alike.
+    scheme = make_scheme(name, CorrelationModel(6, 1, 2), 4, 2)
+    gen = scheme.generator
+    for holders in combinations(range(4), 2):
+        masks = list(gen.inverse(holders))
+        masks[0] ^= 1 << 7
+        masks[1] ^= 1
+        gen._inverses[holders] = tuple(masks)
+    tuples = list(enumerate_possible_set(scheme.model))
+    seen = set()
+    for T, state in _live_views(scheme, 2, latest_common_version):
+        got = scheme.cell_codes(T, state, tuples, {})
+        assert got == MvcScheme.cell_codes(scheme, T, state, tuples, {})
+        seen.update(got)
+    assert {_RAISED, _WRONG} <= seen
 
 
 def test_delta_batch_ranks_only_the_differences_it_decodes(monkeypatch):
