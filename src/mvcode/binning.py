@@ -11,11 +11,11 @@ before.  Decoding succeeds when exactly one value of the newest common version
 survives; older versions may keep several survivors, which is harmless.
 
 One decode walks Python sets of survivors.  The verifier's engines and the
-codebook survey judge a read view of ``_BATCH`` or more tuples at once
+codebook survey judge a whole read view at once, at every tuple count
 (``BinningScheme.cell_codes``): the survivors of every tuple are flat
 (tuple row, value) numpy arrays, stepped by the same ball masks and
-filtered by the same checks; a shorter view runs the per-tuple loop.
-numpy is imported inside those batch paths and the codebook draws only.
+filtered by the same checks.  numpy is imported inside that batch path
+and the codebook draws only.
 
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
@@ -536,8 +536,6 @@ def _run_plan(plan: _DecodePlan, targets: Sequence[Sequence[int]]) -> set[int]:
     return survivors
 
 
-# A view of fewer tuples runs the per-tuple loop, where numpy does not pay.
-_BATCH = 32
 # (tuple row, value) pairs a batch decode holds at once, plus at most one
 # row's own enumeration estimate
 _PAIR_BUDGET = 1 << 16
@@ -932,8 +930,7 @@ class BinningScheme(MvcScheme):
     through the survivor sets of ``possible_set_decode``.  An ambiguous or
     empty final survivor set surfaces as a DecodingError so the verifier
     counts it like any other decode failure.  ``cell_codes`` runs the same
-    plan over a whole list of ``_BATCH`` or more tuples at once, and the
-    per-tuple loop over a shorter one, after the plan's cap check either way.
+    plan over a whole list of tuples at once, after the plan's cap check.
     """
 
     name = "binning"
@@ -1007,8 +1004,6 @@ class BinningScheme(MvcScheme):
         )
         if plan is None:
             return [_NULL] * len(tuples)
-        if len(tuples) < _BATCH:
-            return super().cell_codes(T, state, tuples, cache)
         return _run_plan_batch(self.codebook, plan, tuples, cache).tolist()
 
     def worst_case_cost(self) -> CostReport:

@@ -25,7 +25,8 @@ class InsufficientSymbolsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(2), used for the irreducibility search.
+# Polynomial arithmetic over GF(2), used for the irreducibility search and
+# for every field product (``Field.mul``).
 
 def _poly_mod(a: int, mod: int) -> int:
     width = mod.bit_length()
@@ -61,18 +62,6 @@ def irreducible_polynomial(m: int) -> int:
     return next(p for p in candidates if all(_poly_mod(p, d) for d in divisors))
 
 
-@lru_cache(maxsize=None)
-def _mul_table(m: int, polynomial: int) -> tuple[int, ...]:
-    size = 1 << m
-    table = [0] * (size * size)
-    for a in range(size):
-        for b in range(a, size):
-            p = _poly_mulmod(a, b, polynomial)
-            table[(a << m) | b] = p
-            table[(b << m) | a] = p
-    return tuple(table)
-
-
 @dataclass(frozen=True)
 class Field:
     """GF(2^m) reduced by the fixed polynomial ``irreducible_polynomial(m)``."""
@@ -87,15 +76,7 @@ class Field:
     def order(self) -> int:
         return 1 << self.m
 
-    @cached_property
-    def _table(self) -> tuple[int, ...] | None:
-        """The full product table for m <= 8, built on the first ``mul``."""
-        return _mul_table(self.m, self.polynomial) if self.m <= 8 else None
-
     def mul(self, a: int, b: int) -> int:
-        table = self._table
-        if table is not None:
-            return table[(a << self.m) | b]
         return _poly_mulmod(a, b, self.polynomial)
 
     def pow(self, a: int, exp: int) -> int:

@@ -263,8 +263,9 @@ class MvcScheme(ABC):
 
         ``cache`` lives for one run over this same tuple list and is
         shared by every view of the run; nothing tuple-dependent is kept
-        on the scheme.  This default is the per-tuple loop, and the
-        differential oracle of every override.
+        on the scheme.  This default is the per-tuple loop: every scheme
+        here overrides it and no engine calls it, so it is the contract's
+        reference, the differential oracle of every override.
         """
         sets = [frozenset()] * self.n
         for t in T:

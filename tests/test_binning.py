@@ -599,8 +599,11 @@ def test_batch_matches_the_loop_when_reads_are_ambiguous(kind, model, n, c, widt
     alloc = widths(model, n, c, Fraction(1, 2))
     codebook = BinningCodebook(kind, 3, model, n, max(widths.WIDTHS.values()))
     tuples = list(enumerate_possible_set(model))[::8]
-    seen = _batch_against_loop(BinningScheme.over(codebook, alloc), tuples)
+    scheme = BinningScheme.over(codebook, alloc)
+    seen = _batch_against_loop(scheme, tuples)
     assert _RAISED in seen and any(code > 0 for code in seen)
+    for size in (1, 2):
+        _batch_against_loop(scheme, tuples[:size])
 
 
 def test_zero_radius_forces_equal_versions():
@@ -860,6 +863,8 @@ def test_batch_matches_the_loop_past_one_limb():
     assert scheme.allocation.index_bits((1, 2), 1) > 64
     tuples = list(enumerate_possible_set(REF_MODEL))[::7]
     assert _batch_against_loop(scheme, tuples) == {1, 2}
+    for size in (1, 2):
+        _batch_against_loop(scheme, tuples[:size])
 
 
 def test_scheme_rejects_malformed_symbols():

@@ -38,7 +38,6 @@ from oracles import (
 )
 from mvcode import estimate_epsilon, make_scheme
 from mvcode.binning import (
-    _BATCH,
     BinningCodebook,
     RateAllocation,
     RateTerm,
@@ -515,8 +514,8 @@ def test_search_judges_each_distinct_read_once(n, f, depth):
 # ---------------------------------------------------------------------------
 # Monte-Carlo: per-view blocks against the per-trial engine.  At n=5, c=2
 # a block's 4096 trials spread over 160 (subset, rows) views, about 26 per
-# view; at n=3 binning's groups cross its _BATCH near 1500 trials, and at
-# n=64 views never repeat.  At K=64 a bit-slice lane is 8 bytes wide.
+# view; at n=3 binning's 1500 trials fall in views of 17 to 36 trials, and
+# at n=64 views never repeat.  At K=64 a bit-slice lane is 8 bytes wide.
 
 
 def _mc_case(name, n, c, quorums=None, K=None, radius=1, **extra):
@@ -569,80 +568,59 @@ def test_monte_carlo_blocks_match_the_per_trial_engine(case):
         assert got.failures  # the witnesses were compared too
 
 
-def test_monte_carlo_groups_cross_the_batch_size(monkeypatch):
-    """The geometry above sends some of binning's views of 1500 trials
-    through its batch decoder and the rest through the per-tuple loop."""
+def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
+    """The schedule search, exhaustive runs over 1, 31 and 32 tuples,
+    binning's Monte-Carlo groups and the codebook survey judge every view
+    with the scheme's own cell_codes, binning's through its batch at every
+    list length; the per-tuple default is only the tests' reference."""
     import mvcode.binning as binning
 
-    scheme, size, threshold_of = _mc_case(
-        "binning", 3, 2, epsilon=Fraction(1, 2), seed=1
-    )
-    sizes = {"loop": [], "batch": []}
-    loop, batch = MvcScheme.cell_codes, binning._run_plan_batch
-
-    def spy_loop(self, T, state, tuples, cache):
-        sizes["loop"].append(len(tuples))
-        return loop(self, T, state, tuples, cache)
-
-    def spy_batch(codebook, plan, tuples, cache):
-        sizes["batch"].append(len(tuples))
-        return batch(codebook, plan, tuples, cache)
-
-    monkeypatch.setattr(MvcScheme, "cell_codes", spy_loop)
-    monkeypatch.setattr(binning, "_run_plan_batch", spy_batch)
-    _monte_carlo_run(scheme, size, threshold_of, 1500, 0, 0)
-    assert sizes["loop"] and max(sizes["loop"]) < _BATCH
-    assert sizes["batch"] and min(sizes["batch"]) >= _BATCH
-
-
-def test_every_engine_batches_from_the_batch_size_on(monkeypatch):
-    """The search and exhaustive runs over 1, 31 and 32 tuples judge every
-    view with a non-binning scheme's own cell_codes; a bridged binning
-    scheme runs the per-tuple loop below _BATCH and its batch from _BATCH
-    on."""
-    import mvcode.binning as binning
-
-    calls = {"own": 0, "loop": 0, "batch": 0}
+    sizes = {"own": [], "loop": [], "batch": []}  # tuple list lengths
 
     def spy(kind, call):
         def wrapped(*args):
-            calls[kind] += 1
+            sizes[kind].append(len(args[-2]))  # each call ends (tuples, cache)
             return call(*args)
 
         return wrapped
 
     monkeypatch.setattr(MvcScheme, "cell_codes", spy("loop", MvcScheme.cell_codes))
-    batch = spy("batch", binning._run_plan_batch)
-    monkeypatch.setattr(binning, "_run_plan_batch", batch)
+    monkeypatch.setattr(binning, "_run_plan_batch", spy("batch", binning._run_plan_batch))
     model = CorrelationModel(4, 1, 2)
     inner = make_scheme("mds", model, 4, 2)
     inner.cell_codes = spy("own", inner.cell_codes)
-    scheme = quorum_bridge(inner, 3, 3)
-    assert adversarial_schedule_search(scheme, 3, 3, f=1, depth=8) is None
-    assert calls["own"] and not calls["loop"] and not calls["batch"]
+    bridged = {
+        "mds": quorum_bridge(inner, 3, 3),
+        "binning": quorum_bridge(make_scheme("binning", model, 4, 2), 3, 3),
+    }
+    assert adversarial_schedule_search(bridged["mds"], 3, 3, f=1, depth=8) is None
+    adversarial_schedule_search(bridged["binning"], 3, 3, f=1, depth=8)
+    assert sizes["own"] and set(sizes["batch"]) == {1}
     tuples = list(enumerate_possible_set(model))
+    for scheme in bridged.values():
+        for size in (1, 31, 32):
+            report = _exhaustive_run(
+                scheme,
+                list(combinations(range(4), 3)),
+                lambda state, T: latest_complete_version(state, 3),
+                iter_states(4, 2),
+                tuples[:size],
+                0,
+            )
+            assert report.passed and report.attempts
+    assert set(sizes["batch"]) == {1, 31, 32}
 
-    def run(scheme, size):
-        for kind in calls:
-            calls[kind] = 0
-        return _exhaustive_run(
-            scheme,
-            list(combinations(range(4), 3)),
-            lambda state, T: latest_complete_version(state, 3),
-            iter_states(4, 2),
-            tuples[:size],
-            0,
-        )
-
-    for size in (1, _BATCH - 1, _BATCH):
-        report = run(scheme, size)
-        assert report.passed and report.attempts
-        assert calls["own"] and not calls["loop"] and not calls["batch"]
-    bridged_binning = quorum_bridge(make_scheme("binning", model, 4, 2), 3, 3)
-    for size in (_BATCH - 1, _BATCH):
-        assert run(bridged_binning, size).attempts
-        assert bool(calls["loop"]) == (size < _BATCH)
-        assert bool(calls["batch"]) == (size == _BATCH)
+    scheme, size, threshold_of = _mc_case(
+        "binning", 3, 2, epsilon=Fraction(1, 2), seed=1
+    )
+    sizes["batch"].clear()
+    _monte_carlo_run(scheme, size, threshold_of, 1500, 0, 0)
+    assert min(sizes["batch"]) < 32 <= max(sizes["batch"])
+    sizes["batch"].clear()
+    tuples = sample_tuples(scheme.model, 5, 0)
+    empirical_error_survey(scheme.codebook, scheme.allocation, tuples)
+    assert set(sizes["batch"]) == {5}
+    assert sizes["loop"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -712,7 +712,7 @@ def test_bridged_verify_decodes_each_inner_view_once():
 # Batch cell decoding: every override returns the default loop's codes
 
 
-_BATCHED = ("replication", "mds", "delta", "rs-update", "latest-only", "binning")
+_SCHEMES = ("replication", "mds", "delta", "rs-update", "latest-only", "binning")
 
 
 def _live_views(scheme, subset_size, threshold_of):
@@ -740,7 +740,7 @@ def _live_views(scheme, subset_size, threshold_of):
         (3, 2, 3, 3, 2, None),  # a two-version step over a radius-3 ball
     ],
 )
-@pytest.mark.parametrize("name", _BATCHED)
+@pytest.mark.parametrize("name", _SCHEMES)
 def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
     scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
     if quorums is None:
@@ -751,13 +751,15 @@ def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
         subset_size = c_r
         threshold_of = lambda state, T: latest_complete_version(state, c_w)
     tuples = list(enumerate_possible_set(scheme.model))
-    batch_cache, loop_cache = {}, {}
+    # each list has its own caches: a cache serves one tuple list
+    lists = [(tuples[:size], {}, {}) for size in (1, 2, len(tuples))]
     views = 0
     for T, state in _live_views(scheme, subset_size, threshold_of):
-        got = scheme.cell_codes(T, state, tuples, batch_cache)
-        want = MvcScheme.cell_codes(scheme, T, state, tuples, loop_cache)
-        assert got == want, (T, state.key())
-        assert all(type(code) is int for code in got)
+        for some, batch_cache, loop_cache in lists:
+            got = scheme.cell_codes(T, state, some, batch_cache)
+            want = MvcScheme.cell_codes(scheme, T, state, some, loop_cache)
+            assert got == want, (len(some), T, state.key())
+            assert all(type(code) is int for code in got)
         views += 1
     assert views > 0
     if (K, n, quorums) == (8, 4, None):
