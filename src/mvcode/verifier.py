@@ -172,8 +172,12 @@ class _Cell:
 
     def __init__(self, codes: list[int]):
         self.codes = codes
-        # at most nu + 3 distinct codes: NULL, raised, wrong, 1..nu
-        self.tally = Counter(codes)
+        # at most nu + 3 distinct codes: NULL, raised, wrong, 1..nu; one
+        # count settles a cell of one code (every cell of a passing scheme)
+        if codes and codes.count(codes[0]) == len(codes):
+            self.tally = {codes[0]: len(codes)}
+        else:
+            self.tally = Counter(codes)
 
     def failure_count(self, threshold: int) -> int:
         # every failing code (NULL, raised, wrong) is < 1 <= threshold

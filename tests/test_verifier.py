@@ -34,6 +34,7 @@ from mvcode.verifier import (
     QuorumBridge,
     VerificationReport,
     Witness,
+    _Cell,
     _exhaustive_run,
     estimate_epsilon,
     quorum_bridge,
@@ -447,6 +448,17 @@ def test_monte_carlo_error_is_failures_over_trials():
     report = verify_requirement_A(scheme, mode="monte-carlo", trials=600, seed=8)
     assert report.empirical_error == report.failure_count / 600
     assert report.failures[0].reason == "decode raised an error"
+
+
+@pytest.mark.parametrize(
+    "codes", [[], [2] * 5, [1, 1, 1, 0], [_WRONG, 2, 2, _RAISED, 1, 2, 0]]
+)
+def test_cell_tally_counts_each_failing_code(codes):
+    """A one-code cell takes the one-count tally, a mixed one the Counter;
+    both count the codes below every threshold."""
+    cell = _Cell(codes)
+    for threshold in range(min(codes, default=0) - 1, 4):
+        assert cell.failure_count(threshold) == sum(c < threshold for c in codes)
 
 
 def test_zero_error_scheme_estimates_zero():
