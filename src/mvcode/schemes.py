@@ -14,10 +14,11 @@ what the honest schemes rule out.  All but replication, the broken one
 included, decode through one Reed-Solomon reader (``_RsBackedScheme``).
 
 Each of the five also judges a whole read view at once (``cell_codes``),
-at every tuple count, over bit slices: one int per bit position holds that
-bit of every tuple, so encoding is one XOR of slices per entry of a
-server's GF(2) generator and decoding one per entry of the holders' cached
-inverse, all in plain Python ints.
+at every tuple count, over bit slices in plain Python ints: one int per
+bit position holds that bit of every tuple, so encoding is one XOR of
+slices per entry of a server's GF(2) generator and decoding one per entry
+of the holders' cached inverse.  What a run reuses across read views
+lives only in the run's cache, never on the scheme.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def _slices(values: Sequence[int], width: int, nbytes: int) -> list[int]:
 
 def _version_slices(tuples, u: int, K: int, nbytes: int, cache: dict) -> list[int]:
     """The K slices of version u of every tuple."""
-    key = ("slices", u, nbytes)
-    if key not in cache:
-        cache[key] = _slices([vt.versions[u - 1].bits for vt in tuples], K, nbytes)
-    return cache[key]
+    return _run_cached(
+        cache,
+        ("slices", u, nbytes),
+        lambda: _slices([vt.versions[u - 1].bits for vt in tuples], K, nbytes),
+    )
 
 
 def _product(slices: Sequence[int], columns) -> list[int]:
@@ -354,7 +356,11 @@ class _RsBackedScheme(MvcScheme):
         stacked = []
         for server in holders:
             received = self._received_of(state, server)
-            stacked += self._vectors_at(server, received, target, tuples, cache)
+            stacked += _run_cached(
+                cache,
+                ("at", server, received, target),
+                lambda: self._vectors_at(server, received, target, tuples, cache),
+            )
         K, nbytes = self.model.K, self._lane_bytes
         bits = _product(stacked, self.generator.inverse_columns(holders))
         raised = reduce(or_, bits[K:], 0)  # nonzero padding
@@ -364,17 +370,18 @@ class _RsBackedScheme(MvcScheme):
     def _vectors_at(self, server, received, target, tuples, cache) -> list[int]:
         """Batch ``_vector_at``: slices of the symbol vectors of version
         ``target`` rebuilt from what ``server`` stores for each tuple; by
-        default the target's vectors, for a scheme that stores them as is."""
+        default the target's, for a scheme whose stored symbol replays to them."""
         return self._stored_vectors(server, target, tuples, cache)
 
     def _stored_vectors(self, server, u, tuples, cache) -> list[int]:
         """Slices of version u's symbol vectors at ``server``: its slices
         times the server's generator."""
-        key = ("vectors", server, u)
-        if key not in cache:
+
+        def build():
             bits = _version_slices(tuples, u, self.model.K, self._lane_bytes, cache)
-            cache[key] = _product(bits, self.generator.columns(server))
-        return cache[key]
+            return _product(bits, self.generator.columns(server))
+
+        return _run_cached(cache, ("vectors", server, u), build)
 
     def _vector_at(
         self,
@@ -483,10 +490,6 @@ class MdsMvcScheme(_RsBackedScheme):
         )
 
 
-# Past this many (server, index) entries DeltaScheme forgets its steps.
-_STEP_MEMO = 1 << 12
-
-
 class DeltaScheme(_RsBackedScheme):
     """Symbol vector for the first received version, then one Hamming-ball
     index per later received version.
@@ -499,11 +502,6 @@ class DeltaScheme(_RsBackedScheme):
     """
 
     name = "delta"
-
-    def __init__(self, model: CorrelationModel, n: int, c: int) -> None:
-        super().__init__(model, n, c)
-        # stored bits of ball member ``index`` at ``server``, by (server, index)
-        self._steps: dict[tuple[int, int], int] = {}
 
     def _volume(self, gap: int) -> int:
         """Size of the Hamming ball a step across ``gap`` versions lies in."""
@@ -531,14 +529,7 @@ class DeltaScheme(_RsBackedScheme):
 
     def _step(self, server: int, index: int) -> int:
         """Stored bits at ``server`` of ball member ``index``."""
-        step = self._steps.get((server, index))
-        if step is None:
-            if len(self._steps) >= _STEP_MEMO:
-                self._steps.clear()
-            step = self._steps[server, index] = self.generator.apply(
-                server, ball_unrank(index, self.model.K)
-            )
-        return step
+        return self.generator.apply(server, ball_unrank(index, self.model.K))
 
     def encode(self, server, received, versions):
         got = _sorted_received(received, len(versions))
@@ -615,7 +606,8 @@ class RsUpdateScheme(_RsBackedScheme):
     changed; whenever the list would cost at least a full vector, the full
     vector is stored instead behind an all-blocks-changed count sentinel.
     The count field itself is framing the analytic cost formula ignores;
-    worst_case_cost reports it separately.
+    worst_case_cost reports it separately.  A record list replays to the
+    stored target vector, so a cell reads through the default _vectors_at.
     """
 
     name = "rs-update"
@@ -692,29 +684,6 @@ class RsUpdateScheme(_RsBackedScheme):
         if not reader.exhausted:
             raise DecodingError("trailing bits after last update record")
         return snapshot
-
-    def _vectors_at(self, server, received, target, tuples, cache):
-        """A record list overwrites the changed blocks and keeps the rest,
-        so reading it back is a blockwise mux of the old and new slices.
-        The full-vector sentinel needs no per-tuple count: the blocks the
-        mux keeps are unchanged, so they already hold the new symbols.  A
-        record list has fewer than ``blocks`` records (``blocks`` would cost
-        a full vector), so its count never reads as the sentinel, and
-        records after the target cannot fail the range checks."""
-        m = self.generator.symbol_bits
-        prev = vec = self._stored_vectors(server, received[0], tuples, cache)
-        for u in received[1:]:
-            if u > target:
-                break
-            new = self._stored_vectors(server, u, tuples, cache)
-            vec = list(vec)
-            for start in range(0, self.symbol_vector_bits, m):
-                block = range(start, start + m)
-                changed = reduce(or_, [prev[k] ^ new[k] for k in block])
-                for k in block:
-                    vec[k] ^= (vec[k] ^ new[k]) & changed
-            prev = new
-        return vec
 
     def worst_case_cost(self):
         """The realized maximum needs no sweep over version tuples: a step's

@@ -15,11 +15,11 @@ from mvcode.model import (
     SystemState,
     VersionTuple,
     enumerate_possible_set,
+    iter_states,
     latest_common_version,
     sample_tuple,
 )
 from mvcode.schemes import (
-    _STEP_MEMO,
     CostReport,
     Decoded,
     DecodingError,
@@ -258,30 +258,22 @@ def test_delta_rejects_step_index_outside_its_ball():
         delta.decode((0, 1), state, tampered)
 
 
-class _PeakDict(dict):
-    """A dict that counts its insertions and remembers its largest size."""
-
-    def __init__(self):
-        super().__init__()
-        self.inserted = self.peak = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.inserted += 1
-        self.peak = max(self.peak, len(self))
-
-
-def test_delta_step_memo_stays_bounded_at_K_64():
+def test_delta_cell_codes_keep_no_tuple_state_on_the_scheme_at_K_64():
     # 2,500 tuples whose two versions every server holds: the batch decode
-    # of version 2 from two servers meets about 5,000 distinct steps
+    # of version 2 from two servers meets about 5,000 distinct steps, and
+    # none of them may stay on the scheme once the run's cache is gone
     model = CorrelationModel(64, 4, 2)
     scheme = build("delta", model)
-    scheme._steps = _PeakDict()
     rng = random.Random(0)
     tuples = [sample_tuple(model, rng) for _ in range(2500)]
     state = SystemState((frozenset({1, 2}),) * 4)
+
+    def dict_sizes():
+        return {k: len(v) for k, v in vars(scheme).items() if isinstance(v, dict)}
+
+    before = dict_sizes()
     assert scheme.cell_codes((0, 1), state, tuples, {}) == [2] * len(tuples)
-    assert scheme._steps.inserted > _STEP_MEMO >= scheme._steps.peak
+    assert dict_sizes() == before
 
 
 def test_latest_only_misses_overwritten_common_version():
@@ -472,6 +464,27 @@ def test_measured_matches_exhaustive_maximum(name):
     for K, radius, nu, n, c in points:
         scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
         assert scheme.worst_case_cost().measured_bits == brute_force_worst(scheme)
+
+
+@pytest.mark.parametrize("K,radius,nu,n,c", _RS_UPDATE_POINTS)
+def test_rs_update_cells_match_the_default_loop(K, radius, nu, n, c):
+    # A cell reads rs-update's target vectors as stored: the per-tuple loop
+    # replays the record lists and sentinels and must agree on every live
+    # read view, for lists of 1, 2 and all tuples.
+    scheme = make_scheme("rs-update", CorrelationModel(K, radius, nu), n, c)
+    tuples = list(enumerate_possible_set(scheme.model))
+    lists = [(tuples[:size], {}, {}) for size in (1, 2, len(tuples))]
+    seen = set()
+    for state in iter_states(n, nu):
+        for T in itertools.combinations(range(n), c):
+            view = scheme.read_view(T, state)
+            if latest_common_version(state, T) is None or view in seen:
+                continue
+            seen.add(view)
+            for some, batch_cache, loop_cache in lists:
+                got = scheme.cell_codes(T, state, some, batch_cache)
+                assert got == MvcScheme.cell_codes(scheme, T, state, some, loop_cache)
+    assert seen
 
 
 @pytest.mark.parametrize("name", ["delta", "rs-update"])
