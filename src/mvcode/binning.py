@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, lcm, log2, prod
+from math import comb, log2, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bitio import BitWriter
@@ -79,27 +79,18 @@ if TYPE_CHECKING:
 class RateTerm(NamedTuple):
     """A rate expressed symbolically as a + b*log2(Vol) + e*log2(epsilon).
 
-    Keeping the rational coefficients exact lets width ceilings and region
-    slacks be decided exactly, by comparing big-integer powers; in
-    particular a slack that is identically zero comes out as exactly zero.
+    Keeping the rational coefficients exact lets a real-valued total be
+    evaluated once, at the end, and lets a region slack that is
+    identically zero come out as exactly zero.  Widths are not decided
+    through terms: ``RateAllocation._step_bits`` takes them from ints.
     """
 
     constant: Fraction
     vol_coeff: Fraction
     eps_coeff: Fraction
 
-    def plus(self, other: "RateTerm") -> "RateTerm":
-        return RateTerm(
-            self.constant + other.constant,
-            self.vol_coeff + other.vol_coeff,
-            self.eps_coeff + other.eps_coeff,
-        )
-
     def is_zero(self) -> bool:
         return not (self.constant or self.vol_coeff or self.eps_coeff)
-
-
-_ZERO_TERM = RateTerm(Fraction(0), Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +108,8 @@ class RateAllocation:
 
     where Vol is the single-step ball volume and E = nu*n - log2(epsilon) is
     the safety term, -log2 of the union-bound share.  Realized widths are the
-    ceilings of these; the ceiling slack is reported, not silently absorbed.
+    ceilings of these, each decided by one integer rule (``_step_bits``);
+    the ceiling slack is reported, not silently absorbed.
     """
 
     model: CorrelationModel
@@ -134,37 +126,15 @@ class RateAllocation:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         object.__setattr__(self, "epsilon", eps)
 
-    # -- symbolic rates ---------------------------------------------------
-
-    def _steps(self, received: Iterable[int]) -> list[tuple[Optional[int], int]]:
-        """(previous, u) for every u of the receipt set, sorted once, with
-        previous the version received before u (None for the first); a
-        rate depends on the receipt set only through this step."""
-        got = sorted(set(received))
-        if not got or got[0] < 1 or got[-1] > self.model.nu:
-            raise ValueError("receipt set out of range")
-        return list(zip([None] + got, got))
-
-    def _step_term(self, previous: Optional[int], u: int) -> RateTerm:
-        budget = Fraction(self.model.nu * self.n)
-        if previous is None:
-            const = Fraction(self.model.K + (u - 1)) + budget
-            vol = Fraction(u - 1)
-        else:
-            const = Fraction(u - 1) + budget
-            vol = Fraction(u - previous)
-        return RateTerm(const / self.c, vol / self.c, Fraction(-1, self.c))
-
     def evaluate(self, term: RateTerm) -> float:
         """Numeric value of a symbolic rate, in bits, rounded once."""
         if term.is_zero():
             return 0.0
-        if "logs" not in self._cache:
-            self._cache["logs"] = (
-                log2_decimal(self.model.ball_volume()),
-                log2_decimal(self.epsilon),
-            )
-        log_vol, log_eps = self._cache["logs"]
+        log_vol, log_eps = _run_cached(
+            self._cache,
+            "logs",
+            lambda: (log2_decimal(self.model.ball_volume()), log2_decimal(self.epsilon)),
+        )
         with localcontext() as ctx:
             ctx.prec = LOG_DIGITS
             total = Decimal(0)
@@ -176,68 +146,61 @@ class RateAllocation:
                 total += Decimal(coeff.numerator) / coeff.denominator * log
             return float(total)
 
-    def sign(self, term: RateTerm, bound: int = 0) -> int:
-        """Sign (-1, 0 or 1) of ``term - bound``, decided exactly.
-
-        With D clearing every denominator and epsilon = p/q, the term is at
-        most ``bound`` iff 2^((a-bound)D) * Vol^(bD) * p^(eD) <= q^(eD);
-        each factor whose exponent is negative moves to the other side.
-        """
-        const = term.constant - bound
-        D = lcm(
-            const.denominator,
-            term.vol_coeff.denominator,
-            term.eps_coeff.denominator,
-        )
-        sides = [1, 1]  # factors with positive exponents, then negative ones
-        for base, exponent in (
-            (2, const * D),
-            (self.model.ball_volume(), term.vol_coeff * D),
-            (self.epsilon.numerator, term.eps_coeff * D),
-            (self.epsilon.denominator, -term.eps_coeff * D),
-        ):
-            sides[exponent < 0] *= base ** abs(int(exponent))
-        return (sides[0] > sides[1]) - (sides[0] < sides[1])
-
-    def _ceil_bits(self, term: RateTerm) -> int:
-        bits = ceil(self.evaluate(term))
-        while self.sign(term, bits - 1) <= 0:
-            bits -= 1
-        while self.sign(term, bits) > 0:
-            bits += 1
-        return bits
+    def _total(self, received: Iterable[int]) -> RateTerm:
+        """The rates of a receipt set s_1 < ... < s_t summed in closed form:
+        (K + sum(s_j - 1) + t*nu*n + (s_t - 1)*log2(Vol) - t*log2(epsilon))
+        / c, since the gaps' volume terms telescope to s_t - 1."""
+        got = sorted(set(received))
+        t = len(got)
+        const = self.model.K + sum(got) - t + t * self.model.nu * self.n
+        c = self.c
+        return RateTerm(Fraction(const, c), Fraction(got[-1] - 1, c), Fraction(-t, c))
 
     # -- realized widths ---------------------------------------------------
 
     def _step_bits(self, previous: Optional[int], u: int) -> int:
-        key = ("step", previous, u)
-        if key not in self._cache:
-            self._cache[key] = self._ceil_bits(self._step_term(previous, u))
-        return self._cache[key]
+        """Width of version u received after ``previous`` (None for the
+        first), from ints alone.
+
+        The rate is (A + log2 R)/c with the integer A = u - 1 + nu*n, plus K
+        for the first version, and the rational R = Vol^gap * q/p > 1 for
+        epsilon = p/q, the gap being u - 1 for the first version.  For
+        integer A, ceil((A + log2 R)/c) = ceil((A + ceil(log2 R))/c), and
+        with R = N/D and f the bit-length difference of N and D,
+        ceil(log2 R) is f + 1 when N > D*2^f and f otherwise.
+        """
+        A = u - 1 + self.model.nu * self.n + (0 if previous else self.model.K)
+        N = self.model.ball_volume() ** (u - (previous or 1)) * self.epsilon.denominator
+        D = self.epsilon.numerator
+        f = N.bit_length() - D.bit_length()
+        return -(-(A + f + (N > (D << f))) // self.c)
+
+    def _widths(self, received: Iterable[int]) -> dict[int, int]:
+        """Version -> width for a receipt set, computed once and cached
+        under the sorted set."""
+        got = tuple(sorted(set(received)))
+        if not got or got[0] < 1 or got[-1] > self.model.nu:
+            raise ValueError("receipt set out of range")
+        return _run_cached(
+            self._cache,
+            got,
+            lambda: {u: self._step_bits(p, u) for p, u in zip((None,) + got, got)},
+        )
 
     def index_bits(self, received: Iterable[int], u: int) -> int:
-        # encode and decode ask version by version; a hit on the
-        # receipt-set key costs one sort and one lookup
-        got = tuple(sorted(set(received)))
-        key = ("width", got, u)
-        if key not in self._cache:
-            previous = {v: p for p, v in self._steps(got)}
-            if u not in previous:
-                raise ValueError(f"version {u} not in receipt set {got}")
-            self._cache[key] = self._step_bits(previous[u], u)
-        return self._cache[key]
+        widths = self._widths(received)
+        if u not in widths:
+            raise ValueError(f"version {u} not in receipt set {tuple(widths)}")
+        return widths[u]
 
     def index_widths(self, received: Iterable[int]) -> dict[int, int]:
-        return {u: self._step_bits(p, u) for p, u in self._steps(received)}
+        return dict(self._widths(received))
 
     def storage_bits(self, received: Iterable[int]) -> int:
         return sum(self.index_widths(received).values())
 
     def ceiling_slack(self, received: Iterable[int]) -> float:
-        return sum(
-            self._step_bits(p, u) - self.evaluate(self._step_term(p, u))
-            for p, u in self._steps(received)
-        )
+        return self.storage_bits(received) - self.evaluate(self._total(received))
 
     @property
     def matrix_columns(self) -> int:
@@ -696,14 +659,10 @@ def binning_worst_case_cost(allocation: RateAllocation) -> float:
     versions.
 
     Summing the allocation gives (K + (nu-1)*log2(Vol) + nu*(nu-1)/2
-    + nu*E) / c with E = nu*n - log2(epsilon); the per-version (u-1)
-    summands telescope to the quadratic constant exactly, so the sum and
-    the closed form agree identically.
+    + nu*E) / c with E = nu*n - log2(epsilon); ``_total`` is that sum in
+    closed form, evaluated once.
     """
-    total = _ZERO_TERM
-    for previous, u in allocation._steps(range(1, allocation.model.nu + 1)):
-        total = total.plus(allocation._step_term(previous, u))
-    return allocation.evaluate(total)
+    return allocation.evaluate(allocation._total(range(1, allocation.model.nu + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,16 @@ def log2_decimal(x: int | Fraction) -> Decimal:
         raise ValueError("log2_exact needs a positive argument")
     with localcontext() as ctx:
         ctx.prec = LOG_DIGITS
-        ln = Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
-        return ln / Decimal(2).ln()
+        ln2 = Decimal(2).ln()
+        ln = _ln(x.numerator, ln2) - _ln(x.denominator, ln2)
+        return ln / ln2
+
+
+def _ln(value: int, ln2: Decimal) -> Decimal:
+    """ln of a positive int from its top 512 bits plus the shift times ln 2:
+    the dropped bits move it by under 2^-511, far below LOG_DIGITS digits."""
+    shift = max(value.bit_length() - 512, 0)
+    return Decimal(value >> shift).ln() + shift * ln2
 
 
 def log2_exact(x: int | Fraction) -> float:

@@ -16,8 +16,9 @@ subset draws through ``randrange`` and ``random.sample`` that the
 
 The parity lemma of the linear codebook, the receipt-set rate formula and
 the binning rate-region check with its scenario rates are analytics only
-tests call; they live here and use the library's exact rate arithmetic
-(``RateAllocation.sign``).
+tests call; they live here with the exact rate arithmetic they need: the
+sum of two symbolic rates (``term_plus``) and the sign of one, decided by
+comparing big-integer powers (``term_sign``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 from mpmath import mp
 
-from mvcode.binning import _ZERO_TERM, RateTerm, _decoding_chain
+from mvcode.binning import RateTerm, _decoding_chain
 from mvcode.model import (
     Message,
     SystemState,
@@ -152,8 +154,39 @@ def even_parity_probability(p, w: int, M: int) -> float:
 # exactly on symbolic rates.
 
 
+_ZERO_TERM = RateTerm(Fraction(0), Fraction(0), Fraction(0))
+
+
+def term_plus(a: RateTerm, b: RateTerm) -> RateTerm:
+    return RateTerm(*(x + y for x, y in zip(a, b)))
+
+
 def term_minus(a: RateTerm, b: RateTerm) -> RateTerm:
     return RateTerm(*(x - y for x, y in zip(a, b)))
+
+
+def term_sign(allocation, term: RateTerm, bound: int = 0) -> int:
+    """Sign (-1, 0 or 1) of ``term - bound``, decided exactly.
+
+    With D clearing every denominator and epsilon = p/q, the term is at
+    most ``bound`` iff 2^((a-bound)D) * Vol^(bD) * p^(eD) <= q^(eD);
+    each factor whose exponent is negative moves to the other side.
+    """
+    const = term.constant - bound
+    D = lcm(
+        const.denominator,
+        term.vol_coeff.denominator,
+        term.eps_coeff.denominator,
+    )
+    sides = [1, 1]  # factors with positive exponents, then negative ones
+    for base, exponent in (
+        (2, const * D),
+        (allocation.model.ball_volume(), term.vol_coeff * D),
+        (allocation.epsilon.numerator, term.eps_coeff * D),
+        (allocation.epsilon.denominator, -term.eps_coeff * D),
+    ):
+        sides[exponent < 0] *= base ** abs(int(exponent))
+    return (sides[0] > sides[1]) - (sides[0] < sides[1])
 
 
 def _as_term(value) -> RateTerm:
@@ -208,18 +241,18 @@ def rate_region_check(allocation, rates, scenario) -> RegionCheck:
     for i in range(1, L + 1):
         lhs = _ZERO_TERM
         for u in chain[i - 1 :]:
-            lhs = lhs.plus(terms[u])
+            lhs = term_plus(lhs, terms[u])
         rhs = budget
         gap_vol = Fraction(0)
         for j in range(max(i, 2), L + 1):
             gap_vol += chain[j - 1] - chain[j - 2]
-        rhs = rhs.plus(RateTerm(Fraction(0), gap_vol, Fraction(0)))
+        rhs = term_plus(rhs, RateTerm(Fraction(0), gap_vol, Fraction(0)))
         if i == 1:
-            rhs = rhs.plus(
-                RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
+            rhs = term_plus(
+                rhs, RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
             )
         gap = term_minus(lhs, rhs)
-        sign = allocation.sign(gap)
+        sign = term_sign(allocation, gap)
         slacks.append(allocation.evaluate(gap) if sign else 0.0)
         if sign < 0:
             satisfied = False
@@ -262,7 +295,9 @@ def scenario_rates(allocation, state, T) -> tuple[tuple[int, ...], dict]:
         total = _ZERO_TERM
         for t in T:
             if u in state.per_server[t]:
-                total = total.plus(rate_term(allocation, state.per_server[t], u))
+                total = term_plus(
+                    total, rate_term(allocation, state.per_server[t], u)
+                )
         totals[u] = total
     return chain, totals
 
@@ -346,15 +381,15 @@ def snapped_region_slacks(allocation, rates, scenario) -> tuple[float, ...]:
     for i in range(1, L + 1):
         lhs = zero
         for u in chain[i - 1 :]:
-            lhs = lhs.plus(rates[u])
+            lhs = term_plus(lhs, rates[u])
         rhs = budget
         gap_vol = Fraction(0)
         for j in range(max(i, 2), L + 1):
             gap_vol += chain[j - 1] - chain[j - 2]
-        rhs = rhs.plus(RateTerm(Fraction(0), gap_vol, Fraction(0)))
+        rhs = term_plus(rhs, RateTerm(Fraction(0), gap_vol, Fraction(0)))
         if i == 1:
-            rhs = rhs.plus(
-                RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
+            rhs = term_plus(
+                rhs, RateTerm(Fraction(allocation.model.K), Fraction(0), Fraction(0))
             )
         gap = term_minus(lhs, rhs)
         if gap.is_zero():

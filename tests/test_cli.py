@@ -295,7 +295,8 @@ def test_quick_commands_run_without_numpy():
 
 
 # Each ran away, ran out of memory or failed to print its result before
-# cost came from closed forms and shortened its long rationals.
+# cost came from closed forms, shortened its long rationals and took each
+# binning width from one integer rule and each huge log from its top bits.
 _LARGE_COST_INPUTS = (
     ["--nu", "40"],
     ["-n", "65536", "--K", "4"],
@@ -303,6 +304,7 @@ _LARGE_COST_INPUTS = (
     ["-n", "8000", "--K", "4"],
     ["--epsilon", "2^-15000"],
     ["--nu", "3000"],
+    ["--nu", "100000"],
 )
 
 

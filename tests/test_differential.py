@@ -11,7 +11,9 @@ random.sample."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
@@ -33,6 +35,8 @@ from oracles import (
     snapped_ceil_bits,
     snapped_region_slacks,
     term_minus,
+    term_plus,
+    term_sign,
     vandermonde_decode,
     vandermonde_interpolate,
 )
@@ -101,10 +105,19 @@ def test_rates_ceilings_and_region_match_the_mpmath_oracle(K):
                                 alloc, term
                             )
                             assert alloc.evaluate(term) == mpmath_evaluate(alloc, term)
+                        steps = [rate_term(alloc, got, u) for u in got]
+                        per_step = sum(
+                            alloc.index_bits(got, u) - alloc.evaluate(term)
+                            for u, term in zip(got, steps)
+                        )
+                        assert alloc._total(got) == reduce(term_plus, steps)
+                        assert alloc.ceiling_slack(got) == pytest.approx(
+                            per_step, abs=1e-9
+                        )
                     full = range(1, nu + 1)
                     total = rate_term(alloc, full, 1)
                     for u in full[1:]:
-                        total = total.plus(rate_term(alloc, full, u))
+                        total = term_plus(total, rate_term(alloc, full, u))
                     assert binning_worst_case_cost(alloc) == mpmath_evaluate(
                         alloc, total
                     )
@@ -126,15 +139,46 @@ def test_log2_exact_matches_mpmath():
     for k in range(1, 31):
         for x in (1 - Fraction(1, 2**k), 1 - Fraction(1, 3**k), 1 - Fraction(7, 8 << k)):
             assert log2_exact(x) == mpmath_log2(x)
+    # values past 512 bits, as nu! * C(c + nu - 1, nu) in the general bound
+    huge = [factorial(k) * comb(k + 7, k) for k in (100, 1000, 5000, 20000)]
+    huge += [3**5000] + [2**600 + d for d in range(-3, 4)]
+    for x in huge:
+        assert log2_exact(x) == mpmath_log2(x)
+        assert log2_exact(Fraction(1, x)) == mpmath_log2(Fraction(1, x))
 
 
-def test_sign_is_exact_at_integer_values():
-    # radius 0 makes log2(Vol) = 0 and epsilon = 1/4 makes log2(eps) = -2,
-    # so these terms are exact rationals, some of them integers
+def test_index_widths_are_exact_at_integer_rates():
+    # radius 0 makes log2(Vol) = 0 and K = 1 with radius 1 makes it 1, and
+    # epsilon = 1/4 or 1/32 makes log2(eps) an integer, so every rate is
+    # an exact rational and many are integers, where a ceiling is tightest;
+    # epsilon = 1/3 puts the same rates just past those integers
+    for K, radius in ((8, 0), (1, 1)):
+        for nu in range(1, 4):
+            model = CorrelationModel(K, radius, nu)
+            for c in (1, 2, 3):
+                for eps in (Fraction(1, 4), Fraction(1, 32), Fraction(1, 3)):
+                    alloc = RateAllocation(model, 3, c, eps)
+                    for got in _receipt_sets(nu):
+                        widths = alloc.index_widths(got)
+                        assert list(widths) == list(got)
+                        for previous, u in zip((None,) + got, got):
+                            # the least w with (A + log2(N/D))/c <= w
+                            A = u - 1 + nu * 3 + (K if previous is None else 0)
+                            gap = u - (previous or 1)
+                            N = model.ball_volume() ** gap * eps.denominator
+                            D = eps.numerator
+                            w = 0
+                            while not (
+                                N <= D << (c * w - A)
+                                if c * w >= A
+                                else N << (A - c * w) <= D
+                            ):
+                                w += 1
+                            assert widths[u] == w
+    # the exact sign the region check uses, at an integer value
     alloc = RateAllocation(CorrelationModel(8, 0, 2), 4, 2, Fraction(1, 4))
     term = RateTerm(Fraction(3), Fraction(5), Fraction(1))  # 3 + 0 - 2 = 1
-    assert [alloc.sign(term, bound) for bound in (0, 1, 2)] == [1, 0, -1]
-    assert alloc._ceil_bits(term) == 1
+    assert [term_sign(alloc, term, bound) for bound in (0, 1, 2)] == [1, 0, -1]
 
 
 # ---------------------------------------------------------------------------
