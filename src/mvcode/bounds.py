@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .model import hamming_ball_volume
@@ -57,6 +58,18 @@ def format_rational(x: Fraction) -> str:
     return f"2^-{k}" if mantissa == "1" else f"{mantissa}*2^-{k}"
 
 
+def below_power_of_two(x: Fraction, m: int) -> bool:
+    """x < 2^-m without building 2^m: p * 2^m < q for x = p/q, decided by
+    bit lengths and, only when they tie, by the exact product."""
+    p, q = x.numerator, x.denominator
+    if p <= 0:
+        return True
+    width = p.bit_length() + m
+    if width != q.bit_length():
+        return width < q.bit_length()
+    return p << m < q
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Parameter point for the converse bounds.
@@ -80,7 +93,7 @@ class BoundParams:
             raise ValueError("nu, K must be >= 1 and radius >= 0")
         eps = Fraction(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
-        if eps < 0 or eps >= Fraction(1, 2 ** (self.nu * self.n)):
+        if eps < 0 or not below_power_of_two(eps, self.nu * self.n):
             raise ValueError(
                 "epsilon must lie in [0, 2^-(nu*n)) for the bound to hold"
             )
@@ -89,10 +102,11 @@ class BoundParams:
     def ball_volume(self) -> int:
         return hamming_ball_volume(min(self.radius, self.K), self.K)
 
-    @property
+    @cached_property
     def survival(self) -> Fraction:
         """1 - epsilon * 2^(nu*n), the surviving share of the tuple space."""
-        return 1 - self.epsilon * 2 ** (self.nu * self.n)
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        return Fraction(q - (p << self.nu * self.n), q)
 
 
 def lower_bound_general(params: BoundParams) -> float:

@@ -36,6 +36,7 @@ from .binning import (
 )
 from .bounds import (
     BoundParams,
+    below_power_of_two,
     format_rational,
     gap_factor,
     lower_bound_general,
@@ -437,7 +438,7 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
         realized = binning_worst_case_cost(allocation)
         bound_eps = (
             cfg.epsilon
-            if cfg.epsilon < Fraction(1, 2 ** (cfg.nu * cfg.n))
+            if below_power_of_two(cfg.epsilon, cfg.nu * cfg.n)
             else Fraction(0)
         )
         params = BoundParams(cfg.n, c, cfg.nu, K, radius, bound_eps)
@@ -542,7 +543,7 @@ def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
     lines = cfg.echo_lines()
     lines.append(
         "search kind={} seeds={} tuples-per-cell={}".format(
-            args.kind, len(seeds), cfg.trials
+            args.kind, args.seeds, cfg.trials
         )
     )
     table = _Table(

@@ -17,11 +17,13 @@ the newest write completed before the read started (when no write has
 completed, any correct version or NULL).  A consistent read of a version
 that is itself not yet complete is flagged but not failed.  A raised
 decode error or wrong content is always an inconsistent read.  So a
-read's verdict is a function of its read view and the latest complete
-version: the replay judges it with ``schemes._judge``, and the search
-with the exhaustive verifier's cell of its view, whose codes agree.  The
-search therefore tries pairs of receipt sets and crash set, not
-schedules, and writes the first failing pair as its cheapest schedule.
+read's verdict compares one outcome code, a function of its read view,
+with the latest complete version: the replay judges it with
+``schemes._judge``, and the search takes the code from the exhaustive
+verifier's cell of its view, whose codes agree, once per responder set
+and their rows.  The search therefore tries pairs of receipt sets and
+crash set, not schedules, and writes the first failing pair as its
+cheapest schedule.
 
 Arrivals addressed to a crashed server are dropped, matching a message
 that reaches a dead machine.
@@ -491,14 +493,15 @@ def adversarial_schedule_search(
     raised before the first read when the pairs exceed ``cap``.
 
     The responders T depend only on C, so each crash count has one table
-    of (C, T).  A decode from T reads only T's rows, so a read's verdict
-    is a function of T, its rows and the latest complete version ``need``:
-    each distinct such read is judged once, as the verifier cell of its
-    view over the one content tuple, and the reads that pass are kept for
-    the length of the search as one int each, T's index, ``need`` and the
-    (server, version) inclusion bits of S masked to T's rows.  ``need`` is
-    counted from S's arrivals, and a state is built only for an S with a
-    read not seen before.
+    of (C, T).  A read fails when its outcome code is below the latest
+    complete version ``need``, counted from S's arrivals.  A decode from T
+    reads only T's rows, so the code is a function of T and its rows
+    alone: it is taken once per distinct (T, rows), from the verifier cell
+    of that view over the one content tuple, and kept for the length of
+    the search under one int, T's index and the (server, version)
+    inclusion bits of S masked to T's rows.  A state is built only for an
+    S with a code not seen before, from S's bits through a table of the
+    2^nu row receipt sets.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -522,7 +525,12 @@ def adversarial_schedule_search(
             table.append((crashed, T, index.setdefault(T, len(index)), mask))
         reads.append(table)
     responder_sets = len(index)
-    passed: set[int] = set()
+    # the receipt set of each nu-bit row pattern
+    patterns = [
+        frozenset(u + 1 for u in range(nu) if p >> u & 1) for p in range(row + 1)
+    ]
+    shifts = range(0, n * nu, nu)
+    codes: dict[int, int] = {}
     cells: dict = {}
     cache: dict = {}
     for used in range(depth):
@@ -547,17 +555,16 @@ def adversarial_schedule_search(
                     need -= 1
                 state = None
                 for crashed, T, t, mask in reads[room - len(got)]:
-                    key = ((bits & mask) * (nu + 1) + need) * responder_sets + t
-                    if key in passed:
-                        continue
-                    if state is None:
-                        rows: list[list[int]] = [[] for _ in range(n)]
-                        for u, s in got:
-                            rows[s].append(u)
-                        state = SystemState(tuple(map(frozenset, rows)))
-                    cell = _cell(scheme, T, state, versions, cells, cache)
-                    if not cell.failure_count(need):
-                        passed.add(key)
+                    key = (bits & mask) * responder_sets + t
+                    code = codes.get(key)
+                    if code is None:
+                        if state is None:
+                            state = SystemState(
+                                tuple([patterns[bits >> sh & row] for sh in shifts])
+                            )
+                        cell = _cell(scheme, T, state, versions, cells, cache)
+                        code = codes[key] = cell.codes[0]
+                    if code >= need:
                         continue
                     steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
                     steps += [(KIND_ARRIVAL, u, s) for u, s in got]

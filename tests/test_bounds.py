@@ -7,6 +7,7 @@ import pytest
 from oracles import log2_fixed
 from mvcode.bounds import (
     BoundParams,
+    below_power_of_two,
     gap_factor,
     log2_exact,
     lower_bound_general,
@@ -71,6 +72,34 @@ def test_epsilon_domain_guard():
     assert lower_bound_general(ok) < lower_bound_general(
         BoundParams(n=4, c=2, nu=2, K=8, radius=1)
     )
+
+
+def test_below_power_of_two_matches_the_fraction_comparison():
+    for m in range(6):
+        for q in range(1, 2 ** (m + 2)):
+            for p in range(q + 1):
+                x = Fraction(p, q)
+                assert below_power_of_two(x, m) == (x < Fraction(1, 2**m)), (x, m)
+
+
+def test_epsilon_domain_guard_at_a_huge_exponent():
+    # nu*n = 65,536,000: each side of 2^-m is decided, 2^m built only on a
+    # bit-length tie
+    m = 1000 * 65536
+
+    def params(epsilon):
+        return BoundParams(n=65536, c=1, nu=1000, K=8, radius=1, epsilon=epsilon)
+
+    with pytest.raises(ValueError):
+        params(Fraction(1, 1 << m))
+    assert not below_power_of_two(Fraction(1, 1 << m), m)
+    # 1 - epsilon * 2^m
+    for ok, survival in (
+        (Fraction(1, (1 << m) + 1), Fraction(1, (1 << m) + 1)),
+        (Fraction(3, 1 << (m + 2)), Fraction(1, 4)),
+    ):
+        assert below_power_of_two(ok, m)
+        assert params(ok).survival == survival
 
 
 @pytest.mark.parametrize("c", range(1, 17))

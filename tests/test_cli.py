@@ -935,6 +935,13 @@ def test_binning_seed_count_builds_no_seed_list():
     assert "search kind=random-uniform seeds=1000000000 " in done.stdout
 
 
+def test_binning_prints_a_seed_count_past_the_index_range():
+    # len() of a range of 2^64 - 1 seeds raised OverflowError after the survey
+    done = _run_limited(["binning", "--K", "4", "--seeds", str((1 << 64) - 1)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "search kind=random-uniform seeds=18446744073709551615 " in done.stdout
+
+
 def test_verify_prints_work_past_4300_digits():
     # 2^(nu*n) states at n=8000 made str() of the work raise ValueError
     argv = ["verify", "--scheme", "mds", "-n", "8000", "-c", "1", "--trials", "5"]

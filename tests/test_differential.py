@@ -540,7 +540,8 @@ class _CountsViews(QuorumBridge):
 @pytest.mark.parametrize("n,f,depth", [(4, 1, 12), (6, 1, 12), (5, 2, 9), (3, 0, 8)])
 def test_search_judges_each_distinct_read_once(n, f, depth):
     # a zero-error scheme fails no read, so the search tries every pair of
-    # the breadth-first walk and judges each (T, need, T's rows) once
+    # the breadth-first walk and takes the code of each (T, T's rows) once,
+    # whatever the latest complete versions of the reads sharing it
     q = n - f
     inner = make_scheme("mds", CorrelationModel(4, 1, 2), n, 2 * q - n)
     scheme = _CountsViews(inner, q, q)
@@ -549,8 +550,7 @@ def test_search_judges_each_distinct_read_once(n, f, depth):
     reads = set()
     for got, crashed in pairs:
         T = tuple(s for s in range(n) if s not in crashed)[:q]
-        need = latest_complete_version(SystemState(got), q) or 0
-        reads.add((T, need, tuple(got[t] for t in T)))
+        reads.add((T, tuple(got[t] for t in T)))
     assert scheme.views == len(reads)
     assert _search_pairs(n, 2, f, depth) == len(pairs)
 

@@ -6,8 +6,6 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import Poly
-from sympy.abc import x as _x
 
 from mvcode.galois import (
     Field,
@@ -18,9 +16,45 @@ from mvcode.galois import (
 )
 
 
-def sympy_is_irreducible(mask: int) -> bool:
-    coeffs = [(mask >> d) & 1 for d in range(mask.bit_length() - 1, -1, -1)]
-    return Poly(coeffs, _x, modulus=2).is_irreducible
+# GF(2)[x] polynomials as coefficient bit masks, bit d for x^d
+
+
+def _mod2(a: int, f: int) -> int:
+    d = f.bit_length()
+    while a.bit_length() >= d:
+        a ^= f << (a.bit_length() - d)
+    return a
+
+
+def _square_mod2(a: int, f: int) -> int:
+    product = 0
+    for d in range(a.bit_length()):
+        if a >> d & 1:
+            product ^= 1 << 2 * d
+    return _mod2(product, f)
+
+
+def _gcd2(a: int, b: int) -> int:
+    while b:
+        a, b = b, _mod2(a, b)
+    return a
+
+
+def rabin_is_irreducible(f: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 1980): a degree-m f is irreducible
+    iff x^(2^m) = x mod f and gcd(x^(2^(m/p)) - x, f) = 1 for each prime p
+    dividing m.  A different algorithm from the search's trial division."""
+    m = f.bit_length() - 1
+    x = _mod2(0b10, f)
+    frobenius = [x]  # x^(2^k) mod f for k = 0..m
+    for _ in range(m):
+        frobenius.append(_square_mod2(frobenius[-1], f))
+    if frobenius[m] != x:
+        return False
+    primes = [
+        p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))
+    ]
+    return all(_gcd2(f, frobenius[m // p] ^ x) == 1 for p in primes)
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +71,12 @@ def test_frozen_reduction_polynomials():
 @pytest.mark.parametrize("m", range(1, 10))
 def test_search_rule_matches_independent_oracle(m):
     # First candidate by (term count, value) among nonzero-constant degree-m
-    # polynomials that sympy calls irreducible.
+    # polynomials that Rabin's test calls irreducible.
     candidates = sorted(
         (v for v in range(1 << m, 1 << (m + 1)) if v & 1),
         key=lambda v: (v.bit_count(), v),
     )
-    expected = next(v for v in candidates if sympy_is_irreducible(v))
+    expected = next(v for v in candidates if rabin_is_irreducible(v))
     assert irreducible_polynomial(m) == expected
 
 
