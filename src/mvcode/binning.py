@@ -10,12 +10,13 @@ candidates are the values one admissible step from a survivor of the version
 before.  Decoding succeeds when exactly one value of the newest common version
 survives; older versions may keep several survivors, which is harmless.
 
-One decode walks Python sets of survivors.  The verifier's engines and the
-codebook survey judge a whole read view at once, at every tuple count
-(``BinningScheme.cell_codes``): the survivors of every tuple are flat
-(tuple row, value) numpy arrays, stepped by the same ball masks and
-filtered by the same checks.  numpy is imported inside that batch path
-and the codebook draws only.
+One runner (``_run_plan``) decodes every row of stored indices at once:
+the survivors of all rows are flat (row, value) numpy arrays, stepped by
+the plan's ball masks and filtered by its checks.  A decode
+(``possible_set_decode``) runs it on one row; the verifier's engines and
+the codebook survey judge a whole read view, one row per tuple
+(``BinningScheme.cell_codes``).  numpy is imported inside the decode
+plans, the runner and the codebook draws only.
 
 Index lengths follow a two-shape rate allocation.  The first version a
 server received pays for full content, K bits, plus chain slack; every later
@@ -246,9 +247,7 @@ def _uniform_entries(rng: np.random.Generator, count: int, width: int) -> list[i
     tops = rng.integers(0, 1 << rem, size=count, dtype=np.uint64) if rem else None
     out = []
     for row in range(count):
-        value = 0
-        for j in range(limbs):
-            value |= int(base[row, j]) << (64 * j)
+        value = int.from_bytes(base[row].astype("<u8").tobytes(), "little")
         if tops is not None:
             value |= int(tops[row]) << (64 * limbs)
         out.append(value)
@@ -369,7 +368,7 @@ class BinningCodebook:
 
     def _index_keys(self, server: int, version: int, bits: int) -> "_IndexKeys":
         """All 2^K values grouped by their ``bits``-wide index; K <= 16
-        only.  Decode plans and batch decodes share these groups."""
+        only.  Every decode plan's checks read these groups."""
         key = ("keys", server, version, bits)
         if key not in self._maps:
             import numpy as np
@@ -385,18 +384,6 @@ class BinningCodebook:
             self._maps[key] = _IndexKeys(distinct, keys, order, starts)
         return self._maps[key]
 
-    def _values_by_index(self, server: int, version: int, bits: int) -> dict:
-        """The same groups keyed by the index itself, for one decode."""
-        key = ("groups", server, version, bits)
-        if key not in self._maps:
-            index = self._index_keys(server, version, bits)
-            values, starts = index.order.tolist(), index.starts.tolist()
-            self._maps[key] = {
-                i: tuple(values[lo:hi])
-                for i, lo, hi in zip(index.distinct.tolist(), starts, starts[1:])
-            }
-        return self._maps[key]
-
 
 class _IndexKeys(NamedTuple):
     """Value w has index ``distinct[keys[w]]``; the values with key k are
@@ -406,6 +393,14 @@ class _IndexKeys(NamedTuple):
     keys: np.ndarray
     order: np.ndarray
     starts: np.ndarray
+
+    def key_of(self, index: int) -> Optional[np.ndarray]:
+        """The key of ``index`` as a one-row array, or None when no value
+        has it."""
+        key = self.distinct.searchsorted([index])
+        if key[0] < len(self.distinct) and self.distinct[key[0]] == index:
+            return key
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +425,8 @@ class PossibleSetOutcome:
 class _DecodePlan:
     latest_common: int
     # per chain version, oldest first: (version, ball masks from the previous
-    # layer or None, checks as (server, full table, width mask))
+    # layer as an int64 array or None, checks as (server, index keys, wmask))
     layers: list
-    stage1: dict  # first version's values by the first check's index
     estimate: int
 
 
@@ -455,6 +449,8 @@ def _build_plan(
 ) -> Optional[_DecodePlan]:
     """The decode plan of a reader that contacted T and saw ``rows``; None
     when T shares no version."""
+    import numpy as np
+
     if rates.model != codebook.model:
         raise ValueError("allocation and codebook disagree on the model")
     found = _decoding_chain(rows)
@@ -468,39 +464,20 @@ def _build_plan(
         checks = []
         for t, row in zip(T, rows):
             if version in row:
-                wmask = (1 << rates.index_bits(row, version)) - 1
-                checks.append((t, codebook.index_table(t, version), wmask))
-        if previous is None:
-            masks = None
-            t, _tab, wmask = checks[0]
-            stage1 = codebook._values_by_index(t, version, wmask.bit_length())
-        else:
-            masks = tuple(iter_ball_masks(K, min((version - previous) * radius, K)))
+                bits = rates.index_bits(row, version)
+                index = codebook._index_keys(t, version, bits)
+                checks.append((t, index, (1 << bits) - 1))
+        masks = None
+        if previous is not None:
+            gap = min((version - previous) * radius, K)
+            masks = np.array(list(iter_ball_masks(K, gap)), np.int64)
             estimate *= len(masks)
         layers.append((version, masks, checks))
-    return _DecodePlan(u_L, layers, stage1, estimate)
+    return _DecodePlan(u_L, layers, estimate)
 
 
-def _run_plan(plan: _DecodePlan, targets: Sequence[Sequence[int]]) -> set[int]:
-    """The newest-common values surviving every layer, where ``targets[i]``
-    are the stored indices the checks of layer i must match."""
-    survivors: Iterable[int] = ()
-    for (_version, masks, checks), wanted in zip(plan.layers, targets):
-        if masks is None:
-            candidates = plan.stage1.get(wanted[0], ())
-        else:
-            candidates = {w ^ mask for w in survivors for mask in masks}
-        bound = [(tab, wmask, tgt) for (_t, tab, wmask), tgt in zip(checks, wanted)]
-        survivors = {
-            w
-            for w in candidates
-            if all(tab[w] & wmask == tgt for tab, wmask, tgt in bound)
-        }
-    return survivors
-
-
-# (tuple row, value) pairs a batch decode holds at once, plus at most one
-# row's own enumeration estimate
+# (row, value) pairs a decode holds at once, plus at most one row's own
+# enumeration estimate
 _PAIR_BUDGET = 1 << 16
 
 
@@ -528,71 +505,56 @@ def _plan_for(
     return plan
 
 
-def _run_plan_batch(
-    codebook: BinningCodebook, plan: _DecodePlan, tuples, cache: dict
-) -> np.ndarray:
-    """Outcome codes of ``plan`` for every tuple, its indices stored as
-    ``encode`` stores them: ``_run_plan`` with the survivors of all tuples
-    held as (tuple row, value) pairs.
+def _run_plan(
+    plan: _DecodePlan, wanted: Sequence[Sequence[np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the count of newest-common survivors and the last of them
+    (0 when none survive), where ``wanted[i][j]`` holds each row's key
+    (``_IndexKeys``) of the stored index check j of layer i must match.
 
-    The first check's group gives each row's first survivors.  A row's
-    later survivors are at most that many times the ball volumes of the
-    later layers, so the rows run in chunks of about _PAIR_BUDGET such
-    pairs (one row at least).
+    Oldest layer first, a row's survivors are the values matching all the
+    layer's checks one ball step from a survivor of the layer before; the
+    survivors of all rows are held as (row, value) pairs.  The first check's
+    group gives each row's first survivors.  A row's later survivors are at
+    most that many times the ball volumes of the later layers, so the rows
+    run in chunks of about _PAIR_BUDGET such pairs (one row at least).
     """
     import numpy as np
 
-    K = codebook.model.K
-
-    def values(u: int) -> np.ndarray:
-        return _run_cached(
-            cache,
-            ("values", u),
-            lambda: np.array([vt.versions[u - 1].bits for vt in tuples], np.int64),
-        )
-
-    layers = []  # (ball masks or None, [(index keys, stored key per row)])
-    for version, masks, checks in plan.layers:
-        truth = values(version)
-        bound = []
-        for t, _tab, wmask in checks:
-            index = codebook._index_keys(t, version, wmask.bit_length())
-            bound.append((index, index.keys[truth]))
-        layers.append((None if masks is None else np.array(masks, np.int64), bound))
+    layers = [
+        (masks, [(index, key) for (_t, index, _wmask), key in zip(checks, keys)])
+        for (_version, masks, checks), keys in zip(plan.layers, wanted)
+    ]
     # the first check picks each row's group, which matches it throughout
     first, stored = layers[0][1].pop(0)
     lo = first.starts[stored]
     count = first.starts[stored + 1] - lo
     pairs = count * prod(len(masks) for masks, _bound in layers[1:])
-    chunk = (np.cumsum(pairs) - pairs) // _PAIR_BUDGET
-    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(tuples)]
-    out = []
+    chunk = (pairs.cumsum() - pairs) // _PAIR_BUDGET
+    cuts = [0, *((chunk[1:] != chunk[:-1]).nonzero()[0] + 1).tolist(), len(stored)]
+    counts, finals = [], []
     for a, b in zip(cuts, cuts[1:]):
-        row = np.repeat(np.arange(b - a), count[a:b])
-        skip = np.cumsum(count[a:b]) - count[a:b]
-        value = first.order[np.repeat(lo[a:b] - skip, count[a:b]) + np.arange(row.size)]
+        group = count[a:b]
+        row = np.arange(b - a).repeat(group)
+        skip = group.cumsum() - group
+        value = first.order[(lo[a:b] - skip).repeat(group) + np.arange(row.size)]
         for masks, bound in layers:
             if masks is not None:
                 value = (value[:, None] ^ masks).ravel()
-                row = np.repeat(row, len(masks))
-            for index, wanted in bound:
-                keep = index.keys[value] == wanted[a:b][row]
+                row = row.repeat(len(masks))
+            for index, key in bound:
+                keep = index.keys[value] == key[a:b][row]
                 row, value = row[keep], value[keep]
             if masks is not None:  # dedupe; np.unique would import numpy.ma
-                pair = np.sort(row << K | value)
-                fresh = np.ones(pair.size, bool)
-                fresh[1:] = pair[1:] != pair[:-1]
-                row, value = pair[fresh] >> K, pair[fresh] & ((1 << K) - 1)
-        survivors = np.bincount(row, minlength=b - a)
+                pair = row << TABLE_MAX_K | value
+                pair.sort()
+                pair = np.concatenate((pair[:1], pair[1:][pair[1:] != pair[:-1]]))
+                row, value = pair >> TABLE_MAX_K, pair & ((1 << TABLE_MAX_K) - 1)
+        counts.append(np.bincount(row, minlength=b - a))
         final = np.zeros(b - a, np.int64)
         final[row] = value
-        right = final == values(plan.latest_common)[a:b]
-        out.append(
-            np.where(
-                survivors != 1, _RAISED, np.where(right, plan.latest_common, _WRONG)
-            )
-        )
-    return np.concatenate(out)
+        finals.append(final)
+    return np.concatenate(counts), np.concatenate(finals)
 
 
 def possible_set_decode(
@@ -613,7 +575,8 @@ def possible_set_decode(
 
     The decode plan depends only on the allocation, T and the rows of T
     (what the reader sees), so the codebook keeps one per such view
-    (``_plan_for``).
+    (``_plan_for``).  The decode runs it as one row of ``_run_plan``, each
+    stored index looked up among its check's index keys.
     """
     T = tuple(T)
     if state.n != codebook.n:
@@ -632,18 +595,21 @@ def possible_set_decode(
                 f"missing stored index for server {server} version {version}"
             ) from None
 
-    targets = [
-        [target(t, version, wmask) for t, _tab, wmask in checks]
+    keys = [
+        [index.key_of(target(t, version, wmask)) for t, index, wmask in checks]
         for version, _masks, checks in plan.layers
     ]
-    finals = _run_plan(plan, targets)
-    if len(finals) == 1:
+    survivors = 0  # an index no value has leaves none
+    if not any(key is None for layer in keys for key in layer):
+        count, final = _run_plan(plan, keys)
+        survivors = count[0]
+    if survivors == 1:
         return PossibleSetOutcome(
             PossibleSetOutcome.DECODED,
             plan.latest_common,
-            Message(next(iter(finals)), codebook.model.K),
+            Message(int(final[0]), codebook.model.K),
         )
-    if finals:
+    if survivors:
         reason = "stored indices leave the newest common version ambiguous"
     else:
         reason = "no admissible assignment matches the stored indices"
@@ -889,7 +855,7 @@ class BinningScheme(MvcScheme):
     through the survivor sets of ``possible_set_decode``.  An ambiguous or
     empty final survivor set surfaces as a DecodingError so the verifier
     counts it like any other decode failure.  ``cell_codes`` runs the same
-    plan over a whole list of tuples at once, after the plan's cap check.
+    plan on a whole list of tuples, one row each, after the plan's cap check.
     """
 
     name = "binning"
@@ -963,7 +929,21 @@ class BinningScheme(MvcScheme):
         )
         if plan is None:
             return [_NULL] * len(tuples)
-        return _run_plan_batch(self.codebook, plan, tuples, cache).tolist()
+        import numpy as np
+
+        truth = _run_cached(
+            cache,
+            "values",
+            lambda: np.array([[m.bits for m in vt.versions] for vt in tuples], np.int64),
+        )
+        wanted = [
+            [index.keys[truth[:, version - 1]] for _t, index, _wmask in checks]
+            for version, _masks, checks in plan.layers
+        ]
+        count, final = _run_plan(plan, wanted)
+        u_L = plan.latest_common
+        right = final == truth[:, u_L - 1]
+        return np.where(count != 1, _RAISED, np.where(right, u_L, _WRONG)).tolist()
 
     def worst_case_cost(self) -> CostReport:
         model = self.model

@@ -54,7 +54,7 @@ def format_rational(x: Fraction) -> str:
     k = (den & -den).bit_length() - 1
     if den.bit_length() <= 64 or not k:
         return str(x.numerator) if den == 1 else f"{x.numerator}/{den}"
-    mantissa = format_rational(x * 2**k)
+    mantissa = format_rational(Fraction(x.numerator, den >> k))
     return f"2^-{k}" if mantissa == "1" else f"{mantissa}*2^-{k}"
 
 

@@ -78,7 +78,8 @@ def parse_rational(text: str) -> Fraction:
         base, _, exp = text.partition("^")
         if base.strip() != "2":
             raise ValueError(f"only powers of two are supported, got {text!r}")
-        return Fraction(2) ** int(exp)
+        e = int(exp)
+        return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
     try:
         return Fraction(text)
     except ZeroDivisionError:

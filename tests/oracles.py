@@ -10,9 +10,10 @@ engine at the end are the implementations the exact paths, the direct
 bridge rule, the GF(2) mask decode, the closed-form worst cases, the
 view-keyed search and the per-view Monte-Carlo blocks replaced,
 kept as their oracles; so are the latest-only and replication newest-
-version scans that ``model.newest_held`` replaced, and the tuple and
+version scans that ``model.newest_held`` replaced, the tuple and
 subset draws through ``randrange`` and ``random.sample`` that the
-``getrandbits``-only samplers replaced.
+``getrandbits``-only samplers replaced, and the binning decode over
+survivor sets that the one numpy plan runner replaced.
 
 The parity lemma of the linear codebook, the receipt-set rate formula and
 the binning rate-region check with its scenario rates are analytics only
@@ -731,3 +732,45 @@ def per_trial_monte_carlo_run(
         max(rates, default=0.0),
         sum(rates) / len(rates) if rates else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# The binning decode walked as Python sets, the runner the one numpy runner
+# (``binning._run_plan``) replaced for single decodes.
+
+
+def set_plan_decode(codebook, rates, T, state, indices):
+    """``possible_set_decode`` over the same decode plan with survivor sets:
+    the first layer scans all 2^K values, and each later layer steps every
+    survivor by every ball mask; each value is checked against the full
+    index tables.  Returns (status, version, message, reason) as the
+    decoder reports them."""
+    from mvcode.binning import _plan_for
+
+    T = tuple(T)
+    plan = _plan_for(codebook, rates, T, tuple(state.per_server[t] for t in T))
+    if plan is None:
+        return "no-common", None, None, "no version common to T"
+    survivors = set()
+    for version, masks, checks in plan.layers:
+        bound = [
+            (codebook.index_table(t, version), wmask, indices[t][version] & wmask)
+            for t, _index, wmask in checks
+        ]
+        if masks is None:
+            candidates = range(1 << codebook.model.K)
+        else:
+            candidates = {w ^ mask for w in survivors for mask in masks.tolist()}
+        survivors = {
+            w
+            for w in candidates
+            if all(table[w] & wmask == target for table, wmask, target in bound)
+        }
+    if len(survivors) == 1:
+        value = next(iter(survivors))
+        return "decoded", plan.latest_common, Message(value, codebook.model.K), ""
+    if survivors:
+        reason = "stored indices leave the newest common version ambiguous"
+    else:
+        reason = "no admissible assignment matches the stored indices"
+    return "error", None, None, reason

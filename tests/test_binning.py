@@ -18,6 +18,7 @@ from oracles import (
     rate_region_check,
     rate_term,
     scenario_rates,
+    set_plan_decode,
     wilson_upper,
 )
 from mvcode import binning as binning_module
@@ -460,7 +461,7 @@ def test_batch_honours_the_cap_before_building_arrays(monkeypatch):
     def no_batch(*args):
         raise AssertionError("survivor arrays built")
 
-    monkeypatch.setattr(binning_module, "_run_plan_batch", no_batch)
+    monkeypatch.setattr(binning_module, "_run_plan", no_batch)
     codebook = BinningCodebook.create(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS, seed=9)
     scheme = BinningScheme.over(
         codebook, RateAllocation(_OVER_CAP_MODEL, REF_N, REF_C, REF_EPS)
@@ -578,6 +579,98 @@ def test_decoder_outcomes_match_the_blind_oracle():
         "stored indices leave the newest common version ambiguous",
         "no admissible assignment matches the stored indices",
     }
+
+
+def _honest_indices(codebook, alloc, state, vt):
+    return {
+        t: {
+            u: codebook.index_of(t, u, vt.version(u).bits, alloc.index_bits(got, u))
+            for u in got
+        }
+        for t, got in enumerate(state.per_server)
+    }
+
+
+def _noise_indices(alloc, state, rng):
+    return {
+        t: {u: rng.getrandbits(alloc.index_bits(got, u)) for u in got}
+        for t, got in enumerate(state.per_server)
+    }
+
+
+def _against_the_set_runner(codebook, alloc, T, state, indices):
+    expected = set_plan_decode(codebook, alloc, T, state, indices)
+    out = possible_set_decode(codebook, alloc, T, state, indices)
+    assert (out.status, out.version, out.message, out.reason) == expected
+    return expected[3] or expected[0]
+
+
+@pytest.mark.parametrize("kind", ["linear", "random-uniform"])
+def test_runner_matches_the_set_runner_on_every_anchor_view(kind):
+    # Honest indices of sampled tuples and uniformly random ones, which at
+    # the anchor's 8- to 12-bit widths often name an index no value has.
+    codebook = BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, kind, seed=0)
+    alloc = ref_allocation()
+    tuples = sample_tuples(REF_MODEL, 4, 0)
+    rng = random.Random(3)
+    views, seen = set(), set()
+    for state in iter_states(REF_N, REF_MODEL.nu):
+        for T in combinations(range(REF_N), REF_C):
+            view = (T, tuple(state.per_server[t] for t in T))
+            if latest_common_version(state, T) is None or view in views:
+                continue
+            views.add(view)
+            for vt in tuples:
+                indices = _honest_indices(codebook, alloc, state, vt)
+                seen.add(_against_the_set_runner(codebook, alloc, T, state, indices))
+                indices = _noise_indices(alloc, state, rng)
+                seen.add(_against_the_set_runner(codebook, alloc, T, state, indices))
+    assert len(views) == 42
+    assert {"decoded", "no admissible assignment matches the stored indices"} <= seen
+
+
+@pytest.mark.parametrize("kind", ["linear", "random-uniform"])
+def test_runner_matches_the_set_runner_on_the_blind_oracle_grid(kind):
+    model = CorrelationModel(4, 1, 3)
+    n, c = 3, 2
+    alloc = _ShortChainWidths(model, n, c, Fraction(1, 2))
+    codebook = BinningCodebook(kind, 5, model, n, 3)
+    rng = random.Random(8)
+    seen = set()
+    for state in iter_states(n, model.nu):
+        for T in combinations(range(n), c):
+            vt = sample_tuple(model, rng)
+            for indices in (
+                _honest_indices(codebook, alloc, state, vt),
+                _noise_indices(alloc, state, rng),
+            ):
+                seen.add(_against_the_set_runner(codebook, alloc, T, state, indices))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_an_index_no_value_has_leaves_no_survivor(layer):
+    # The stored index of one check is replaced by the index just below the
+    # honest one, which no value has: its insertion point is the honest
+    # index's key, so a lookup that returned it would decode the tuple.
+    codebook = BinningCodebook.create(REF_MODEL, REF_N, REF_C, REF_EPS, seed=0)
+    alloc = ref_allocation()
+    state = SystemState((frozenset({1, 2}),) * REF_N)
+    T = (0, 1)
+    t, u = T[0], layer + 1
+    width = alloc.index_bits((1, 2), u)
+    held = {index & ((1 << width) - 1) for index in codebook.index_table(t, u)}
+    for vt in sample_tuples(REF_MODEL, 64, 0):
+        indices = _honest_indices(codebook, alloc, state, vt)
+        honest = indices[t][u]
+        if honest == 0 or honest - 1 in held:
+            continue
+        assert _against_the_set_runner(codebook, alloc, T, state, indices) == "decoded"
+        indices[t][u] = honest - 1
+        reason = _against_the_set_runner(codebook, alloc, T, state, indices)
+        assert reason == "no admissible assignment matches the stored indices"
+        return
+    pytest.fail("every honest index has a held index just below it")
 
 
 class _NarrowWidths(_FixedWidths):

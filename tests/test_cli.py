@@ -296,7 +296,8 @@ def test_quick_commands_run_without_numpy():
 
 # Each ran away, ran out of memory or failed to print its result before
 # cost came from closed forms, shortened its long rationals and took each
-# binning width from one integer rule and each huge log from its top bits.
+# binning width from one integer rule and each huge log from its top bits,
+# and built each power of two as a shift.
 _LARGE_COST_INPUTS = (
     ["--nu", "40"],
     ["-n", "65536", "--K", "4"],
@@ -305,6 +306,7 @@ _LARGE_COST_INPUTS = (
     ["--epsilon", "2^-15000"],
     ["--nu", "3000"],
     ["--nu", "100000"],
+    ["--epsilon", "2^-65536001"],
 )
 
 
@@ -955,6 +957,15 @@ def test_verify_prints_work_past_4300_digits():
         "error: enumeration would visit about 2^16024.14 elements, "
         "cap is 16777216\n"
     )
+
+
+def test_binning_verify_draws_entries_wider_than_a_limb_quickly():
+    # 2^-500000 makes each codebook entry about 250,000 bits, once built
+    # one 64-bit limb at a time (quadratic in the limbs, about 12 s)
+    argv = ["verify", "--scheme", "binning", "--epsilon", "2^-500000"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert "verdict pass failures=0" in done.stdout
 
 
 # Each listed every subset before it picked Monte-Carlo, and ran out of

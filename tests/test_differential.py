@@ -43,6 +43,7 @@ from oracles import (
 from mvcode import estimate_epsilon, make_scheme
 from mvcode.binning import (
     BinningCodebook,
+    BinningScheme,
     RateAllocation,
     RateTerm,
     binning_worst_case_cost,
@@ -615,11 +616,9 @@ def test_monte_carlo_blocks_match_the_per_trial_engine(case):
 def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
     """The schedule search, exhaustive runs over 1, 31 and 32 tuples,
     binning's Monte-Carlo groups and the codebook survey judge every view
-    with the scheme's own cell_codes, binning's through its batch at every
-    list length; the per-tuple default is only the tests' reference."""
-    import mvcode.binning as binning
-
-    sizes = {"own": [], "loop": [], "batch": []}  # tuple list lengths
+    with the scheme's own cell_codes, binning's at every list length; the
+    per-tuple default is only the tests' reference."""
+    sizes = {"own": [], "loop": [], "binning": []}  # tuple list lengths
 
     def spy(kind, call):
         def wrapped(*args):
@@ -629,7 +628,9 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(MvcScheme, "cell_codes", spy("loop", MvcScheme.cell_codes))
-    monkeypatch.setattr(binning, "_run_plan_batch", spy("batch", binning._run_plan_batch))
+    monkeypatch.setattr(
+        BinningScheme, "cell_codes", spy("binning", BinningScheme.cell_codes)
+    )
     model = CorrelationModel(4, 1, 2)
     inner = make_scheme("mds", model, 4, 2)
     inner.cell_codes = spy("own", inner.cell_codes)
@@ -639,7 +640,7 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
     }
     assert adversarial_schedule_search(bridged["mds"], 3, 3, f=1, depth=8) is None
     adversarial_schedule_search(bridged["binning"], 3, 3, f=1, depth=8)
-    assert sizes["own"] and set(sizes["batch"]) == {1}
+    assert sizes["own"] and set(sizes["binning"]) == {1}
     tuples = list(enumerate_possible_set(model))
     for scheme in bridged.values():
         for size in (1, 31, 32):
@@ -652,18 +653,18 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
                 0,
             )
             assert report.passed and report.attempts
-    assert set(sizes["batch"]) == {1, 31, 32}
+    assert set(sizes["binning"]) == {1, 31, 32}
 
     scheme, size, threshold_of = _mc_case(
         "binning", 3, 2, epsilon=Fraction(1, 2), seed=1
     )
-    sizes["batch"].clear()
+    sizes["binning"].clear()
     _monte_carlo_run(scheme, size, threshold_of, 1500, 0, 0)
-    assert min(sizes["batch"]) < 32 <= max(sizes["batch"])
-    sizes["batch"].clear()
+    assert min(sizes["binning"]) < 32 <= max(sizes["binning"])
+    sizes["binning"].clear()
     tuples = sample_tuples(scheme.model, 5, 0)
     empirical_error_survey(scheme.codebook, scheme.allocation, tuples)
-    assert set(sizes["batch"]) == {5}
+    assert set(sizes["binning"]) == {5}
     assert sizes["loop"] == []
 
 
