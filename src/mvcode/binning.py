@@ -43,7 +43,6 @@ from itertools import combinations
 from math import comb, log2, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bitio import BitWriter
 from .bounds import LOG_DIGITS, format_rational, log2_decimal
 from .galois import xor_rows
 from .model import (
@@ -66,7 +65,6 @@ from .schemes import (
     Decoded,
     DecodingError,
     MvcScheme,
-    StoredSymbol,
     _run_cached,
     register_scheme,
     split_fields,
@@ -234,6 +232,17 @@ def check_decodable(K: int) -> None:
         )
 
 
+def check_table_bits(n: int, nu: int, K: int, capacity: int) -> None:
+    """Refuse index tables over 2^30 bits in all: n * nu tables of 2^K
+    entries, each ``capacity`` bits wide."""
+    bits = n * nu * capacity << K
+    if bits > 1 << 30:
+        raise ValueError(
+            f"binning index tables of {n}*{nu}*2^{K} entries of {capacity} "
+            f"bits hold {bits} bits, over the limit of 2^30"
+        )
+
+
 def _uniform_entries(rng: np.random.Generator, count: int, width: int) -> list[int]:
     """``count`` i.i.d. uniform ``width``-bit integers from one stream; past
     64 bits each is assembled from 64-bit limbs (low limbs drawn first, then
@@ -349,6 +358,7 @@ class BinningCodebook:
         if key not in self._maps:
             K = self.model.K
             check_decodable(K)
+            check_table_bits(self.n, self.model.nu, K, self.capacity)
             if self.kind == "linear":
                 rows = self._row_masks(server, version)
                 table = [0] * (1 << K)
@@ -890,18 +900,11 @@ class BinningScheme(MvcScheme):
         scheme.codebook = codebook
         return scheme
 
-    def encode(self, server, received, versions):
-        got = tuple(sorted(set(received)))
-        if not got:
-            return StoredSymbol.empty()
-        writer = BitWriter()
+    def _fields(self, server, got, versions):
         for u in got:
             width = self.allocation.index_bits(got, u)
-            writer.write(
-                self.codebook.index_of(server, u, versions.version(u).bits, width),
-                width,
-            )
-        return StoredSymbol(writer.payload, writer.bit_length)
+            index = self.codebook.index_of(server, u, versions.version(u).bits, width)
+            yield index, width
 
     def _parse_indices(self, T, state, symbols) -> dict[int, dict[int, int]]:
         out: dict[int, dict[int, int]] = {}

@@ -12,6 +12,11 @@ difference coding against a base version, and update-record coding), plus a
 deliberately broken one (keep only the newest symbol) used to demonstrate
 what the honest schemes rule out.  All but replication, the broken one
 included, decode through one Reed-Solomon reader (``_RsBackedScheme``).
+Every scheme, binning's too, stores one run of fixed-width fields: one
+packer, ``MvcScheme.encode``, writes the fields each scheme's ``_fields``
+yields, and its decoder reads them back in that order, through
+``split_fields`` wherever the receipt set fixes the widths (rs-update's
+record counts fix its own).
 
 Each of the five also judges a whole read view at once (``cell_codes``),
 at every tuple count, over bit slices in plain Python ints: one int per
@@ -207,6 +212,10 @@ def _slice_codes(version, got, want, raised, count: int, nbytes: int) -> list[in
 class MvcScheme(ABC):
     """Shared contract: pure encode per server, pure decode per subset.
 
+    A scheme stores fixed-width fields: ``encode`` packs the (value,
+    width) pairs its ``_fields`` yields for a receipt set, and ``decode``
+    reads them back in the same order.
+
     ``read_view(T, state)`` names what a decode from T depends on: for
     every version tuple, decoding from T in any two states with equal
     views must give the same outcome.  The default view is T with its
@@ -232,12 +241,29 @@ class MvcScheme(ABC):
         self.n = n
         self.c = c
 
-    @abstractmethod
     def encode(
         self, server: int, received: Iterable[int], versions: VersionTuple
     ) -> StoredSymbol:
         """Stored symbol for one server, a function of (server, received,
-        the received versions' content) only."""
+        the received versions' content) only: empty when nothing was
+        received, else the fields ``_fields`` yields, packed first yielded
+        lowest, the order ``split_fields`` reads them back in."""
+        got = tuple(sorted(set(received)))
+        if not got:
+            return StoredSymbol.empty()
+        if not (1 <= got[0] and got[-1] <= len(versions)):
+            raise ValueError("version index out of range")
+        writer = BitWriter()
+        for value, width in self._fields(server, got, versions):
+            writer.write(value, width)
+        return StoredSymbol(writer.payload, writer.bit_length)
+
+    def _fields(
+        self, server: int, got: tuple[int, ...], versions: VersionTuple
+    ) -> Iterable[tuple[int, int]]:
+        """(value, width) of each stored field, for the ascending nonempty
+        receipt set ``got``."""
+        raise NotImplementedError
 
     @abstractmethod
     def decode(
@@ -304,13 +330,6 @@ class MvcScheme(ABC):
         """Each server of T's newest received version as a one-version
         row, empty where the server received nothing."""
         return {t: frozenset(self._received_of(state, t)[-1:]) for t in T}
-
-
-def _sorted_received(received: Iterable[int], nu: int) -> tuple[int, ...]:
-    out = tuple(sorted(set(received)))
-    if out and not (1 <= out[0] and out[-1] <= nu):
-        raise ValueError("version index out of range")
-    return out
 
 
 class _RsBackedScheme(MvcScheme):
@@ -416,11 +435,8 @@ class ReplicationScheme(MvcScheme):
 
     name = "replication"
 
-    def encode(self, server, received, versions):
-        got = _sorted_received(received, len(versions))
-        if not got:
-            return StoredSymbol.empty()
-        return StoredSymbol(versions.version(got[-1]).bits, self.model.K)
+    def _fields(self, server, got, versions):
+        yield versions.version(got[-1]).bits, self.model.K
 
     def _newest_copy(self, T, state) -> Optional[tuple[int, int]]:
         """(version, server) of the newest copy in T, the first server of
@@ -458,15 +474,10 @@ class MdsMvcScheme(_RsBackedScheme):
 
     name = "mds"
 
-    def encode(self, server, received, versions):
-        got = _sorted_received(received, len(versions))
-        writer = BitWriter()
+    def _fields(self, server, got, versions):
         for u in got:
-            writer.write(
-                self.generator.apply(server, versions.version(u).bits),
-                self.symbol_vector_bits,
-            )
-        return StoredSymbol(writer.payload, writer.bit_length)
+            vector = self.generator.apply(server, versions.version(u).bits)
+            yield vector, self.symbol_vector_bits
 
     def _vector_at(self, server, received, symbol, target):
         vectors = split_fields(symbol, [self.symbol_vector_bits] * len(received))
@@ -526,21 +537,12 @@ class DeltaScheme(_RsBackedScheme):
         """Stored bits at ``server`` of ball member ``index``."""
         return self.generator.apply(server, ball_unrank(index, self.model.K))
 
-    def encode(self, server, received, versions):
-        got = _sorted_received(received, len(versions))
-        if not got:
-            return StoredSymbol.empty()
-        writer = BitWriter()
-        base = versions.version(got[0])
-        writer.write(
-            self.generator.apply(server, base.bits), self.symbol_vector_bits
-        )
-        prev = got[0]
-        for u in got[1:]:
-            diff = versions.version(u).bits ^ versions.version(prev).bits
-            writer.write(self._index(diff, u - prev), self._step_bits(u - prev))
-            prev = u
-        return StoredSymbol(writer.payload, writer.bit_length)
+    def _fields(self, server, got, versions):
+        base = versions.version(got[0]).bits
+        yield self.generator.apply(server, base), self.symbol_vector_bits
+        for a, b in zip(got, got[1:]):
+            diff = versions.version(b).bits ^ versions.version(a).bits
+            yield self._index(diff, b - a), self._step_bits(b - a)
 
     def _vector_at(self, server, received, symbol, target):
         vec, *indices = split_fields(symbol, self._widths(received))
@@ -627,30 +629,24 @@ class RsUpdateScheme(_RsBackedScheme):
             b += 1
         return out
 
-    def encode(self, server, received, versions):
-        got = _sorted_received(received, len(versions))
-        if not got:
-            return StoredSymbol.empty()
+    def _fields(self, server, got, versions):
         gen = self.generator
         m = gen.symbol_bits
-        blocks = gen.blocks
-        writer = BitWriter()
         vec = gen.apply(server, versions.version(got[0]).bits)
-        writer.write(vec, self.symbol_vector_bits)
+        yield vec, self.symbol_vector_bits
         for u in got[1:]:
             new_vec = gen.apply(server, versions.version(u).bits)
             changed = self._changed_blocks(vec, new_vec)
             record_cost = len(changed) * (self._index_bits + m)
             if record_cost >= self.symbol_vector_bits:
-                writer.write(blocks, self._count_bits)
-                writer.write(new_vec, self.symbol_vector_bits)
+                yield gen.blocks, self._count_bits
+                yield new_vec, self.symbol_vector_bits
             else:
-                writer.write(len(changed), self._count_bits)
+                yield len(changed), self._count_bits
                 for b in changed:
-                    writer.write(b, self._index_bits)
-                    writer.write((new_vec >> (b * m)) & ((1 << m) - 1), m)
+                    yield b, self._index_bits
+                    yield (new_vec >> (b * m)) & ((1 << m) - 1), m
             vec = new_vec
-        return StoredSymbol(writer.payload, writer.bit_length)
 
     def _vector_at(self, server, received, symbol, target):
         gen = self.generator
@@ -716,14 +712,9 @@ class LatestOnlyScheme(_RsBackedScheme):
 
     name = "latest-only"
 
-    def encode(self, server, received, versions):
-        got = _sorted_received(received, len(versions))
-        if not got:
-            return StoredSymbol.empty()
-        return StoredSymbol(
-            self.generator.apply(server, versions.version(got[-1]).bits),
-            self.symbol_vector_bits,
-        )
+    def _fields(self, server, got, versions):
+        vector = self.generator.apply(server, versions.version(got[-1]).bits)
+        yield vector, self.symbol_vector_bits
 
     def _read_plan(self, T, state):
         """The newest version that c servers of T hold as their newest,

@@ -45,6 +45,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -91,7 +92,9 @@ class VerificationReport:
     ``failures`` is truncated at the run's witness cap; ``failure_count``
     is always exact.  The per-state figures answer two readings of the
     error level: the worst state and the average state, with states whose
-    every combination is vacuous contributing zero.  In exhaustive mode
+    every combination is vacuous contributing zero.  ``worst_state`` is
+    (failures, attempts) of the first state with the highest failure rate,
+    compared exactly, which ``verdict`` judges.  In exhaustive mode
     ``worst_cell`` is (state, subset, failures) of the first live
     combination with the most failures; it is None in Monte-Carlo mode.
     """
@@ -106,6 +109,7 @@ class VerificationReport:
     empirical_error: float
     per_state_max_error: float
     state_averaged_error: float
+    worst_state: Optional[tuple[int, int]]
     worst_cell: Optional[tuple] = None
 
     @property
@@ -193,6 +197,16 @@ class _Cell:
         return out
 
 
+def _worst_state(counts: Iterable[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The first (failures, attempts) with the highest failure rate, by
+    exact cross-multiplication; a state with no attempts has rate 0."""
+    worst = None
+    for f, a in counts:
+        if worst is None or f * max(worst[1], 1) > worst[0] * max(a, 1):
+            worst = (f, a)
+    return worst
+
+
 def _cell(scheme, T, state, tuples, cells: dict, cache: dict) -> _Cell:
     """The cell of T's read view of ``state``, built on first use."""
     view = scheme.read_view(T, state)
@@ -215,7 +229,7 @@ def _exhaustive_run(
     attempts = 0
     failure_count = 0
     witnesses: list[Witness] = []
-    state_rates = []
+    state_counts = []
     worst = None
     for state in states:
         state_attempts = 0
@@ -239,9 +253,8 @@ def _exhaustive_run(
                     )
         attempts += state_attempts
         failure_count += state_failures
-        state_rates.append(
-            state_failures / state_attempts if state_attempts else 0.0
-        )
+        state_counts.append((state_failures, state_attempts))
+    state_rates = [f / a if a else 0.0 for f, a in state_counts]
     return VerificationReport(
         MODE_EXHAUSTIVE,
         len(state_rates),
@@ -253,6 +266,7 @@ def _exhaustive_run(
         failure_count / attempts if attempts else 0.0,
         max(state_rates, default=0.0),
         sum(state_rates) / len(state_rates) if state_rates else 0.0,
+        _worst_state(state_counts),
         worst,
     )
 
@@ -354,6 +368,7 @@ def _monte_carlo_run(
         failures / trials,
         max(rates, default=0.0),
         sum(rates) / len(rates) if rates else 0.0,
+        _worst_state((f, a) for _, (a, f), _ in per_state.values()),
     )
 
 
@@ -582,7 +597,9 @@ def verdict(report: VerificationReport, budget) -> tuple[bool, str, float]:
 
     ``zero-failures`` applies when the budget is 0, in either mode, and
     compares the failure count.  Otherwise ``per-state-max`` (exhaustive)
-    compares the worst state's failure rate, the per-state epsilon-error;
+    compares the worst state's failure rate, the per-state epsilon-error,
+    exactly: failures * q <= p * attempts for a budget p/q (the compared
+    value returned is the rate as a float);
     ``sampled-wilson-upper`` (Monte-Carlo) compares the 95% Wilson upper
     bound of the overall sampled rate (Wilson 1927).  That bounds an
     average over states: a few trials per state cannot bound any one
@@ -591,8 +608,10 @@ def verdict(report: VerificationReport, budget) -> tuple[bool, str, float]:
     if budget == 0:
         return report.failure_count == 0, "zero-failures", report.failure_count
     if report.mode == MODE_EXHAUSTIVE:
-        value = report.per_state_max_error
-        return value <= budget, "per-state-max", value
+        failures, attempts = report.worst_state or (0, 0)
+        budget = Fraction(budget)
+        passed = failures * budget.denominator <= budget.numerator * attempts
+        return passed, "per-state-max", report.per_state_max_error
     value = wilson_interval(report.failure_count, report.attempts)[1]
     return value <= budget, "sampled-wilson-upper", value
 

@@ -720,6 +720,8 @@ def per_trial_monte_carlo_run(
             if len(witnesses) < witness_cap:
                 witnesses.append(_witness(state, T, vt, code, threshold))
     rates = [f / a for a, f in per_state.values()]
+    # max keeps the first of equal rates, compared here as Fractions
+    worst_a, worst_f = max(per_state.values(), key=lambda af: Fraction(af[1], af[0]))
     return VerificationReport(
         MODE_MONTE_CARLO,
         len(per_state),
@@ -731,6 +733,7 @@ def per_trial_monte_carlo_run(
         failures / trials,
         max(rates, default=0.0),
         sum(rates) / len(rates) if rates else 0.0,
+        (worst_f, worst_a),
     )
 
 

@@ -29,6 +29,7 @@ from mvcode.binning import (
     RateAllocation,
     binary_entropy,
     binning_worst_case_cost,
+    check_table_bits,
     empirical_error_survey,
     example1_rate_comparison,
     possible_set_decode,
@@ -252,6 +253,26 @@ def test_codebooks_beyond_table_range():
     with pytest.raises(ValueError) as err:
         codebook.index_table(0, 1)
     assert str(err.value) == _TABLE_LIMIT
+
+
+def test_codebooks_refuse_index_tables_past_the_bit_limit():
+    # 4 * 2 tables of 2^8 entries of 2^19 bits fill the limit exactly
+    check_table_bits(4, 2, 8, 1 << 19)
+    wide = (1 << 19) + 1
+    limit = (
+        f"binning index tables of 4*2*2^8 entries of {wide} bits hold "
+        f"{(8 * wide) << 8} bits, over the limit of 2^30"
+    )
+    for kind in ("random-uniform", "linear"):
+        codebook = BinningCodebook(kind, 0, REF_MODEL, REF_N, wide)
+        with pytest.raises(ValueError) as err:
+            codebook.index_table(0, 1)
+        assert str(err.value) == limit
+        assert not codebook._maps  # refused before drawing anything
+    uniform = BinningCodebook("random-uniform", 0, REF_MODEL, REF_N, wide)
+    with pytest.raises(ValueError) as err:
+        uniform.index_of(0, 1, 0xB5, 8)
+    assert str(err.value) == limit
 
 
 def test_unknown_codebook_kind_rejected():

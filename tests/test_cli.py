@@ -968,6 +968,17 @@ def test_binning_verify_draws_entries_wider_than_a_limb_quickly():
     assert "verdict pass failures=0" in done.stdout
 
 
+def test_binning_refuses_index_tables_past_the_limit_before_drawing_them():
+    # 2^-10000000 makes each entry 5,000,011 bits: 2,048 of them ran out of
+    # memory under the limit
+    done = _run_limited(["verify", "--scheme", "binning", "--epsilon", "2^-10000000"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: binning index tables of 4*2*2^8 entries of 5000011 bits hold "
+        "10240022528 bits, over the limit of 2^30\n"
+    )
+
+
 # Each listed every subset before it picked Monte-Carlo, and ran out of
 # memory under the limit or out of time.
 _WIDE_MONTE_CARLO = (

@@ -1,5 +1,6 @@
 """Tests for the storage schemes: stored symbols, round trips, cost accounting."""
 
+import hashlib
 import itertools
 import random
 
@@ -36,6 +37,7 @@ from mvcode.schemes import (
 
 MODEL = CorrelationModel(K=8, radius=1, nu=2)
 HONEST = ("replication", "mds", "delta", "rs-update")
+ALL_SCHEMES = HONEST + ("binning", "latest-only")
 
 
 def build(name, model=MODEL, n=4, c=2):
@@ -151,6 +153,66 @@ def test_rs_update_record_shapes():
         one.bit_length
         == spb + scheme._count_bits + scheme._index_bits + m
     )
+
+
+# Every stored bit of the six schemes, pinned as one sha256 over each
+# (payload, bit_length), at every server and receipt set for 32 sampled
+# tuples.  The points (K, radius, nu, n, c) are the anchor; nu=3, where delta
+# and binning steps span a gap of 2; and one where a two-block record list
+# costs exactly one 8-bit vector, so rs-update stores the vector instead.
+_PINNED_ENCODE_POINTS = ((8, 1, 2, 4, 2), (8, 1, 3, 4, 2), (16, 2, 2, 4, 2))
+_PINNED_ENCODE_DIGEST = (
+    "13d55031fa0e8fa1195f8bea64d86c736836b2d7d2084afc37bdb381798106f6"
+)
+
+
+def _pinned_tuples(model):
+    rng = random.Random(0)
+    return [sample_tuple(model, rng) for _ in range(32)]
+
+
+def test_every_encode_is_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for K, radius, nu, n, c in _PINNED_ENCODE_POINTS:
+        model = CorrelationModel(K, radius, nu)
+        tuples = _pinned_tuples(model)
+        receipts = [
+            got
+            for size in range(nu + 1)
+            for got in itertools.combinations(range(1, nu + 1), size)
+        ]
+        for name in ALL_SCHEMES:
+            scheme = make_scheme(name, model, n, c)
+            for server in range(n):
+                for got in receipts:
+                    for vt in tuples:
+                        symbol = scheme.encode(server, got, vt)
+                        digest.update(
+                            b"%d %d;" % (symbol.payload, symbol.bit_length)
+                        )
+    assert digest.hexdigest() == _PINNED_ENCODE_DIGEST
+
+
+def test_pinned_rs_update_encodes_store_a_tied_step_whole():
+    """At the 16-bit point a step changing two blocks takes the all-blocks
+    count sentinel and the full vector, since its records would cost
+    exactly one vector."""
+    model = CorrelationModel(16, 2, 2)
+    scheme = make_scheme("rs-update", model, 4, 2)
+    gen, spb = scheme.generator, scheme.symbol_vector_bits
+    assert 2 * (scheme._index_bits + gen.symbol_bits) == spb
+    ties = 0
+    for vt in _pinned_tuples(model):
+        for server in range(4):
+            old, new = (gen.apply(server, vt.version(u).bits) for u in (1, 2))
+            if len(scheme._changed_blocks(old, new)) == 2:
+                symbol = scheme.encode(server, (1, 2), vt)
+                count = symbol.payload >> spb & ((1 << scheme._count_bits) - 1)
+                assert (count, symbol.bit_length) == (
+                    gen.blocks, 2 * spb + scheme._count_bits
+                )
+                ties += 1
+    assert ties
 
 
 def test_encode_sees_only_own_versions():

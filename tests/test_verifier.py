@@ -36,6 +36,7 @@ from mvcode.verifier import (
     Witness,
     _Cell,
     _exhaustive_run,
+    _worst_state,
     estimate_epsilon,
     quorum_bridge,
     verdict,
@@ -493,36 +494,56 @@ def test_starved_binning_rates_fail_measurably():
     assert clean.rate < 0.25
 
 
-def _rates_report(mode, attempts, failures, per_state_max):
+def _rates_report(mode, attempts, failures, worst_state):
     rate = failures / attempts
+    per_state_max = worst_state[0] / worst_state[1]
     return VerificationReport(
-        mode, 1, 1, attempts, attempts, failures, (), rate, per_state_max, rate
+        mode, 1, 1, attempts, attempts, failures, (), rate, per_state_max, rate,
+        worst_state,
     )
 
 
 def test_verdict_names_the_rule_it_applies():
     quarter = Fraction(1, 4)
     for mode in ("exhaustive", "monte-carlo"):
-        assert verdict(_rates_report(mode, 100, 0, 0.0), 0) == (
+        assert verdict(_rates_report(mode, 100, 0, (0, 100)), 0) == (
             True, "zero-failures", 0,
         )
-        assert verdict(_rates_report(mode, 100, 1, 0.01), 0) == (
+        assert verdict(_rates_report(mode, 100, 1, (1, 100)), 0) == (
             False, "zero-failures", 1,
         )
-    assert verdict(_rates_report("exhaustive", 100, 30, 0.25), quarter) == (
+    assert verdict(_rates_report("exhaustive", 100, 30, (25, 100)), quarter) == (
         True, "per-state-max", 0.25,
     )
-    assert verdict(_rates_report("exhaustive", 100, 1, 0.5), quarter) == (
+    assert verdict(_rates_report("exhaustive", 100, 1, (1, 2)), quarter) == (
         False, "per-state-max", 0.5,
     )
     # sampled: the Wilson upper bound, so a point estimate under the
     # budget can still fail
     for attempts, failures, ok in ((1000, 200, True), (1000, 230, False), (5, 0, False)):
         upper = wilson_interval(failures, attempts)[1]
-        report = _rates_report("monte-carlo", attempts, failures, 1.0)
+        report = _rates_report("monte-carlo", attempts, failures, (1, 1))
         assert report.empirical_error < quarter
         assert verdict(report, quarter) == (ok, "sampled-wilson-upper", upper)
     assert round(wilson_interval(0, 5)[1], 3) == 0.434
+
+
+def test_per_state_verdict_is_exact_at_the_budget():
+    # the float 48/480 is the double 0.1, which lies above 1/10; the counts tie
+    tenth = Fraction(1, 10)
+    assert verdict(_rates_report("exhaustive", 960, 48, (48, 480)), tenth) == (
+        True, "per-state-max", 48 / 480,
+    )
+    assert verdict(_rates_report("exhaustive", 960, 49, (49, 480)), tenth) == (
+        False, "per-state-max", 49 / 480,
+    )
+
+
+def test_worst_state_is_the_first_with_the_highest_exact_rate():
+    assert _worst_state([]) is None
+    assert _worst_state([(0, 0), (0, 5), (1, 3), (2, 6), (3, 7)]) == (3, 7)
+    assert _worst_state([(0, 4), (0, 0), (2, 6), (1, 3)]) == (2, 6)
+    assert _worst_state([(0, 0), (0, 4)]) == (0, 0)
 
 
 def test_trial_validation():
@@ -580,6 +601,7 @@ _PINNED = {
         empirical_error=0.2857142857142857,
         per_state_max_error=1.0,
         state_averaged_error=0.20312499999999997,
+        worst_state=(448, 448),
         worst_cell=(((), (1,), (1, 2)), (1, 2), 448),
     ),
     "A-binning": dict(
@@ -595,6 +617,7 @@ _PINNED = {
         empirical_error=0.000992063492063492,
         per_state_max_error=0.020833333333333332,
         state_averaged_error=0.0006510416666666667,
+        worst_state=(4, 192),
         worst_cell=(((), (1, 2), (1, 2)), (1, 2), 4),
     ),
     "D2-all": dict(
@@ -607,6 +630,7 @@ _PINNED = {
         empirical_error=0.14814814814814814,
         per_state_max_error=0.75,
         state_averaged_error=0.078125,
+        worst_state=(240, 320),
         worst_cell=(((), (1,), (1,), (1, 2)), (0, 1, 3), 80),
     ),
     "D2-states": dict(
@@ -619,6 +643,7 @@ _PINNED = {
         empirical_error=0.375,
         per_state_max_error=0.5,
         state_averaged_error=0.1875,
+        worst_state=(160, 320),
         worst_cell=(((1, 2), (1, 2), (1,), ()), (0, 2, 3), 80),
     ),
     "D2-monte-carlo": dict(
@@ -634,6 +659,7 @@ _PINNED = {
         empirical_error=0.065,
         per_state_max_error=1.0,
         state_averaged_error=0.06601626016260162,
+        worst_state=(3, 3),
         worst_cell=None,
     ),
 }
