@@ -55,6 +55,7 @@ from .model import (
     iter_ball_masks,
     iter_states,
     latest_common_version,
+    tuple_maker,
     tuple_sampler,
 )
 from .schemes import (
@@ -729,8 +730,11 @@ def example1_rate_comparison(delta) -> RateComparisonReport:
 def sample_tuples(model: CorrelationModel, count: int, seed: int):
     """``count`` admissible tuples; trial i uses derived seed (seed<<32)+i, so
     each trial's tuple is the same whatever ``count`` is."""
-    draw = tuple_sampler(model)
-    return tuple(draw(random.Random((int(seed) << 32) + i)) for i in range(count))
+    draw, make = tuple_sampler(model), tuple_maker(model.K)
+    return tuple(
+        make(draw(random.Random((int(seed) << 32) + i).getrandbits))
+        for i in range(count)
+    )
 
 
 @dataclass(frozen=True)

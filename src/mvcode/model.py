@@ -285,27 +285,32 @@ def ball_unrank(index: int, K: int) -> int:
 # ---------------------------------------------------------------------------
 # Sampling and enumeration of admissible tuples.
 
-# Every draw below calls ``rng.getrandbits`` and nothing else, so it rests
-# only on MT19937's 32-bit word stream, which Python keeps stable across
+# Every draw below calls ``getrandbits`` and nothing else, so it rests only
+# on MT19937's 32-bit word stream, which Python keeps stable across
 # versions.  A uniform r below m is random.Random's rejection loop spelled
 # out: k = m.bit_length(), then redraw getrandbits(k) while r >= m.  Each
 # sampler makes the getrandbits calls of the stdlib draw it names, so it
 # draws what that draw draws and leaves the generator where it leaves it.
+# The samplers take a generator's bound ``getrandbits`` and return ints, so
+# a caller drawing many trials can build Messages, VersionTuples and member
+# lists once per distinct draw; ``tuple_maker`` wraps the version values.
 
-# Past this many distinct versions a sampler forgets the Messages it built.
+# Past this many distinct versions a tuple maker forgets the Messages it built.
 _MESSAGE_MEMO = 1 << 12
+# A generator's bound ``getrandbits``, the samplers' one source of draws.
+_Draws = Callable[[int], int]
 
 
-def tuple_sampler(model: CorrelationModel) -> Callable[[random.Random], VersionTuple]:
-    """A function that draws one tuple of ``model`` from a random.Random,
-    as ``sample_tuple`` does, with the per-model set-up done once here so
-    a caller drawing many tuples pays it once.
+def tuple_sampler(model: CorrelationModel) -> Callable[[_Draws], tuple[int, ...]]:
+    """A function that draws the version values of one tuple of ``model``
+    from a ``getrandbits``, as ``sample_tuple`` does, with the per-model
+    set-up done once here so a caller drawing many tuples pays it once.
 
     A step draws a uniform r below Vol, whose weight class is the weight
     j, then the first j swaps of a Fisher-Yates shuffle of range(K), swap
     i with a uniform one of i..K-1, as the stdlib's ``randrange`` does.
     The shuffle keeps only its moved entries; a weight-1 step flips its
-    one drawn bit.  Each distinct version value gets one Message, reused.
+    one drawn bit.
     """
     K = model.K
     cumulative = [hamming_ball_volume(j, K) for j in range(model.radius + 1)]
@@ -314,20 +319,10 @@ def tuple_sampler(model: CorrelationModel) -> Callable[[random.Random], VersionT
     spans = [(K - i, (K - i).bit_length()) for i in range(model.radius)]
     K_bits = K.bit_length()
     steps = range(model.nu - 1)
-    messages: dict[int, Message] = {}
 
-    def message(v: int) -> Message:
-        m = messages.get(v)
-        if m is None:
-            if len(messages) >= _MESSAGE_MEMO:
-                messages.clear()
-            m = messages[v] = Message(v, K)
-        return m
-
-    def draw(rng: random.Random) -> VersionTuple:
-        getrandbits = rng.getrandbits
+    def draw(getrandbits: _Draws) -> tuple[int, ...]:
         w = getrandbits(K)
-        out = [message(w)]
+        out = [w]
         for _ in steps:
             r = getrandbits(total_bits)
             while r >= total:
@@ -349,57 +344,97 @@ def tuple_sampler(model: CorrelationModel) -> Callable[[random.Random], VersionT
                     # position i is never drawn again, so only j keeps a move
                     w ^= 1 << moved.get(j, j)
                     moved[j] = moved.get(i, i)
-            out.append(message(w))
-        return VersionTuple(tuple(out))
+            out.append(w)
+        return tuple(out)
 
     return draw
 
 
-def subset_sampler(n: int, c: int) -> Callable[[random.Random], list[int]]:
-    """A function that draws c distinct members of range(n) from a
-    random.Random, in draw order, as ``random.Random.sample`` draws c of
-    range(n): from a pool, moving its last member into each vacancy,
-    while n is at most the stdlib's set size (21, grown for c > 5), and
-    otherwise by redrawing from range(n) until a new member comes up."""
+def tuple_maker(K: int) -> Callable[[Sequence[int]], VersionTuple]:
+    """A function that wraps version values of length K as a VersionTuple;
+    each distinct value gets one Message, reused."""
+    messages: dict[int, Message] = {}
+
+    def make(values: Sequence[int]) -> VersionTuple:
+        out = []
+        for v in values:
+            m = messages.get(v)
+            if m is None:
+                if len(messages) >= _MESSAGE_MEMO:
+                    messages.clear()
+                m = messages[v] = Message(v, K)
+            out.append(m)
+        return VersionTuple(tuple(out))
+
+    return make
+
+
+def subset_sampler(
+    n: int, c: int
+) -> tuple[Callable[[_Draws], int], Callable[[int], list[int]]]:
+    """(draw, members) for c distinct members of range(n), drawn as
+    ``random.Random.sample`` draws c of range(n): from a pool, moving its
+    last member into each vacancy, while n is at most the stdlib's set
+    size (21, grown for c > 5), and otherwise by redrawing from range(n)
+    until a new member comes up.
+
+    ``draw`` takes a ``getrandbits`` and returns a code of its raw uniform
+    draws, digit i in radix n - i (pool) or n (set), first draw most
+    significant; ``members`` turns a code into the members in draw order.
+    """
     if not 0 <= c <= n:
         raise ValueError("subset size must lie in [0, n]")
     setsize = 21
     if c > 5:
         setsize += 4 ** math.ceil(math.log(c * 3, 4))
     if n <= setsize:
-        members = list(range(n))
         spans = [(n - i, (n - i).bit_length()) for i in range(c)]
 
-        def draw(rng: random.Random) -> list[int]:
-            getrandbits = rng.getrandbits
-            pool = members[:]
-            out = []
+        def draw(getrandbits: _Draws) -> int:
+            code = 0
             for span, bits in spans:
                 j = getrandbits(bits)
                 while j >= span:
                     j = getrandbits(bits)
+                code = code * span + j
+            return code
+
+        def members(code: int) -> list[int]:
+            picks = []
+            for span, _ in reversed(spans):
+                code, j = divmod(code, span)
+                picks.append(j)
+            pool = list(range(n))
+            out = []
+            for (span, _), j in zip(spans, reversed(picks)):
                 out.append(pool[j])
                 pool[j] = pool[span - 1]
             return out
 
-        return draw
+        return draw, members
 
     bits = n.bit_length()
     picks = range(c)
 
-    def draw(rng: random.Random) -> list[int]:
-        getrandbits = rng.getrandbits
-        out = []
+    def draw(getrandbits: _Draws) -> int:
+        code = 0
         selected = set()
         for _ in picks:
             j = getrandbits(bits)
             while j >= n or j in selected:
                 j = getrandbits(bits)
             selected.add(j)
-            out.append(j)
-        return out
+            code = code * n + j
+        return code
 
-    return draw
+    def members(code: int) -> list[int]:
+        out = []
+        for _ in picks:
+            code, j = divmod(code, n)
+            out.append(j)
+        return out[::-1]
+
+    return draw, members
 
 
 def sample_tuple(model: CorrelationModel, seed) -> VersionTuple:
@@ -410,7 +445,7 @@ def sample_tuple(model: CorrelationModel, seed) -> VersionTuple:
     j-subset of coordinates to flip.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return tuple_sampler(model)(rng)
+    return tuple_maker(model.K)(tuple_sampler(model)(rng.getrandbits))
 
 
 def enumerate_possible_set(

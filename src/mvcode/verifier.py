@@ -31,13 +31,15 @@ over a one-tuple list.
 Every engine turns a read view into outcome codes through the scheme's
 own ``cell_codes``, which must return exactly the codes of the per-tuple
 default ``MvcScheme.cell_codes``.  Monte-Carlo mode draws its trials in
-blocks, each trial's tuple, state and subset in turn from one seeded
-generator through ``getrandbits`` alone, so the draws rest only on
-MT19937's word stream.  A (state, drawn subset) pair is judged for its
-sorted subset, threshold and read view once per run, on first draw, and a
-block is judged per read view over the tuples of that view's trials.
-Failures, per-state counts and witnesses are folded back in trial order,
-so the draws and every report are those of judging each trial on its own.
+blocks of 32768, each trial's tuple, state and subset in turn from one
+seeded generator through ``getrandbits`` alone, so the draws rest only on
+MT19937's word stream.  A trial is drawn as ints: the version values, the
+state's masked word bits and a code of the subset's raw draws.  A (state,
+subset code) pair is judged for its sorted subset, threshold and read view
+once per run, on first draw; a block builds one VersionTuple per distinct
+value tuple and is judged per read view over the tuples of that view's
+trials.  Only failing trials are folded back, in trial order, so the draws
+and every report are those of judging each trial on its own.
 """
 
 import math
@@ -61,6 +63,7 @@ from .model import (
     latest_complete_version,
     newest_held,
     subset_sampler,
+    tuple_maker,
     tuple_sampler,
 )
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme
@@ -272,25 +275,7 @@ def _exhaustive_run(
 
 
 # Monte-Carlo draws and judges its trials in blocks of _BLOCK.
-_BLOCK = 1 << 12
-# Byte -> its top bit: bit 1 of a getrandbits(1) call is the top bit of
-# one 32-bit word of the generator.
-_TOP_BIT = bytes(128) + bytes([1]) * 128
-
-
-def _state_of(key: bytes, nu: int, rows: dict) -> SystemState:
-    """The state whose server i holds version u where byte i*nu + u-1 of
-    ``key`` is 1; each distinct row is built once, into ``rows``."""
-    sets = []
-    for i in range(0, len(key), nu):
-        row_key = key[i : i + nu]
-        row = rows.get(row_key)
-        if row is None:
-            row = rows[row_key] = frozenset(
-                u for u, bit in enumerate(row_key, 1) if bit
-            )
-        sets.append(row)
-    return SystemState(tuple(sets))
+_BLOCK = 1 << 15
 
 
 def _monte_carlo_run(
@@ -304,58 +289,85 @@ def _monte_carlo_run(
     if trials < 1:
         raise ValueError("need at least one trial")
     n, nu = scheme.n, scheme.model.nu
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
     draw_tuple = tuple_sampler(scheme.model)
-    draw_subset = subset_sampler(n, subset_size)
+    make_tuple = tuple_maker(scheme.model.K)
+    draw_subset, members_of = subset_sampler(n, subset_size)
     # one getrandbits(32 * n * nu) yields the words of n * nu getrandbits(1)
-    # calls in order, least significant first; their top bytes are [3::4]
-    state_bits, state_bytes = 32 * n * nu, 4 * n * nu
-    rows: dict[bytes, frozenset[int]] = {}
-    # state key -> (state, [trials, failures], reads), in order of first
-    # draw; reads maps a drawn subset to (T, threshold, view index)
-    per_state: dict[bytes, tuple[SystemState, list[int], dict]] = {}
+    # calls in order, least significant first, and each call's bit is its
+    # word's bit 31: server i holds version u when word i * nu + u - 1 has it
+    state_bits, row_bits = 32 * n * nu, 32 * nu
+    top_mask = sum(1 << 32 * word + 31 for word in range(n * nu))
+    rows: dict[int, frozenset[int]] = {}
+
+    def state_of(key: int) -> SystemState:
+        sets = []
+        for i in range(n):
+            row = (key >> row_bits * i) & ((1 << row_bits) - 1)
+            held = rows.get(row)
+            if held is None:
+                held = rows[row] = frozenset(
+                    u for u in range(1, nu + 1) if (row >> 32 * u - 1) & 1
+                )
+            sets.append(held)
+        return SystemState(tuple(sets))
+
+    # masked state bits -> (state, [trials, failures], reads), in order of
+    # first draw; reads maps a subset code to (T, threshold, view index,
+    # state, record)
+    per_state: dict[int, tuple[SystemState, list[int], dict]] = {}
     views: dict = {}  # read view -> its index, by which a block groups trials
     subsets_seen = set()
     failures = 0
     witnesses: list[Witness] = []
     for start in range(0, trials, _BLOCK):
-        live = []
+        # the block's live trials: their values and reads, and their
+        # positions by view
+        values_at: list[tuple[int, ...]] = []
+        reads_at: list[tuple] = []
         groups: dict[int, list[int]] = {}
         for _ in range(min(_BLOCK, trials - start)):
-            vt = draw_tuple(rng)
-            raw = getrandbits(state_bits).to_bytes(state_bytes, "little")
-            key = raw[3::4].translate(_TOP_BIT)
+            values = draw_tuple(getrandbits)
+            key = getrandbits(state_bits) & top_mask
             entry = per_state.get(key)
             if entry is None:
-                entry = per_state[key] = (_state_of(key, nu, rows), [0, 0], {})
+                entry = per_state[key] = (state_of(key), [0, 0], {})
             state, record, reads = entry
-            drawn = tuple(draw_subset(rng))
-            read = reads.get(drawn)
+            code = draw_subset(getrandbits)
+            read = reads.get(code)
             if read is None:
-                T = tuple(sorted(drawn))
+                T = tuple(sorted(members_of(code)))
                 subsets_seen.add(T)
                 threshold = threshold_of(state, T)
                 view = None
                 if threshold is not None:
                     view = views.setdefault(scheme.read_view(T, state), len(views))
-                read = reads[drawn] = (T, threshold, view)
+                read = reads[code] = (T, threshold, view, state, record)
             record[0] += 1
             if read[1] is not None:  # else a vacuous guard: the trial passes
-                groups.setdefault(read[2], []).append(len(live))
-                live.append((vt, state, read, record))
-        codes = [0] * len(live)
+                groups.setdefault(read[2], []).append(len(reads_at))
+                values_at.append(values)
+                reads_at.append(read)
+        built = {values: make_tuple(values) for values in set(values_at)}
+        failing = []
         for members in groups.values():
-            _, state, (T, _, _), _ = live[members[0]]
-            got = scheme.cell_codes(T, state, [live[i][0] for i in members], {})
-            for i, code in zip(members, got):
-                codes[i] = code
-        for (vt, state, (T, threshold, _), record), code in zip(live, codes):
-            if code < threshold:
-                failures += 1
-                record[1] += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append(_witness(state, T, vt, code, threshold))
+            T, _, _, state, _ = reads_at[members[0]]
+            got = scheme.cell_codes(
+                T, state, [built[values_at[i]] for i in members], {}
+            )
+            failing += [
+                (i, code)
+                for i, code in zip(members, got)
+                if code < reads_at[i][1]
+            ]
+        failing.sort()
+        for i, code in failing:
+            T, threshold, _, state, record = reads_at[i]
+            failures += 1
+            record[1] += 1
+            if len(witnesses) < witness_cap:
+                vt = built[values_at[i]]
+                witnesses.append(_witness(state, T, vt, code, threshold))
     rates = [f / a for _, (a, f), _ in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
@@ -622,10 +634,10 @@ def estimate_epsilon(
     """Estimate the subset-contract failure probability over random tuples.
 
     Each trial draws a fresh tuple, state, and subset, exactly as
-    Monte-Carlo verification does, from ``getrandbits`` alone: the trials
-    are drawn in blocks and judged per read view through ``cell_codes``,
-    and the draws and the estimate are those of judging each trial on its
-    own.
+    Monte-Carlo verification does, from ``getrandbits`` alone and as ints:
+    the trials are drawn in blocks of 32768 and judged per read view
+    through ``cell_codes``, and the draws and the estimate are those of
+    judging each trial on its own.
     """
     report = _monte_carlo_run(
         scheme, scheme.c, latest_common_version, trials, seed, 0

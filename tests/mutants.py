@@ -100,6 +100,45 @@ MUTANTS = (
         "np.bincount(row, minlength=2)",
         ("tests/test_binning.py::test_batch_matches_the_loop_past_one_limb",),
     ),
+    Mutant(
+        "state-mask-takes-bit-30",
+        "src/mvcode/verifier.py",
+        "top_mask = sum(1 << 32 * word + 31 for word in range(n * nu))",
+        "top_mask = sum(1 << 32 * word + 30 for word in range(n * nu))",
+        (
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[mds]",
+            "tests/test_cli.py::"
+            "test_golden_transcript[verify-latest-only-monte-carlo]",
+        ),
+    ),
+    Mutant(
+        "subset-code-radix-off-by-one",
+        "src/mvcode/model.py",
+        "code = code * span + j",
+        "code = code * (span + 1) + j",
+        (
+            "tests/test_differential.py::test_subset_draws_match_random_sample[4-2]",
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[latest-only]",
+            "tests/test_cli.py::"
+            "test_golden_transcript[verify-latest-only-monte-carlo]",
+        ),
+    ),
+    Mutant(
+        "failing-trials-unsorted",
+        "src/mvcode/verifier.py",
+        "failing.sort()",
+        "pass",
+        (
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[latest-only]",
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[binning]",
+            "tests/test_cli.py::"
+            "test_golden_transcript[verify-latest-only-monte-carlo]",
+        ),
+    ),
 )
 
 

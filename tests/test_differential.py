@@ -40,7 +40,7 @@ from oracles import (
     vandermonde_decode,
     vandermonde_interpolate,
 )
-from mvcode import estimate_epsilon, make_scheme
+from mvcode import estimate_epsilon, make_scheme, verifier
 from mvcode.binning import (
     BinningCodebook,
     BinningScheme,
@@ -65,7 +65,6 @@ from mvcode.model import (
 from mvcode.schemes import DecodingError, MvcScheme
 from mvcode.sim import _search_pairs, adversarial_schedule_search, schedule_to_text
 from mvcode.verifier import (
-    _BLOCK,
     QuorumBridge,
     _exhaustive_run,
     _monte_carlo_run,
@@ -557,14 +556,20 @@ def test_search_judges_each_distinct_read_once(n, f, depth):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo: per-view blocks against the per-trial engine.  At n=5, c=2
-# a block's 4096 trials spread over 160 (subset, rows) views, about 26 per
-# view; at n=3 binning's 1500 trials fall in views of 17 to 36 trials, and
-# at n=64 views never repeat.  At K=64 a bit-slice lane is 8 bytes wide.
+# Monte-Carlo: per-view blocks against the per-trial engine.  Blocks of 64
+# trials make each multi-block count cross block boundaries many times; the
+# largest count also runs in blocks of _BLOCK, where a view gathers many
+# trials: at n=5, c=2 4097 trials spread over 160 (subset, rows) views,
+# about 26 per view, and at n=3 binning's 4097 over at most 48.  At n=64
+# views never repeat and subsets take the set branch; n=30, c=6 takes the
+# pool branch only because c > 5 grows the set size to 85.  At K=64 a
+# bit-slice lane is 8 bytes wide and a step flips up to four bits through
+# the partial Fisher-Yates shuffle.  At nu=3 a server's row spans three
+# words of the state draw.
 
 
-def _mc_case(name, n, c, quorums=None, K=None, radius=1, **extra):
-    model = CorrelationModel(K or (5 if name == "binning" else 4), radius, 2)
+def _mc_case(name, n, c, quorums=None, K=None, radius=1, nu=2, **extra):
+    model = CorrelationModel(K or (5 if name == "binning" else 4), radius, nu)
     scheme = make_scheme(name, model, n, c, **extra)
     if quorums is None:
         return scheme, c, latest_common_version
@@ -576,24 +581,27 @@ def _mc_case(name, n, c, quorums=None, K=None, radius=1, **extra):
     )
 
 
-_BLOCK_TRIALS = (1, _BLOCK + 1)
+_TRIALS = (1, 4097)
 # name -> (scheme, n, c, quorums, extra, trial counts)
 _MC_CASES = {
     **{
-        name: (name, 5, 2, None, {}, _BLOCK_TRIALS)
+        name: (name, 5, 2, None, {}, _TRIALS)
         for name in ("replication", "mds", "delta", "rs-update", "latest-only")
     },
     # codebook seed 1 fails a few dozen of 4097 trials
     "binning": (
         "binning", 3, 2, None, {"epsilon": Fraction(1, 2), "seed": 1},
-        (1, 1500, _BLOCK + 1),
+        (1, 1500, 4097),
     ),
     # several subsets delegate to the same holders, so one bridged view
     # gathers trials of different T
-    "bridge(mds)": ("mds", 5, 2, (3, 4), {}, _BLOCK_TRIALS),
-    "bridge(latest-only)": ("latest-only", 5, 2, (3, 4), {}, _BLOCK_TRIALS),
+    "bridge(mds)": ("mds", 5, 2, (3, 4), {}, _TRIALS),
+    "bridge(latest-only)": ("latest-only", 5, 2, (3, 4), {}, _TRIALS),
+    "mds nu=3": ("mds", 5, 2, None, {"nu": 3}, (1, 1000)),
+    "latest-only nu=3": ("latest-only", 5, 2, None, {"nu": 3}, (1, 1000)),
     "mds n=64": ("mds", 64, 2, None, {}, (1, 300)),
     "latest-only n=64": ("latest-only", 64, 2, None, {}, (1, 300)),
+    "mds n=30 c=6": ("mds", 30, 6, None, {}, (1, 300)),
     "delta K=64": ("delta", 5, 2, None, {"K": 64, "radius": 4}, (1, 300)),
     "rs-update K=64": ("rs-update", 5, 2, None, {"K": 64, "radius": 4}, (1, 300)),
     "bridge(mds) K=64": ("mds", 5, 2, (3, 4), {"K": 64, "radius": 4}, (1, 300)),
@@ -601,14 +609,18 @@ _MC_CASES = {
 
 
 @pytest.mark.parametrize("case", _MC_CASES)
-def test_monte_carlo_blocks_match_the_per_trial_engine(case):
+def test_monte_carlo_blocks_match_the_per_trial_engine(case, monkeypatch):
     name, n, c, quorums, extra, counts = _MC_CASES[case]
     args = _mc_case(name, n, c, quorums, **extra)
-    for seed in (0, 1):
-        for trials in counts:
-            got = _monte_carlo_run(*args, trials, seed, 40)
-            want = per_trial_monte_carlo_run(*args, trials, seed, 40)
-            assert got == want, (trials, seed)
+    runs = [(64, seed, trials) for seed in (0, 1) for trials in counts]
+    runs.append((verifier._BLOCK, 0, counts[-1]))
+    wanted = {}
+    for block, seed, trials in runs:
+        monkeypatch.setattr(verifier, "_BLOCK", block)
+        got = _monte_carlo_run(*args, trials, seed, 40)
+        if (seed, trials) not in wanted:
+            wanted[seed, trials] = per_trial_monte_carlo_run(*args, trials, seed, 40)
+        assert got == wanted[seed, trials], (block, trials, seed)
     if "latest-only" in case or name == "binning":
         assert got.failures  # the witnesses were compared too
 
@@ -682,7 +694,10 @@ def test_tuple_draws_match_the_randrange_reference(K, radius):
     for seed in range(3):
         got, want = random.Random(seed), random.Random(seed)
         for _ in range(300):
-            assert draw(got) == reference_sample_tuple(model, want)
+            want_values = tuple(
+                m.bits for m in reference_sample_tuple(model, want).versions
+            )
+            assert draw(got.getrandbits) == want_values
         assert got.getstate() == want.getstate()
 
 
@@ -697,11 +712,13 @@ _SUBSET_CASES = (
 
 @pytest.mark.parametrize("n, c", _SUBSET_CASES)
 def test_subset_draws_match_random_sample(n, c):
-    draw = subset_sampler(n, c)
+    draw, members = subset_sampler(n, c)
     for seed in range(3):
         got, want = random.Random(seed), random.Random(seed)
         for _ in range(200):
-            assert draw(got) == reference_sample_subset(want, n, c)
+            assert members(draw(got.getrandbits)) == reference_sample_subset(
+                want, n, c
+            )
         assert got.getstate() == want.getstate()
 
 
