@@ -152,7 +152,7 @@ class SystemState:
     def __post_init__(self) -> None:
         # each distinct row once; a frozenset caches its hash
         for s in set(self.per_server):
-            if any(u < 1 for u in s):
+            if s and min(s) < 1:
                 raise ValueError("version indices are 1-based")
 
     @property
@@ -189,7 +189,10 @@ def newest_held(
     """(u, holders): the newest version u that at least k servers of T hold
     in ``rows``, with the first k of those servers in T's order; None when
     no version has k holders.  ``rows[t]`` is server t's version set."""
-    for u in sorted(frozenset().union(*[rows[t] for t in T]), reverse=True):
+    held = [rows[t] for t in T]
+    if len(held) - held.count(frozenset()) < k:
+        return None  # fewer than k servers hold anything
+    for u in sorted(frozenset().union(*held), reverse=True):
         holders = [t for t in T if u in rows[t]]
         if len(holders) >= k:
             return u, tuple(holders[:k])

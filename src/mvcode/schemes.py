@@ -216,11 +216,12 @@ class MvcScheme(ABC):
     width) pairs its ``_fields`` yields for a receipt set, and ``decode``
     reads them back in the same order.
 
-    ``read_view(T, state)`` names what a decode from T depends on: for
-    every version tuple, decoding from T in any two states with equal
-    views must give the same outcome.  The default view is T with its
-    rows of the state, which holds for any decoder that reads only the
-    version sets of the servers it contacts.
+    ``read_view(T, rows)`` names what a decode from T depends on, as a
+    function of T's rows alone (``rows[i]`` is server ``T[i]``'s version
+    set): for every version tuple, decoding from T in any two states
+    where T's rows give equal views must give the same outcome.  The
+    default view is T with its rows, which holds for any decoder that
+    reads only the version sets of the servers it contacts.
 
     ``cell_codes(T, state, tuples, cache)`` is the batch form of the same
     contract: the outcome code of encoding each tuple at the servers of
@@ -275,9 +276,12 @@ class MvcScheme(ABC):
         """Newest version common to T (or newer), None when T shares
         nothing.  Raises DecodingError on symbols inconsistent with state."""
 
-    def read_view(self, T: Sequence[int], state: SystemState) -> Hashable:
-        """Hashable view of ``state`` that decoding from T reads."""
-        return (tuple(T), tuple(state.per_server[t] for t in T))
+    def read_view(
+        self, T: Sequence[int], rows: Sequence[frozenset[int]]
+    ) -> Hashable:
+        """Hashable view that decoding from T reads, given T's rows in
+        T's order."""
+        return (tuple(T), tuple(rows))
 
     def cell_codes(
         self,

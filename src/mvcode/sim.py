@@ -499,9 +499,10 @@ def adversarial_schedule_search(
     alone: it is taken once per distinct (T, rows), from the verifier cell
     of that view over the one content tuple, and kept for the length of
     the search under one int, T's index and the (server, version)
-    inclusion bits of S masked to T's rows.  A state is built only for an
-    S with a code not seen before, from S's bits through a table of the
-    2^nu row receipt sets.
+    inclusion bits of S masked to T's rows.  The view is computed from
+    T's rows, read straight from S's bits through a table of the 2^nu row
+    receipt sets, and a state (T's rows, every other row empty) is built
+    only for a view not met before.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -516,58 +517,58 @@ def adversarial_schedule_search(
     # bit s * nu + u - 1 of S marks version u at server s
     row = (1 << nu) - 1
     index: dict[tuple[int, ...], int] = {}
-    reads = []  # per crash count: (C, T, T's index, T's rows' bits)
+    # per crash count: (C, T, T's index, T's rows' bits, T's row shifts)
+    reads = []
     for k in range(min(f, depth - 1) + 1):
         table = []
         for crashed in combinations(range(n), k):
             T = _responders(n, crashed, c_r)
             mask = sum(row << (s * nu) for s in T)
-            table.append((crashed, T, index.setdefault(T, len(index)), mask))
+            t = index.setdefault(T, len(index))
+            table.append((crashed, T, t, mask, [s * nu for s in T]))
         reads.append(table)
     responder_sets = len(index)
     # the receipt set of each nu-bit row pattern
     patterns = [
         frozenset(u + 1 for u in range(nu) if p >> u & 1) for p in range(row + 1)
     ]
-    shifts = range(0, n * nu, nu)
+    # columns[u - 1]: the bits of version u at every server
+    columns = [sum(1 << (s * nu + u) for s in range(n)) for u in range(nu)]
     codes: dict[int, int] = {}
     cells: dict = {}
     cache: dict = {}
     for used in range(depth):
         for written in range(min(used, nu), -1, -1):
+            # arrivals (version, server) in token order, and the bit of each
             pairs = [(u, s) for u in range(1, written + 1) for s in range(n)]
+            bit_of = [1 << (s * nu + u - 1) for u, s in pairs]
+            top = len(pairs)
+            newest = (written - 1) * n  # the first arrival of version written
             room = used - written
-            # arrival sets of room - k members for k crashes, merged so that
-            # a set comes after its extensions: an arrival sorts before a crash
+            # arrival sets of room - k members for k crashes, as indices into
+            # pairs, merged so that a set comes after its extensions: an
+            # arrival sorts before a crash
             for got in heapq.merge(
-                *(combinations(pairs, room - k) for k in range(min(f, room) + 1)),
-                key=lambda got: got + ((written + 1,),),
+                *(combinations(range(top), room - k) for k in range(min(f, room) + 1)),
+                key=lambda got: got + (top,),
             ):
-                if written != (got[-1][0] if got else 0):
+                if (got[-1] if got else -1) < newest:
                     continue  # a schedule with fewer writes reaches this (S, C)
-                bits = 0
-                held = [0] * (written + 1)
-                for u, s in got:
-                    bits |= 1 << (s * nu + u - 1)
-                    held[u] += 1
+                bits = sum([bit_of[i] for i in got])
                 need = written  # latest_complete_version of S, or 0
-                while need and held[need] < c_w:
+                while need and (bits & columns[need - 1]).bit_count() < c_w:
                     need -= 1
-                state = None
-                for crashed, T, t, mask in reads[room - len(got)]:
+                for crashed, T, t, mask, shifts in reads[room - len(got)]:
                     key = (bits & mask) * responder_sets + t
                     code = codes.get(key)
                     if code is None:
-                        if state is None:
-                            state = SystemState(
-                                tuple([patterns[bits >> sh & row] for sh in shifts])
-                            )
-                        cell = _cell(scheme, T, state, versions, cells, cache)
+                        rows = [patterns[bits >> sh & row] for sh in shifts]
+                        cell = _cell(scheme, T, rows, None, versions, cells, cache)
                         code = codes[key] = cell.codes[0]
                     if code >= need:
                         continue
                     steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
-                    steps += [(KIND_ARRIVAL, u, s) for u, s in got]
+                    steps += [(KIND_ARRIVAL, *pairs[i]) for i in got]
                     steps += [(KIND_CRASH, None, s) for s in crashed]
                     events = tuple(
                         SimEvent(kind, time, version=u, server=s)

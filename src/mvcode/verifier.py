@@ -18,15 +18,16 @@ Monte-Carlo mode counts it as a passing trial.  Under a live guard NULL
 is a failure, as are raised decode errors, stale versions, and wrong
 content.
 
-A decode outcome is a function of the scheme's ``read_view`` of the
-state: by default the contacted subset and its rows, since a reader only
-learns the version sets of the servers it contacted, and for a quorum
-bridge the inner scheme's view of the holders it delegates to.  The
-exhaustive engine shares one cell of decode outcomes among all (state,
-subset) pairs with the same view; the verdict is then replayed against
-every full state so reports and witnesses still range over the whole
-state space.  The schedule search judges its reads with these same cells,
-over a one-tuple list.
+A decode outcome is a function of the scheme's ``read_view``, which is
+computed from the contacted subset's rows alone: by default the subset
+and its rows, since a reader only learns the version sets of the servers
+it contacted, and for a quorum bridge the inner scheme's view of the
+holders it delegates to.  The exhaustive engine shares one cell of decode
+outcomes among all (state, subset) pairs with the same view; the verdict
+is then replayed against every full state so reports and witnesses still
+range over the whole state space.  The schedule search judges its reads
+with these same cells, over a one-tuple list, reading each view from its
+receipt bits and building a state only for a view it has not met.
 
 Every engine turns a read view into outcome codes through the scheme's
 own ``cell_codes``, which must return exactly the codes of the per-tuple
@@ -210,11 +211,19 @@ def _worst_state(counts: Iterable[tuple[int, int]]) -> Optional[tuple[int, int]]
     return worst
 
 
-def _cell(scheme, T, state, tuples, cells: dict, cache: dict) -> _Cell:
-    """The cell of T's read view of ``state``, built on first use."""
-    view = scheme.read_view(T, state)
+def _cell(scheme, T, rows, state, tuples, cells: dict, cache: dict) -> _Cell:
+    """The cell of the read view of T's rows ``rows``, built on first use
+    over ``state``, a state in which T holds those rows.  A None ``state``
+    stands for T's rows with every other row empty, all that
+    ``cell_codes`` reads, and is built only for a new view."""
+    view = scheme.read_view(T, rows)
     cell = cells.get(view)
     if cell is None:
+        if state is None:
+            sets = [frozenset()] * scheme.n
+            for t, held in zip(T, rows):
+                sets[t] = held
+            state = SystemState(tuple(sets))
         cell = cells[view] = _Cell(scheme.cell_codes(T, state, tuples, cache))
     return cell
 
@@ -241,7 +250,8 @@ def _exhaustive_run(
             threshold = threshold_of(state, T)
             if threshold is None:
                 continue
-            cell = _cell(scheme, T, state, tuples, cells, run_cache)
+            rows = [state.per_server[t] for t in T]
+            cell = _cell(scheme, T, rows, state, tuples, cells, run_cache)
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
             state_failures += fails
@@ -341,7 +351,8 @@ def _monte_carlo_run(
                 threshold = threshold_of(state, T)
                 view = None
                 if threshold is not None:
-                    view = views.setdefault(scheme.read_view(T, state), len(views))
+                    view = scheme.read_view(T, [state.per_server[t] for t in T])
+                    view = views.setdefault(view, len(views))
                 read = reads[code] = (T, threshold, view, state, record)
             record[0] += 1
             if read[1] is not None:  # else a vacuous guard: the trial passes
@@ -505,8 +516,10 @@ class QuorumBridge(MvcScheme):
     over different (set, k): (the read quorum, c_w + c_r - n) here and
     (all servers, c_w) in ``latest_complete_version``.
 
-    A decode reads only those holders, so the read view is the inner
-    scheme's view of them, or None when no version has enough holders
+    The holders depend on T's rows alone and are taken in ascending
+    server order whatever T's order.  A decode reads only them, so the
+    read view, computed from T's rows, is the inner scheme's view of the
+    holders and their rows, or None when no version has enough holders
     and the decode returns None.  ``cell_codes`` likewise hands a whole
     cell to the inner scheme's batch over those holders, and is all NULL
     when there are none.
@@ -536,25 +549,27 @@ class QuorumBridge(MvcScheme):
     def encode(self, server, received, versions):
         return self.inner.encode(server, received, versions)
 
-    def _holders(self, T, state) -> Optional[tuple[int, ...]]:
-        """The servers a read from T delegates to, or None."""
-        found = newest_held(sorted(T), state.per_server, self.overlap)
+    def _holders(self, T, rows) -> Optional[tuple[int, ...]]:
+        """The servers a read from T delegates to, in ascending order, or
+        None; ``rows[t]`` is server t's version set."""
+        found = newest_held(sorted(T), rows, self.overlap)
         return None if found is None else found[1]
 
     def decode(self, T, state, symbols):
-        holders = self._holders(T, state)
+        holders = self._holders(T, state.per_server)
         if holders is None:
             return None
         return self.inner.decode(holders, state, symbols)
 
-    def read_view(self, T, state):
-        holders = self._holders(T, state)
+    def read_view(self, T, rows):
+        row_of = dict(zip(T, rows))
+        holders = self._holders(T, row_of)
         if holders is None:
             return None
-        return self.inner.read_view(holders, state)
+        return self.inner.read_view(holders, [row_of[t] for t in holders])
 
     def cell_codes(self, T, state, tuples, cache):
-        holders = self._holders(T, state)
+        holders = self._holders(T, state.per_server)
         if holders is None:
             return [_NULL] * len(tuples)
         return self.inner.cell_codes(holders, state, tuples, cache)

@@ -139,6 +139,60 @@ MUTANTS = (
             "test_golden_transcript[verify-latest-only-monte-carlo]",
         ),
     ),
+    Mutant(
+        "search-merge-sentinel-below-the-top-index",
+        "src/mvcode/sim.py",
+        "key=lambda got: got + (top,),",
+        "key=lambda got: got + (top - 1,),",
+        (
+            "tests/test_differential.py::"
+            "test_search_tries_an_arrival_set_before_its_prefix_with_a_crash",
+        ),
+    ),
+    Mutant(
+        "search-fewer-writes-skip-inclusive",
+        "src/mvcode/sim.py",
+        "if (got[-1] if got else -1) < newest:",
+        "if (got[-1] if got else -1) <= newest:",
+        (
+            "tests/test_sim.py::test_every_search_witness_is_pinned",
+            "tests/test_differential.py::"
+            "test_search_matches_the_per_node_read_search_on_uneven_quorums",
+            "tests/test_cli.py::test_golden_transcript[sim-search]",
+        ),
+    ),
+    Mutant(
+        "search-need-popcount-inclusive",
+        "src/mvcode/sim.py",
+        ".bit_count() < c_w:",
+        ".bit_count() <= c_w:",
+        (
+            "tests/test_sim.py::test_every_search_witness_is_pinned",
+            "tests/test_differential.py::"
+            "test_search_tells_apart_reads_that_differ_only_in_need",
+            "tests/test_cli.py::test_golden_transcript[sim-search]",
+        ),
+    ),
+    Mutant(
+        "newest-held-precheck-inclusive",
+        "src/mvcode/model.py",
+        "if len(held) - held.count(frozenset()) < k:",
+        "if len(held) - held.count(frozenset()) <= k:",
+        (
+            "tests/test_differential.py::test_newest_version_reads_match_their_scans[4-2]",
+            "tests/test_differential.py::test_latest_complete_version_counts_holders[4-2]",
+        ),
+    ),
+    Mutant(
+        "bridge-holders-in-the-order-of-T",
+        "src/mvcode/verifier.py",
+        "found = newest_held(sorted(T), rows, self.overlap)",
+        "found = newest_held(T, rows, self.overlap)",
+        (
+            "tests/test_differential.py::"
+            "test_read_views_from_rows_match_the_state_based_views[mds]",
+        ),
+    ),
 )
 
 

@@ -9,7 +9,8 @@ pattern sweep, the per-node read search and the per-trial Monte-Carlo
 engine at the end are the implementations the exact paths, the direct
 bridge rule, the GF(2) mask decode, the closed-form worst cases, the
 view-keyed search and the per-view Monte-Carlo blocks replaced,
-kept as their oracles; so are the latest-only and replication newest-
+kept as their oracles; so are the read views taken from the whole state
+that views from T's rows replaced, the latest-only and replication newest-
 version scans that ``model.newest_held`` replaced, the tuple and
 subset draws through ``randrange`` and ``random.sample`` that the
 ``getrandbits``-only samplers replaced, and the binning decode over
@@ -42,6 +43,7 @@ from mvcode.model import (
     SystemState,
     VersionTuple,
     latest_complete_version,
+    newest_held,
     sample_tuple,
 )
 from mvcode.schemes import _judge
@@ -53,7 +55,12 @@ from mvcode.sim import (
     SimEvent,
     read_start,
 )
-from mvcode.verifier import MODE_MONTE_CARLO, VerificationReport, _witness
+from mvcode.verifier import (
+    MODE_MONTE_CARLO,
+    QuorumBridge,
+    VerificationReport,
+    _witness,
+)
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -410,6 +417,23 @@ def mpmath_log2(x) -> float:
         return float(
             mp.log(mp.mpf(x.numerator), 2) - mp.log(mp.mpf(x.denominator), 2)
         )
+
+
+# ---------------------------------------------------------------------------
+# Read views taken from the whole state, as ``read_view`` took them before it
+# took T's rows alone.
+
+
+def state_read_view(scheme, T, state):
+    """T with its rows of ``state``; for a quorum bridge, the inner
+    scheme's view of the holders ``newest_held`` finds in sorted T, or None
+    when there are none."""
+    if isinstance(scheme, QuorumBridge):
+        found = newest_held(sorted(T), state.per_server, scheme.overlap)
+        if found is None:
+            return None
+        return state_read_view(scheme.inner, found[1], state)
+    return (tuple(T), tuple(state.per_server[t] for t in T))
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def _batch_against_loop(scheme, tuples):
     batch_cache, loop_cache = {}, {}
     for state in iter_states(scheme.n, scheme.model.nu):
         for T in combinations(range(scheme.n), scheme.c):
-            view = scheme.read_view(T, state)
+            view = scheme.read_view(T, [state.per_server[t] for t in T])
             if latest_common_version(state, T) is None or view in views:
                 continue
             views.add(view)

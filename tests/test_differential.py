@@ -34,6 +34,7 @@ from oracles import (
     schedule_nodes,
     snapped_ceil_bits,
     snapped_region_slacks,
+    state_read_view,
     term_minus,
     term_plus,
     term_sign,
@@ -321,6 +322,24 @@ def test_bridge_delegates_to_the_subset_the_scan_chose(n, nu):
     assert checked == (1 << (n * nu)) * n * (1 << (n - 1))
 
 
+_ALL_SCHEMES = ("replication", "mds", "delta", "rs-update", "latest-only", "binning")
+
+
+@pytest.mark.parametrize("name", _ALL_SCHEMES)
+def test_read_views_from_rows_match_the_state_based_views(name):
+    # every anchor state and subset; a bridge's read quorum in every order,
+    # since it takes the lowest-indexed holders whatever T's order
+    scheme = make_scheme(name, CorrelationModel(8, 1, 2), 4, 2)
+    bridges = [quorum_bridge(scheme, c_w, c_r) for c_w, c_r in ((3, 3), (2, 4), (4, 2))]
+    reads = [(scheme, T) for T in combinations(range(4), 2)]
+    reads += [(b, T) for b in bridges for T in permutations(range(4), b.c_r)]
+    for state in iter_states(4, 2):
+        for reader, T in reads:
+            rows = [state.per_server[t] for t in T]
+            want = state_read_view(reader, T, state)
+            assert reader.read_view(T, rows) == want, (reader.name, T, state.key())
+
+
 @pytest.mark.parametrize("n,nu", [(4, 2), (3, 3)])
 def test_latest_complete_version_counts_holders(n, nu):
     for c_w in range(1, n + 1):
@@ -523,6 +542,38 @@ def test_search_tells_apart_reads_that_differ_only_in_need():
     assert schedule_to_text(got) == schedule_to_text(want)
     arrivals = [(e.version, e.server) for e in got.events if e.server is not None]
     assert arrivals == [(1, 0), (1, 1), (1, 3)]
+
+
+class _NullOrRaisesOnViews(_NullOnViews):
+    """A bridge whose decode returns NULL on one set of read views and
+    raises on another."""
+
+    def __init__(self, inner, c_w, c_r, null_views, raising):
+        super().__init__(inner, c_w, c_r, null_views)
+        self.raising = raising
+
+    def decode(self, T, state, symbols):
+        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
+        if (tuple(T), rows) in self.raising:
+            raise DecodingError("a chosen view")
+        return super().decode(T, state, symbols)
+
+
+def test_search_tries_an_arrival_set_before_its_prefix_with_a_crash():
+    # at four tokens with one write, arrivals (1,1), (1,2), (1,3) complete
+    # version 1 and the NULL read fails; (1,1), (1,2) with server 0 crashed
+    # raises on its own view.  The longer arrival set sorts first, since an
+    # arrival sorts before a crash.
+    null_view = ((0, 1, 2), ((), (1,), (1,)))
+    raising = ((1, 2, 3), ((1,), (1,), ()))
+    inner = make_scheme("mds", CorrelationModel(4, 1, 2), 4, 2)
+    scheme = _NullOrRaisesOnViews(inner, 3, 3, {null_view}, {raising})
+    got = adversarial_schedule_search(scheme, 3, 3, f=1, depth=8)
+    want = per_node_read_search(scheme, 3, 3, 1, 8)
+    assert schedule_to_text(got) == schedule_to_text(want)
+    arrivals = [(e.version, e.server) for e in got.events if e.kind == "server-arrival"]
+    assert arrivals == [(1, 1), (1, 2), (1, 3)]
+    assert all(e.kind != "server-crash" for e in got.events)
 
 
 class _CountsViews(QuorumBridge):

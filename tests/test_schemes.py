@@ -539,7 +539,7 @@ def test_rs_update_cells_match_the_default_loop(K, radius, nu, n, c):
     seen = set()
     for state in iter_states(n, nu):
         for T in itertools.combinations(range(n), c):
-            view = scheme.read_view(T, state)
+            view = scheme.read_view(T, [state.per_server[t] for t in T])
             if latest_common_version(state, T) is None or view in seen:
                 continue
             seen.add(view)

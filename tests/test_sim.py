@@ -3,6 +3,7 @@ semantics (completion times, crash handling, flagged reads), the bundled
 partial-update replay, the adversarial schedule search, and agreement
 between simulated reads and the quorum-contract verifier."""
 
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -578,8 +579,8 @@ def test_search_rejects_a_negative_seed_before_searching():
 
 
 def test_search_holds_no_per_schedule_state():
-    # the bridged n=6 mds search at full depth finds nothing; one state per
-    # receipt pattern and one cell per read view keep its peak small
+    # the bridged n=6 mds search at full depth finds nothing; one state and
+    # one cell per distinct read view keep its peak small
     scheme = _bridged_mds_n6()
     tracemalloc.start()
     try:
@@ -588,6 +589,56 @@ def test_search_holds_no_per_schedule_state():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_search_builds_one_state_per_distinct_read_view(monkeypatch):
+    # a read's view comes from T's rows alone, so the bridged n=6 mds search
+    # builds a state only for each of its 466 distinct views
+    built = [0]
+    check = SystemState.__post_init__
+
+    def counted(state):
+        built[0] += 1
+        check(state)
+
+    monkeypatch.setattr(SystemState, "__post_init__", counted)
+    scheme = _bridged_mds_n6()
+    views = set()
+    read_view = scheme.read_view
+
+    def recorded(T, rows):
+        view = read_view(T, rows)
+        views.add(view)
+        return view
+
+    monkeypatch.setattr(scheme, "read_view", recorded)
+    assert adversarial_schedule_search(scheme, 5, 5, f=1, depth=12) is None
+    assert built[0] == len(views) == 466
+
+
+# Every witness of a `sim --search` grid, pinned as one sha256 over its
+# schedule text: all six schemes, n 4-9, nu 2 and 3, 0-2 crashes and uneven
+# quorums, each (n, nu, c-w, c-r, crashes, depth) at K=4, radius 1.
+_PINNED_SEARCH_GRID = (
+    (4, 2, 3, 3, 1, 12), (4, 3, 4, 4, 0, 12), (5, 2, 3, 4, 1, 12),
+    (5, 3, 3, 4, 1, 8), (6, 2, 4, 4, 2, 10), (7, 2, 5, 6, 1, 9),
+    (8, 2, 6, 6, 2, 7), (9, 3, 7, 7, 2, 6),
+)
+_PINNED_SEARCH_DIGEST = (
+    "c2410fa88631d704b120a66eb4089a8faa129568508a29fe7299dcc9e9ae2664"
+)
+
+
+def test_every_search_witness_is_pinned():
+    digest = hashlib.sha256()
+    for name in ("replication", "mds", "delta", "rs-update", "latest-only", "binning"):
+        for n, nu, c_w, c_r, f, depth in _PINNED_SEARCH_GRID:
+            inner = make_scheme(name, CorrelationModel(4, 1, nu), n, c_w + c_r - n)
+            scheme = quorum_bridge(inner, c_w, c_r)
+            witness = adversarial_schedule_search(scheme, c_w, c_r, f=f, depth=depth)
+            text = "none" if witness is None else schedule_to_text(witness)
+            digest.update(text.encode() + b";")
+    assert digest.hexdigest() == _PINNED_SEARCH_DIGEST
 
 
 def test_search_pairs_at_depth_12_with_one_crash():

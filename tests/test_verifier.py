@@ -760,7 +760,7 @@ def _live_views(scheme, subset_size, threshold_of):
         for T in combinations(range(scheme.n), subset_size):
             if threshold_of(state, T) is None:
                 continue
-            view = scheme.read_view(T, state)
+            view = scheme.read_view(T, [state.per_server[t] for t in T])
             if view not in seen:
                 seen.add(view)
                 yield T, state
