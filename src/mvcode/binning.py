@@ -13,7 +13,7 @@ survives; older versions may keep several survivors, which is harmless.
 One runner (``_run_plan``) decodes every row of stored indices at once:
 the survivors of all rows are flat (row, value) numpy arrays, stepped by
 the plan's ball masks and filtered by its checks.  A decode
-(``possible_set_decode``) runs it on one row; the verifier's engines and
+(``_decode_rows``) runs it on one row; the verifier's engines and
 the codebook survey judge a whole read view, one row per tuple
 (``BinningScheme.cell_codes``).  numpy is imported inside the decode
 plans, the runner and the codebook draws only.
@@ -66,6 +66,7 @@ from .schemes import (
     Decoded,
     DecodingError,
     MvcScheme,
+    _receipts,
     _run_cached,
     register_scheme,
     split_fields,
@@ -446,7 +447,7 @@ def _decoding_chain(rows: Sequence[frozenset]) -> Optional[tuple]:
 
     ``rows`` are the version sets of the servers a reader contacted.
     """
-    u_L = latest_common_version(SystemState(tuple(rows)), range(len(rows)))
+    u_L = latest_common_version(rows)
     if u_L is None:
         return None
     return u_L, tuple(sorted({u for row in rows for u in row if u <= u_L}))
@@ -568,14 +569,22 @@ def _run_plan(
     return np.concatenate(counts), np.concatenate(finals)
 
 
-def possible_set_decode(
+def possible_set_decode(codebook, rates, T, state: SystemState, indices):
+    """``_decode_rows`` of T's rows in ``state``, of the codebook's n servers."""
+    if len(state.per_server) != codebook.n:
+        raise ValueError("state has a different server count than the codebook")
+    return _decode_rows(codebook, rates, T, [state.per_server[t] for t in T], indices)
+
+
+def _decode_rows(
     codebook: BinningCodebook,
     rates: RateAllocation,
     T: Sequence[int],
-    state: SystemState,
+    rows: Sequence[frozenset],
     indices: Mapping[int, Mapping[int, int]],
 ) -> PossibleSetOutcome:
-    """Decode the newest version common to T from the stored bin indices.
+    """Decode the newest version common to T's ``rows`` from the stored
+    bin indices.
 
     ``indices[t][u]`` is server t's stored index for version u; values wider
     than the allocated width are truncated to it.  Oldest first, a version's
@@ -589,10 +598,7 @@ def possible_set_decode(
     (``_plan_for``).  The decode runs it as one row of ``_run_plan``, each
     stored index looked up among its check's index keys.
     """
-    T = tuple(T)
-    if state.n != codebook.n:
-        raise ValueError("state has a different server count than the codebook")
-    plan = _plan_for(codebook, rates, T, tuple(state.per_server[t] for t in T))
+    plan = _plan_for(codebook, rates, tuple(T), tuple(rows))
     if plan is None:
         return PossibleSetOutcome(
             PossibleSetOutcome.NO_COMMON, None, None, "no version common to T"
@@ -788,7 +794,7 @@ def empirical_error_survey(
     report = _exhaustive_run(
         BinningScheme.over(codebook, rates),
         list(combinations(range(n), rates.c)),
-        latest_common_version,
+        None,
         iter_states(n, codebook.model.nu),
         tuples,
         0,
@@ -866,7 +872,7 @@ class BinningScheme(MvcScheme):
     """Bin-index storage behind the common scheme contract.
 
     Encodes one index per received version at the allocated width; decodes
-    through the survivor sets of ``possible_set_decode``.  An ambiguous or
+    through the survivor sets of ``_decode_rows``.  An ambiguous or
     empty final survivor set surfaces as a DecodingError so the verifier
     counts it like any other decode failure.  ``cell_codes`` runs the same
     plan on a whole list of tuples, one row each, after the plan's cap check.
@@ -910,30 +916,24 @@ class BinningScheme(MvcScheme):
             index = self.codebook.index_of(server, u, versions.version(u).bits, width)
             yield index, width
 
-    def _parse_indices(self, T, state, symbols) -> dict[int, dict[int, int]]:
+    def _parse_indices(self, T, rows, symbols) -> dict[int, dict[int, int]]:
         out: dict[int, dict[int, int]] = {}
-        for t in T:
-            got = self._received_of(state, t)
+        for t, got in _receipts(T, rows).items():
             widths = [self.allocation.index_bits(got, u) for u in got]
             out[t] = dict(zip(got, split_fields(symbols[t], widths)))
         return out
 
-    def decode(self, T, state, symbols):
-        indices = self._parse_indices(T, state, symbols)
-        outcome = possible_set_decode(
-            self.codebook, self.allocation, T, state, indices
-        )
+    def decode(self, T, rows, symbols):
+        indices = self._parse_indices(T, rows, symbols)
+        outcome = _decode_rows(self.codebook, self.allocation, T, rows, indices)
         if outcome.status == PossibleSetOutcome.NO_COMMON:
             return None
         if outcome.status == PossibleSetOutcome.ERROR:
             raise DecodingError(outcome.reason)
         return Decoded(outcome.version, outcome.message)
 
-    def cell_codes(self, T, state, tuples, cache):
-        T = tuple(T)
-        plan = _plan_for(
-            self.codebook, self.allocation, T, tuple(state.per_server[t] for t in T)
-        )
+    def cell_codes(self, T, rows, tuples, cache):
+        plan = _plan_for(self.codebook, self.allocation, tuple(T), tuple(rows))
         if plan is None:
             return [_NULL] * len(tuples)
         import numpy as np

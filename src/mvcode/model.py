@@ -155,10 +155,6 @@ class SystemState:
             if s and min(s) < 1:
                 raise ValueError("version indices are 1-based")
 
-    @property
-    def n(self) -> int:
-        return len(self.per_server)
-
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form, used in reports and memo tables."""
         return tuple(tuple(sorted(s)) for s in self.per_server)
@@ -184,36 +180,37 @@ def iter_states(n: int, nu: int) -> Iterator[SystemState]:
 
 
 def newest_held(
-    T: Sequence[int], rows: Sequence[frozenset[int]], k: int
+    T: Sequence[int], per_server, k: int
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(u, holders): the newest version u that at least k servers of T hold
-    in ``rows``, with the first k of those servers in T's order; None when
-    no version has k holders.  ``rows[t]`` is server t's version set."""
-    held = [rows[t] for t in T]
+    """(u, holders): the newest version u that at least k servers of T hold,
+    with the first k of those servers in T's order; None when no version
+    has k holders.  ``per_server[t]`` is server t's version set, for every
+    server t of T."""
+    held = [per_server[t] for t in T]
     if len(held) - held.count(frozenset()) < k:
         return None  # fewer than k servers hold anything
     for u in sorted(frozenset().union(*held), reverse=True):
-        holders = [t for t in T if u in rows[t]]
+        holders = [t for t in T if u in per_server[t]]
         if len(holders) >= k:
             return u, tuple(holders[:k])
     return None
 
 
-def latest_complete_version(state: SystemState, c_w: int) -> Optional[int]:
-    """Largest version held by at least ``c_w`` servers (a write quorum),
-    or None if there is none; ``c_w`` must lie in [1, n]."""
-    if not 1 <= c_w <= state.n:
+def latest_complete_version(per_server: Sequence[frozenset], c_w: int) -> Optional[int]:
+    """Largest version held by at least ``c_w`` of the n servers whose
+    version sets are ``per_server`` (a write quorum), or None if there is
+    none; ``c_w`` must lie in [1, n]."""
+    if not 1 <= c_w <= len(per_server):
         raise ValueError("c_w must lie in [1, n]")
-    found = newest_held(range(state.n), state.per_server, c_w)
+    found = newest_held(range(len(per_server)), per_server, c_w)
     return None if found is None else found[0]
 
 
-def latest_common_version(state: SystemState, T: Sequence[int]) -> Optional[int]:
-    """Largest version present at every server of T, or None."""
-    servers = list(T)
-    if not servers:
+def latest_common_version(rows: Sequence[frozenset[int]]) -> Optional[int]:
+    """Largest version present in every row of T's ``rows``, or None."""
+    if not rows:
         raise ValueError("T must be nonempty")
-    common = frozenset.intersection(*(state.per_server[t] for t in servers))
+    common = frozenset.intersection(*rows)
     return max(common) if common else None
 
 

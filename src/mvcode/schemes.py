@@ -3,9 +3,9 @@
 Every scheme follows the same contract.  A server encodes from exactly three
 things: its own index, the set of version indices it has received, and the
 content of those versions.  It never sees what other servers hold.  A reader
-decodes from a subset T of servers given the full incidence descriptor
-(which versions each server received) plus the |T| stored symbols, and must
-return the newest version shared by all of T, or anything newer.
+decodes from a subset T of servers given T's rows (which versions each
+server of T received) plus the |T| stored symbols, and must return the
+newest version shared by all of T, or anything newer.
 
 Four honest schemes live here (full replication, per-version MDS symbols,
 difference coding against a base version, and update-record coding), plus a
@@ -49,7 +49,6 @@ from .galois import BinaryGenerator, RsCode, binary_expand_generator
 from .model import (
     CorrelationModel,
     Message,
-    SystemState,
     VersionTuple,
     ball_rank,
     ball_unrank,
@@ -67,7 +66,7 @@ _WRONG = -2
 
 
 class DecodingError(Exception):
-    """Stored symbols are inconsistent with the claimed state descriptor."""
+    """Stored symbols are inconsistent with the rows the reader was given."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
     Raises DecodingError unless the widths cover the symbol exactly.
     """
     if sum(widths) != symbol.bit_length:
-        raise DecodingError("stored length disagrees with state")
+        raise DecodingError("stored length disagrees with the receipt set")
     fields = []
     payload = symbol.payload
     for width in widths:
@@ -133,9 +132,15 @@ def split_fields(symbol: StoredSymbol, widths: Sequence[int]) -> list[int]:
     return fields
 
 
-def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple):
+def _receipts(T, rows) -> dict[int, tuple[int, ...]]:
+    """Each server of T's receipt set, ascending, from T's rows."""
+    return {t: tuple(sorted(row)) for t, row in zip(T, rows)}
+
+
+def _judge(scheme: MvcScheme, T, rows, symbols, vt: VersionTuple):
     """The one read judgment: every verifier engine and the simulator turn
-    a decode from T of the symbols encoding ``vt`` into an outcome here.
+    a decode from T, of T's rows and the symbols encoding ``vt``, into an
+    outcome here.
 
     Returns (code, got): ``got`` is what decode gave (the Decoded pair,
     None, or the DecodingError it raised), and the code is _RAISED, _NULL,
@@ -143,7 +148,7 @@ def _judge(scheme: MvcScheme, T, state, symbols, vt: VersionTuple):
     the decoded version index.
     """
     try:
-        got = scheme.decode(tuple(T), state, symbols)
+        got = scheme.decode(tuple(T), rows, symbols)
     except DecodingError as exc:
         return _RAISED, exc
     if got is None:
@@ -216,14 +221,14 @@ class MvcScheme(ABC):
     width) pairs its ``_fields`` yields for a receipt set, and ``decode``
     reads them back in the same order.
 
-    ``read_view(T, rows)`` names what a decode from T depends on, as a
-    function of T's rows alone (``rows[i]`` is server ``T[i]``'s version
-    set): for every version tuple, decoding from T in any two states
-    where T's rows give equal views must give the same outcome.  The
-    default view is T with its rows, which holds for any decoder that
-    reads only the version sets of the servers it contacts.
+    Every read takes T's rows, never a state: ``rows[i]`` is server
+    ``T[i]``'s version set, all a reader that contacted T learns.
+    ``decode(T, rows, symbols)`` reads T's stored symbols, and
+    ``read_view(T, rows)`` names what that decode depends on: for every
+    version tuple, decoding from T with rows that give equal views must
+    give the same outcome.  The default view is T with its rows.
 
-    ``cell_codes(T, state, tuples, cache)`` is the batch form of the same
+    ``cell_codes(T, rows, tuples, cache)`` is the batch form of the same
     contract: the outcome code of encoding each tuple at the servers of
     T and decoding it from T, for the whole tuple list at once.  The
     default encodes and decodes tuple by tuple; an override must return
@@ -270,11 +275,12 @@ class MvcScheme(ABC):
     def decode(
         self,
         T: Sequence[int],
-        state: SystemState,
+        rows: Sequence[frozenset[int]],
         symbols: Mapping[int, StoredSymbol],
     ) -> Optional[Decoded]:
-        """Newest version common to T (or newer), None when T shares
-        nothing.  Raises DecodingError on symbols inconsistent with state."""
+        """Newest version common to T's rows (or newer), None when they
+        share nothing.  Raises DecodingError on symbols inconsistent with
+        the rows."""
 
     def read_view(
         self, T: Sequence[int], rows: Sequence[frozenset[int]]
@@ -286,12 +292,11 @@ class MvcScheme(ABC):
     def cell_codes(
         self,
         T: Sequence[int],
-        state: SystemState,
+        rows: Sequence[frozenset[int]],
         tuples: Sequence[VersionTuple],
         cache: dict,
     ) -> list[int]:
-        """Outcome code of a decode from T for every tuple, reading only
-        the rows of T.
+        """Outcome code of a decode from T, of T's rows, for every tuple.
 
         ``cache`` lives for one run over this same tuple list and is
         shared by every view of the run; nothing tuple-dependent is kept
@@ -299,13 +304,8 @@ class MvcScheme(ABC):
         here overrides it and no engine calls it, so it is the contract's
         reference, the differential oracle of every override.
         """
-        sets = [frozenset()] * self.n
-        for t in T:
-            sets[t] = state.per_server[t]
-        cell_state = SystemState(tuple(sets))
         symbol_rows = []
-        for t in T:
-            got = tuple(sorted(sets[t]))
+        for t, got in _receipts(T, rows).items():
             key = (t, got)
             cached = cache.get(key)
             if cached is None:
@@ -315,7 +315,7 @@ class MvcScheme(ABC):
         codes = []
         for i, vt in enumerate(tuples):
             symbols = {t: row[i] for t, row in symbol_rows}
-            codes.append(_judge(self, T, cell_state, symbols, vt)[0])
+            codes.append(_judge(self, T, rows, symbols, vt)[0])
         return codes
 
     def worst_case_cost(self) -> CostReport:
@@ -327,13 +327,10 @@ class MvcScheme(ABC):
         """
         raise TypeError(f"no cost model for scheme {self.name!r}")
 
-    def _received_of(self, state: SystemState, server: int) -> tuple[int, ...]:
-        return tuple(sorted(state.per_server[server]))
-
-    def _newest_rows(self, T, state) -> dict[int, frozenset[int]]:
+    def _newest_rows(self, T, rows) -> dict[int, frozenset[int]]:
         """Each server of T's newest received version as a one-version
         row, empty where the server received nothing."""
-        return {t: frozenset(self._received_of(state, t)[-1:]) for t in T}
+        return {t: frozenset(got[-1:]) for t, got in _receipts(T, rows).items()}
 
 
 class _RsBackedScheme(MvcScheme):
@@ -351,34 +348,36 @@ class _RsBackedScheme(MvcScheme):
     def symbol_vector_bits(self) -> int:
         return self.generator.stored_bits_per_server
 
-    def _read_plan(self, T, state) -> Optional[tuple[int, tuple[int, ...]]]:
+    def _read_plan(self, T, rows) -> Optional[tuple[int, tuple[int, ...]]]:
         """(target, holders): the version a read from T rebuilds and the c
         servers it reads it from; None when the read returns None."""
-        target = latest_common_version(state, T)
+        target = latest_common_version(rows)
         if target is None or len(T) < self.c:
             return None
         return target, tuple(T[: self.c])
 
-    def decode(self, T, state, symbols):
-        plan = self._read_plan(T, state)
+    def decode(self, T, rows, symbols):
+        plan = self._read_plan(T, rows)
         if plan is None:
             return None
         target, servers = plan
+        receipts = _receipts(T, rows)
         holders = []
         for server in servers:
-            received = self._received_of(state, server)
+            received = receipts[server]
             vec = self._vector_at(server, received, symbols[server], target)
             holders.append((server, vec))
         return self._interpolate(holders, target)
 
-    def cell_codes(self, T, state, tuples, cache):
-        plan = self._read_plan(T, state)
+    def cell_codes(self, T, rows, tuples, cache):
+        plan = self._read_plan(T, rows)
         if plan is None:
             return [_NULL] * len(tuples)
         target, holders = plan
+        receipts = _receipts(T, rows)
         stacked = []
         for server in holders:
-            received = self._received_of(state, server)
+            received = receipts[server]
             stacked += _run_cached(
                 cache,
                 ("at", server, received, target),
@@ -442,16 +441,16 @@ class ReplicationScheme(MvcScheme):
     def _fields(self, server, got, versions):
         yield versions.version(got[-1]).bits, self.model.K
 
-    def _newest_copy(self, T, state) -> Optional[tuple[int, int]]:
+    def _newest_copy(self, T, rows) -> Optional[tuple[int, int]]:
         """(version, server) of the newest copy in T, the first server of
         T holding it; None when T shares no version."""
-        if latest_common_version(state, T) is None:
+        if latest_common_version(rows) is None:
             return None
-        version, (server,) = newest_held(T, self._newest_rows(T, state), 1)
+        version, (server,) = newest_held(T, self._newest_rows(T, rows), 1)
         return version, server
 
-    def decode(self, T, state, symbols):
-        best = self._newest_copy(T, state)
+    def decode(self, T, rows, symbols):
+        best = self._newest_copy(T, rows)
         if best is None:
             return None
         version, server = best
@@ -460,8 +459,8 @@ class ReplicationScheme(MvcScheme):
             raise DecodingError("full copy has wrong length")
         return Decoded(version, Message(sym.payload, self.model.K))
 
-    def cell_codes(self, T, state, tuples, cache):
-        best = self._newest_copy(T, state)
+    def cell_codes(self, T, rows, tuples, cache):
+        best = self._newest_copy(T, rows)
         if best is None:
             return [_NULL] * len(tuples)
         # the chosen server's newest version is the read one, so its copy matches
@@ -720,20 +719,19 @@ class LatestOnlyScheme(_RsBackedScheme):
         vector = self.generator.apply(server, versions.version(got[-1]).bits)
         yield vector, self.symbol_vector_bits
 
-    def _read_plan(self, T, state):
+    def _read_plan(self, T, rows):
         """The newest version that c servers of T hold as their newest,
         with the first c of them; each stores that version's vector."""
-        return newest_held(T, self._newest_rows(T, state), self.c)
+        return newest_held(T, self._newest_rows(T, rows), self.c)
 
     def _vector_at(self, server, received, symbol, target):
         return symbol.payload
 
-    def decode(self, T, state, symbols):
-        for server in T:
-            sym = symbols[server]
-            if state.per_server[server] and sym.bit_length != self.symbol_vector_bits:
+    def decode(self, T, rows, symbols):
+        for server, row in zip(T, rows):
+            if row and symbols[server].bit_length != self.symbol_vector_bits:
                 raise DecodingError("unexpected stored length")
-        return super().decode(T, state, symbols)
+        return super().decode(T, rows, symbols)
 
     def worst_case_cost(self):
         spb = self.symbol_vector_bits

@@ -39,7 +39,6 @@ from typing import Optional
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
-    SystemState,
     VersionTuple,
     latest_complete_version,
     sample_tuple,
@@ -339,12 +338,13 @@ def _read(scheme, c_w, c_r, event, received, crashed, versions) -> ReadRecord:
     that a NULL read passes while nothing is complete, the flag, and the
     notes."""
     responders = _responders(len(received), crashed, c_r)
-    snapshot = SystemState(received)
-    latest = latest_complete_version(snapshot, c_w)
+    latest = latest_complete_version(received, c_w)
+    rows = [received[t] for t in responders]
+    snapshot = tuple(tuple(sorted(s)) for s in received)
     symbols = {
         t: scheme.encode(t, tuple(sorted(received[t])), versions) for t in responders
     }
-    code, got = _judge(scheme, responders, snapshot, symbols, versions)
+    code, got = _judge(scheme, responders, rows, symbols, versions)
     version = content = None
     if code not in (_RAISED, _NULL):
         version, message = got
@@ -363,7 +363,7 @@ def _read(scheme, c_w, c_r, event, received, crashed, versions) -> ReadRecord:
     else:
         note = "returned version is not yet complete" if code > need else ""
     return ReadRecord(
-        event.reader, event.time, responders, snapshot.key(), version, content,
+        event.reader, event.time, responders, snapshot, version, content,
         latest, code >= need, code > need, note
     )
 
@@ -499,10 +499,9 @@ def adversarial_schedule_search(
     alone: it is taken once per distinct (T, rows), from the verifier cell
     of that view over the one content tuple, and kept for the length of
     the search under one int, T's index and the (server, version)
-    inclusion bits of S masked to T's rows.  The view is computed from
-    T's rows, read straight from S's bits through a table of the 2^nu row
-    receipt sets, and a state (T's rows, every other row empty) is built
-    only for a view not met before.
+    inclusion bits of S masked to T's rows.  The view and the cell read
+    T's rows alone, straight from S's bits through a table of the 2^nu row
+    receipt sets; the search builds no state.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -563,7 +562,7 @@ def adversarial_schedule_search(
                     code = codes.get(key)
                     if code is None:
                         rows = [patterns[bits >> sh & row] for sh in shifts]
-                        cell = _cell(scheme, T, rows, None, versions, cells, cache)
+                        cell = _cell(scheme, T, rows, versions, cells, cache)
                         code = codes[key] = cell.codes[0]
                     if code >= need:
                         continue

@@ -27,7 +27,10 @@ outcomes among all (state, subset) pairs with the same view; the verdict
 is then replayed against every full state so reports and witnesses still
 range over the whole state space.  The schedule search judges its reads
 with these same cells, over a one-tuple list, reading each view from its
-receipt bits and building a state only for a view it has not met.
+receipt bits.  No engine builds a state to read from: a cell takes T's
+rows.  Under Definition 2 the threshold is the state's latest complete
+version, worked out once per state from its n rows; under requirement A
+it is T's latest common version, a function of T's rows.
 
 Every engine turns a read view into outcome codes through the scheme's
 own ``cell_codes``, which must return exactly the codes of the per-tuple
@@ -35,9 +38,10 @@ default ``MvcScheme.cell_codes``.  Monte-Carlo mode draws its trials in
 blocks of 32768, each trial's tuple, state and subset in turn from one
 seeded generator through ``getrandbits`` alone, so the draws rest only on
 MT19937's word stream.  A trial is drawn as ints: the version values, the
-state's masked word bits and a code of the subset's raw draws.  A (state,
-subset code) pair is judged for its sorted subset, threshold and read view
-once per run, on first draw; a block builds one VersionTuple per distinct
+state's masked word bits and a code of the subset's raw draws.  A state is
+kept as those bits, read one row at a time.  A (state, subset code) pair
+is judged for its sorted subset, threshold and read view once per run, on
+first draw; a block builds one VersionTuple per distinct
 value tuple and is judged per read view over the tuples of that view's
 trials.  Only failing trials are folded back, in trial order, so the draws
 and every report are those of judging each trial on its own.
@@ -50,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -164,9 +168,9 @@ def _reason(code: int, threshold: int) -> str:
     return f"decoded version {code} below required {threshold}"
 
 
-def _witness(state, T, vt: VersionTuple, code: int, threshold: int) -> Witness:
+def _witness(key, T, vt: VersionTuple, code: int, threshold: int) -> Witness:
     return Witness(
-        state.key(),
+        key,
         T,
         tuple(m.to_hex() for m in vt.versions),
         _reason(code, threshold),
@@ -211,31 +215,27 @@ def _worst_state(counts: Iterable[tuple[int, int]]) -> Optional[tuple[int, int]]
     return worst
 
 
-def _cell(scheme, T, rows, state, tuples, cells: dict, cache: dict) -> _Cell:
-    """The cell of the read view of T's rows ``rows``, built on first use
-    over ``state``, a state in which T holds those rows.  A None ``state``
-    stands for T's rows with every other row empty, all that
-    ``cell_codes`` reads, and is built only for a new view."""
+def _cell(scheme, T, rows, tuples, cells: dict, cache: dict) -> _Cell:
+    """The cell of the read view of T's rows ``rows``, built on first use."""
     view = scheme.read_view(T, rows)
     cell = cells.get(view)
     if cell is None:
-        if state is None:
-            sets = [frozenset()] * scheme.n
-            for t, held in zip(T, rows):
-                sets[t] = held
-            state = SystemState(tuple(sets))
-        cell = cells[view] = _Cell(scheme.cell_codes(T, state, tuples, cache))
+        cell = cells[view] = _Cell(scheme.cell_codes(T, rows, tuples, cache))
     return cell
 
 
 def _exhaustive_run(
     scheme: MvcScheme,
     subsets: Sequence[tuple[int, ...]],
-    threshold_of: Callable[[SystemState, tuple[int, ...]], Optional[int]],
+    c_w: Optional[int],
     states: Iterable[SystemState],
     tuples: Sequence[VersionTuple],
     witness_cap: int,
 ) -> VerificationReport:
+    """Judge every subset of every state over ``tuples``: against the
+    state's latest complete version under Definition 2 (write quorum
+    ``c_w``), or, with ``c_w`` None, T's latest common version
+    (requirement A)."""
     run_cache: dict = {}
     cells: dict[tuple, _Cell] = {}
     attempts = 0
@@ -244,14 +244,16 @@ def _exhaustive_run(
     state_counts = []
     worst = None
     for state in states:
+        per_server = state.per_server
+        complete = None if c_w is None else latest_complete_version(per_server, c_w)
         state_attempts = 0
         state_failures = 0
         for T in subsets:
-            threshold = threshold_of(state, T)
+            rows = [per_server[t] for t in T]
+            threshold = latest_common_version(rows) if c_w is None else complete
             if threshold is None:
                 continue
-            rows = [state.per_server[t] for t in T]
-            cell = _cell(scheme, T, rows, state, tuples, cells, run_cache)
+            cell = _cell(scheme, T, rows, tuples, cells, run_cache)
             fails = cell.failure_count(threshold)
             state_attempts += len(tuples)
             state_failures += fails
@@ -262,7 +264,7 @@ def _exhaustive_run(
                     threshold, witness_cap - len(witnesses)
                 ):
                     witnesses.append(
-                        _witness(state, T, tuples[i], cell.codes[i], threshold)
+                        _witness(state.key(), T, tuples[i], cell.codes[i], threshold)
                     )
         attempts += state_attempts
         failure_count += state_failures
@@ -291,11 +293,13 @@ _BLOCK = 1 << 15
 def _monte_carlo_run(
     scheme: MvcScheme,
     subset_size: int,
-    threshold_of: Callable[[SystemState, tuple[int, ...]], Optional[int]],
+    c_w: Optional[int],
     trials: int,
     seed: int,
     witness_cap: int,
 ) -> VerificationReport:
+    """Judge ``trials`` drawn (tuple, state, subset) trials, with the
+    thresholds of ``_exhaustive_run``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     n, nu = scheme.n, scheme.model.nu
@@ -308,24 +312,24 @@ def _monte_carlo_run(
     # word's bit 31: server i holds version u when word i * nu + u - 1 has it
     state_bits, row_bits = 32 * n * nu, 32 * nu
     top_mask = sum(1 << 32 * word + 31 for word in range(n * nu))
-    rows: dict[int, frozenset[int]] = {}
+    row_mask = (1 << row_bits) - 1
+    sets: dict[int, frozenset[int]] = {}
 
-    def state_of(key: int) -> SystemState:
-        sets = []
-        for i in range(n):
-            row = (key >> row_bits * i) & ((1 << row_bits) - 1)
-            held = rows.get(row)
-            if held is None:
-                held = rows[row] = frozenset(
-                    u for u in range(1, nu + 1) if (row >> 32 * u - 1) & 1
-                )
-            sets.append(held)
-        return SystemState(tuple(sets))
+    def row(key: int, server: int) -> frozenset[int]:
+        """Server ``server``'s version set in the state of masked bits ``key``."""
+        bits = key >> row_bits * server & row_mask
+        held = sets.get(bits)
+        if held is None:
+            held = sets[bits] = frozenset(
+                u for u in range(1, nu + 1) if bits >> 32 * u - 1 & 1
+            )
+        return held
 
-    # masked state bits -> (state, [trials, failures], reads), in order of
-    # first draw; reads maps a subset code to (T, threshold, view index,
-    # state, record)
-    per_state: dict[int, tuple[SystemState, list[int], dict]] = {}
+    # masked state bits -> (those bits, latest complete version or None,
+    # [trials, failures], reads), in order of first draw, the bits kept once
+    # for every read to share; reads maps a subset code to (T, threshold,
+    # view index, state bits, record)
+    per_state: dict[int, tuple[int, Optional[int], list[int], dict]] = {}
     views: dict = {}  # read view -> its index, by which a block groups trials
     subsets_seen = set()
     failures = 0
@@ -341,19 +345,23 @@ def _monte_carlo_run(
             key = getrandbits(state_bits) & top_mask
             entry = per_state.get(key)
             if entry is None:
-                entry = per_state[key] = (state_of(key), [0, 0], {})
-            state, record, reads = entry
+                complete = None
+                if c_w is not None:
+                    per_server = [row(key, i) for i in range(n)]
+                    complete = latest_complete_version(per_server, c_w)
+                entry = per_state[key] = (key, complete, [0, 0], {})
+            key, complete, record, reads = entry
             code = draw_subset(getrandbits)
             read = reads.get(code)
             if read is None:
                 T = tuple(sorted(members_of(code)))
                 subsets_seen.add(T)
-                threshold = threshold_of(state, T)
+                held = [row(key, t) for t in T]
+                threshold = latest_common_version(held) if c_w is None else complete
                 view = None
                 if threshold is not None:
-                    view = scheme.read_view(T, [state.per_server[t] for t in T])
-                    view = views.setdefault(view, len(views))
-                read = reads[code] = (T, threshold, view, state, record)
+                    view = views.setdefault(scheme.read_view(T, held), len(views))
+                read = reads[code] = (T, threshold, view, key, record)
             record[0] += 1
             if read[1] is not None:  # else a vacuous guard: the trial passes
                 groups.setdefault(read[2], []).append(len(reads_at))
@@ -362,9 +370,9 @@ def _monte_carlo_run(
         built = {values: make_tuple(values) for values in set(values_at)}
         failing = []
         for members in groups.values():
-            T, _, _, state, _ = reads_at[members[0]]
+            T, _, _, key, _ = reads_at[members[0]]
             got = scheme.cell_codes(
-                T, state, [built[values_at[i]] for i in members], {}
+                T, [row(key, t) for t in T], [built[values_at[i]] for i in members], {}
             )
             failing += [
                 (i, code)
@@ -373,13 +381,14 @@ def _monte_carlo_run(
             ]
         failing.sort()
         for i, code in failing:
-            T, threshold, _, state, record = reads_at[i]
+            T, threshold, _, key, record = reads_at[i]
             failures += 1
             record[1] += 1
             if len(witnesses) < witness_cap:
                 vt = built[values_at[i]]
-                witnesses.append(_witness(state, T, vt, code, threshold))
-    rates = [f / a for _, (a, f), _ in per_state.values()]
+                rows_key = tuple(tuple(sorted(row(key, s))) for s in range(n))
+                witnesses.append(_witness(rows_key, T, vt, code, threshold))
+    rates = [f / a for _, _, (a, f), _ in per_state.values()]
     return VerificationReport(
         MODE_MONTE_CARLO,
         len(per_state),
@@ -391,7 +400,7 @@ def _monte_carlo_run(
         failures / trials,
         max(rates, default=0.0),
         sum(rates) / len(rates) if rates else 0.0,
-        _worst_state((f, a) for _, (a, f), _ in per_state.values()),
+        _worst_state((f, a) for _, _, (a, f), _ in per_state.values()),
     )
 
 
@@ -416,7 +425,7 @@ def _resolve_mode(mode: str, work: int, cap: int) -> str:
 def _verify(
     scheme: MvcScheme,
     subset_size: int,
-    threshold_of,
+    c_w: Optional[int],
     mode: str,
     trials: int,
     seed: int,
@@ -431,14 +440,12 @@ def _verify(
         return _exhaustive_run(
             scheme,
             list(combinations(range(n), subset_size)),
-            threshold_of,
+            c_w,
             iter_states(n, model.nu),
             list(enumerate_possible_set(model, cap)),
             witness_cap,
         )
-    return _monte_carlo_run(
-        scheme, subset_size, threshold_of, trials, seed, witness_cap
-    )
+    return _monte_carlo_run(scheme, subset_size, c_w, trials, seed, witness_cap)
 
 
 def verify_requirement_A(
@@ -456,16 +463,7 @@ def verify_requirement_A(
     ``cap`` and otherwise warns and samples; ``exhaustive`` raises
     EnumerationCapExceeded instead of sampling.
     """
-    return _verify(
-        scheme,
-        scheme.c,
-        latest_common_version,
-        mode,
-        trials,
-        seed,
-        cap,
-        witness_cap,
-    )
+    return _verify(scheme, scheme.c, None, mode, trials, seed, cap, witness_cap)
 
 
 def verify_definition_2(
@@ -491,16 +489,7 @@ def verify_definition_2(
         raise ValueError("c_w must lie in [1, n]")
     if not 1 <= c_r <= n:
         raise ValueError("c_r must lie in [1, n]")
-    return _verify(
-        scheme,
-        c_r,
-        lambda state, T: latest_complete_version(state, c_w),
-        mode,
-        trials,
-        seed,
-        cap,
-        witness_cap,
-    )
+    return _verify(scheme, c_r, c_w, mode, trials, seed, cap, witness_cap)
 
 
 class QuorumBridge(MvcScheme):
@@ -549,30 +538,28 @@ class QuorumBridge(MvcScheme):
     def encode(self, server, received, versions):
         return self.inner.encode(server, received, versions)
 
-    def _holders(self, T, rows) -> Optional[tuple[int, ...]]:
-        """The servers a read from T delegates to, in ascending order, or
-        None; ``rows[t]`` is server t's version set."""
-        found = newest_held(sorted(T), rows, self.overlap)
-        return None if found is None else found[1]
-
-    def decode(self, T, state, symbols):
-        holders = self._holders(T, state.per_server)
-        if holders is None:
+    def _holders(self, T, rows) -> Optional[tuple]:
+        """(holders, their rows): the servers a read from T's ``rows``
+        delegates to, in ascending order, or None."""
+        per_server = dict(zip(T, rows))
+        found = newest_held(sorted(T), per_server, self.overlap)
+        if found is None:
             return None
-        return self.inner.decode(holders, state, symbols)
+        return found[1], [per_server[t] for t in found[1]]
+
+    def decode(self, T, rows, symbols):
+        held = self._holders(T, rows)
+        return None if held is None else self.inner.decode(*held, symbols)
 
     def read_view(self, T, rows):
-        row_of = dict(zip(T, rows))
-        holders = self._holders(T, row_of)
-        if holders is None:
-            return None
-        return self.inner.read_view(holders, [row_of[t] for t in holders])
+        held = self._holders(T, rows)
+        return None if held is None else self.inner.read_view(*held)
 
-    def cell_codes(self, T, state, tuples, cache):
-        holders = self._holders(T, state.per_server)
-        if holders is None:
+    def cell_codes(self, T, rows, tuples, cache):
+        held = self._holders(T, rows)
+        if held is None:
             return [_NULL] * len(tuples)
-        return self.inner.cell_codes(holders, state, tuples, cache)
+        return self.inner.cell_codes(*held, tuples, cache)
 
     @property
     def error_budget(self):
@@ -654,9 +641,7 @@ def estimate_epsilon(
     through ``cell_codes``, and the draws and the estimate are those of
     judging each trial on its own.
     """
-    report = _monte_carlo_run(
-        scheme, scheme.c, latest_common_version, trials, seed, 0
-    )
+    report = _monte_carlo_run(scheme, scheme.c, None, trials, seed, 0)
     low, high = wilson_interval(report.failure_count, report.attempts)
     return EpsilonEstimate(
         report.attempts,

@@ -186,12 +186,44 @@ MUTANTS = (
     Mutant(
         "bridge-holders-in-the-order-of-T",
         "src/mvcode/verifier.py",
-        "found = newest_held(sorted(T), rows, self.overlap)",
-        "found = newest_held(T, rows, self.overlap)",
+        "found = newest_held(sorted(T), per_server, self.overlap)",
+        "found = newest_held(T, per_server, self.overlap)",
         (
             "tests/test_differential.py::"
             "test_read_views_from_rows_match_the_state_based_views[mds]",
+            "tests/test_differential.py::test_every_read_outcome_is_pinned",
         ),
+    ),
+    Mutant(
+        "definition-2-threshold-from-the-rows-of-T",
+        "src/mvcode/verifier.py",
+        "threshold = latest_common_version(rows) if c_w is None else complete",
+        "threshold = (\n"
+        "                latest_common_version(rows)\n"
+        "                if c_w is None\n"
+        "                else latest_complete_version(rows, min(c_w, len(rows)))\n"
+        "            )",
+        (
+            "tests/test_verifier.py::test_bridged_mds_passes_definition_2",
+            "tests/test_cli.py::test_golden_transcript[verify-mds-bridged-exhaustive]",
+        ),
+    ),
+    Mutant(
+        "requirement-A-threshold-over-every-server",
+        "src/mvcode/verifier.py",
+        "threshold = latest_common_version(rows) if c_w is None else complete",
+        "threshold = latest_common_version(per_server) if c_w is None else complete",
+        (
+            "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
+            "tests/test_cli.py::test_golden_transcript[verify-mds-exhaustive]",
+        ),
+    ),
+    Mutant(
+        "log-from-the-top-16-bits",
+        "src/mvcode/bounds.py",
+        "shift = max(value.bit_length() - 512, 0)",
+        "shift = max(value.bit_length() - 16, 0)",
+        ("tests/test_differential.py::test_log2_exact_matches_mpmath",),
     ),
 )
 

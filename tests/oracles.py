@@ -42,6 +42,7 @@ from mvcode.model import (
     Message,
     SystemState,
     VersionTuple,
+    latest_common_version,
     latest_complete_version,
     newest_held,
     sample_tuple,
@@ -650,9 +651,9 @@ def per_node_read_search(scheme, c_w: int, c_r: int, f: int, depth: int, seed: i
             if key not in memo:
                 memo[key] = scheme.encode(t, tuple(sorted(received[t])), versions)
             symbols[t] = memo[key]
-        state = SystemState(received)
-        code, _ = _judge(scheme, T, state, symbols, versions)
-        return code >= (latest_complete_version(state, c_w) or 0)
+        rows = [received[t] for t in T]
+        code, _ = _judge(scheme, T, rows, symbols, versions)
+        return code >= (latest_complete_version(received, c_w) or 0)
 
     for (received, _, crashed), path in schedule_nodes(n, model.nu, f, depth):
         if not consistent(received, crashed):
@@ -713,7 +714,7 @@ def random_state(rng, n: int, nu: int):
 
 
 def per_trial_monte_carlo_run(
-    scheme, subset_size, threshold_of, trials, seed, witness_cap
+    scheme, subset_size, c_w, trials, seed, witness_cap
 ) -> VerificationReport:
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -731,18 +732,22 @@ def per_trial_monte_carlo_run(
         subsets_seen.add(T)
         record = per_state.setdefault(state.key(), [0, 0])
         record[0] += 1
-        threshold = threshold_of(state, T)
+        rows = [state.per_server[t] for t in T]
+        if c_w is None:
+            threshold = latest_common_version(rows)
+        else:
+            threshold = latest_complete_version(state.per_server, c_w)
         if threshold is None:
             continue  # vacuous guard: the trial passes
         symbols = {
             t: scheme.encode(t, tuple(sorted(state.per_server[t])), vt) for t in T
         }
-        code, _ = _judge(scheme, T, state, symbols, vt)
+        code, _ = _judge(scheme, T, rows, symbols, vt)
         if code < threshold:
             failures += 1
             record[1] += 1
             if len(witnesses) < witness_cap:
-                witnesses.append(_witness(state, T, vt, code, threshold))
+                witnesses.append(_witness(state.key(), T, vt, code, threshold))
     rates = [f / a for a, f in per_state.values()]
     # max keeps the first of equal rates, compared here as Fractions
     worst_a, worst_f = max(per_state.values(), key=lambda af: Fraction(af[1], af[0]))

@@ -165,7 +165,7 @@ def test_criterion_4_binning_region_and_empirical_error():
             rest //= 1 << model.nu
         state = SystemState(tuple(sets))
         for T in combinations(range(n), c):
-            if latest_common_version(state, T) is None:
+            if latest_common_version([state.per_server[t] for t in T]) is None:
                 continue
             chain, totals = scenario_rates(allocation, state, T)
             check = rate_region_check(allocation, totals, chain)

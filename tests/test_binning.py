@@ -301,7 +301,9 @@ def test_decode_round_trip_reference_point():
         out = possible_set_decode(UNIFORM_CB, alloc, T, state, indices)
         assert out.status == PossibleSetOutcome.DECODED
         assert out.version == 2 and out.message == vt.version(2)
-        assert out.version >= latest_common_version(state, T)
+        assert out.version >= latest_common_version(
+            [state.per_server[t] for t in T]
+        )
 
 
 def test_decode_no_common_version():
@@ -364,7 +366,7 @@ def _blind_reference_outcome(codebook, alloc, T, state, indices):
     the stored ones, with no chain or gap logic of its own.  Returns
     (status, version, message, reason) as the decoder reports them."""
     model = codebook.model
-    u_L = latest_common_version(state, T)
+    u_L = latest_common_version([state.per_server[t] for t in T])
     if u_L is None:
         return "no-common", None, None, "no version common to T"
     checks = []
@@ -426,7 +428,7 @@ def test_decoder_matches_blind_enumeration():
             u = min(indices[0])
             indices[0][u] ^= 1  # corrupt one stored index
         T = tuple(sorted(rng.sample(range(n), c)))
-        if latest_common_version(state, T) is None:
+        if latest_common_version([state.per_server[t] for t in T]) is None:
             continue
         # a reader holding {1, 3} steps over version 2 at the composed radius
         gapped += any(state.per_server[t] == {1, 3} for t in T)
@@ -490,7 +492,7 @@ def test_batch_honours_the_cap_before_building_arrays(monkeypatch):
     state = SystemState((frozenset({1, 2}),) * REF_N)
     for _ in range(2):  # a new plan, then the cached one
         with pytest.raises(EnumerationCapExceeded) as err:
-            scheme.cell_codes((0, 1), state, _UnreadTuples(), {})
+            scheme.cell_codes((0, 1), state.per_server[:2], _UnreadTuples(), {})
         assert (err.value.estimate, err.value.cap) == (
             _OVER_CAP_ESTIMATE,
             DEFAULT_ENUMERATION_CAP,
@@ -505,12 +507,13 @@ def _batch_against_loop(scheme, tuples):
     batch_cache, loop_cache = {}, {}
     for state in iter_states(scheme.n, scheme.model.nu):
         for T in combinations(range(scheme.n), scheme.c):
-            view = scheme.read_view(T, [state.per_server[t] for t in T])
-            if latest_common_version(state, T) is None or view in views:
+            rows = [state.per_server[t] for t in T]
+            view = scheme.read_view(T, rows)
+            if latest_common_version(rows) is None or view in views:
                 continue
             views.add(view)
-            got = scheme.cell_codes(T, state, tuples, batch_cache)
-            want = MvcScheme.cell_codes(scheme, T, state, tuples, loop_cache)
+            got = scheme.cell_codes(T, rows, tuples, batch_cache)
+            want = MvcScheme.cell_codes(scheme, T, rows, tuples, loop_cache)
             assert got == want, (T, state.key())
             seen.update(got)
     return seen
@@ -638,7 +641,7 @@ def test_runner_matches_the_set_runner_on_every_anchor_view(kind):
     for state in iter_states(REF_N, REF_MODEL.nu):
         for T in combinations(range(REF_N), REF_C):
             view = (T, tuple(state.per_server[t] for t in T))
-            if latest_common_version(state, T) is None or view in views:
+            if latest_common_version(view[1]) is None or view in views:
                 continue
             views.add(view)
             for vt in tuples:
@@ -758,7 +761,7 @@ def _region_holds_everywhere(model, n, c, epsilon):
             rest //= 1 << model.nu
         state = SystemState(tuple(sets))
         for T in combinations(range(n), c):
-            if latest_common_version(state, T) is None:
+            if latest_common_version([state.per_server[t] for t in T]) is None:
                 continue
             chain, totals = scenario_rates(alloc, state, T)
             check = rate_region_check(alloc, totals, chain)
@@ -929,11 +932,11 @@ def test_scheme_round_trip_and_cost_report():
     state = SystemState((frozenset({1, 2}),) * REF_N)
     symbols = {t: scheme.encode(t, (1, 2), vt) for t in range(REF_N)}
     assert all(s.bit_length == 17 for s in symbols.values())
-    decoded = scheme.decode((1, 3), state, symbols)
+    decoded = scheme.decode((1, 3), state.per_server[1::2], symbols)
     assert decoded.version == 2 and decoded.message == vt.version(2)
     assert scheme.decode(
         (0, 1),
-        SystemState((frozenset(), frozenset(), frozenset(), frozenset())),
+        [frozenset(), frozenset()],
         {0: StoredSymbol.empty(), 1: StoredSymbol.empty()},
     ) is None
 
@@ -969,7 +972,9 @@ def test_codebooks_wider_than_a_limb_are_pinned_and_decode(seed):
     state = SystemState((frozenset({1, 2}), frozenset({1}), frozenset(), frozenset({2})))
     for t, want in ((0, 2), (1, 1), (3, 2)):
         symbol = scheme.encode(t, state.per_server[t], vt)
-        assert scheme.decode((t,), state, {t: symbol}) == (want, vt.version(want))
+        assert scheme.decode((t,), [state.per_server[t]], {t: symbol}) == (
+            want, vt.version(want)
+        )
 
 
 def test_batch_matches_the_loop_past_one_limb():
@@ -988,11 +993,11 @@ def test_scheme_rejects_malformed_symbols():
     symbols = {t: scheme.encode(t, (1, 2), vt) for t in range(REF_N)}
     padded = StoredSymbol(symbols[0].payload, symbols[0].bit_length + 3)
     with pytest.raises(DecodingError):
-        scheme.decode((0, 1), state, {0: padded, 1: symbols[1]})
+        scheme.decode((0, 1), state.per_server[:2], {0: padded, 1: symbols[1]})
     # an index inconsistent with every admissible assignment is an error too
     corrupt = StoredSymbol(symbols[0].payload ^ 0x1FF, symbols[0].bit_length)
     with pytest.raises(DecodingError):
-        scheme.decode((0, 1), state, {0: corrupt, 1: symbols[1]})
+        scheme.decode((0, 1), state.per_server[:2], {0: corrupt, 1: symbols[1]})
 
 
 def test_survey_counts_match_direct_decoding():
@@ -1007,7 +1012,8 @@ def test_survey_counts_match_direct_decoding():
     cells = 0
     for state in iter_states(n, model.nu):
         for T in combinations(range(n), c):
-            if latest_common_version(state, T) is None:
+            rows = [state.per_server[t] for t in T]
+            if latest_common_version(rows) is None:
                 continue
             cells += 1
             for vt in tuples:
@@ -1015,7 +1021,7 @@ def test_survey_counts_match_direct_decoding():
                     t: scheme.encode(t, state.per_server[t], vt) for t in T
                 }
                 try:
-                    decoded = scheme.decode(T, state, symbols)
+                    decoded = scheme.decode(T, rows, symbols)
                 except DecodingError:
                     failures += 1
                     continue
@@ -1054,7 +1060,7 @@ def _failures_in_state(codebook, allocation, tuples, state):
     report = _exhaustive_run(
         BinningScheme.over(codebook, allocation),
         list(combinations(range(codebook.n), allocation.c)),
-        latest_common_version,
+        None,
         [state],
         tuples,
         0,

@@ -9,6 +9,7 @@ per-view Monte-Carlo blocks against the per-trial engine, and the
 getrandbits-only tuple and subset draws against randrange and
 random.sample."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -57,7 +58,6 @@ from mvcode.model import (
     SystemState,
     enumerate_possible_set,
     iter_states,
-    latest_common_version,
     latest_complete_version,
     newest_held,
     subset_sampler,
@@ -317,7 +317,8 @@ def test_bridge_delegates_to_the_subset_the_scan_chose(n, nu):
     for state in iter_states(n, nu):
         for T, bridge in bridges:
             want = bridge_subset_scan(state.per_server, T, bridge.overlap)
-            assert bridge.decode(T, state, {}) == want, (state.key(), T)
+            got = bridge.decode(T, [state.per_server[t] for t in T], {})
+            assert got == want, (state.key(), T)
             checked += 1
     assert checked == (1 << (n * nu)) * n * (1 << (n - 1))
 
@@ -340,12 +341,54 @@ def test_read_views_from_rows_match_the_state_based_views(name):
             assert reader.read_view(T, rows) == want, (reader.name, T, state.key())
 
 
+# sha256 of every decode outcome and cell code below, taken when decode and
+# cell_codes still read a whole state; a read of T's rows must match it
+_READ_DIGEST = "c94522c7ff11a29c5c4142e9f4dfe657c29e85f8e4d04be39105c72fe4b137e8"
+
+
+def test_every_read_outcome_is_pinned():
+    # every anchor state and subset, each scheme and its three bridges over
+    # every order of T, on a fixed tuple sample
+    model = CorrelationModel(8, 1, 2)
+    tuples = sample_tuples(model, 2, 0)
+    digest = hashlib.sha256()
+    for name in _ALL_SCHEMES:
+        scheme = make_scheme(name, model, 4, 2)
+        reads = [(scheme, T) for T in combinations(range(4), 2)]
+        for c_w, c_r in ((3, 3), (2, 4), (4, 2)):
+            bridge = quorum_bridge(scheme, c_w, c_r)
+            reads += [(bridge, T) for T in permutations(range(4), c_r)]
+        stored: dict = {}
+        cache: dict = {}
+        for state in iter_states(4, 2):
+            for reader, T in reads:
+                rows = [state.per_server[t] for t in T]
+                codes = reader.cell_codes(T, rows, tuples, cache)
+                outcomes = []
+                for i, vt in enumerate(tuples):
+                    symbols = {}
+                    for t in T:
+                        key = (t, state.per_server[t], i)
+                        if key not in stored:
+                            stored[key] = scheme.encode(t, state.per_server[t], vt)
+                        symbols[t] = stored[key]
+                    try:
+                        outcomes.append(reader.decode(T, rows, symbols))
+                    except DecodingError as exc:
+                        outcomes.append(("raised", str(exc)))
+                digest.update(
+                    repr((reader.name, state.key(), T, codes, outcomes)).encode()
+                )
+    assert digest.hexdigest() == _READ_DIGEST
+
+
 @pytest.mark.parametrize("n,nu", [(4, 2), (3, 3)])
 def test_latest_complete_version_counts_holders(n, nu):
     for c_w in range(1, n + 1):
         for state in iter_states(n, nu):
-            assert latest_complete_version(state, c_w) == latest_complete_by_count(
-                state.per_server, c_w, nu
+            rows = state.per_server
+            assert latest_complete_version(rows, c_w) == latest_complete_by_count(
+                rows, c_w, nu
             ), (state.key(), c_w)
 
 
@@ -373,12 +416,12 @@ def test_newest_version_reads_match_their_scans(n, nu):
                     where, k,
                 )
             for scheme in latest_only:
-                assert scheme._read_plan(T, state) == latest_only_newest_holders(
-                    rows, T, scheme.c
-                ), (where, scheme.c)
-            assert replication._newest_copy(T, state) == replication_newest_copy(
-                rows, T
-            ), where
+                assert scheme._read_plan(
+                    T, [rows[t] for t in T]
+                ) == latest_only_newest_holders(rows, T, scheme.c), (where, scheme.c)
+            assert replication._newest_copy(
+                T, [rows[t] for t in T]
+            ) == replication_newest_copy(rows, T), where
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +533,11 @@ class _RaisesOnViews(QuorumBridge):
         super().__init__(inner, c_w, c_r)
         self.failing = failing
 
-    def decode(self, T, state, symbols):
-        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
-        if (tuple(T), rows) in self.failing:
+    def decode(self, T, rows, symbols):
+        seen = tuple(tuple(sorted(row)) for row in rows)
+        if (tuple(T), seen) in self.failing:
             raise DecodingError("a chosen view")
-        return super().decode(T, state, symbols)
+        return super().decode(T, rows, symbols)
 
 
 @pytest.mark.parametrize(
@@ -524,11 +567,11 @@ class _NullOnViews(_RaisesOnViews):
     """A bridge whose decode returns NULL on the chosen read views, which
     passes while nothing is complete and fails once something is."""
 
-    def decode(self, T, state, symbols):
-        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
-        if (tuple(T), rows) in self.failing:
+    def decode(self, T, rows, symbols):
+        seen = tuple(tuple(sorted(row)) for row in rows)
+        if (tuple(T), seen) in self.failing:
             return None
-        return QuorumBridge.decode(self, T, state, symbols)
+        return QuorumBridge.decode(self, T, rows, symbols)
 
 
 def test_search_tells_apart_reads_that_differ_only_in_need():
@@ -552,11 +595,11 @@ class _NullOrRaisesOnViews(_NullOnViews):
         super().__init__(inner, c_w, c_r, null_views)
         self.raising = raising
 
-    def decode(self, T, state, symbols):
-        rows = tuple(tuple(sorted(state.per_server[t])) for t in T)
-        if (tuple(T), rows) in self.raising:
+    def decode(self, T, rows, symbols):
+        seen = tuple(tuple(sorted(row)) for row in rows)
+        if (tuple(T), seen) in self.raising:
             raise DecodingError("a chosen view")
-        return super().decode(T, state, symbols)
+        return super().decode(T, rows, symbols)
 
 
 def test_search_tries_an_arrival_set_before_its_prefix_with_a_crash():
@@ -623,13 +666,9 @@ def _mc_case(name, n, c, quorums=None, K=None, radius=1, nu=2, **extra):
     model = CorrelationModel(K or (5 if name == "binning" else 4), radius, nu)
     scheme = make_scheme(name, model, n, c, **extra)
     if quorums is None:
-        return scheme, c, latest_common_version
+        return scheme, c, None
     c_w, c_r = quorums
-    return (
-        quorum_bridge(scheme, c_w, c_r),
-        c_r,
-        lambda state, T: latest_complete_version(state, c_w),
-    )
+    return quorum_bridge(scheme, c_w, c_r), c_r, c_w
 
 
 _TRIALS = (1, 4097)
@@ -710,7 +749,7 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
             report = _exhaustive_run(
                 scheme,
                 list(combinations(range(4), 3)),
-                lambda state, T: latest_complete_version(state, 3),
+                3,
                 iter_states(4, 2),
                 tuples[:size],
                 0,
@@ -718,11 +757,11 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
             assert report.passed and report.attempts
     assert set(sizes["binning"]) == {1, 31, 32}
 
-    scheme, size, threshold_of = _mc_case(
+    scheme, size, c_w = _mc_case(
         "binning", 3, 2, epsilon=Fraction(1, 2), seed=1
     )
     sizes["binning"].clear()
-    _monte_carlo_run(scheme, size, threshold_of, 1500, 0, 0)
+    _monte_carlo_run(scheme, size, c_w, 1500, 0, 0)
     assert min(sizes["binning"]) < 32 <= max(sizes["binning"])
     sizes["binning"].clear()
     tuples = sample_tuples(scheme.model, 5, 0)

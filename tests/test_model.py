@@ -277,34 +277,34 @@ class TestConditionalEnumeration:
 class TestSystemState:
     def test_latest_complete(self):
         state = SystemState((frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2})))
-        assert latest_complete_version(state, 3) == 2
+        assert latest_complete_version(state.per_server, 3) == 2
 
     def test_incomplete_newer_version(self):
         state = SystemState((frozenset({1, 2}), frozenset({1, 2}), frozenset({1})))
-        assert latest_complete_version(state, 3) == 1
+        assert latest_complete_version(state.per_server, 3) == 1
 
     def test_write_quorum_outside_one_to_n_rejected(self):
         state = SystemState((frozenset({1}), frozenset({1}), frozenset()))
         for c_w in (-1, 0, 4):
             with pytest.raises(ValueError, match="c_w must lie in"):
-                latest_complete_version(state, c_w)
-        assert latest_complete_version(state, 1) == 1
+                latest_complete_version(state.per_server, c_w)
+        assert latest_complete_version(state.per_server, 1) == 1
 
     def test_nothing_complete(self):
         state = SystemState((frozenset({1}), frozenset(), frozenset()))
-        assert latest_complete_version(state, 2) is None
+        assert latest_complete_version(state.per_server, 2) is None
 
     def test_latest_common(self):
         state = SystemState((frozenset({1, 3}), frozenset({2, 3})))
-        assert latest_common_version(state, [0, 1]) == 3
+        assert latest_common_version(state.per_server) == 3
 
     def test_disjoint_common(self):
         state = SystemState((frozenset({1}), frozenset({2})))
-        assert latest_common_version(state, [0, 1]) is None
+        assert latest_common_version(state.per_server) is None
 
     def test_single_server(self):
         state = SystemState((frozenset({1, 2}),))
-        assert latest_common_version(state, [0]) == 2
+        assert latest_common_version(state.per_server) == 2
 
     def test_zero_version_rejected_among_many_equal_rows(self):
         # distinct rows are checked once each; the one bad row still counts
@@ -324,13 +324,13 @@ class TestSystemState:
             subsets = [frozenset(s) for s in _all_subsets(range(1, nu + 1))]
             for assignment in product(subsets, repeat=n):
                 state = SystemState(tuple(assignment))
-                ls = latest_complete_version(state, c_w)
+                ls = latest_complete_version(state.per_server, c_w)
                 if ls is None:
                     continue
                 for T in combinations(range(n), c_r):
                     best = max(
                         (
-                            latest_common_version(state, U) or 0
+                            latest_common_version([assignment[t] for t in U]) or 0
                             for U in combinations(T, c)
                         ),
                         default=0,

@@ -264,8 +264,9 @@ def test_decode_round_trip_sampled(name):
             i: scheme.encode(i, state.per_server[i], vt) for i in range(4)
         }
         for T in itertools.combinations(range(4), 2):
-            target = latest_common_version(state, T)
-            got = scheme.decode(T, state, symbols)
+            rows = [state.per_server[t] for t in T]
+            target = latest_common_version(rows)
+            got = scheme.decode(T, rows, symbols)
             if target is None:
                 continue
             assert got is not None, (name, state, T)
@@ -278,8 +279,8 @@ def test_decode_with_no_common_version_is_none():
     state = SystemState((frozenset({1}), frozenset({2}), frozenset(), frozenset()))
     vt = tuple_of(0x01, 0x02)
     symbols = {i: scheme.encode(i, state.per_server[i], vt) for i in range(4)}
-    assert scheme.decode((0, 1), state, symbols) is None
-    assert scheme.decode((2, 3), state, symbols) is None
+    assert scheme.decode((0, 1), state.per_server[:2], symbols) is None
+    assert scheme.decode((2, 3), state.per_server[2:], symbols) is None
 
 
 def test_malformed_symbols_raise():
@@ -290,7 +291,7 @@ def test_malformed_symbols_raise():
     bad = dict(symbols)
     bad[0] = StoredSymbol(symbols[0].payload >> 1, symbols[0].bit_length - 1)
     with pytest.raises(DecodingError):
-        scheme.decode((0, 1), state, bad)
+        scheme.decode((0, 1), state.per_server[:2], bad)
 
     delta = build("delta")
     vt_near = tuple_of(0xAB, 0xAA)
@@ -298,7 +299,7 @@ def test_malformed_symbols_raise():
     dbad = dict(dsym)
     dbad[1] = StoredSymbol(dsym[1].payload, dsym[1].bit_length + 1)
     with pytest.raises(DecodingError):
-        delta.decode((1, 2), state, dbad)
+        delta.decode((1, 2), state.per_server[1:3], dbad)
 
 
 def test_delta_rejects_step_index_outside_its_ball():
@@ -308,7 +309,8 @@ def test_delta_rejects_step_index_outside_its_ball():
     state = SystemState((frozenset({1, 2}),) * 4)
     vt = tuple_of(0x10, 0x11)
     symbols = {i: delta.encode(i, {1, 2}, vt) for i in range(4)}
-    assert delta.decode((0, 1), state, symbols) == Decoded(2, vt.version(2))
+    got = delta.decode((0, 1), state.per_server[:2], symbols)
+    assert got == Decoded(2, vt.version(2))
     low = (1 << delta.symbol_vector_bits) - 1
     tampered = {
         i: StoredSymbol(
@@ -317,7 +319,7 @@ def test_delta_rejects_step_index_outside_its_ball():
         for i, s in symbols.items()
     }
     with pytest.raises(DecodingError):
-        delta.decode((0, 1), state, tampered)
+        delta.decode((0, 1), state.per_server[:2], tampered)
 
 
 def test_delta_cell_codes_keep_no_tuple_state_on_the_scheme_at_K_64():
@@ -334,7 +336,8 @@ def test_delta_cell_codes_keep_no_tuple_state_on_the_scheme_at_K_64():
         return {k: len(v) for k, v in vars(scheme).items() if isinstance(v, dict)}
 
     before = dict_sizes()
-    assert scheme.cell_codes((0, 1), state, tuples, {}) == [2] * len(tuples)
+    codes = scheme.cell_codes((0, 1), state.per_server[:2], tuples, {})
+    assert codes == [2] * len(tuples)
     assert dict_sizes() == before
 
 
@@ -347,12 +350,12 @@ def test_latest_only_misses_overwritten_common_version():
     symbols = {i: scheme.encode(i, state.per_server[i], vt) for i in range(4)}
     # Server 0 overwrote version 1; T={0,1} shares version 1 but cannot
     # assemble two matching symbol vectors.
-    assert latest_common_version(state, (0, 1)) == 1
-    assert scheme.decode((0, 1), state, symbols) is None
+    assert latest_common_version(state.per_server[:2]) == 1
+    assert scheme.decode((0, 1), state.per_server[:2], symbols) is None
     # With both servers on version 2 the same scheme works fine.
     state2 = SystemState((frozenset({1, 2}),) * 4)
     symbols2 = {i: scheme.encode(i, {1, 2}, vt) for i in range(4)}
-    got = scheme.decode((0, 1), state2, symbols2)
+    got = scheme.decode((0, 1), state2.per_server[:2], symbols2)
     assert got == Decoded(2, vt.version(2))
 
 
@@ -361,12 +364,13 @@ def test_latest_only_checks_the_length_of_every_symbol_in_T():
     vt = tuple_of(0x0F, 0xF0)
     state = SystemState((frozenset({1, 2}),) * 4)
     symbols = {i: scheme.encode(i, {1, 2}, vt) for i in range(4)}
-    assert scheme.decode((0, 1, 2), state, symbols) == Decoded(2, vt.version(2))
+    got = scheme.decode((0, 1, 2), state.per_server[:3], symbols)
+    assert got == Decoded(2, vt.version(2))
     # server 2 is not among the c = 2 servers decoded from
     wide = symbols[2]
     symbols[2] = StoredSymbol(wide.payload, wide.bit_length + 1)
     with pytest.raises(DecodingError, match="unexpected stored length"):
-        scheme.decode((0, 1, 2), state, symbols)
+        scheme.decode((0, 1, 2), state.per_server[:3], symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +543,14 @@ def test_rs_update_cells_match_the_default_loop(K, radius, nu, n, c):
     seen = set()
     for state in iter_states(n, nu):
         for T in itertools.combinations(range(n), c):
-            view = scheme.read_view(T, [state.per_server[t] for t in T])
-            if latest_common_version(state, T) is None or view in seen:
+            rows = [state.per_server[t] for t in T]
+            view = scheme.read_view(T, rows)
+            if latest_common_version(rows) is None or view in seen:
                 continue
             seen.add(view)
             for some, batch_cache, loop_cache in lists:
-                got = scheme.cell_codes(T, state, some, batch_cache)
-                assert got == MvcScheme.cell_codes(scheme, T, state, some, loop_cache)
+                got = scheme.cell_codes(T, rows, some, batch_cache)
+                assert got == MvcScheme.cell_codes(scheme, T, rows, some, loop_cache)
     assert seen
 
 

@@ -29,6 +29,7 @@ from mvcode.schemes import (
     StoredSymbol,
     make_scheme,
 )
+from mvcode.sim import partial_update_crash_schedule, run_simulation
 from mvcode.verifier import (
     EpsilonEstimate,
     QuorumBridge,
@@ -59,7 +60,7 @@ def _definition_2_in_states(scheme, c_w, c_r, states, witness_cap=200):
     return _exhaustive_run(
         scheme,
         list(combinations(range(scheme.n), c_r)),
-        lambda state, T: latest_complete_version(state, c_w),
+        c_w,
         states,
         list(enumerate_possible_set(scheme.model)),
         witness_cap,
@@ -120,7 +121,7 @@ def test_latest_only_fails_exactly_at_mixed_newest_states():
             )
         state = SystemState(tuple(sets))
         for T in combinations(range(scheme.n), scheme.c):
-            if latest_common_version(state, T) is None:
+            if latest_common_version([state.per_server[t] for t in T]) is None:
                 continue
             newest = {max(state.per_server[t]) for t in T}
             if len(newest) > 1:
@@ -297,11 +298,11 @@ def test_bridge_decode_delegates_to_the_best_subset():
     symbols = {
         t: bridge.encode(t, tuple(sorted(state.per_server[t])), vt) for t in T
     }
-    decoded = bridge.decode(T, state, symbols)
+    decoded = bridge.decode(T, [state.per_server[t] for t in T], symbols)
     assert decoded is not None
     assert decoded.version >= 1
     assert decoded.message == vt.version(decoded.version)
-    empty = SystemState((frozenset(),) * 6)
+    empty = [frozenset()] * len(T)
     assert bridge.decode(T, empty, {t: StoredSymbol.empty() for t in T}) is None
 
 
@@ -321,13 +322,11 @@ class _Relabeled(MvcScheme):
     def encode(self, server, received, versions):
         return self.inner.encode(self.perm[server], received, versions)
 
-    def decode(self, T, state, symbols):
-        per = [frozenset()] * self.n
-        for i, row in enumerate(state.per_server):
-            per[self.perm[i]] = row
+    def decode(self, T, rows, symbols):
+        moved = sorted(zip((self.perm[t] for t in T), rows))
         return self.inner.decode(
-            tuple(sorted(self.perm[t] for t in T)),
-            SystemState(tuple(per)),
+            tuple(t for t, _ in moved),
+            [row for _, row in moved],
             {self.perm[t]: symbols[t] for t in T},
         )
 
@@ -373,12 +372,12 @@ class _FlakyScheme(MvcScheme):
             payload |= versions.version(u).bits << (slot * self.model.K)
         return StoredSymbol(payload, len(got) * self.model.K)
 
-    def decode(self, T, state, symbols):
-        target = latest_common_version(state, T)
+    def decode(self, T, rows, symbols):
+        target = latest_common_version(rows)
         if target is None:
             return None
         t = T[0]
-        got = tuple(sorted(state.per_server[t]))
+        got = tuple(sorted(rows[0]))
         slot = got.index(target)
         bits = (symbols[t].payload >> (slot * self.model.K)) & (
             (1 << self.model.K) - 1
@@ -409,12 +408,12 @@ class _Misreporting(_FlakyScheme):
         super().__init__(model, n, c)
         self.lie = lie
 
-    def decode(self, T, state, symbols):
-        common = frozenset.intersection(*(state.per_server[t] for t in T))
+    def decode(self, T, rows, symbols):
+        common = frozenset.intersection(*rows)
         if not common:
             return None
         version = min(common) if self.lie == "oldest" else max(common)
-        slot = sorted(state.per_server[T[0]]).index(version)
+        slot = sorted(rows[0]).index(version)
         K = self.model.K
         bits = (symbols[T[0]].payload >> (slot * K)) & ((1 << K) - 1)
         if self.lie == "flipped":
@@ -746,6 +745,34 @@ def test_bridged_verify_decodes_each_inner_view_once():
     assert inner.decodes == 42 * 2304
 
 
+def test_reads_build_no_state(monkeypatch):
+    # a read takes T's rows: Monte-Carlo verifies (witnesses included), the
+    # per-tuple loop, binning's decode chain and a replay build no state,
+    # and an exhaustive run builds only the states it iterates
+    built = [0]
+    check = SystemState.__post_init__
+
+    def counted(state):
+        built[0] += 1
+        check(state)
+
+    monkeypatch.setattr(SystemState, "__post_init__", counted)
+    model = CorrelationModel(4, 1, 2)
+    tuples = list(enumerate_possible_set(model))[:40]
+    rows = [frozenset({1, 2}), frozenset({2})]
+    for name in ("mds", "latest-only", "binning"):
+        scheme = make_scheme(name, model, 4, 2)
+        verify_requirement_A(scheme, mode="monte-carlo", trials=3000)
+        bridge = quorum_bridge(scheme, 3, 3)
+        verify_definition_2(bridge, 3, 3, mode="monte-carlo", trials=3000)
+        MvcScheme.cell_codes(scheme, (0, 1), rows, tuples, {})
+    replica = quorum_bridge(make_scheme("mds", model, 6, 4), 5, 5)
+    assert run_simulation(replica, partial_update_crash_schedule()).consistent
+    assert built[0] == 0
+    report = verify_definition_2(bridge, 3, 3, mode="exhaustive")
+    assert built[0] == report.states_checked == 256
+
+
 # ---------------------------------------------------------------------------
 # Batch cell decoding: every override returns the default loop's codes
 
@@ -782,20 +809,24 @@ def _live_views(scheme, subset_size, threshold_of):
 def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
     scheme = make_scheme(name, CorrelationModel(K, radius, nu), n, c)
     if quorums is None:
-        subset_size, threshold_of = c, latest_common_version
+        subset_size = c
+        threshold_of = lambda state, T: latest_common_version(
+            [state.per_server[t] for t in T]
+        )
     else:
         c_w, c_r = quorums
         scheme = quorum_bridge(scheme, c_w, c_r)
         subset_size = c_r
-        threshold_of = lambda state, T: latest_complete_version(state, c_w)
+        threshold_of = lambda state, T: latest_complete_version(state.per_server, c_w)
     tuples = list(enumerate_possible_set(scheme.model))
     # each list has its own caches: a cache serves one tuple list
     lists = [(tuples[:size], {}, {}) for size in (1, 2, len(tuples))]
     views = 0
     for T, state in _live_views(scheme, subset_size, threshold_of):
+        rows = [state.per_server[t] for t in T]
         for some, batch_cache, loop_cache in lists:
-            got = scheme.cell_codes(T, state, some, batch_cache)
-            want = MvcScheme.cell_codes(scheme, T, state, some, loop_cache)
+            got = scheme.cell_codes(T, rows, some, batch_cache)
+            want = MvcScheme.cell_codes(scheme, T, rows, some, loop_cache)
             assert got == want, (len(some), T, state.key())
             assert all(type(code) is int for code in got)
         views += 1
@@ -818,9 +849,11 @@ def test_cell_codes_match_the_default_loop_on_a_corrupted_inverse(name):
         gen._inverses[holders] = tuple(masks)
     tuples = list(enumerate_possible_set(scheme.model))
     seen = set()
-    for T, state in _live_views(scheme, 2, latest_common_version):
-        got = scheme.cell_codes(T, state, tuples, {})
-        assert got == MvcScheme.cell_codes(scheme, T, state, tuples, {})
+    common = lambda state, T: latest_common_version([state.per_server[t] for t in T])
+    for T, state in _live_views(scheme, 2, common):
+        rows = [state.per_server[t] for t in T]
+        got = scheme.cell_codes(T, rows, tuples, {})
+        assert got == MvcScheme.cell_codes(scheme, T, rows, tuples, {})
         seen.update(got)
     assert {_RAISED, _WRONG} <= seen
 
@@ -847,7 +880,7 @@ def test_delta_batch_ranks_only_the_differences_it_decodes(monkeypatch):
     tuples = [sample_tuple(model, rng) for _ in range(64)]
     both = frozenset({1, 2})
     state = SystemState((both, both, both))
-    codes = scheme.cell_codes((0, 1), state, tuples, {})
+    codes = scheme.cell_codes((0, 1), [state.per_server[t] for t in (0, 1)], tuples, {})
     assert codes == [2] * len(tuples)
     diffs = len({vt.version(2).bits ^ vt.version(1).bits for vt in tuples})
     assert 0 < calls["ball_rank"] <= diffs  # not the ball's 2,517 members
