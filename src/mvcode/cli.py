@@ -17,12 +17,13 @@ seed.  Exit codes: 0 success, 1 verification or consistency failure,
 import argparse
 import csv
 import io
+import re
 import sys
 import warnings
 from math import log2
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .binning import (
     _CODEBOOK_KINDS,
@@ -42,11 +43,7 @@ from .bounds import (
     lower_bound_general,
     lower_bound_two_versions,
 )
-from .model import (
-    DEFAULT_ENUMERATION_CAP,
-    CorrelationModel,
-    EnumerationCapExceeded,
-)
+from .model import DEFAULT_ENUMERATION_CAP, CorrelationModel, EnumerationCapExceeded
 from .schemes import make_scheme, scheme_names
 from .sim import (
     MAX_SEARCH_DEPTH,
@@ -71,28 +68,218 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit code 2."""
 
 
+class _PastLimit(argparse.ArgumentTypeError, ValueError):
+    """A literal past its limit: argparse prints the message, and a config
+    line reports it as a bad value."""
+
+
+# The largest rational literal parse_rational builds, so that every value it
+# returns prints through format_rational: at most _MAX_LITERAL characters, a
+# decimal exponent in [-_MAX_LITERAL, _MAX_LITERAL], and 2^k for k in
+# [-_MAX_HALVINGS, _MAX_LITERAL].
+_MAX_LITERAL = 1000
+_MAX_HALVINGS = 1 << 26
+
+
 def parse_rational(text: str) -> Fraction:
     """Accepts decimals ('0.25'), ratios ('1/4'), and powers ('2^-20')."""
     text = text.strip()
+    if len(text) > _MAX_LITERAL:
+        raise _PastLimit(
+            f"a rational of {len(text)} characters passes the limit of {_MAX_LITERAL}"
+        )
     if "^" in text:
         base, _, exp = text.partition("^")
         if base.strip() != "2":
             raise ValueError(f"only powers of two are supported, got {text!r}")
         e = int(exp)
+        if not -_MAX_HALVINGS <= e <= _MAX_LITERAL:
+            raise _PastLimit(
+                f"2^k needs k in [-{_MAX_HALVINGS}, {_MAX_LITERAL}], got {text!r}"
+            )
         return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+    exponent = re.search(r"e([-+]?[0-9_]+)$", text, re.I)
+    if exponent and not -_MAX_LITERAL <= int(exponent[1]) <= _MAX_LITERAL:
+        raise _PastLimit(
+            f"a decimal exponent needs to lie in [-{_MAX_LITERAL}, {_MAX_LITERAL}], "
+            f"got {text!r}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _parse_sweep(text: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad sweep list: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError("sweep list is empty")
+    low = min(values)
+    if low < 1:
+        raise argparse.ArgumentTypeError(f"sweep values must be at least 1, got {low}")
+    return values
+
+
+_COMMANDS = ("cost", "verify", "bound", "sim", "binning", "example1")
+
+
+def _in_range(key: str, value, low: int, high: int, shown) -> Optional[str]:
+    """The refusal of a value outside [low, high], the upper end shown as ``shown``."""
+    if value is not None and not low <= value <= high:
+        return f"{key} must lie in [{low}, {shown}], got {value}"
+
+
+def _at_least_one(key: str, value) -> Optional[str]:
+    if value is not None and value < 1:
+        return f"{key} must be at least 1, got {value}"
+
+
+def _K_limit(cfg: "RunConfig") -> Optional[str]:
+    if cfg.command == "binning" or (
+        cfg.command in ("verify", "sim") and cfg.scheme == "binning"
+    ):
+        check_decodable(cfg.K)  # raises ValueError naming K <= 16
+    return _at_least_one("K", cfg.K)
+
+
+def _radius_limit(cfg: "RunConfig") -> Optional[str]:
+    for K in (cfg.K, *(cfg.sweep or ())):
+        refused = _in_range("radius", cfg.radius, 0, K, f"K={K}")
+        if refused:
+            return refused
+
+
+def _seeds_limit(cfg: "RunConfig") -> Optional[str]:
+    room = (1 << 64) - cfg.seed
+    return _at_least_one("seeds", cfg.seeds) or _in_range(
+        "seeds", cfg.seeds, 1, room, f"2^64 - seed = {room}"
+    )
+
+
+def _crashes_limit(cfg: "RunConfig") -> Optional[str]:
+    if cfg.c_w is not None:  # else a replay refuses the crash budget first
+        room = cfg.n - max(cfg.c_w, cfg.c_r)
+        return _in_range("crashes", cfg.crashes, 0, room, f"n - max(c-w, c-r) = {room}")
+
+
+class _Param(NamedTuple):
+    """One flag: its RunConfig field, value parser, allowed values (or None),
+    help, the subcommands that take it and its limit, a function of the
+    whole config that returns the refusal of a bad value and a false value
+    otherwise.  A flag every subcommand takes is also a config key: the
+    flag without its dashes."""
+
+    flag: str
+    field: str
+    parse: Callable
+    choices: Optional[tuple]
+    help: str
+    commands: tuple[str, ...]
+    limit: Optional[Callable[["RunConfig"], object]]
+    metavar: Optional[str] = None
+    default: object = None
+
+
+# Every flag but --config, in --help order.
+_PARAMS = (
+    _Param("--scheme", "scheme", str, scheme_names(), "storage scheme (default mds)",
+           _COMMANDS, None),
+    _Param("-n", "n", int, None, "number of servers (default 4)", _COMMANDS,
+           lambda cfg: _at_least_one("n", cfg.n)),
+    # the default c=2 holds when no quorum pair is given
+    _Param("-c", "c", int, None, "decode-set size; excludes --c-w/--c-r (default 2)",
+           _COMMANDS,
+           lambda cfg: cfg.c_w is None and _in_range(
+               "c", 2 if cfg.c is None else cfg.c, 1, cfg.n, f"n={cfg.n}")),
+    _Param("--c-w", "c_w", int, None, "write quorum size (with --c-r)", _COMMANDS,
+           lambda cfg: _in_range("c-w", cfg.c_w, 1, cfg.n, f"n={cfg.n}")),
+    _Param("--c-r", "c_r", int, None, "read quorum size (with --c-w)", _COMMANDS,
+           lambda cfg: _in_range("c-r", cfg.c_r, 1, cfg.n, f"n={cfg.n}")),
+    _Param("--nu", "nu", int, None, "maximum concurrent versions (default 2)",
+           _COMMANDS, lambda cfg: _at_least_one("nu", cfg.nu)),
+    _Param("--K", "K", int, None, "message bits (default 8)", _COMMANDS, _K_limit),
+    _Param("--radius", "radius", int, None, "correlation ball radius (default 1)",
+           _COMMANDS, _radius_limit),
+    _Param("--delta", "delta", parse_rational, None, "radius as a fraction of K",
+           _COMMANDS,
+           lambda cfg: cfg.delta is not None and not 0 <= cfg.delta <= 1
+           and f"delta must lie in [0, 1], got {format_rational(cfg.delta)}"),
+    _Param("--epsilon", "epsilon", parse_rational, None, "error budget (default 1/4)",
+           _COMMANDS,
+           lambda cfg: not 0 < cfg.epsilon < 1
+           and "epsilon must lie strictly between 0 and 1, got "
+           + format_rational(cfg.epsilon)),
+    _Param("--seed", "seed", int, None, "root seed (default 0)", _COMMANDS,
+           lambda cfg: not 0 <= cfg.seed < 1 << 64
+           and f"seed must lie in [0, 2^64), got {cfg.seed}"),
+    _Param("--mode", "mode", str, _MODES, "verification mode (default auto)",
+           _COMMANDS, None),
+    _Param("--cap", "cap", int, None, "enumeration cap (default 2^24)", _COMMANDS,
+           lambda cfg: cfg.cap < 0 and f"cap must be nonnegative, got {cfg.cap}"),
+    _Param("--format", "fmt", str, _FORMATS, "output format", _COMMANDS,
+           lambda cfg: cfg.command in ("verify", "sim") and cfg.fmt != "text"
+           and f"--format {cfg.fmt} applies to cost, bound, binning and example1 "
+           f"only; {cfg.command} prints text"),
+    _Param("--trials", "trials", int, None, "sampling trials (default 1000)",
+           _COMMANDS, lambda cfg: _at_least_one("trials", cfg.trials)),
+    _Param("--sweep", "sweep", _parse_sweep, None, "comma-separated K values",
+           ("bound",), None),
+    _Param("--schedule", "schedule", str, None, "schedule to replay", ("sim",),
+           None, "FILE"),
+    _Param("--search", "search", int, None, "adversarial search depth", ("sim",),
+           lambda cfg: _in_range(
+               "search", cfg.search, 0, MAX_SEARCH_DEPTH, MAX_SEARCH_DEPTH),
+           "DEPTH"),
+    _Param("--crashes", "crashes", int, None, "crash budget for --search (default 0)",
+           ("sim",), _crashes_limit),
+    _Param("--seeds", "seeds", int, None, "number of codebook seeds", ("binning",),
+           _seeds_limit, default=10),
+    _Param("--kind", "kind", str, _CODEBOOK_KINDS, "codebook family", ("binning",),
+           None, default="random-uniform"),
+)
+_KEYS = {p.field: p.flag.lstrip("-") for p in _PARAMS}
+_BY_KEY = {_KEYS[p.field]: p for p in _PARAMS if p.commands == _COMMANDS}
+
+
+def _replay_fixed(cfg: "RunConfig") -> Optional[str]:
+    """A replay reads n, its quorums and its crash budget from the schedule."""
+    if cfg.command != "sim" or cfg.search is not None:
+        return None
+    fixed = [_KEYS[f] for f in ("n", "c", "c_w", "c_r", "crashes") if f in cfg.given]
+    if fixed:
+        return (
+            "a replay takes n, its quorums and its crash budget from the schedule; "
+            "drop " + ", ".join(fixed)
+        )
+
+
+# The rules between flags, checked before each flag's limit.
+_RULES = (
+    _replay_fixed,
+    lambda cfg: cfg.c is not None and (cfg.c_w is not None or cfg.c_r is not None)
+    and "give either c or the pair c-w/c-r, not both",
+    lambda cfg: (cfg.c_w is None) != (cfg.c_r is None)
+    and "c-w and c-r must be given together",
+    lambda cfg: cfg.delta is not None and cfg.radius is not None
+    and "give either radius or delta, not both",
+    lambda cfg: cfg.search is not None and cfg.schedule is not None
+    and "--search builds its own schedule; drop --schedule",
+    lambda cfg: cfg.search is not None and cfg.c_w is None
+    and "--search needs --c-w and --c-r",
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One command's parameter set, from flags over key=value config text.
 
-    Exactly one of ``c`` and the pair ``c_w``/``c_r`` may be given, and
-    likewise ``radius`` against the rational ``delta`` (which converts to
-    radius = floor(delta*K), echoed in output).
+    Every value is checked against the rules between flags and each flag's
+    limit in ``_PARAMS`` as the config is built, before any work.
+    ``given`` names the fields set by flag or config, which a replay reads
+    from its schedule instead.
     """
 
     scheme: str = "mds"
@@ -110,39 +297,20 @@ class RunConfig:
     cap: int = DEFAULT_ENUMERATION_CAP
     fmt: str = "text"
     trials: int = 1000
+    sweep: Optional[list[int]] = None
+    schedule: Optional[str] = None
+    search: Optional[int] = None
+    crashes: Optional[int] = None
+    seeds: Optional[int] = None
+    kind: Optional[str] = None
+    command: Optional[str] = None
+    given: frozenset = dataclass_field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.c is not None and (self.c_w is not None or self.c_r is not None):
-            raise UsageError("give either c or the pair c-w/c-r, not both")
-        if (self.c_w is None) != (self.c_r is None):
-            raise UsageError("c-w and c-r must be given together")
-        if self.n < 1:
-            raise UsageError(f"n must be at least 1, got {self.n}")
-        c = self.effective_c if self.c_w is None else None
-        for key, size in (("c", c), ("c-w", self.c_w), ("c-r", self.c_r)):
-            if size is not None and not 1 <= size <= self.n:
-                raise UsageError(f"{key} must lie in [1, n={self.n}], got {size}")
-        if self.delta is not None and self.radius is not None:
-            raise UsageError("give either radius or delta, not both")
-        for key, size in (("K", self.K), ("nu", self.nu)):
-            if size < 1:
-                raise UsageError(f"{key} must be at least 1, got {size}")
-        if self.delta is not None and not 0 <= self.delta <= 1:
-            raise UsageError(
-                f"delta must lie in [0, 1], got {format_rational(self.delta)}"
-            )
-        self.radius_at(self.K)  # refuses a given radius outside [0, K]
-        if self.cap < 0:
-            raise UsageError(f"cap must be nonnegative, got {self.cap}")
-        if not 0 <= self.seed < 1 << 64:
-            raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.trials < 1:
-            raise UsageError(f"trials must be at least 1, got {self.trials}")
-        if not 0 < self.epsilon < 1:
-            raise UsageError(
-                "epsilon must lie strictly between 0 and 1, got "
-                + format_rational(self.epsilon)
-            )
+        for check in (*_RULES, *(p.limit for p in _PARAMS if p.limit)):
+            refused = check(self)
+            if refused:
+                raise UsageError(refused)
 
     # -- derived views ------------------------------------------------
 
@@ -151,13 +319,8 @@ class RunConfig:
         return self.radius_at(self.K)
 
     def radius_at(self, K: int) -> int:
-        """The radius at message length K: floor(delta*K) when delta is given.
-        A given radius must lie in [0, K]."""
+        """The radius at message length K: floor(delta*K) when delta is given."""
         if self.radius is not None:
-            if not 0 <= self.radius <= K:
-                raise UsageError(
-                    f"radius must lie in [0, K={K}], got {self.radius}"
-                )
             return self.radius
         if self.delta is not None:
             return int(self.delta * K)  # floor for nonnegative delta
@@ -188,52 +351,19 @@ class RunConfig:
                 parts += [f"c-w={self.c_w}", f"c-r={self.c_r}"]
             parts.append(f"c={self.effective_c}")
         parts += [
-            f"nu={self.nu}",
-            f"K={self.K}",
-            f"radius={self.effective_radius}",
-            f"epsilon={format_rational(self.epsilon)}",
-            f"seed={self.seed}",
-            f"mode={self.mode}",
-            f"cap={self.cap}",
-            f"format={self.fmt}",
+            f"nu={self.nu}", f"K={self.K}", f"radius={self.effective_radius}",
+            f"epsilon={format_rational(self.epsilon)}", f"seed={self.seed}",
+            f"mode={self.mode}", f"cap={self.cap}", f"format={self.fmt}",
             f"trials={self.trials}",
         ]
         lines = ["params " + " ".join(parts)]
         if self.delta is not None:
+            delta = format_rational(self.delta)
             lines.append(
-                "derived-radius delta={} K={} radius=floor({}*{})={}".format(
-                    format_rational(self.delta),
-                    self.K,
-                    format_rational(self.delta),
-                    self.K,
-                    self.effective_radius,
-                )
+                f"derived-radius delta={delta} K={self.K} "
+                f"radius=floor({delta}*{self.K})={self.effective_radius}"
             )
         return lines
-
-
-# Each parameter once: flag, RunConfig field, value parser, allowed values
-# (or None) and help.  Its config key is the flag without its dashes.
-_PARAMS = (
-    ("--scheme", "scheme", str, scheme_names(), "storage scheme (default mds)"),
-    ("-n", "n", int, None, "number of servers (default 4)"),
-    ("-c", "c", int, None, "decode-set size; excludes --c-w/--c-r (default 2)"),
-    ("--c-w", "c_w", int, None, "write quorum size (with --c-r)"),
-    ("--c-r", "c_r", int, None, "read quorum size (with --c-w)"),
-    ("--nu", "nu", int, None, "maximum concurrent versions (default 2)"),
-    ("--K", "K", int, None, "message bits (default 8)"),
-    ("--radius", "radius", int, None, "correlation ball radius (default 1)"),
-    ("--delta", "delta", parse_rational, None, "radius as a fraction of K"),
-    ("--epsilon", "epsilon", parse_rational, None, "error budget (default 1/4)"),
-    ("--seed", "seed", int, None, "root seed (default 0)"),
-    ("--mode", "mode", str, _MODES, "verification mode (default auto)"),
-    ("--cap", "cap", int, None, "enumeration cap (default 2^24)"),
-    ("--format", "fmt", str, _FORMATS, "output format"),
-    ("--trials", "trials", int, None, "sampling trials (default 1000)"),
-)
-_BY_KEY = {flag.lstrip("-"): row for flag, *row in _PARAMS}
-# Keys a schedule replay reads from its schedule instead.
-_REPLAY_FIXED = ("n", "c", "c-w", "c-r")
 
 
 def _config_values(text: str) -> dict:
@@ -248,13 +378,13 @@ def _config_values(text: str) -> dict:
             raise UsageError(f"malformed config line {raw!r}")
         if key not in _BY_KEY:
             raise UsageError(f"unknown config key {key!r}")
-        attr, parse, choices, _ = _BY_KEY[key]
+        param = _BY_KEY[key]
         try:
-            values[attr] = parse(value)
+            values[param.field] = param.parse(value)
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {exc}") from exc
-        if choices is not None and values[attr] not in choices:
-            raise UsageError(f"{key} must be one of {', '.join(choices)}")
+        if param.choices is not None and values[param.field] not in param.choices:
+            raise UsageError(f"{key} must be one of {', '.join(param.choices)}")
     return values
 
 
@@ -324,67 +454,49 @@ class _Table:
 # Commands
 
 
-def _build_scheme(cfg: RunConfig):
-    model, c = cfg.model(), cfg.effective_c
-    if cfg.scheme == "binning":
+def _build_scheme(cfg: RunConfig, n: int, c: int, name: Optional[str] = None):
+    name = name or cfg.scheme
+    if name == "binning":
         return make_scheme(
-            "binning", model, cfg.n, c, epsilon=cfg.epsilon, seed=cfg.seed
+            "binning", cfg.model(), n, c, epsilon=cfg.epsilon, seed=cfg.seed
         )
-    return make_scheme(cfg.scheme, model, cfg.n, c)
+    return make_scheme(name, cfg.model(), n, c)
 
 
 _COST_ROWS = ("replication", "mds", "delta", "rs-update", "binning")
 
 
-def cmd_cost(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_cost(cfg: RunConfig) -> tuple[str, int]:
     c = cfg.effective_c
     table = _Table(
         "cost",
         ("scheme", "formula-bits", "ceiling-bits", "measured-bits", "notes"),
     )
     for name in _COST_ROWS:
-        scheme = _build_scheme(replace(cfg, scheme=name))
+        scheme = _build_scheme(cfg, cfg.n, c, name)
         report = scheme.worst_case_cost()
         table.add(
-            name,
-            report.table_bits,
-            report.guarantee_bits,
-            report.measured_bits,
+            name, report.table_bits, report.guarantee_bits, report.measured_bits,
             "; ".join(report.notes),
         )
-    bound_params = BoundParams(cfg.n, c, cfg.nu, cfg.K, cfg.effective_radius)
-    table.add(
-        "lower-bound",
-        lower_bound_general(bound_params),
-        None,
-        None,
-        "errorless converse; no code can store fewer bits per server",
+    bound = lower_bound_general(
+        BoundParams(cfg.n, c, cfg.nu, cfg.K, cfg.effective_radius)
     )
+    # a nonpositive converse is true but says nothing, as in bound's gap factor
+    note = "no code can store fewer bits per server" if bound > 0 else (
+        "nonpositive, so vacuous at these parameters"
+    )
+    table.add("lower-bound", bound, None, None, f"errorless converse; {note}")
     lines = cfg.echo_lines() + [table.render(cfg.fmt)]
     return "\n".join(lines), 0
 
 
-def _text_only(cfg: RunConfig, command: str) -> None:
-    if cfg.fmt != "text":
-        raise UsageError(
-            f"--format {cfg.fmt} applies to cost, bound, binning and example1 "
-            f"only; {command} prints text"
-        )
-
-
-def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
-    _text_only(cfg, "verify")
-    if cfg.scheme == "binning":
-        check_decodable(cfg.K)
+def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     c = cfg.effective_c
-    scheme = _build_scheme(cfg)
+    scheme = _build_scheme(cfg, cfg.n, c)
     lines = cfg.echo_lines()
     kwargs = dict(
-        mode=cfg.mode,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        cap=cfg.cap,
-        witness_cap=10,
+        mode=cfg.mode, trials=cfg.trials, seed=cfg.seed, cap=cfg.cap, witness_cap=10
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -402,28 +514,25 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     lines.append(report.to_text())
     budget = verified.error_budget
     ok = verdict(report, budget)[0]
+    head = f"verdict {'pass' if ok else 'fail'}"
     if report.mode == "exhaustive":
-        lines.append(f"verdict {'pass' if ok else 'fail'} failures={report.failure_count}")
+        lines.append(f"{head} failures={report.failure_count}")
     else:
         lines.append(
-            "verdict {} empirical={!r} budget={}".format(
-                "pass" if ok else "fail",
-                report.empirical_error,
-                format_rational(budget),
-            )
+            f"{head} empirical={report.empirical_error!r} "
+            f"budget={format_rational(budget)}"
         )
     return "\n".join(lines), 0 if ok else 1
 
 
-def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
     c = cfg.effective_c
-    sweep = args.sweep if args.sweep else [cfg.K]
+    sweep = cfg.sweep or [cfg.K]
     lines = cfg.echo_lines()
     asymptote = Fraction(c + cfg.nu - 1, c)
     lines.append(
-        "asymptote gap-factor-limit=(c+nu-1)/c={}={!r}".format(
-            format_rational(asymptote), float(asymptote)
-        )
+        "asymptote gap-factor-limit=(c+nu-1)/c="
+        f"{format_rational(asymptote)}={float(asymptote)!r}"
     )
     columns = ["K", "radius", "bound-bits", "rate-bits", "realized-bits", "gap-factor"]
     if cfg.nu == 2:
@@ -437,11 +546,8 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
         # column adds the error-budget and framing terms paid at finite K
         leading = (K + (cfg.nu - 1) * log2(model.ball_volume())) / c
         realized = binning_worst_case_cost(allocation)
-        bound_eps = (
-            cfg.epsilon
-            if below_power_of_two(cfg.epsilon, cfg.nu * cfg.n)
-            else Fraction(0)
-        )
+        below = below_power_of_two(cfg.epsilon, cfg.nu * cfg.n)
+        bound_eps = cfg.epsilon if below else Fraction(0)
         params = BoundParams(cfg.n, c, cfg.nu, K, radius, bound_eps)
         bound = lower_bound_general(params)
         # a nonpositive converse says nothing, so its row has no gap factor
@@ -454,142 +560,89 @@ def cmd_bound(cfg: RunConfig, args) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-def cmd_sim(cfg: RunConfig, args) -> tuple[str, int]:
-    _text_only(cfg, "sim")
-    if cfg.scheme == "binning":
-        check_decodable(cfg.K)
-    if args.search is not None:
-        if args.schedule is not None:
-            raise UsageError("--search builds its own schedule; drop --schedule")
-        if cfg.c_w is None:
-            raise UsageError("--search needs --c-w and --c-r")
-        if not 0 <= args.search <= MAX_SEARCH_DEPTH:
-            raise UsageError(
-                f"search must lie in [0, {MAX_SEARCH_DEPTH}], got {args.search}"
-            )
-        crashes = args.crashes or 0
-        room = cfg.n - max(cfg.c_w, cfg.c_r)
-        if not 0 <= crashes <= room:
-            raise UsageError(
-                f"crashes must lie in [0, n - max(c-w, c-r) = {room}], "
-                f"got {crashes}"
-            )
-        scheme = quorum_bridge(_build_scheme(cfg), cfg.c_w, cfg.c_r)
+def cmd_sim(cfg: RunConfig) -> tuple[str, int]:
+    if cfg.search is not None:
+        inner = _build_scheme(cfg, cfg.n, cfg.effective_c)
+        scheme = quorum_bridge(inner, cfg.c_w, cfg.c_r)
         lines = cfg.echo_lines()
         witness = adversarial_schedule_search(
-            scheme,
-            cfg.c_w,
-            cfg.c_r,
-            f=crashes,
-            depth=args.search,
-            seed=cfg.seed,
-            cap=cfg.cap,
+            scheme, cfg.c_w, cfg.c_r, f=cfg.crashes or 0, depth=cfg.search,
+            seed=cfg.seed, cap=cfg.cap,
         )
         if witness is None:
-            lines.append(f"search none-found depth={args.search}")
+            lines.append(f"search none-found depth={cfg.search}")
             return "\n".join(lines), 0
         lines.append(f"search witness-events={len(witness.events)}")
         lines.append(schedule_to_text(witness))
         lines.append(run_simulation(scheme, witness).to_text())
         return "\n".join(lines), 1
 
-    if args.schedule is not None:
+    if cfg.schedule is not None:
         try:
-            with open(args.schedule, "r", encoding="utf-8") as handle:
+            with open(cfg.schedule, "r", encoding="utf-8") as handle:
                 schedule = schedule_from_text(handle.read())
         except OSError as exc:
             raise UsageError(f"cannot read schedule: {exc}") from exc
         except ValueError as exc:
             raise UsageError(f"bad schedule file: {exc}") from exc
-        source = args.schedule
+        source = cfg.schedule
     else:
         schedule = partial_update_crash_schedule()
         source = "bundled partial-update replay"
     overlap = schedule.c_w + schedule.c_r - schedule.n
     if overlap < 1:
         raise UsageError("schedule quorums must overlap")
-    inner = _build_scheme(replace(cfg, n=schedule.n, c=overlap))
+    inner = _build_scheme(cfg, schedule.n, overlap)
     scheme = quorum_bridge(inner, schedule.c_w, schedule.c_r)
     lines = cfg.echo_lines(quorums=False)
     lines.append(
-        "schedule source={} n={} c-w={} c-r={} f={} events={}".format(
-            _quote(source),
-            schedule.n,
-            schedule.c_w,
-            schedule.c_r,
-            schedule.f,
-            len(schedule.events),
-        )
+        f"schedule source={_quote(source)} n={schedule.n} c-w={schedule.c_w} "
+        f"c-r={schedule.c_r} f={schedule.f} events={len(schedule.events)}"
     )
     trace = run_simulation(scheme, schedule)
     lines.append(trace.to_text())
     return "\n".join(lines), 0 if trace.consistent else 1
 
 
-def cmd_binning(cfg: RunConfig, args) -> tuple[str, int]:
-    check_decodable(cfg.K)
-    if args.seeds < 1:
-        raise UsageError(f"seeds must be at least 1, got {args.seeds}")
-    room = (1 << 64) - cfg.seed
-    if args.seeds > room:
-        raise UsageError(f"seeds must lie in [1, 2^64 - seed = {room}], got {args.seeds}")
+def cmd_binning(cfg: RunConfig) -> tuple[str, int]:
     model = cfg.model()
     c = cfg.effective_c
     _check_survey_work(model, cfg.n, c, cfg.trials, cfg.cap)  # before any sampling
-    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    seeds = range(cfg.seed, cfg.seed + cfg.seeds)
     tuples = sample_tuples(model, cfg.trials, cfg.seed)
     report = seed_search(
-        model, cfg.n, c, cfg.epsilon, seeds, tuples, kind=args.kind, cap=cfg.cap
+        model, cfg.n, c, cfg.epsilon, seeds, tuples, kind=cfg.kind, cap=cfg.cap
     )
     lines = cfg.echo_lines()
     lines.append(
-        "search kind={} seeds={} tuples-per-cell={}".format(
-            args.kind, args.seeds, cfg.trials
-        )
+        f"search kind={cfg.kind} seeds={cfg.seeds} tuples-per-cell={cfg.trials}"
     )
     table = _Table(
         "codebook",
-        (
-            "seed",
-            "cells",
-            "decodes",
-            "failures",
-            "worst-rate",
-            "worst-wilson-upper",
-        ),
+        ("seed", "cells", "decodes", "failures", "worst-rate", "worst-wilson-upper"),
     )
-    for survey in report.surveys:
+    for sv in report.surveys:
         table.add(
-            survey.seed,
-            survey.cells,
-            survey.decodes,
-            survey.failures,
-            survey.worst_rate,
-            survey.wilson_upper,
+            sv.seed, sv.cells, sv.decodes, sv.failures, sv.worst_rate, sv.wilson_upper
         )
     lines.append(table.render(cfg.fmt))
     lines.append(
-        "verdict {} best-seed={} worst-rate={!r} target={}".format(
-            "pass" if report.achieved else "fail",
-            report.best.seed,
-            report.best.worst_rate,
-            format_rational(report.target),
-        )
+        f"verdict {'pass' if report.achieved else 'fail'} "
+        f"best-seed={report.best.seed} worst-rate={report.best.worst_rate!r} "
+        f"target={format_rational(report.target)}"
     )
     return "\n".join(lines), 0 if report.achieved else 1
 
 
-def cmd_example1(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_example1(cfg: RunConfig) -> tuple[str, int]:
     delta = cfg.delta if cfg.delta is not None else Fraction(1, 20)
     report = example1_rate_comparison(delta)
     lines = [f"params delta={format_rational(delta)} format={cfg.fmt}"]
     lines.append(
-        "entropies step={!r} composed-step={!r} composed={!r} middle-threshold={!r}".format(
-            report.step_entropy,
-            report.composed_step,
-            report.composed_entropy,
-            report.middle_row_threshold,
-        )
+        f"entropies step={report.step_entropy!r} "
+        f"composed-step={report.composed_step!r} "
+        f"composed={report.composed_entropy!r} "
+        f"middle-threshold={report.middle_row_threshold!r}"
     )
     table = _Table(
         "exclusion",
@@ -597,12 +650,8 @@ def cmd_example1(cfg: RunConfig, args) -> tuple[str, int]:
     )
     for row in report.rows:
         table.add(
-            ",".join(str(u) for u in row.subset),
-            row.label,
-            row.binned_bits,
-            row.unique_bits,
-            row.excluded,
-            row.margin,
+            ",".join(str(u) for u in row.subset), row.label, row.binned_bits,
+            row.unique_bits, row.excluded, row.margin,
         )
     lines.append(table.render(cfg.fmt))
     ok = all(row.excluded for row in report.rows)
@@ -614,29 +663,12 @@ def cmd_example1(cfg: RunConfig, args) -> tuple[str, int]:
 # Argument parsing
 
 
-def _parse_sweep(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad sweep list: {exc}")
-    if not values:
-        raise argparse.ArgumentTypeError("sweep list is empty")
-    low = min(values)
-    if low < 1:
-        raise argparse.ArgumentTypeError(f"sweep values must be at least 1, got {low}")
-    return values
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", metavar="FILE", help="key=value config file; flags override it"
-    )
-    for flag, attr, parse, choices, help_text in _PARAMS:
-        common.add_argument(
-            flag, dest=attr, type=parse, choices=choices, help=help_text
+def _add_rows(parser: argparse.ArgumentParser, rows) -> None:
+    for p in rows:
+        parser.add_argument(
+            p.flag, dest=p.field, type=p.parse, choices=p.choices,
+            metavar=p.metavar, default=p.default, help=p.help,
         )
-    return common
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -645,82 +677,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-version storage codes: costs, verification, "
         "bounds, and schedule simulation.",
     )
-    common = _common_flags()
+    # the rows every subcommand takes are built once, in a parent parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--config", metavar="FILE", help="key=value config file; flags override it"
+    )
+    _add_rows(common, (p for p in _PARAMS if p.commands == _COMMANDS))
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("cost", parents=[common], help="per-scheme storage table")
-    sub.add_parser("verify", parents=[common], help="certify or estimate")
-    bound = sub.add_parser("bound", parents=[common], help="converse bound")
-    bound.add_argument(
-        "--sweep", type=_parse_sweep, help="comma-separated K values"
-    )
-    sim = sub.add_parser("sim", parents=[common], help="schedule replay/search")
-    sim.add_argument("--schedule", metavar="FILE", help="schedule to replay")
-    sim.add_argument(
-        "--search", type=int, metavar="DEPTH", help="adversarial search depth"
-    )
-    sim.add_argument(
-        "--crashes", type=int, help="crash budget for --search (default 0)"
-    )
-    binning = sub.add_parser("binning", parents=[common], help="seed survey")
-    binning.add_argument(
-        "--seeds", type=int, default=10, help="number of codebook seeds"
-    )
-    binning.add_argument(
-        "--kind",
-        choices=_CODEBOOK_KINDS,
-        default="random-uniform",
-        help="codebook family",
-    )
-    sub.add_parser("example1", parents=[common], help="exclusion report")
+    for command, run, help_text in (
+        ("cost", cmd_cost, "per-scheme storage table"),
+        ("verify", cmd_verify, "certify or estimate"),
+        ("bound", cmd_bound, "converse bound"),
+        ("sim", cmd_sim, "schedule replay/search"),
+        ("binning", cmd_binning, "seed survey"),
+        ("example1", cmd_example1, "exclusion report"),
+    ):
+        each = sub.add_parser(command, parents=[common], help=help_text)
+        each.set_defaults(run=run)
+        _add_rows(each, (p for p in _PARAMS if p.commands == (command,)))
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    base = {}
+    values = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
-        base = _config_values(text)
-    overrides = {
-        attr: getattr(args, attr)
-        for attr, *_ in _BY_KEY.values()
-        if getattr(args, attr) is not None
-    }
-    values = {**base, **overrides}
-    if args.command == "sim" and args.search is None:
-        fixed = [key for key in _REPLAY_FIXED if _BY_KEY[key][0] in values]
-        if args.crashes is not None:
-            fixed.append("crashes")
-        if fixed:
-            raise UsageError(
-                "a replay takes n, its quorums and its crash budget from the "
-                "schedule; drop " + ", ".join(fixed)
-            )
-    return RunConfig(**values)
-
-
-_DISPATCH = {
-    "cost": cmd_cost,
-    "verify": cmd_verify,
-    "bound": cmd_bound,
-    "sim": cmd_sim,
-    "binning": cmd_binning,
-    "example1": cmd_example1,
-}
+        values = _config_values(text)
+    for p in _PARAMS:  # flags override the file
+        value = getattr(args, p.field, None)
+        if value is not None:
+            values[p.field] = value
+    return RunConfig(**values, command=args.command, given=frozenset(values))
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        output, code = _DISPATCH[args.command](cfg, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        output, code = args.run(_config_from_args(args))
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

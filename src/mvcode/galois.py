@@ -226,6 +226,9 @@ class BinaryGenerator:
     K: int
     padded_K: int
     blocks: int
+    _rows: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _inverses: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -243,10 +246,15 @@ class BinaryGenerator:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        f, m, c = self.code.field, self.symbol_bits, self.code.c
-        block_bits = c * m
-        rows_per_server = []
-        for point in self.code.evaluation_points:
+        """Every server's row masks."""
+        return tuple(map(self.server_rows, range(self.code.n)))
+
+    def server_rows(self, server: int) -> tuple[int, ...]:
+        """One server's row masks, cached, built on first use."""
+        rows = self._rows.get(server)
+        if rows is None:
+            f, m, c = self.code.field, self.symbol_bits, self.code.c
+            point = self.code.evaluation_points[server]
             # Bit t' of message symbol j contributes mul(2^t', point^j) to the
             # stored symbol of its block.
             contribution = [
@@ -254,15 +262,15 @@ class BinaryGenerator:
             ]
             rows = []
             for k in range(self.padded_K):
-                block, offset = divmod(k, block_bits)
+                block, offset = divmod(k, c * m)
                 j, t = divmod(offset, m)
                 rows.append(contribution[j][t] << (block * m))
-            rows_per_server.append(tuple(rows))
-        return tuple(rows_per_server)
+            rows = self._rows[server] = tuple(rows)
+        return rows
 
     def apply(self, server: int, message_bits: int) -> int:
         """Stored bit string (packed int) for a full message at one server."""
-        return xor_rows(self.rows[server], message_bits)
+        return xor_rows(self.server_rows(server), message_bits)
 
     def solve(self, holders: Sequence[tuple[int, int]]) -> int:
         """The padded message stored as the given (server, stored bits)
@@ -282,8 +290,9 @@ class BinaryGenerator:
         masks = self._inverses.get(servers)
         if masks is None:
             width = self.stored_bits_per_server
+            rows = [self.server_rows(s) for s in servers]
             stacked = [
-                sum(self.rows[s][k] << (i * width) for i, s in enumerate(servers))
+                sum(r[k] << (i * width) for i, r in enumerate(rows))
                 for k in range(self.padded_K)
             ]
             masks = self._inverses[servers] = gf2_inverse(stacked)
@@ -293,7 +302,7 @@ class BinaryGenerator:
         """The server's generator by column, cached: for each stored bit,
         the message bits below K that flip it (padding bits are zero)."""
         if server not in self._columns:
-            rows = self.rows[server][: self.K]
+            rows = self.server_rows(server)[: self.K]
             self._columns[server] = gf2_columns(rows, self.stored_bits_per_server)
         return self._columns[server]
 

@@ -500,8 +500,8 @@ def adversarial_schedule_search(
     of that view over the one content tuple, and kept for the length of
     the search under one int, T's index and the (server, version)
     inclusion bits of S masked to T's rows.  The view and the cell read
-    T's rows alone, straight from S's bits through a table of the 2^nu row
-    receipt sets; the search builds no state.
+    T's rows alone, straight from S's bits through a table of the row
+    receipt sets it can reach; the search builds no state.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -527,9 +527,11 @@ def adversarial_schedule_search(
             table.append((crashed, T, t, mask, [s * nu for s in T]))
         reads.append(table)
     responder_sets = len(index)
-    # the receipt set of each nu-bit row pattern
+    # the receipt set of each row pattern: a search writes at most
+    # min(nu, depth - 1) versions, so a row has fewer than 2^min(nu, depth)
     patterns = [
-        frozenset(u + 1 for u in range(nu) if p >> u & 1) for p in range(row + 1)
+        frozenset(u + 1 for u in range(nu) if p >> u & 1)
+        for p in range(1 << min(nu, depth))
     ]
     # columns[u - 1]: the bits of version u at every server
     columns = [sum(1 << (s * nu + u) for s in range(n)) for u in range(nu)]

@@ -311,7 +311,7 @@ def _monte_carlo_run(
     # calls in order, least significant first, and each call's bit is its
     # word's bit 31: server i holds version u when word i * nu + u - 1 has it
     state_bits, row_bits = 32 * n * nu, 32 * nu
-    top_mask = sum(1 << 32 * word + 31 for word in range(n * nu))
+    top_mask = int.from_bytes(b"\0\0\0\x80" * (n * nu), "little")
     row_mask = (1 << row_bits) - 1
     sets: dict[int, frozenset[int]] = {}
 

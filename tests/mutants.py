@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "state-mask-takes-bit-30",
         "src/mvcode/verifier.py",
-        "top_mask = sum(1 << 32 * word + 31 for word in range(n * nu))",
-        "top_mask = sum(1 << 32 * word + 30 for word in range(n * nu))",
+        'top_mask = int.from_bytes(b"\\0\\0\\0\\x80" * (n * nu), "little")',
+        'top_mask = int.from_bytes(b"\\0\\0\\0\\x40" * (n * nu), "little")',
         (
             "tests/test_differential.py::"
             "test_monte_carlo_blocks_match_the_per_trial_engine[mds]",
@@ -216,6 +216,60 @@ MUTANTS = (
         (
             "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
             "tests/test_cli.py::test_golden_transcript[verify-mds-exhaustive]",
+        ),
+    ),
+    Mutant(
+        "holder-inverse-with-one-bit-flipped",
+        "src/mvcode/galois.py",
+        "masks = self._inverses[servers] = gf2_inverse(stacked)",
+        "masks = gf2_inverse(stacked)\n"
+        "            masks = self._inverses[servers] = (masks[0] ^ 1, *masks[1:])",
+        (
+            "tests/test_differential.py::"
+            "test_mask_decode_matches_the_vandermonde_oracle[8-4-2]",
+            "tests/test_galois.py::test_message_recoverable_from_any_c_servers",
+            "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
+        ),
+    ),
+    Mutant(
+        "plan-later-layers-check-only-their-first-index",
+        "src/mvcode/binning.py",
+        "layers.append((version, masks, checks))",
+        "layers.append((version, masks, checks if previous is None else checks[:1]))",
+        (
+            "tests/test_binning.py::test_decoder_outcomes_match_the_blind_oracle",
+            "tests/test_cli.py::test_golden_transcript[verify-binning-exhaustive]",
+        ),
+    ),
+    Mutant(
+        "plan-ball-masks-cut-to-two",
+        "src/mvcode/binning.py",
+        "masks = np.array(list(iter_ball_masks(K, gap)), np.int64)",
+        "masks = np.array(list(iter_ball_masks(K, gap))[:2], np.int64)",
+        (
+            "tests/test_binning.py::test_decoder_outcomes_match_the_blind_oracle",
+            "tests/test_cli.py::test_golden_transcript[verify-binning-exhaustive]",
+        ),
+    ),
+    Mutant(
+        "ambiguous-and-no-match-reasons-swapped",
+        "src/mvcode/binning.py",
+        "    if survivors:\n        reason =",
+        "    if not survivors:\n        reason =",
+        (
+            "tests/test_binning.py::test_decoder_outcomes_match_the_blind_oracle",
+            "tests/test_binning.py::test_an_index_no_value_has_leaves_no_survivor[0]",
+        ),
+    ),
+    Mutant(
+        "absent-index-key-is-its-insertion-point",
+        "src/mvcode/binning.py",
+        "            return key\n        return None",
+        "            return key\n        return key",
+        (
+            "tests/test_binning.py::test_an_index_no_value_has_leaves_no_survivor[0]",
+            "tests/test_binning.py::test_an_index_no_value_has_leaves_no_survivor[1]",
+            "tests/test_binning.py::test_decoder_outcomes_match_the_blind_oracle",
         ),
     ),
     Mutant(

@@ -594,6 +594,56 @@ def test_cost_structured_quotes_spaced_values(capsys):
     assert 'notes="errorless converse' in bound_line
 
 
+def test_cost_calls_a_nonpositive_converse_vacuous(capsys):
+    # at nu=50 the errorless converse is negative: true, but it bounds nothing
+    for fmt in ("text", "csv", "structured"):
+        code, out, _ = _run(capsys, "cost", "--nu", "50", "--format", fmt)
+        assert code == 0
+        row = out.splitlines()[-1]
+        assert "-1.108906634017419" in row
+        assert "errorless converse; nonpositive, so vacuous at these parameters" in row
+        assert "no code can store fewer" not in row
+
+
+# Each literal ran out of memory, printed the interpreter's digit limit or ran
+# on for minutes before the rational parser refused literals it cannot hold
+# or print.
+_PAST_LIMIT_LITERALS = (
+    ("2^-99999999999", "2^k needs k in [-67108864, 1000], got '2^-99999999999'"),
+    ("1e-99999", "a decimal exponent needs to lie in [-1000, 1000], got '1e-99999'"),
+    (
+        "1e-99999999",
+        "a decimal exponent needs to lie in [-1000, 1000], got '1e-99999999'",
+    ),
+    ("1/" + "3" * 1001, "a rational of 1003 characters passes the limit of 1000"),
+)
+
+
+@pytest.mark.parametrize("literal, message", _PAST_LIMIT_LITERALS, ids=lambda v: v[:16])
+@pytest.mark.parametrize("key", ["epsilon", "delta"])
+def test_rationals_past_the_literal_limits_are_refused_at_parse(
+    key, literal, message, tmp_path
+):
+    done = _run_limited(["cost", f"--{key}", literal])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(f"error: argument --{key}: {message}\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={literal}\n")
+    done = _run_limited(["cost", "--config", str(path)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: bad value for {key}: {message}\n"
+
+
+def test_rationals_at_the_literal_limits_print():
+    assert format_rational(parse_rational("2^-67108864")) == "2^-67108864"
+    assert format_rational(parse_rational("2^1000")) == str(2**1000)
+    for literal in ("1e-1000", "1e1000", "0." + "1" * 998, "9" * 1000):
+        assert format_rational(parse_rational(literal))
+    done = _run_limited(["cost", "--epsilon", "1e-1000"])
+    assert done.returncode == 0, done.stderr
+    assert "epsilon=1/" in done.stdout.splitlines()[0]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -910,6 +960,24 @@ def test_binning_kind_reaches_the_linear_codebook(capsys):
     assert code == 0
     assert "search kind=linear seeds=1 tuples-per-cell=50" in out
     assert any(line.startswith("0     672    33600 ") for line in out.splitlines())
+
+
+def test_sim_search_sizes_its_row_table_by_the_versions_it_writes():
+    # a table of all 2^22 row patterns ran out of memory under the limit
+    argv = ["sim", "--search", "12", "--c-w", "3", "--c-r", "3", "--nu", "22"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "search none-found depth=12"
+
+
+@pytest.mark.parametrize("scheme", ["replication", "mds", "delta"])
+def test_monte_carlo_verify_answers_at_65536_servers(scheme):
+    # the state mask took 15 s to build at n=65,536, and the generator then
+    # built every server's rows
+    argv = ["verify", "--scheme", scheme, "-n", "65536", "--mode", "monte-carlo"]
+    done = _run_limited([*argv, "--trials", "5"])
+    assert done.returncode == 0, done.stderr
+    assert "attempts=5" in done.stdout
 
 
 def test_binning_seed_count_names_its_flag(capsys):

@@ -570,9 +570,11 @@ def test_closed_form_matches_receipt_pattern_sweep(name):
 def test_cost_builds_no_generator_rows(name):
     scheme = make_scheme(name, CorrelationModel(64, 2, 3), 8, 4)
     scheme.worst_case_cost()
-    assert "rows" not in scheme.generator.__dict__
+    assert "rows" not in scheme.generator.__dict__ and not scheme.generator._rows
     scheme.encode(0, (1,), VersionTuple((Message(0, 64),) * 3))
-    assert "rows" in scheme.generator.__dict__
+    # one encode builds its own server's rows, not every server's
+    assert list(scheme.generator._rows) == [0]
+    assert "rows" not in scheme.generator.__dict__
 
 
 def test_rs_update_cost_monotone_in_radius():
