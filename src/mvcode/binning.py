@@ -210,12 +210,6 @@ class RateAllocation:
         nu = self.model.nu
         return self.index_bits((nu,), nu)
 
-    @property
-    def union_share(self) -> Fraction:
-        """epsilon * 2^(-nu*n): each of the at most 2^(nu*n) states' share of
-        epsilon under the union bound the widths are sized for."""
-        return self.epsilon / (1 << (self.model.nu * self.n))
-
 
 # ---------------------------------------------------------------------------
 # Codebooks
@@ -959,10 +953,13 @@ class BinningScheme(MvcScheme):
         table = model.K / self.c + (model.nu - 1) * log2(
             model.ball_volume()
         ) / self.c
+        # epsilon * 2^(-nu*n): each of the at most 2^(nu*n) states' share of
+        # epsilon under the union bound the widths are sized for
+        share = format_rational(self.allocation.epsilon, model.nu * self.n)
         notes = (
             f"real-rate total {binning_worst_case_cost(self.allocation):.4f} bits",
             f"ceiling slack {self.allocation.ceiling_slack(full):.4f} bits",
-            f"union-bound share {format_rational(self.allocation.union_share)}",
+            f"union-bound share {share}",
             f"codebook {self.codebook.kind} seed {self.codebook.seed}",
         )
         return CostReport(self.name, table, float(storage), storage, 0, notes)

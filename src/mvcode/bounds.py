@@ -47,14 +47,18 @@ def log2_exact(x: int | Fraction) -> float:
     return float(log2_decimal(x))
 
 
-def format_rational(x: Fraction) -> str:
-    """``p`` or ``p/q``; past a 64-bit denominator ``p/q*2^-k`` with q odd,
-    or ``2^-k`` when p/q is 1, so a tiny power of two stays short."""
-    den = x.denominator
-    k = (den & -den).bit_length() - 1
-    if den.bit_length() <= 64 or not k:
-        return str(x.numerator) if den == 1 else f"{x.numerator}/{den}"
-    mantissa = format_rational(Fraction(x.numerator, den >> k))
+def format_rational(x: Fraction, shift: int = 0) -> str:
+    """x * 2^-shift as ``p`` or ``p/q``; past a 64-bit denominator
+    ``p/q*2^-k`` with q odd, or ``2^-k`` when p/q is 1, so a tiny power of
+    two stays short.  2^shift itself is never built."""
+    p, den = x.numerator, x.denominator
+    cancel = min((p & -p).bit_length() - 1, shift) if p else shift
+    p, shift = p >> cancel, shift - cancel
+    k = (den & -den).bit_length() - 1 + shift
+    if den.bit_length() + shift <= 64 or not k:
+        den <<= shift
+        return str(p) if den == 1 else f"{p}/{den}"
+    mantissa = format_rational(Fraction(p, den >> (k - shift)))
     return f"2^-{k}" if mantissa == "1" else f"{mantissa}*2^-{k}"
 
 

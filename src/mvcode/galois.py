@@ -1,10 +1,10 @@
 """Binary extension field arithmetic and the Reed-Solomon codec over GF(2).
 
-GF(2^m) is used only to build a code's generator: each server's map from
-message bits to stored bits, expanded into GF(2) row masks.  Encoding XORs
-those masks; decoding XORs the masks of the inverse of the c holders'
-stacked generator, computed once per holder tuple by Gauss-Jordan
-elimination over GF(2) (the bit-matrix view of Reed-Solomon decoding).
+GF(2^m) is used only to build a code's block map: each server's map from a
+c*m-bit message block to its m-bit symbol, as GF(2) row masks.  Encoding
+XORs them once per block; decoding XORs the rows of the inverse of the c
+holders' stacked maps, one c*m-square matrix per holder tuple, by
+Gauss-Jordan elimination over GF(2) (the bit-matrix view of RS decoding).
 
 Fields GF(2^m) are built from a deterministic reduction polynomial: among
 all degree-m polynomials with nonzero constant term, ordered first by term
@@ -103,6 +103,9 @@ class RsCode:
     n: int
     c: int
     evaluation_points: tuple[int, ...] = dataclass_field(init=False)
+    _cache: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 1 <= self.c <= self.n:
@@ -143,9 +146,7 @@ class RsCode:
         """Recover a message block from exactly c (coordinate, symbol) pairs."""
         pairs = list(symbols)
         if len(pairs) < self.c:
-            raise InsufficientSymbolsError(
-                f"need {self.c} symbols, got {len(pairs)}"
-            )
+            raise InsufficientSymbolsError(f"need {self.c} symbols, got {len(pairs)}")
         if len(pairs) > self.c:
             raise ValueError(f"need exactly {self.c} symbols, got {len(pairs)}")
         servers = tuple(s for s, _ in pairs)
@@ -156,12 +157,33 @@ class RsCode:
         if any(not 0 <= v < self.field.order for _, v in pairs):
             raise ValueError("symbol outside the field")
         m = self.field.m
-        bits = self._block_generator.solve(pairs)
+        stacked = sum(v << (i * m) for i, (_, v) in enumerate(pairs))
+        bits = xor_rows(self.inverse(servers), stacked)
         return tuple((bits >> (j * m)) & ((1 << m) - 1) for j in range(self.c))
 
-    @cached_property
-    def _block_generator(self) -> "BinaryGenerator":
-        return binary_expand_generator(self, self.c * self.field.m)
+    def block_rows(self, server: int) -> tuple[int, ...]:
+        """The server's block map, cached under the server: for bit j*m + t
+        of a c*m-bit block (bit t of symbol j), the m-bit mask
+        mul(2^t, point^j) it adds to the server's symbol."""
+        rows = self._cache.get(server)
+        if rows is None:
+            f, point = self.field, self.evaluation_points[server]
+            rows = self._cache[server] = tuple(
+                f.mul(1 << t, f.pow(point, j)) for j in range(self.c) for t in range(f.m)
+            )
+        return rows
+
+    def inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
+        """Rows of the inverse of the c servers' stacked block maps, cached
+        under the tuple: for stacked symbol bit i*m + t (bit t of
+        servers[i]), the block bits it flips."""
+        masks = self._cache.get(servers)
+        if masks is None:
+            m = self.field.m
+            rows = [self.block_rows(s) for s in servers]
+            stacked = [sum(r << (i * m) for i, r in enumerate(k)) for k in zip(*rows)]
+            masks = self._cache[servers] = gf2_inverse(stacked)
+        return masks
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +232,18 @@ def gf2_inverse(rows: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BinaryGenerator:
-    """Per-server binary expansion of a block-structured Reed-Solomon encoder.
+    """The code's block map laid over K-bit messages.
 
-    A K-bit message is zero-padded to ``padded_K`` bits, split into
-    ``blocks`` blocks of c*m bits, and each block contributes one m-bit
-    symbol per server.  ``rows[i]`` holds, for message bit k, the mask of
-    stored bits at server i that flip when bit k flips; flattening these
-    masks gives the server's K x (blocks*m) generator over GF(2).
-
-    Any c servers' generators, stacked, form a square padded_K x padded_K
-    matrix; ``solve`` decodes with its inverse, cached per holder tuple.
+    A K-bit message is zero-padded to ``padded_K`` bits and split into
+    ``blocks`` blocks of c*m bits; block b goes through the code's
+    ``block_rows`` into stored bits b*m..b*m+m-1 of each server, and
+    decodes through its ``inverse``.  The flat views shift those by block.
     """
 
     code: RsCode
     K: int
     padded_K: int
     blocks: int
-    _rows: dict = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _inverses: dict = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _columns: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -246,71 +258,59 @@ class BinaryGenerator:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Every server's row masks."""
-        return tuple(map(self.server_rows, range(self.code.n)))
-
-    def server_rows(self, server: int) -> tuple[int, ...]:
-        """One server's row masks, cached, built on first use."""
-        rows = self._rows.get(server)
-        if rows is None:
-            f, m, c = self.code.field, self.symbol_bits, self.code.c
-            point = self.code.evaluation_points[server]
-            # Bit t' of message symbol j contributes mul(2^t', point^j) to the
-            # stored symbol of its block.
-            contribution = [
-                [f.mul(1 << t, f.pow(point, j)) for t in range(m)] for j in range(c)
-            ]
-            rows = []
-            for k in range(self.padded_K):
-                block, offset = divmod(k, c * m)
-                j, t = divmod(offset, m)
-                rows.append(contribution[j][t] << (block * m))
-            rows = self._rows[server] = tuple(rows)
-        return rows
+        """Every server's flat generator: a stored-bit mask per padded bit."""
+        shifts = [b * self.symbol_bits for b in range(self.blocks)]
+        servers = map(self.code.block_rows, range(self.code.n))
+        return tuple(tuple(r << s for s in shifts for r in rows) for rows in servers)
 
     def apply(self, server: int, message_bits: int) -> int:
         """Stored bit string (packed int) for a full message at one server."""
-        return xor_rows(self.server_rows(server), message_bits)
+        rows = self.code.block_rows(server)
+        chunk = (1 << len(rows)) - 1
+        out = shift = 0
+        while message_bits:
+            out |= xor_rows(rows, message_bits & chunk) << shift
+            message_bits >>= len(rows)
+            shift += self.symbol_bits
+        return out
 
     def solve(self, holders: Sequence[tuple[int, int]]) -> int:
         """The padded message stored as the given (server, stored bits)
         pairs at exactly c distinct servers."""
-        servers = tuple(s for s, _ in holders)
-        masks = self._inverses.get(servers) or self.inverse(servers)
-        width = self.stored_bits_per_server
-        stacked = 0
-        for i, (_, vec) in enumerate(holders):
-            stacked |= vec << (i * width)
-        return xor_rows(masks, stacked)
-
-    def inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
-        """Rows of the inverse of the given c servers' stacked generator,
-        cached: one message mask per bit of their concatenated stored
-        bits."""
-        masks = self._inverses.get(servers)
-        if masks is None:
-            width = self.stored_bits_per_server
-            rows = [self.server_rows(s) for s in servers]
-            stacked = [
-                sum(r[k] << (i * width) for i, r in enumerate(rows))
-                for k in range(self.padded_K)
-            ]
-            masks = self._inverses[servers] = gf2_inverse(stacked)
-        return masks
+        masks = self.code.inverse(tuple(s for s, _ in holders))
+        m, bits = self.symbol_bits, 0
+        for b in range(self.blocks):
+            stacked = 0
+            for i, (_, vec) in enumerate(holders):
+                stacked |= (vec >> (b * m) & ((1 << m) - 1)) << (i * m)
+            bits |= xor_rows(masks, stacked) << (b * len(masks))
+        return bits
 
     def columns(self, server: int) -> tuple[tuple[int, ...], ...]:
         """The server's generator by column, cached: for each stored bit,
         the message bits below K that flip it (padding bits are zero)."""
         if server not in self._columns:
-            rows = self.server_rows(server)[: self.K]
-            self._columns[server] = gf2_columns(rows, self.stored_bits_per_server)
+            rows = self.code.block_rows(server)
+            block = gf2_columns(rows, self.symbol_bits)
+            self._columns[server] = tuple(
+                tuple(k for j in column if (k := b * len(rows) + j) < self.K)
+                for b in range(self.blocks) for column in block
+            )
         return self._columns[server]
 
     def inverse_columns(self, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """``inverse(servers)`` by column, cached: for each padded message
-        bit, the bits of the servers' stacked stored bits that flip it."""
+        """The inverse of the servers' stacked generator by column, cached:
+        for each padded message bit, the bits of the servers' stacked
+        stored bits that flip it."""
         if servers not in self._columns:
-            self._columns[servers] = gf2_columns(self.inverse(servers), self.padded_K)
+            masks = self.code.inverse(servers)
+            m, width = self.symbol_bits, self.stored_bits_per_server
+            block = gf2_columns(masks, len(masks))
+            # stacked block bit i*m + t is stacked stored bit i*width + b*m + t
+            self._columns[servers] = tuple(
+                tuple(r // m * width + r % m + b * m for r in column)
+                for b in range(self.blocks) for column in block
+            )
         return self._columns[servers]
 
 
@@ -319,7 +319,7 @@ def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:
 
     K is padded up to a multiple of c*m.  Every message bit lands in exactly
     one block, so each row touches at most one stored symbol per server.
-    Only the layout is computed here; the row masks are built on first use.
+    Only the layout is computed here.
     """
     block_bits = code.c * code.field.m
     blocks = -(-K // block_bits)

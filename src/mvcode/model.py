@@ -51,6 +51,11 @@ class EnumerationCapExceeded(RuntimeError):
         self.cap = cap
 
 
+def _binomials(radius: int, K: int) -> Iterator[int]:
+    """C(K, j) for j in 0..radius, each from the one before."""
+    return accumulate(range(radius), lambda b, j: b * (K - j) // (j + 1), initial=1)
+
+
 @cache
 def hamming_ball_volume(radius: int, K: int) -> int:
     """Number of length-K bit vectors within Hamming distance ``radius`` of a point.
@@ -62,8 +67,7 @@ def hamming_ball_volume(radius: int, K: int) -> int:
         raise ValueError("radius and K must be nonnegative")
     if radius > K:
         raise ValueError(f"radius {radius} exceeds vector length {K}")
-    binomials = accumulate(range(radius), lambda b, j: b * (K - j) // (j + 1), initial=1)
-    return sum(binomials)
+    return sum(_binomials(radius, K))
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,7 +317,8 @@ def tuple_sampler(model: CorrelationModel) -> Callable[[_Draws], tuple[int, ...]
     one drawn bit.
     """
     K = model.K
-    cumulative = [hamming_ball_volume(j, K) for j in range(model.radius + 1)]
+    # the volumes of the balls of radius 0..radius, in one pass
+    cumulative = list(accumulate(_binomials(model.radius, K)))
     total = cumulative[-1]
     total_bits = total.bit_length()
     spans = [(K - i, (K - i).bit_length()) for i in range(model.radius)]

@@ -221,14 +221,25 @@ MUTANTS = (
     Mutant(
         "holder-inverse-with-one-bit-flipped",
         "src/mvcode/galois.py",
-        "masks = self._inverses[servers] = gf2_inverse(stacked)",
+        "masks = self._cache[servers] = gf2_inverse(stacked)",
         "masks = gf2_inverse(stacked)\n"
-        "            masks = self._inverses[servers] = (masks[0] ^ 1, *masks[1:])",
+        "            masks = self._cache[servers] = (masks[0] ^ 1, *masks[1:])",
         (
             "tests/test_differential.py::"
             "test_mask_decode_matches_the_vandermonde_oracle[8-4-2]",
             "tests/test_galois.py::test_message_recoverable_from_any_c_servers",
             "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
+        ),
+    ),
+    Mutant(
+        "inverse-columns-read-the-next-block",
+        "src/mvcode/galois.py",
+        "tuple(r // m * width + r % m + b * m for r in column)",
+        "tuple(r // m * width + r % m + (b + 1) % self.blocks * m for r in column)",
+        (
+            "tests/test_differential.py::"
+            "test_block_generator_matches_the_padded_expansion[8-2-4]",
+            "tests/test_cli.py::test_golden_transcript[verify-mds-exhaustive]",
         ),
     ),
     Mutant(

@@ -4,17 +4,18 @@ Everything here deliberately avoids the library's own code paths: binomials
 come from a Pascal-triangle recurrence, logarithms from big-integer
 bisection, and probabilities from explicit outcome enumeration.  Slow is
 fine; independent is the point.  The mpmath rate arithmetic, the quorum
-bridge's subset scan, the GF(2^m) Vandermonde inverse, the receipt-
-pattern sweep, the per-node read search and the per-trial Monte-Carlo
-engine at the end are the implementations the exact paths, the direct
-bridge rule, the GF(2) mask decode, the closed-form worst cases, the
-view-keyed search and the per-view Monte-Carlo blocks replaced,
-kept as their oracles; so are the read views taken from the whole state
-that views from T's rows replaced, the latest-only and replication newest-
-version scans that ``model.newest_held`` replaced, the tuple and
-subset draws through ``randrange`` and ``random.sample`` that the
-``getrandbits``-only samplers replaced, and the binning decode over
-survivor sets that the one numpy plan runner replaced.
+bridge's subset scan, the GF(2^m) Vandermonde inverse, the padded binary
+generator, the receipt-pattern sweep, the per-node read search and the
+per-trial Monte-Carlo engine at the end are the implementations the exact
+paths, the direct bridge rule, the GF(2) mask decode, the generator read
+block by block, the closed-form worst cases, the view-keyed search and the
+per-view Monte-Carlo blocks replaced, kept as their oracles; so are the
+read views taken from the whole state that views from T's rows replaced,
+the latest-only and replication newest-version scans that
+``model.newest_held`` replaced, the tuple and subset draws through
+``randrange`` and ``random.sample`` that the ``getrandbits``-only samplers
+replaced, and the binning decode over survivor sets that the one numpy
+plan runner replaced.
 
 The parity lemma of the linear codebook, the receipt-set rate formula and
 the binning rate-region check with its scenario rates are analytics only
@@ -38,6 +39,7 @@ import numpy as np
 from mpmath import mp
 
 from mvcode.binning import RateTerm, _decoding_chain
+from mvcode.galois import gf2_columns, gf2_inverse, xor_rows
 from mvcode.model import (
     Message,
     SystemState,
@@ -560,6 +562,60 @@ def vandermonde_interpolate(generator, holders) -> int:
         for j, val in enumerate(block):
             bits |= val << (b * code.c * m + j * m)
     return bits
+
+
+# ---------------------------------------------------------------------------
+# The padded generator a BinaryGenerator expanded before it read the code's
+# block map: each server's padded_K flat rows, and the padded_K-square
+# inverse of the holders' stacked rows, kept as its oracle.
+
+
+def padded_rows(generator, server: int) -> tuple[int, ...]:
+    """The server's mask of stored bits for each padded message bit."""
+    code, m = generator.code, generator.symbol_bits
+    f, c = code.field, code.c
+    point = code.evaluation_points[server]
+    contribution = [
+        [f.mul(1 << t, f.pow(point, j)) for t in range(m)] for j in range(c)
+    ]
+    rows = []
+    for k in range(generator.padded_K):
+        block, offset = divmod(k, c * m)
+        j, t = divmod(offset, m)
+        rows.append(contribution[j][t] << (block * m))
+    return tuple(rows)
+
+
+def padded_inverse(generator, servers: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of the inverse of the servers' stacked padded rows: one padded
+    message mask per bit of their concatenated stored bits."""
+    width = generator.stored_bits_per_server
+    rows = [padded_rows(generator, s) for s in servers]
+    stacked = [
+        sum(r[k] << (i * width) for i, r in enumerate(rows))
+        for k in range(generator.padded_K)
+    ]
+    return gf2_inverse(stacked)
+
+
+def padded_apply(generator, server: int, message_bits: int) -> int:
+    return xor_rows(padded_rows(generator, server), message_bits)
+
+
+def padded_solve(generator, holders) -> int:
+    masks = padded_inverse(generator, tuple(s for s, _ in holders))
+    width = generator.stored_bits_per_server
+    stacked = sum(vec << (i * width) for i, (_, vec) in enumerate(holders))
+    return xor_rows(masks, stacked)
+
+
+def padded_columns(generator, server: int) -> tuple[tuple[int, ...], ...]:
+    rows = padded_rows(generator, server)[: generator.K]
+    return gf2_columns(rows, generator.stored_bits_per_server)
+
+
+def padded_inverse_columns(generator, servers) -> tuple[tuple[int, ...], ...]:
+    return gf2_columns(padded_inverse(generator, servers), generator.padded_K)
 
 
 # ---------------------------------------------------------------------------

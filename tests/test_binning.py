@@ -36,6 +36,7 @@ from mvcode.binning import (
     sample_tuples,
     seed_search,
 )
+from mvcode.bounds import format_rational
 from mvcode.model import (
     DEFAULT_ENUMERATION_CAP,
     CorrelationModel,
@@ -73,7 +74,7 @@ def test_reference_widths_frozen():
         return alloc.evaluate(rate_term(alloc, got, u))
 
     # safety term: nu*n - log2(eps) = 8 + 2 = 10 bits
-    assert alloc.union_share == Fraction(1, 1024)
+    assert format_rational(alloc.epsilon, REF_MODEL.nu * REF_N) == "1/1024"
     # first received v1: (8 + 10) / 2 = 9 exactly
     assert rate((1, 2), 1) == 9.0
     assert alloc.index_widths((1, 2)) == {1: 9, 2: 8}

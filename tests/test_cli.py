@@ -185,6 +185,14 @@ def test_format_rational_shortens_past_a_64_bit_denominator():
     assert format_rational(Fraction(1, 3**50)) == f"1/{3**50}"
 
 
+def test_format_rational_of_a_scaled_value_matches_the_built_one():
+    values = [Fraction(0), Fraction(3), Fraction(-12), Fraction(1, 4), Fraction(5, 7)]
+    values += [Fraction(2**70, 3), Fraction(1, 3 * 2**70), Fraction(7, 2**63)]
+    for x in values:
+        for shift in (0, 1, 2, 5, 62, 63, 64, 65, 200):
+            assert format_rational(x, shift) == format_rational(x / 2**shift)
+
+
 def test_config_text_round_trip_is_identity():
     for cfg in (
         RunConfig(),
@@ -332,6 +340,14 @@ def test_cost_answers_large_inputs_quickly(flags):
     assert int(row.split()[3]) > 0
     if flags == ["-n", "8000", "--K", "4"]:
         assert "union-bound share 2^-16002;" in row
+
+
+def test_cost_prints_the_union_share_without_building_two_to_the_nu_n():
+    # epsilon / 2^(nu*n) at nu*n = 6,553,600,000 ran out of memory
+    argv = ["cost", "--nu", "100000", "-n", "65536", "-c", "65536", "--K", "100000"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert "union-bound share 2^-6553600002;" in done.stdout
 
 
 def test_config_rejects_conflicts_and_unknowns():
@@ -978,6 +994,21 @@ def test_monte_carlo_verify_answers_at_65536_servers(scheme):
     done = _run_limited([*argv, "--trials", "5"])
     assert done.returncode == 0, done.stderr
     assert "attempts=5" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--K", "16384", "--mode", "monte-carlo", "--trials", "3",
+         "--cap", "100"],
+        ["sim", "--scheme", "mds", "--K", "16384"],
+    ],
+    ids=" ".join,
+)
+def test_large_messages_encode_and_decode_block_by_block(argv):
+    # a padded_K-square inverse per holder tuple gave no answer within 40 s
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
 
 
 def test_binning_seed_count_names_its_flag(capsys):

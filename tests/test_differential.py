@@ -4,6 +4,7 @@ replaced: big-integer width ceilings and region signs against the snapped
 estimate_epsilon and survey paths against values of the previous
 implementation, the direct quorum read rules against brute force, the
 GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse,
+the generator read block by block against its padded expansion,
 the view-keyed schedule search against the per-node read search, the
 per-view Monte-Carlo blocks against the per-trial engine, and the
 getrandbits-only tuple and subset draws against randrange and
@@ -24,6 +25,11 @@ from oracles import (
     latest_only_newest_holders,
     mpmath_evaluate,
     mpmath_log2,
+    padded_apply,
+    padded_columns,
+    padded_inverse_columns,
+    padded_rows,
+    padded_solve,
     per_node_read_search,
     per_trial_monte_carlo_run,
     rate_term,
@@ -53,6 +59,7 @@ from mvcode.binning import (
     sample_tuples,
 )
 from mvcode.bounds import log2_exact
+from mvcode.galois import RsCode, binary_expand_generator
 from mvcode.model import (
     CorrelationModel,
     SystemState,
@@ -462,6 +469,39 @@ def test_mask_decode_matches_the_vandermonde_oracle(n, c, K):
         for symbols in symbol_words:
             pairs = [(s, symbols[s]) for s in servers]
             assert code.decode(pairs) == vandermonde_decode(code, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The generator read block by block against the padded_K-bit expansion it
+# replaced: flat rows per server and one padded_K-square inverse per holder
+# tuple.
+
+
+@pytest.mark.parametrize("n", [4, 9, 64])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("K", [8, 16, 64, 65])
+def test_block_generator_matches_the_padded_expansion(n, c, K):
+    gen = binary_expand_generator(RsCode.standard(n, c), K)
+    rng = random.Random(n * 1000 + c * 100 + K)
+    servers = range(n) if n < 64 else [0, 1, 63, *rng.sample(range(2, 63), 5)]
+    for server in servers:
+        assert gen.rows[server] == padded_rows(gen, server)
+        assert gen.columns(server) == padded_columns(gen, server)
+        for message in [(1 << K) - 1, *(rng.getrandbits(K) for _ in range(4))]:
+            assert gen.apply(server, message) == padded_apply(gen, server, message)
+    shuffled = [tuple(rng.sample(range(n), c)) for _ in range(12)]
+    for holders in [tuple(range(c)), *shuffled]:
+        # the only inverse the generator builds has c*m rows
+        assert len(gen.code.inverse(holders)) == c * gen.symbol_bits
+        assert gen.inverse_columns(holders) == padded_inverse_columns(gen, holders)
+        words = [[gen.apply(s, rng.getrandbits(K)) for s in holders] for _ in range(3)]
+        words += [
+            [rng.getrandbits(gen.stored_bits_per_server) for _ in holders]
+            for _ in range(3)
+        ]
+        for vectors in words:
+            pairs = list(zip(holders, vectors))
+            assert gen.solve(pairs) == padded_solve(gen, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from itertools import product
 
 import mpmath
@@ -23,6 +24,7 @@ from mvcode.model import (
     latest_common_version,
     latest_complete_version,
     sample_tuple,
+    tuple_sampler,
 )
 
 from oracles import ball_index_bits, ball_volume as oracle_ball_volume
@@ -125,6 +127,21 @@ class TestSampling:
             for seed in range(4)
         ]
         assert got == self.PINNED_DRAWS[params]
+
+    def test_sampler_set_up_sums_the_ball_volumes_in_one_pass(self):
+        # one ball volume per weight took 8.6 s at K = radius = 4096
+        def ring(signum, frame):
+            raise TimeoutError("tuple_sampler set-up outran its alarm")
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            draw = tuple_sampler(CorrelationModel(4096, 4096, 2))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        first, second = draw(random.Random(0).getrandbits)
+        assert max(first, second).bit_length() <= 4096
 
     def test_radius_zero_keeps_versions_identical(self):
         model = CorrelationModel(K=6, radius=0, nu=4)

@@ -570,10 +570,11 @@ def test_closed_form_matches_receipt_pattern_sweep(name):
 def test_cost_builds_no_generator_rows(name):
     scheme = make_scheme(name, CorrelationModel(64, 2, 3), 8, 4)
     scheme.worst_case_cost()
-    assert "rows" not in scheme.generator.__dict__ and not scheme.generator._rows
+    code = scheme.generator.code
+    assert "rows" not in scheme.generator.__dict__ and not code._cache
     scheme.encode(0, (1,), VersionTuple((Message(0, 64),) * 3))
-    # one encode builds its own server's rows, not every server's
-    assert list(scheme.generator._rows) == [0]
+    # one encode builds its own server's block map, not every server's
+    assert list(code._cache) == [0]
     assert "rows" not in scheme.generator.__dict__
 
 

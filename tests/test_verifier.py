@@ -837,16 +837,17 @@ def test_cell_codes_match_the_default_loop(name, K, radius, nu, n, c, quorums):
 
 @pytest.mark.parametrize("name", ["mds", "delta", "rs-update", "latest-only"])
 def test_cell_codes_match_the_default_loop_on_a_corrupted_inverse(name):
-    # K=6 pads to 8 bits at n=4, c=2.  One flipped padding bit and one
-    # flipped message bit in every holder tuple's inverse make some decodes
-    # raise and others return wrong content, on both paths alike.
+    # K=6 pads to two 4-bit blocks at n=4, c=2.  In every holder tuple's
+    # block inverse, bit 3 of mask 0 is a message bit in block 0 and a
+    # padding bit in block 1, and bit 0 of mask 1 a message bit, so some
+    # decodes raise and others return wrong content, on both paths alike.
     scheme = make_scheme(name, CorrelationModel(6, 1, 2), 4, 2)
-    gen = scheme.generator
+    code = scheme.generator.code
     for holders in combinations(range(4), 2):
-        masks = list(gen.inverse(holders))
-        masks[0] ^= 1 << 7
+        masks = list(code.inverse(holders))
+        masks[0] ^= 1 << 3
         masks[1] ^= 1
-        gen._inverses[holders] = tuple(masks)
+        code._cache[holders] = tuple(masks)
     tuples = list(enumerate_possible_set(scheme.model))
     seen = set()
     common = lambda state, T: latest_common_version([state.per_server[t] for t in T])
