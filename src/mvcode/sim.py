@@ -513,8 +513,10 @@ def adversarial_schedule_search(
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     versions = [sample_tuple(scheme.model, seed)]
-    # bit s * nu + u - 1 of S marks version u at server s
-    row = (1 << nu) - 1
+    # a read comes after its writes, so S holds at most width versions:
+    # bit s * width + u - 1 of S marks version u at server s
+    width = min(nu, max(depth - 1, 0))
+    row = (1 << width) - 1
     index: dict[tuple[int, ...], int] = {}
     # per crash count: (C, T, T's index, T's rows' bits, T's row shifts)
     reads = []
@@ -522,19 +524,18 @@ def adversarial_schedule_search(
         table = []
         for crashed in combinations(range(n), k):
             T = _responders(n, crashed, c_r)
-            mask = sum(row << (s * nu) for s in T)
+            mask = sum(row << (s * width) for s in T)
             t = index.setdefault(T, len(index))
-            table.append((crashed, T, t, mask, [s * nu for s in T]))
+            table.append((crashed, T, t, mask, [s * width for s in T]))
         reads.append(table)
     responder_sets = len(index)
-    # the receipt set of each row pattern: a search writes at most
-    # min(nu, depth - 1) versions, so a row has fewer than 2^min(nu, depth)
+    # the receipt set of each row pattern
     patterns = [
-        frozenset(u + 1 for u in range(nu) if p >> u & 1)
-        for p in range(1 << min(nu, depth))
+        frozenset(u + 1 for u in range(width) if p >> u & 1)
+        for p in range(1 << width)
     ]
     # columns[u - 1]: the bits of version u at every server
-    columns = [sum(1 << (s * nu + u) for s in range(n)) for u in range(nu)]
+    columns = [sum(1 << (s * width + u) for s in range(n)) for u in range(width)]
     codes: dict[int, int] = {}
     cells: dict = {}
     cache: dict = {}
@@ -542,7 +543,7 @@ def adversarial_schedule_search(
         for written in range(min(used, nu), -1, -1):
             # arrivals (version, server) in token order, and the bit of each
             pairs = [(u, s) for u in range(1, written + 1) for s in range(n)]
-            bit_of = [1 << (s * nu + u - 1) for u, s in pairs]
+            bit_of = [1 << (s * width + u - 1) for u, s in pairs]
             top = len(pairs)
             newest = (written - 1) * n  # the first arrival of version written
             room = used - written

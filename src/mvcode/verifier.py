@@ -53,7 +53,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -320,9 +320,9 @@ def _monte_carlo_run(
         bits = key >> row_bits * server & row_mask
         held = sets.get(bits)
         if held is None:
-            held = sets[bits] = frozenset(
-                u for u in range(1, nu + 1) if bits >> 32 * u - 1 & 1
-            )
+            # each word's top byte is 0x80 or 0: version u's is byte 4u - 1
+            tops = bits.to_bytes(4 * nu, "little")[3::4]
+            held = sets[bits] = frozenset(compress(range(1, nu + 1), tops))
         return held
 
     # masked state bits -> (those bits, latest complete version or None,
@@ -492,6 +492,11 @@ def verify_definition_2(
     return _verify(scheme, c_r, c_w, mode, trials, seed, cap, witness_cap)
 
 
+# Past this many rows in its keys a bridge forgets the holder positions it
+# kept, so a bridge with a huge read quorum keeps at most one key.
+_HOLDER_MEMO_ROWS = 1 << 16
+
+
 class QuorumBridge(MvcScheme):
     """Read-quorum adapter over a subset-contract scheme.
 
@@ -512,6 +517,11 @@ class QuorumBridge(MvcScheme):
     and the decode returns None.  ``cell_codes`` likewise hands a whole
     cell to the inner scheme's batch over those holders, and is all NULL
     when there are none.
+
+    Each bridge keeps the holders' positions per pattern of T's rows in
+    ascending server order, so a read whose pattern was seen maps them onto
+    its sorted T; the memo is forgotten once its keys would hold more than
+    _HOLDER_MEMO_ROWS rows.
     """
 
     def __init__(self, inner: MvcScheme, c_w: int, c_r: int):
@@ -534,6 +544,10 @@ class QuorumBridge(MvcScheme):
         self.c_r = c_r
         self.overlap = overlap
         self.name = f"quorum-bridge({inner.name})"
+        # T's rows in ascending server order -> the holders' positions
+        # among them, or None; and the rows its keys hold
+        self._positions: dict[tuple, Optional[tuple[int, ...]]] = {}
+        self._stored_rows = 0
 
     def encode(self, server, received, versions):
         return self.inner.encode(server, received, versions)
@@ -541,11 +555,23 @@ class QuorumBridge(MvcScheme):
     def _holders(self, T, rows) -> Optional[tuple]:
         """(holders, their rows): the servers a read from T's ``rows``
         delegates to, in ascending order, or None."""
-        per_server = dict(zip(T, rows))
-        found = newest_held(sorted(T), per_server, self.overlap)
-        if found is None:
+        servers = sorted(T)
+        if servers != list(T):
+            rows = [row for _, row in sorted(zip(T, rows))]
+        key = tuple(rows)
+        try:
+            positions = self._positions[key]
+        except KeyError:
+            if self._stored_rows + len(key) > _HOLDER_MEMO_ROWS:
+                self._positions.clear()
+                self._stored_rows = 0
+            found = newest_held(range(len(key)), key, self.overlap)
+            positions = None if found is None else found[1]
+            self._positions[key] = positions
+            self._stored_rows += len(key)
+        if positions is None:
             return None
-        return found[1], [per_server[t] for t in found[1]]
+        return tuple([servers[i] for i in positions]), [key[i] for i in positions]
 
     def decode(self, T, rows, symbols):
         held = self._holders(T, rows)

@@ -186,13 +186,32 @@ MUTANTS = (
     Mutant(
         "bridge-holders-in-the-order-of-T",
         "src/mvcode/verifier.py",
-        "found = newest_held(sorted(T), per_server, self.overlap)",
-        "found = newest_held(T, per_server, self.overlap)",
+        "servers = sorted(T)",
+        "servers = list(T)",
         (
             "tests/test_differential.py::"
             "test_read_views_from_rows_match_the_state_based_views[mds]",
             "tests/test_differential.py::test_every_read_outcome_is_pinned",
+            "tests/test_verifier.py::"
+            "test_bridge_holders_match_the_quorum_rule_in_any_order_of_T",
         ),
+    ),
+    Mutant(
+        "bridge-holder-positions-mapped-onto-T-unsorted",
+        "src/mvcode/verifier.py",
+        "return tuple([servers[i] for i in positions])",
+        "return tuple([T[i] for i in positions])",
+        (
+            "tests/test_verifier.py::"
+            "test_bridge_holders_match_the_quorum_rule_in_any_order_of_T",
+        ),
+    ),
+    Mutant(
+        "bridge-holder-memo-never-cleared",
+        "src/mvcode/verifier.py",
+        "                self._positions.clear()\n",
+        "",
+        ("tests/test_verifier.py::test_bridge_holder_memo_stays_within_its_row_bound",),
     ),
     Mutant(
         "definition-2-threshold-from-the-rows-of-T",

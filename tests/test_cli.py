@@ -1011,6 +1011,24 @@ def test_large_messages_encode_and_decode_block_by_block(argv):
     assert done.returncode == 0, done.stderr
 
 
+def test_monte_carlo_verify_answers_at_nu_100000():
+    # each row's versions were read by a shift of the 32*nu-bit row per
+    # version: 4.5 s at nu=30,000
+    argv = ["verify", "--nu", "100000", "--mode", "monte-carlo", "--trials", "5"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert "attempts=5" in done.stdout
+
+
+def test_sim_search_answers_at_nu_100000():
+    # the receipt bits were laid out at nu bits per server, though a search
+    # to depth 12 writes at most 11 versions: 5.2 s and 123 MB at nu=10,000
+    done = _run_limited(["sim", "--search", "12", "--c-w", "3", "--c-r", "3",
+                         "--nu", "100000"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "search none-found depth=12"
+
+
 def test_binning_seed_count_names_its_flag(capsys):
     for seeds in ("0", "-2"):
         code, out, err = _run(capsys, "binning", "--seeds", seeds)

@@ -4,7 +4,7 @@ estimation, and the frozen failure pattern of the latest-only strawman."""
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from mvcode.model import (
     iter_states,
     latest_common_version,
     latest_complete_version,
+    newest_held,
     sample_tuple,
 )
 from mvcode.schemes import (
@@ -31,6 +32,7 @@ from mvcode.schemes import (
 )
 from mvcode.sim import partial_update_crash_schedule, run_simulation
 from mvcode.verifier import (
+    _HOLDER_MEMO_ROWS,
     EpsilonEstimate,
     QuorumBridge,
     VerificationReport,
@@ -304,6 +306,52 @@ def test_bridge_decode_delegates_to_the_best_subset():
     assert decoded.message == vt.version(decoded.version)
     empty = [frozenset()] * len(T)
     assert bridge.decode(T, empty, {t: StoredSymbol.empty() for t in T}) is None
+
+
+def _lowest_holders(T, rows, k):
+    """(holders, their rows) of the quorum rule over sorted T, or None."""
+    per_server = dict(zip(T, rows))
+    found = newest_held(sorted(T), per_server, k)
+    return None if found is None else (found[1], [per_server[t] for t in found[1]])
+
+
+def test_bridge_holders_match_the_quorum_rule_in_any_order_of_T():
+    # each read asked twice, once in a shuffled order, so the memo of holder
+    # positions answers both a miss and a hit for T in any order
+    rng = random.Random(5)
+    model = CorrelationModel(4, 1, 3)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        c_w, c_r = rng.randint(1, n), rng.randint(1, n)
+        overlap = c_w + c_r - n
+        if overlap < 1:
+            continue
+        bridge = quorum_bridge(
+            make_scheme("mds", model, n, rng.randint(1, overlap)), c_w, c_r
+        )
+        for _ in range(30):
+            T = rng.sample(range(n), c_r)
+            rows = [frozenset(rng.sample((1, 2, 3), rng.randint(0, 3))) for _ in T]
+            want = _lowest_holders(T, rows, overlap)
+            assert bridge._holders(T, rows) == want, (T, rows, overlap)
+            order = rng.sample(range(c_r), c_r)
+            shuffled = [T[i] for i in order], [rows[i] for i in order]
+            assert bridge._holders(*shuffled) == want, (T, rows, overlap)
+
+
+def test_bridge_holder_memo_stays_within_its_row_bound():
+    # every pattern of seven rows over versions {1, 2}: 16,384 keys hold
+    # 114,688 rows, past the bound
+    bridge = quorum_bridge(make_scheme("mds", CorrelationModel(4, 1, 2), 7, 3), 3, 7)
+    T = tuple(range(7))
+    sets = [frozenset(s) for s in ((), (1,), (2,), (1, 2))]
+    patterns = [list(rows) for rows in product(sets, repeat=7)]
+    for i, rows in enumerate(patterns):
+        for _ in range(2):  # a miss, then a hit
+            assert bridge._holders(T, rows) == _lowest_holders(T, rows, 3), rows
+        if i % 1024 == 0 or i == len(patterns) - 1:
+            assert sum(map(len, bridge._positions)) <= _HOLDER_MEMO_ROWS
+    assert 16384 * 7 > _HOLDER_MEMO_ROWS
 
 
 # ---------------------------------------------------------------------------
