@@ -173,6 +173,21 @@ class RsCode:
             )
         return rows
 
+    def columns(self, key) -> tuple[tuple[int, ...], ...]:
+        """``block_rows(key)`` of a server or ``inverse(key)`` of a holder
+        tuple by column, cached beside them: for each bit of the map's
+        output, the input bits that flip it."""
+        columns = self._cache.get(("columns", key))
+        if columns is None:
+            holders = isinstance(key, tuple)
+            rows = self.inverse(key) if holders else self.block_rows(key)
+            # an inverse is c*m-square, and a block map has m-bit rows
+            columns = self._cache["columns", key] = tuple(
+                tuple(k for k, row in enumerate(rows) if row >> t & 1)
+                for t in range(len(rows) if holders else self.field.m)
+            )
+        return columns
+
     def inverse(self, servers: tuple[int, ...]) -> tuple[int, ...]:
         """Rows of the inverse of the c servers' stacked block maps, cached
         under the tuple: for stacked symbol bit i*m + t (bit t of
@@ -198,17 +213,6 @@ def xor_rows(rows: Sequence[int], bits: int) -> int:
         out ^= rows[low.bit_length() - 1]
         bits ^= low
     return out
-
-
-def gf2_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
-    """A GF(2) matrix by column: for each bit k < width, the rows with it set."""
-    columns: list[list[int]] = [[] for _ in range(width)]
-    for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1].append(i)
-            row ^= low
-    return tuple(map(tuple, columns))
 
 
 def gf2_inverse(rows: Sequence[int]) -> tuple[int, ...]:
@@ -237,16 +241,13 @@ class BinaryGenerator:
     A K-bit message is zero-padded to ``padded_K`` bits and split into
     ``blocks`` blocks of c*m bits; block b goes through the code's
     ``block_rows`` into stored bits b*m..b*m+m-1 of each server, and
-    decodes through its ``inverse``.  The flat views shift those by block.
+    decodes through its ``inverse``.
     """
 
     code: RsCode
     K: int
     padded_K: int
     blocks: int
-    _columns: dict = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def symbol_bits(self) -> int:
@@ -285,33 +286,6 @@ class BinaryGenerator:
                 stacked |= (vec >> (b * m) & ((1 << m) - 1)) << (i * m)
             bits |= xor_rows(masks, stacked) << (b * len(masks))
         return bits
-
-    def columns(self, server: int) -> tuple[tuple[int, ...], ...]:
-        """The server's generator by column, cached: for each stored bit,
-        the message bits below K that flip it (padding bits are zero)."""
-        if server not in self._columns:
-            rows = self.code.block_rows(server)
-            block = gf2_columns(rows, self.symbol_bits)
-            self._columns[server] = tuple(
-                tuple(k for j in column if (k := b * len(rows) + j) < self.K)
-                for b in range(self.blocks) for column in block
-            )
-        return self._columns[server]
-
-    def inverse_columns(self, servers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The inverse of the servers' stacked generator by column, cached:
-        for each padded message bit, the bits of the servers' stacked
-        stored bits that flip it."""
-        if servers not in self._columns:
-            masks = self.code.inverse(servers)
-            m, width = self.symbol_bits, self.stored_bits_per_server
-            block = gf2_columns(masks, len(masks))
-            # stacked block bit i*m + t is stacked stored bit i*width + b*m + t
-            self._columns[servers] = tuple(
-                tuple(r // m * width + r % m + b * m for r in column)
-                for b in range(self.blocks) for column in block
-            )
-        return self._columns[servers]
 
 
 def binary_expand_generator(code: RsCode, K: int) -> BinaryGenerator:

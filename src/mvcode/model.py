@@ -237,20 +237,38 @@ def iter_ball_masks(K: int, radius: int) -> Iterator[int]:
             yield mask
 
 
-def _colex_rank(positions: Sequence[int]) -> int:
-    return sum(math.comb(p, t) for t, p in enumerate(positions, start=1))
+def _colex_rank(mask: int) -> int:
+    """Sum of C(p_t, t) over the set bits p_1 < p_2 < ... of ``mask``, each
+    binomial stepped from the one before by a multiply and a divide."""
+    rank, n, t, b = 0, -1, 0, 1  # b = C(n, t), with C(-1, 0) = 1
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        t += 1
+        b = b * (n + 1) // t
+        # C(n, t) is 0 only at n = t - 1, the one below C(t, t) = 1
+        for n in range(n + 1, low.bit_length() - 1):
+            b = b * (n + 1) // (n + 1 - t) if b else 1
+        rank += b
+        n = low.bit_length() - 1
+    return rank
 
 
-def _colex_unrank(rank: int, size: int) -> tuple[int, ...]:
-    positions = []
-    for t in range(size, 0, -1):
-        # largest p with C(p, t) <= rank
-        p = t - 1
-        while math.comb(p + 1, t) <= rank:
-            p += 1
-        positions.append(p)
-        rank -= math.comb(p, t)
-    return tuple(reversed(positions))
+def _colex_unrank(rank: int, size: int, K: int) -> int:
+    """The mask of ``size`` positions below K of colex rank ``rank``: for t =
+    size..1, the largest p with C(p, t) <= rank, walking p down from K - 1."""
+    mask, p, t = 0, K - 1, size
+    b = math.comb(p, t) if t else 1  # C(p, t)
+    while t:
+        if b <= rank:
+            mask |= 1 << p
+            rank -= b
+            b = b * t // p if p else 0  # C(p - 1, t - 1)
+            t -= 1
+        else:
+            b = b * (p - t) // p  # C(p - 1, t)
+        p -= 1
+    return mask
 
 
 def ball_rank(mask: int, K: int) -> int:
@@ -264,26 +282,20 @@ def ball_rank(mask: int, K: int) -> int:
         raise ValueError("mask wider than K")
     w = mask.bit_count()
     offset = hamming_ball_volume(w - 1, K) if w else 0
-    positions = [p for p in range(K) if (mask >> p) & 1]
-    return offset + _colex_rank(positions)
+    return offset + _colex_rank(mask)
 
 
 def ball_unrank(index: int, K: int) -> int:
-    """Inverse of ball_rank."""
+    """Inverse of ball_rank: the weight class in one pass over C(K, w)."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    w = 0
-    while hamming_ball_volume(w, K) <= index:
-        w += 1
-        if w > K:
-            raise ValueError("index out of range")
-    if w == 0:
-        return 0
-    rem = index - hamming_ball_volume(w - 1, K)
-    mask = 0
-    for p in _colex_unrank(rem, w):
-        mask |= 1 << p
-    return mask
+    for w, size in enumerate(_binomials(K, K)):
+        if index < size:
+            break
+        index -= size
+    else:
+        raise ValueError("index out of range")
+    return _colex_unrank(index, w, K)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ yields, and its decoder reads them back in that order, through
 record counts fix its own).
 
 Each of the five also judges a whole read view at once (``cell_codes``),
-at every tuple count, over bit slices in plain Python ints: one int per
-bit position holds that bit of every tuple, so encoding is one XOR of
-slices per entry of a server's GF(2) generator and decoding one per entry
-of the holders' cached inverse.  What a run reuses across read views
-lives only in the run's cache, never on the scheme.
+at every tuple count, over bit slices in plain Python ints.  A
+Reed-Solomon cell's lane is one (tuple, c*m-bit block) pair, so encoding
+is one XOR of slices per entry of a server's c*m-by-m block map and
+decoding one per entry of the holders' c*m-square inverse, whatever K is.
+What a run reuses across read views lives only in the run's cache, never
+on the scheme.
 """
 
 from __future__ import annotations
@@ -160,10 +161,11 @@ def _judge(scheme: MvcScheme, T, rows, symbols, vt: VersionTuple):
 
 
 # ---------------------------------------------------------------------------
-# Whole-cell decoding over bit slices (Biham, FSE 1997).  Slice j of a tuple
-# list is one int whose bit i*8*nbytes is bit j of tuple i's value, each
-# value in a lane of ``nbytes`` bytes; XOR and OR act on every lane at once
-# and never carry between lanes.
+# Whole-cell decoding over bit slices (Biham, FSE 1997).  Each tuple's
+# padded value sits in a stride of ``nbytes`` bytes, and each of its c*m-bit
+# blocks is a lane: slice j of a tuple list is one int whose bit
+# i*8*nbytes + b*c*m is bit j of block b of tuple i's value.  XOR and OR act
+# on every lane at once and never carry between lanes.
 
 
 def _run_cached(cache: dict, key, build):
@@ -171,24 +173,6 @@ def _run_cached(cache: dict, key, build):
     if value is None:
         value = cache[key] = build()
     return value
-
-
-def _slices(values: Sequence[int], width: int, nbytes: int) -> list[int]:
-    """Slices 0..width-1 of ``values``, each below 2^(8*nbytes)."""
-    packed = int.from_bytes(
-        b"".join(v.to_bytes(nbytes, "little") for v in values), "little"
-    )
-    lanes = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(values), "little")
-    return [packed >> j & lanes for j in range(width)]
-
-
-def _version_slices(tuples, u: int, K: int, nbytes: int, cache: dict) -> list[int]:
-    """The K slices of version u of every tuple."""
-    return _run_cached(
-        cache,
-        ("slices", u, nbytes),
-        lambda: _slices([vt.versions[u - 1].bits for vt in tuples], K, nbytes),
-    )
 
 
 def _product(slices: Sequence[int], columns) -> list[int]:
@@ -201,17 +185,6 @@ def _product(slices: Sequence[int], columns) -> list[int]:
             acc ^= slices[j]
         out.append(acc)
     return out
-
-
-def _slice_codes(version, got, want, raised, count: int, nbytes: int) -> list[int]:
-    """Per-tuple codes: ``version`` where the ``got`` and ``want`` slices
-    agree, _WRONG where they differ, _RAISED where ``raised`` is set."""
-    failing = reduce(or_, map(xor, got, want), 0)
-    if not failing | raised:
-        return [version] * count
-    flags = (failing | raised << 1).to_bytes(count * nbytes, "little")[::nbytes]
-    table = (version, _WRONG, _RAISED, _RAISED)
-    return [table[flag] for flag in flags]
 
 
 class MvcScheme(ABC):
@@ -341,8 +314,12 @@ class _RsBackedScheme(MvcScheme):
         self.generator: BinaryGenerator = binary_expand_generator(
             RsCode.standard(n, c), model.K
         )
-        # bytes per lane of a bit slice: a padded message or symbol vector fits
-        self._lane_bytes = -(-self.generator.padded_K // 8)
+        # bytes per tuple's stride of a bit slice: a padded message fits
+        self._stride = -(-self.generator.padded_K // 8)
+        self._block_bits = width = c * self.generator.symbol_bits
+        # one stride of the lane mask, bit b*c*m for every block b: a repunit
+        lanes = ((1 << self.generator.padded_K) - 1) // ((1 << width) - 1)
+        self._lanes = lanes.to_bytes(self._stride, "little")
 
     @cached_property
     def symbol_vector_bits(self) -> int:
@@ -383,11 +360,49 @@ class _RsBackedScheme(MvcScheme):
                 ("at", server, received, target),
                 lambda: self._vectors_at(server, received, target, tuples, cache),
             )
-        K, nbytes = self.model.K, self._lane_bytes
-        bits = _product(stacked, self.generator.inverse_columns(holders))
-        raised = reduce(or_, bits[K:], 0)  # nonzero padding
-        want = _version_slices(tuples, target, K, nbytes, cache)
-        return _slice_codes(target, bits, want, raised, len(tuples), nbytes)
+        bits = _product(stacked, self.generator.code.columns(holders))
+        want = self._version_slices(tuples, target, cache)
+        return self._slice_codes(target, bits, want, len(tuples))
+
+    def _slices(self, values: Sequence[int]) -> list[int]:
+        """The c*m slices of ``values``, each below 2^padded_K."""
+        nbytes = self._stride
+        packed = int.from_bytes(
+            b"".join(v.to_bytes(nbytes, "little") for v in values), "little"
+        )
+        every = int.from_bytes(self._lanes * len(values), "little")
+        return [packed >> j & every for j in range(self._block_bits)]
+
+    def _version_slices(self, tuples, u: int, cache: dict) -> list[int]:
+        """The c*m slices of version u of every tuple."""
+        return _run_cached(
+            cache,
+            ("slices", u),
+            lambda: self._slices([vt.versions[u - 1].bits for vt in tuples]),
+        )
+
+    def _slice_codes(self, version, got, want, count: int) -> list[int]:
+        """Per-tuple codes: ``version`` where the ``got`` and ``want``
+        slices agree in every lane of the tuple, _WRONG where they differ,
+        _RAISED where ``got`` sets a padding bit.  Only a failing cell folds
+        each stride's lanes into its low bit, over windows of 2^k lanes."""
+        width, padded, nbytes = self._block_bits, self.generator.padded_K, self._stride
+        first = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * count, "little")
+        # the bits at or above K, in the last block's lanes, at each stride's low bit
+        raised = reduce(or_, got[width - padded + self.model.K :], 0)
+        raised = raised >> (padded - width) & first
+        failing = reduce(or_, map(xor, got, want), 0)
+        if not failing | raised:
+            return [version] * count
+        blocks, wrong, offset = self.generator.blocks, 0, 0
+        for span in range(blocks.bit_length()):
+            if blocks >> span & 1:
+                wrong |= failing >> offset * width
+                offset += 1 << span
+            failing |= failing >> (width << span)
+        flags = (wrong & first | raised << 1).to_bytes(count * nbytes, "little")
+        table = (version, _WRONG, _RAISED, _RAISED)
+        return [table[flag] for flag in flags[::nbytes]]
 
     def _vectors_at(self, server, received, target, tuples, cache) -> list[int]:
         """Batch ``_vector_at``: slices of the symbol vectors of version
@@ -396,12 +411,12 @@ class _RsBackedScheme(MvcScheme):
         return self._stored_vectors(server, target, tuples, cache)
 
     def _stored_vectors(self, server, u, tuples, cache) -> list[int]:
-        """Slices of version u's symbol vectors at ``server``: its slices
-        times the server's generator."""
+        """The m slices of version u's symbol vectors at ``server``: its
+        slices times the server's block map."""
 
         def build():
-            bits = _version_slices(tuples, u, self.model.K, self._lane_bytes, cache)
-            return _product(bits, self.generator.columns(server))
+            bits = self._version_slices(tuples, u, cache)
+            return _product(bits, self.generator.code.columns(server))
 
         return _run_cached(cache, ("vectors", server, u), build)
 
@@ -536,10 +551,6 @@ class DeltaScheme(_RsBackedScheme):
             )
         return ball_rank(diff, self.model.K)
 
-    def _step(self, server: int, index: int) -> int:
-        """Stored bits at ``server`` of ball member ``index``."""
-        return self.generator.apply(server, ball_unrank(index, self.model.K))
-
     def _fields(self, server, got, versions):
         base = versions.version(got[0]).bits
         yield self.generator.apply(server, base), self.symbol_vector_bits
@@ -554,26 +565,26 @@ class DeltaScheme(_RsBackedScheme):
                 break
             if index >= self._volume(b - a):
                 raise DecodingError(f"step index {index} outside its Hamming ball")
-            vec ^= self._step(server, index)
+            vec ^= self.generator.apply(server, ball_unrank(index, self.model.K))
         return vec
 
     def _vectors_at(self, server, received, target, tuples, cache):
-        """Each step XORs in the slices of the ``_step`` of the index encode
-        stores; a stored index is a rank inside its own ball, so none raises."""
+        """Each step XORs in the slices of its unranked differences times the
+        server's block map, as ``_vector_at`` does; a stored index is a rank
+        inside its own ball, so none raises."""
         vec = self._stored_vectors(server, received[0], tuples, cache)
+        columns = self.generator.code.columns(server)
         for a, b in zip(received, received[1:]):
             if b > target:
                 break
-            indices, where = self._step_indices(a, b, tuples, cache)
-            steps = [self._step(server, index) for index in indices]
-            gathered = _slices([steps[i] for i in where], len(vec), self._lane_bytes)
-            vec = [v ^ g for v, g in zip(vec, gathered)]
+            steps = _product(self._step_slices(a, b, tuples, cache), columns)
+            vec = list(map(xor, vec, steps))
         return vec
 
-    def _step_indices(self, a, b, tuples, cache):
-        """The distinct ball indices encode stores for the step a -> b of
-        the tuples, and each tuple's position among them; each distinct
-        difference is ranked once."""
+    def _step_slices(self, a, b, tuples, cache):
+        """The slices, in message space, of the unranked ball index encode
+        stores for the step a -> b of every tuple; each distinct difference
+        is ranked and unranked once."""
 
         def build():
             slots: dict[int, int] = {}
@@ -581,9 +592,10 @@ class DeltaScheme(_RsBackedScheme):
                 slots.setdefault(vt.version(b).bits ^ vt.version(a).bits, len(slots))
                 for vt in tuples
             ]
-            return [self._index(diff, b - a) for diff in slots], where
+            diffs = [ball_unrank(self._index(d, b - a), self.model.K) for d in slots]
+            return self._slices([diffs[i] for i in where])
 
-        return _run_cached(cache, ("step-indices", a, b), build)
+        return _run_cached(cache, ("steps", a, b), build)
 
     def worst_case_cost(self):
         """Widest at the full receipt pattern: a step across a + b versions

@@ -251,14 +251,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "inverse-columns-read-the-next-block",
-        "src/mvcode/galois.py",
-        "tuple(r // m * width + r % m + b * m for r in column)",
-        "tuple(r // m * width + r % m + (b + 1) % self.blocks * m for r in column)",
+        "lane-mask-without-the-later-blocks",
+        "src/mvcode/schemes.py",
+        "lanes = ((1 << self.generator.padded_K) - 1) // ((1 << width) - 1)",
+        "lanes = 1",
         (
             "tests/test_differential.py::"
             "test_block_generator_matches_the_padded_expansion[8-2-4]",
-            "tests/test_cli.py::test_golden_transcript[verify-mds-exhaustive]",
+            "tests/test_verifier.py::"
+            "test_cell_codes_match_the_default_loop_on_a_corrupted_inverse[mds]",
+        ),
+    ),
+    Mutant(
+        "padding-lanes-read-one-bit-low",
+        "src/mvcode/schemes.py",
+        "raised = raised >> (padded - width) & first",
+        "raised = raised >> (padded - width - 1) & first",
+        (
+            "tests/test_differential.py::"
+            "test_block_generator_matches_the_padded_expansion[65-2-4]",
+            "tests/test_verifier.py::"
+            "test_cell_codes_match_the_default_loop_on_a_corrupted_inverse[mds]",
         ),
     ),
     Mutant(

@@ -39,7 +39,7 @@ import numpy as np
 from mpmath import mp
 
 from mvcode.binning import RateTerm, _decoding_chain
-from mvcode.galois import gf2_columns, gf2_inverse, xor_rows
+from mvcode.galois import gf2_inverse, xor_rows
 from mvcode.model import (
     Message,
     SystemState,
@@ -607,15 +607,6 @@ def padded_solve(generator, holders) -> int:
     width = generator.stored_bits_per_server
     stacked = sum(vec << (i * width) for i, (_, vec) in enumerate(holders))
     return xor_rows(masks, stacked)
-
-
-def padded_columns(generator, server: int) -> tuple[tuple[int, ...], ...]:
-    rows = padded_rows(generator, server)[: generator.K]
-    return gf2_columns(rows, generator.stored_bits_per_server)
-
-
-def padded_inverse_columns(generator, servers) -> tuple[tuple[int, ...], ...]:
-    return gf2_columns(padded_inverse(generator, servers), generator.padded_K)
 
 
 # ---------------------------------------------------------------------------

@@ -318,12 +318,12 @@ _LARGE_COST_INPUTS = (
 )
 
 
-def _run_limited(argv):
-    """``main(argv)`` in a child process under a 2 GiB address-space limit
-    and a 2-s timeout."""
+def _run_limited(argv, limit=2 << 30):
+    """``main(argv)`` in a child process under an address-space limit, 2
+    GiB by default, and a 2-s timeout."""
     script = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
         "from mvcode.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
@@ -1009,6 +1009,27 @@ def test_large_messages_encode_and_decode_block_by_block(argv):
     # a padded_K-square inverse per holder tuple gave no answer within 40 s
     done = _run_limited(argv)
     assert done.returncode == 0, done.stderr
+
+
+def test_monte_carlo_verify_at_k_100000_fits_in_512_mib():
+    # a lane per tuple of padded_K bits held K x padded_K bits per tuple, so
+    # this peaked at 1,968 MB; with a lane per (tuple, block) pair it peaks
+    # at about 18 MB (ru_maxrss of a fresh child)
+    argv = ["verify", "--K", "100000", "--mode", "monte-carlo", "--trials", "5",
+            "--cap", "100"]
+    done = _run_limited(argv, limit=512 << 20)
+    assert done.returncode == 0, done.stderr
+    assert "attempts=5" in done.stdout
+
+
+def test_delta_verify_answers_with_the_radius_at_k_4096():
+    # ball rank and unrank took a fresh big binomial per bit position and
+    # gave no answer within 60 s
+    argv = ["verify", "--scheme", "delta", "--K", "4096", "--radius", "4096",
+            "--mode", "monte-carlo", "--trials", "2"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    assert "attempts=2" in done.stdout
 
 
 def test_monte_carlo_verify_answers_at_nu_100000():

@@ -4,7 +4,8 @@ replaced: big-integer width ceilings and region signs against the snapped
 estimate_epsilon and survey paths against values of the previous
 implementation, the direct quorum read rules against brute force, the
 GF(2) mask decode of Reed-Solomon against the GF(2^m) Vandermonde inverse,
-the generator read block by block against its padded expansion,
+the generator read block by block and the cells' block lanes against its
+padded expansion,
 the view-keyed schedule search against the per-node read search, the
 per-view Monte-Carlo blocks against the per-trial engine, and the
 getrandbits-only tuple and subset draws against randrange and
@@ -26,8 +27,6 @@ from oracles import (
     mpmath_evaluate,
     mpmath_log2,
     padded_apply,
-    padded_columns,
-    padded_inverse_columns,
     padded_rows,
     padded_solve,
     per_node_read_search,
@@ -70,7 +69,7 @@ from mvcode.model import (
     subset_sampler,
     tuple_sampler,
 )
-from mvcode.schemes import DecodingError, MvcScheme
+from mvcode.schemes import _RAISED, _WRONG, DecodingError, MvcScheme
 from mvcode.sim import _search_pairs, adversarial_schedule_search, schedule_to_text
 from mvcode.verifier import (
     QuorumBridge,
@@ -474,26 +473,37 @@ def test_mask_decode_matches_the_vandermonde_oracle(n, c, K):
 # ---------------------------------------------------------------------------
 # The generator read block by block against the padded_K-bit expansion it
 # replaced: flat rows per server and one padded_K-square inverse per holder
-# tuple.
+# tuple.  The Reed-Solomon cells run on the same block map, one lane per
+# (tuple, block) pair, and are checked against the same expansion.
+
+
+def _lane_slices(values, piece, width, stride):
+    """Slice j of ``values`` in the cells' layout, bit by bit: bit
+    i*8*stride + b*width is bit b*piece + j of values[i]."""
+    out = [0] * piece
+    for i, value in enumerate(values):
+        for k in range(value.bit_length()):
+            if value >> k & 1:
+                b, j = divmod(k, piece)
+                out[j] |= 1 << (i * 8 * stride + b * width)
+    return out
 
 
 @pytest.mark.parametrize("n", [4, 9, 64])
 @pytest.mark.parametrize("c", [1, 2, 3])
-@pytest.mark.parametrize("K", [8, 16, 64, 65])
+@pytest.mark.parametrize("K", [8, 10, 16, 64, 65])
 def test_block_generator_matches_the_padded_expansion(n, c, K):
     gen = binary_expand_generator(RsCode.standard(n, c), K)
     rng = random.Random(n * 1000 + c * 100 + K)
     servers = range(n) if n < 64 else [0, 1, 63, *rng.sample(range(2, 63), 5)]
     for server in servers:
         assert gen.rows[server] == padded_rows(gen, server)
-        assert gen.columns(server) == padded_columns(gen, server)
         for message in [(1 << K) - 1, *(rng.getrandbits(K) for _ in range(4))]:
             assert gen.apply(server, message) == padded_apply(gen, server, message)
     shuffled = [tuple(rng.sample(range(n), c)) for _ in range(12)]
     for holders in [tuple(range(c)), *shuffled]:
         # the only inverse the generator builds has c*m rows
         assert len(gen.code.inverse(holders)) == c * gen.symbol_bits
-        assert gen.inverse_columns(holders) == padded_inverse_columns(gen, holders)
         words = [[gen.apply(s, rng.getrandbits(K)) for s in holders] for _ in range(3)]
         words += [
             [rng.getrandbits(gen.stored_bits_per_server) for _ in holders]
@@ -502,6 +512,43 @@ def test_block_generator_matches_the_padded_expansion(n, c, K):
         for vectors in words:
             pairs = list(zip(holders, vectors))
             assert gen.solve(pairs) == padded_solve(gen, pairs)
+    m, width = gen.symbol_bits, c * gen.symbol_bits
+    both, seen = frozenset({1, 2}), set()
+    for name in ("mds", "delta", "rs-update", "latest-only"):
+        scheme = make_scheme(name, CorrelationModel(K, 2, 2), n, c)
+        stride = scheme._stride
+        tuples = [reference_sample_tuple(scheme.model, rng) for _ in range(6)]
+        cache = {}
+        # encode: the m slices of version 2's vectors, through delta's step
+        for server in servers[:6]:
+            got = scheme._vectors_at(server, (1, 2), 2, tuples, cache)
+            want = [padded_apply(gen, server, vt.version(2).bits) for vt in tuples]
+            assert got == _lane_slices(want, m, width, stride), (name, server)
+        # decode: codewords and arbitrary words, some with nonzero padding
+        for holders in [tuple(range(c)), *shuffled[:4]]:
+            vectors = {
+                s: [
+                    padded_apply(gen, s, vt.version(2).bits)
+                    if i % 3 == 0
+                    else rng.getrandbits(gen.stored_bits_per_server)
+                    for i, vt in enumerate(tuples)
+                ]
+                for s in holders
+            }
+            cache = {
+                ("at", s, (1, 2), 2): _lane_slices(vectors[s], m, width, stride)
+                for s in holders
+            }
+            codes = scheme.cell_codes(holders, [both] * c, tuples, cache)
+            want = []
+            for i, vt in enumerate(tuples):
+                bits = padded_solve(gen, [(s, vectors[s][i]) for s in holders])
+                want.append(
+                    _RAISED if bits >> K else 2 if bits == vt.version(2).bits else _WRONG
+                )
+            assert codes == want, (name, holders)
+            seen.update(codes)
+    assert 2 in seen and (_RAISED in seen) == (gen.padded_K > K)
 
 
 # ---------------------------------------------------------------------------

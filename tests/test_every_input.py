@@ -59,7 +59,7 @@ _VALUES = {
         for field in ("c_w", "c_r")
     },
     "nu": (lambda got: st.integers(1, 3), lambda got: [0, -1, 22]),
-    "K": (lambda got: st.integers(1, 16), lambda got: [0, 1, 16, 17, 64]),
+    "K": (lambda got: st.integers(1, 16), lambda got: [0, 1, 16, 17, 64, 4096]),
     "radius": (
         lambda got: st.integers(0, 2),
         lambda got: [got.get("K", 8), got.get("K", 8) + 1, -1],
