@@ -39,8 +39,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
-from math import comb, log2, prod
+from math import log2, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bounds import LOG_DIGITS, format_rational, log2_decimal
@@ -71,7 +70,7 @@ from .schemes import (
     register_scheme,
     split_fields,
 )
-from .verifier import _exhaustive_run, wilson_interval
+from .verifier import _exhaustive_run, _exhaustive_work, wilson_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -760,7 +759,7 @@ class ErrorSurvey:
 
 def _check_survey_work(model, n: int, c: int, trials: int, cap: int) -> None:
     """Refuse a survey whose states x reading sets x tuples exceed ``cap``."""
-    work = (1 << (n * model.nu)) * comb(n, c) * trials
+    work = _exhaustive_work(n, model.nu, c, trials)
     if work > cap:
         raise EnumerationCapExceeded(work, cap)
 
@@ -787,7 +786,7 @@ def empirical_error_survey(
     _check_survey_work(codebook.model, n, rates.c, len(tuples), cap)
     report = _exhaustive_run(
         BinningScheme.over(codebook, rates),
-        list(combinations(range(n), rates.c)),
+        rates.c,
         None,
         iter_states(n, codebook.model.nu),
         tuples,

@@ -1,9 +1,11 @@
 """Information-theoretic storage lower bounds and gap analysis.
 
 Every quantity is assembled from exact big integers (ball volumes, binomial
-and factorial counts, rational error budgets) and only converted through a
-50-digit decimal base-2 logarithm at the end, so comparisons against
-measured costs are not noise-limited.
+and factorial counts, rational error budgets).  ``log2_exact`` takes the
+base-2 logarithm of one such integer or fraction to 50 decimal digits and
+rounds it once to a float; ``lower_bound_general`` and
+``lower_bound_two_versions`` then add and subtract those floats, so a bound
+carries only the few roundings of that float sum.
 """
 
 from __future__ import annotations

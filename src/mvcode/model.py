@@ -22,7 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -164,6 +164,16 @@ class SystemState:
         return tuple(tuple(sorted(s)) for s in self.per_server)
 
 
+@cache
+def row_sets(width: int) -> tuple[frozenset[int], ...]:
+    """Entry p is the version set of row pattern p: version u when bit
+    u - 1 of p is set."""
+    return tuple(
+        frozenset(u + 1 for u in range(width) if p >> u & 1)
+        for p in range(1 << width)
+    )
+
+
 def iter_states(n: int, nu: int) -> Iterator[SystemState]:
     """All states in lexicographic order of their n*nu inclusion bits.
 
@@ -171,16 +181,8 @@ def iter_states(n: int, nu: int) -> Iterator[SystemState]:
     significant bit within a row, so the order (and with it every witness
     list) is reproducible.
     """
-    row_bits = 1 << nu
-    rows = [
-        frozenset(u for u in range(1, nu + 1) if (block >> (u - 1)) & 1)
-        for block in range(row_bits)
-    ]
-    for code in range(row_bits**n):
-        sets = []
-        for i in range(n):
-            sets.append(rows[(code >> ((n - 1 - i) * nu)) & (row_bits - 1)])
-        yield SystemState(tuple(sets))
+    for rows in product(row_sets(nu), repeat=n):
+        yield SystemState(rows)
 
 
 def newest_held(

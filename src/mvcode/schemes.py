@@ -354,12 +354,7 @@ class _RsBackedScheme(MvcScheme):
         receipts = _receipts(T, rows)
         stacked = []
         for server in holders:
-            received = receipts[server]
-            stacked += _run_cached(
-                cache,
-                ("at", server, received, target),
-                lambda: self._vectors_at(server, received, target, tuples, cache),
-            )
+            stacked += self._vectors_at(server, receipts[server], target, tuples, cache)
         bits = _product(stacked, self.generator.code.columns(holders))
         want = self._version_slices(tuples, target, cache)
         return self._slice_codes(target, bits, want, len(tuples))
@@ -571,15 +566,19 @@ class DeltaScheme(_RsBackedScheme):
     def _vectors_at(self, server, received, target, tuples, cache):
         """Each step XORs in the slices of its unranked differences times the
         server's block map, as ``_vector_at`` does; a stored index is a rank
-        inside its own ball, so none raises."""
-        vec = self._stored_vectors(server, received[0], tuples, cache)
-        columns = self.generator.code.columns(server)
-        for a, b in zip(received, received[1:]):
-            if b > target:
-                break
-            steps = _product(self._step_slices(a, b, tuples, cache), columns)
-            vec = list(map(xor, vec, steps))
-        return vec
+        inside its own ball, so none raises.  The fold is kept once per run."""
+
+        def build():
+            vec = self._stored_vectors(server, received[0], tuples, cache)
+            columns = self.generator.code.columns(server)
+            for a, b in zip(received, received[1:]):
+                if b > target:
+                    break
+                steps = _product(self._step_slices(a, b, tuples, cache), columns)
+                vec = list(map(xor, vec, steps))
+            return vec
+
+        return _run_cached(cache, ("at", server, received, target), build)
 
     def _step_slices(self, a, b, tuples, cache):
         """The slices, in message space, of the unranked ball index encode

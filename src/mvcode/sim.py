@@ -41,6 +41,7 @@ from .model import (
     EnumerationCapExceeded,
     VersionTuple,
     latest_complete_version,
+    row_sets,
     sample_tuple,
 )
 from .schemes import _NULL, _RAISED, _WRONG, MvcScheme, _judge
@@ -529,11 +530,7 @@ def adversarial_schedule_search(
             table.append((crashed, T, t, mask, [s * width for s in T]))
         reads.append(table)
     responder_sets = len(index)
-    # the receipt set of each row pattern
-    patterns = [
-        frozenset(u + 1 for u in range(width) if p >> u & 1)
-        for p in range(1 << width)
-    ]
+    patterns = row_sets(width)  # the receipt set of each row pattern
     # columns[u - 1]: the bits of version u at every server
     columns = [sum(1 << (s * width + u) for s in range(n)) for u in range(width)]
     codes: dict[int, int] = {}

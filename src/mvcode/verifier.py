@@ -224,30 +224,58 @@ def _cell(scheme, T, rows, tuples, cells: dict, cache: dict) -> _Cell:
     return cell
 
 
+def _report(
+    mode: str, counts, subsets: int, tuples: int, witnesses, worst_cell=None
+) -> VerificationReport:
+    """The report of a run from each state's (failures, attempts), in the
+    order the run met the states: its totals, its rate and the per-state
+    figures.  ``subsets`` and ``tuples`` are the counts the report shows."""
+    attempts = sum(a for _, a in counts)
+    failures = sum(f for f, _ in counts)
+    rates = [f / a if a else 0.0 for f, a in counts]
+    return VerificationReport(
+        mode,
+        len(counts),
+        subsets,
+        tuples,
+        attempts,
+        failures,
+        tuple(witnesses),
+        failures / attempts if attempts else 0.0,
+        max(rates, default=0.0),
+        sum(rates) / len(rates) if rates else 0.0,
+        _worst_state(counts),
+        worst_cell,
+    )
+
+
+def _exhaustive_work(n: int, nu: int, c: int, count: int) -> int:
+    """Decode attempts of an exhaustive run: states x c-subsets x ``count``."""
+    return (1 << (nu * n)) * math.comb(n, c) * count
+
+
 def _exhaustive_run(
     scheme: MvcScheme,
-    subsets: Sequence[tuple[int, ...]],
+    subset_size: int,
     c_w: Optional[int],
     states: Iterable[SystemState],
     tuples: Sequence[VersionTuple],
     witness_cap: int,
 ) -> VerificationReport:
-    """Judge every subset of every state over ``tuples``: against the
-    state's latest complete version under Definition 2 (write quorum
-    ``c_w``), or, with ``c_w`` None, T's latest common version
+    """Judge every ``subset_size``-subset of every state over ``tuples``:
+    against the state's latest complete version under Definition 2 (write
+    quorum ``c_w``), or, with ``c_w`` None, T's latest common version
     (requirement A)."""
+    subsets = list(combinations(range(scheme.n), subset_size))
     run_cache: dict = {}
     cells: dict[tuple, _Cell] = {}
-    attempts = 0
-    failure_count = 0
     witnesses: list[Witness] = []
-    state_counts = []
+    counts = []
     worst = None
     for state in states:
         per_server = state.per_server
         complete = None if c_w is None else latest_complete_version(per_server, c_w)
-        state_attempts = 0
-        state_failures = 0
+        attempts = failures = 0
         for T in subsets:
             rows = [per_server[t] for t in T]
             threshold = latest_common_version(rows) if c_w is None else complete
@@ -255,8 +283,8 @@ def _exhaustive_run(
                 continue
             cell = _cell(scheme, T, rows, tuples, cells, run_cache)
             fails = cell.failure_count(threshold)
-            state_attempts += len(tuples)
-            state_failures += fails
+            attempts += len(tuples)
+            failures += fails
             if worst is None or fails > worst[2]:
                 worst = (state.key(), T, fails)
             if fails and len(witnesses) < witness_cap:
@@ -266,24 +294,8 @@ def _exhaustive_run(
                     witnesses.append(
                         _witness(state.key(), T, tuples[i], cell.codes[i], threshold)
                     )
-        attempts += state_attempts
-        failure_count += state_failures
-        state_counts.append((state_failures, state_attempts))
-    state_rates = [f / a if a else 0.0 for f, a in state_counts]
-    return VerificationReport(
-        MODE_EXHAUSTIVE,
-        len(state_rates),
-        len(subsets),
-        len(tuples),
-        attempts,
-        failure_count,
-        tuple(witnesses),
-        failure_count / attempts if attempts else 0.0,
-        max(state_rates, default=0.0),
-        sum(state_rates) / len(state_rates) if state_rates else 0.0,
-        _worst_state(state_counts),
-        worst,
-    )
+        counts.append((failures, attempts))
+    return _report(MODE_EXHAUSTIVE, counts, len(subsets), len(tuples), witnesses, worst)
 
 
 # Monte-Carlo draws and judges its trials in blocks of _BLOCK.
@@ -326,13 +338,12 @@ def _monte_carlo_run(
         return held
 
     # masked state bits -> (those bits, latest complete version or None,
-    # [trials, failures], reads), in order of first draw, the bits kept once
+    # [failures, trials], reads), in order of first draw, the bits kept once
     # for every read to share; reads maps a subset code to (T, threshold,
     # view index, state bits, record)
     per_state: dict[int, tuple[int, Optional[int], list[int], dict]] = {}
     views: dict = {}  # read view -> its index, by which a block groups trials
     subsets_seen = set()
-    failures = 0
     witnesses: list[Witness] = []
     for start in range(0, trials, _BLOCK):
         # the block's live trials: their values and reads, and their
@@ -362,7 +373,7 @@ def _monte_carlo_run(
                 if threshold is not None:
                     view = views.setdefault(scheme.read_view(T, held), len(views))
                 read = reads[code] = (T, threshold, view, key, record)
-            record[0] += 1
+            record[1] += 1
             if read[1] is not None:  # else a vacuous guard: the trial passes
                 groups.setdefault(read[2], []).append(len(reads_at))
                 values_at.append(values)
@@ -382,26 +393,13 @@ def _monte_carlo_run(
         failing.sort()
         for i, code in failing:
             T, threshold, _, key, record = reads_at[i]
-            failures += 1
-            record[1] += 1
+            record[0] += 1
             if len(witnesses) < witness_cap:
                 vt = built[values_at[i]]
                 rows_key = tuple(tuple(sorted(row(key, s))) for s in range(n))
                 witnesses.append(_witness(rows_key, T, vt, code, threshold))
-    rates = [f / a for _, _, (a, f), _ in per_state.values()]
-    return VerificationReport(
-        MODE_MONTE_CARLO,
-        len(per_state),
-        len(subsets_seen),
-        trials,
-        trials,
-        failures,
-        tuple(witnesses),
-        failures / trials,
-        max(rates, default=0.0),
-        sum(rates) / len(rates) if rates else 0.0,
-        _worst_state((f, a) for _, _, (a, f), _ in per_state.values()),
-    )
+    counts = [tuple(record) for _, _, record, _ in per_state.values()]
+    return _report(MODE_MONTE_CARLO, counts, len(subsets_seen), trials, witnesses)
 
 
 def _resolve_mode(mode: str, work: int, cap: int) -> str:
@@ -434,12 +432,12 @@ def _verify(
 ) -> VerificationReport:
     model = scheme.model
     n = scheme.n
-    work = (1 << (model.nu * n)) * math.comb(n, subset_size) * model.tuple_count()
+    work = _exhaustive_work(n, model.nu, subset_size, model.tuple_count())
     chosen = _resolve_mode(mode, work, cap)
     if chosen == MODE_EXHAUSTIVE:
         return _exhaustive_run(
             scheme,
-            list(combinations(range(n), subset_size)),
+            subset_size,
             c_w,
             iter_states(n, model.nu),
             list(enumerate_possible_set(model, cap)),

@@ -76,11 +76,12 @@ MUTANTS = (
     Mutant(
         "run-cache-key-without-target",
         "src/mvcode/schemes.py",
-        '("at", server, received, target),',
-        '("at", server, received),',
+        '("at", server, received, target), build)',
+        '("at", server, received), build)',
         (
-            "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
-            "tests/test_cli.py::test_golden_transcript[verify-mds-exhaustive]",
+            "tests/test_differential.py::test_every_read_outcome_is_pinned",
+            "tests/test_verifier.py::"
+            "test_cell_codes_match_the_default_loop[delta-8-1-2-4-2-None]",
         ),
     ),
     Mutant(
@@ -313,6 +314,28 @@ MUTANTS = (
             "tests/test_binning.py::test_an_index_no_value_has_leaves_no_survivor[0]",
             "tests/test_binning.py::test_an_index_no_value_has_leaves_no_survivor[1]",
             "tests/test_binning.py::test_decoder_outcomes_match_the_blind_oracle",
+        ),
+    ),
+    Mutant(
+        "state-average-over-attempts",
+        "src/mvcode/verifier.py",
+        "sum(rates) / len(rates) if rates else 0.0,",
+        "failures / attempts if attempts else 0.0,",
+        (
+            "tests/test_verifier.py::"
+            "test_latest_only_fails_exactly_at_mixed_newest_states",
+            "tests/test_verifier.py::test_reports_pinned_field_for_field",
+        ),
+    ),
+    Mutant(
+        "row-sets-bit-index-off-by-one",
+        "src/mvcode/model.py",
+        "if p >> u & 1",
+        "if p >> u + 1 & 1",
+        (
+            "tests/test_verifier.py::test_mds_exhaustive_counts_frozen",
+            "tests/test_sim.py::test_every_search_witness_is_pinned",
+            "tests/test_cli.py::test_golden_transcript[sim-search]",
         ),
     ),
     Mutant(

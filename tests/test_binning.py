@@ -1060,7 +1060,7 @@ def _failures_in_state(codebook, allocation, tuples, state):
     over every size-c reading set of that state alone."""
     report = _exhaustive_run(
         BinningScheme.over(codebook, allocation),
-        list(combinations(range(codebook.n), allocation.c)),
+        allocation.c,
         None,
         [state],
         tuples,

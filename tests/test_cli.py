@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import mvcode
 from mvcode.cli import (
+    _COMMANDS,
     _PARAMS,
     RunConfig,
     UsageError,
@@ -244,17 +245,6 @@ def _run_script(script, timeout=None):
     )
 
 
-def test_runs_without_mpmath():
-    script = (
-        "import sys; sys.modules['mpmath'] = None\n"
-        "from mvcode.cli import main\n"
-        "assert main(['cost']) == 0\n"
-        "assert main(['bound', '--sweep', '32,64']) == 0\n"
-    )
-    done = _run_script(script)
-    assert done.returncode == 0, done.stderr
-
-
 # Commands that neither draw a binning codebook nor judge a binning read
 # view, with their exit codes: numpy serves binning alone.  latest-only
 # fails its verifies, its replay and its search by design.
@@ -296,6 +286,35 @@ def test_quick_commands_run_without_numpy():
         + "".join(
             f"assert main({argv!r}) == {code}, {argv!r}\n"
             for argv, code in _NUMPY_FREE
+        )
+    )
+    done = _run_script(script)
+    assert done.returncode == 0, done.stderr
+
+
+# One run of each subcommand, with its exit code.  The package needs only
+# numpy; mpmath, hypothesis and pytest are test extras.  CI runs the same
+# commands from the console script after ``pip install .`` with no extras.
+_RUNTIME_ONLY = (
+    (["cost"], 0),
+    (["verify", "--K", "2", "--mode", "exhaustive"], 0),
+    (["bound", "--sweep", "32,64"], 0),
+    (["sim"], 0),
+    (["binning", "--seeds", "1", "--trials", "50"], 0),
+    (["example1"], 0),
+)
+
+
+def test_every_subcommand_runs_without_the_test_extras():
+    assert {argv[0] for argv, _ in _RUNTIME_ONLY} == set(_COMMANDS)
+    script = (
+        "import sys\n"
+        "for name in ('mpmath', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from mvcode.cli import main\n"
+        + "".join(
+            f"assert main({argv!r}) == {code}, {argv!r}\n"
+            for argv, code in _RUNTIME_ONLY
         )
     )
     done = _run_script(script)

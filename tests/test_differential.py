@@ -535,11 +535,9 @@ def test_block_generator_matches_the_padded_expansion(n, c, K):
                 ]
                 for s in holders
             }
-            cache = {
-                ("at", s, (1, 2), 2): _lane_slices(vectors[s], m, width, stride)
-                for s in holders
-            }
-            codes = scheme.cell_codes(holders, [both] * c, tuples, cache)
+            lanes = {s: _lane_slices(vectors[s], m, width, stride) for s in holders}
+            scheme._vectors_at = lambda server, *_: lanes[server]
+            codes = scheme.cell_codes(holders, [both] * c, tuples, {})
             want = []
             for i, vt in enumerate(tuples):
                 bits = padded_solve(gen, [(s, vectors[s][i]) for s in holders])
@@ -835,7 +833,7 @@ def test_no_engine_reaches_the_per_tuple_loop(monkeypatch):
         for size in (1, 31, 32):
             report = _exhaustive_run(
                 scheme,
-                list(combinations(range(4), 3)),
+                3,
                 3,
                 iter_states(4, 2),
                 tuples[:size],

@@ -7,6 +7,8 @@ seeds and seed counts near 2^64) and values past each limit.  Work flags are
 drawn only where their own limit or ``--cap`` bounds the work: verify, sim
 and binning always get a small ``--cap``, verify always gets a few
 ``--trials``, and seed counts near 2^64 are drawn only past their limit.
+Beside the draw, which picks at most two extremes per argv, a fixed list
+runs every (flag, extreme) pair once, so each extreme is exercised.
 
 The cases run one after another in one child interpreter under a 2 GiB
 address-space limit, each under an alarm.  Every exit is 0-3; a refusal
@@ -228,6 +230,20 @@ _NAMES = re.compile(
 _INTERPRETER = re.compile(r"Traceback|[A-Z][a-z]+Error|integer string conversion")
 
 
+def _check_answers(child, argv):
+    """``argv`` answers in the child, or is refused in one named line."""
+    result = child.run(argv)
+    assert result["crash"] is None, (argv, result["crash"])
+    status, err = result["status"], result["err"]
+    assert status in (0, 1, 2, 3), (argv, status)
+    if status in (2, 3):
+        assert result["out"] == "", argv
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, err)
+        assert _NAMES.search(errors[0]), (argv, errors[0])
+        assert not _INTERPRETER.search(err), (argv, err)
+
+
 def test_every_flag_has_a_value_strategy():
     assert set(_VALUES) == {param.field for param in _PARAMS}
 
@@ -242,13 +258,44 @@ def test_every_flag_has_a_value_strategy():
 @given(argv=_argv())
 def test_every_accepted_input_answers(argv, child, schedule_path):
     argv = [schedule_path if arg == _SCHEDULE else arg for arg in argv]
-    result = child.run(argv)
-    assert result["crash"] is None, (argv, result["crash"])
-    status, err = result["status"], result["err"]
-    assert status in (0, 1, 2, 3), (argv, status)
-    if status in (2, 3):
-        assert result["out"] == "", argv
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1, (argv, err)
-        assert _NAMES.search(errors[0]), (argv, errors[0])
-        assert not _INTERPRETER.search(err), (argv, err)
+    _check_answers(child, argv)
+
+
+# Work flags at ordinary values, for the commands that always take them.
+_WORK = {"cap": 4096, "trials": 5}
+# The flags an extreme needs beside it to reach the code that reads it: a
+# quorum's partner, and the quorums of a search and of its crash budget.
+_BESIDE = {
+    "c_w": {"c_r": 4},
+    "c_r": {"c_w": 4},
+    "search": {"c_w": 3, "c_r": 3},
+    "crashes": {"search": 4, "c_w": 3, "c_r": 3},
+}
+
+
+def _extreme_cases():
+    """Each (flag, extreme) pair of ``_VALUES`` once, under a command that
+    takes the flag (verify for the flags every command takes), with the
+    command's work flags at ordinary values and every other flag at its
+    default; the radius extremes also at K = 4096."""
+    cases = []
+    for param in _PARAMS:
+        command = "verify" if "verify" in param.commands else param.commands[0]
+        for before in ({}, {"K": 4096}) if param.field == "radius" else ({},):
+            for value in _VALUES[param.field][1](before):
+                got = {f: _WORK[f] for f in _ALWAYS.get(command, ())}
+                got.update(_BESIDE.get(param.field, {}), **before)
+                got[param.field] = value
+                argv = [command]
+                for p in _PARAMS:
+                    if p.field in got:
+                        argv += [p.flag, str(got[p.field])]
+                cases.append(argv)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "argv", _extreme_cases(), ids=lambda argv: " ".join(a[:16] for a in argv)
+)
+def test_every_extreme_answers(argv, child):
+    _check_answers(child, argv)

@@ -694,7 +694,7 @@ def _verify_snapshot(scheme, c_w, c_r, read):
     state alone: every c_r-subset against every admissible tuple."""
     return _exhaustive_run(
         scheme,
-        list(combinations(range(scheme.n), c_r)),
+        c_r,
         c_w,
         [SystemState(tuple(frozenset(row) for row in read.snapshot))],
         list(enumerate_possible_set(scheme.model)),

@@ -61,7 +61,7 @@ def _definition_2_in_states(scheme, c_w, c_r, states, witness_cap=200):
     """verify_definition_2's exhaustive engine over the given states only."""
     return _exhaustive_run(
         scheme,
-        list(combinations(range(scheme.n), c_r)),
+        c_r,
         c_w,
         states,
         list(enumerate_possible_set(scheme.model)),
