@@ -23,6 +23,7 @@ import warnings
 from math import log2
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from .binning import (
@@ -671,6 +672,7 @@ def _add_rows(parser: argparse.ArgumentParser, rows) -> None:
         )
 
 
+@cache  # parsing leaves a parser as it was, so a process builds one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvcode",
@@ -698,6 +700,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RATIONAL_FLAGS = [p.flag for p in _PARAMS if p.parse is parse_rational]
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _join_negatives(argv: list[str]) -> list[str]:
+    """argv with each rational flag, or an abbreviation argparse takes for
+    it, joined to a negative value after it (``--delta -1/4`` as
+    ``--delta=-1/4``), so the value meets its limit: argparse reads a lone
+    ``-1/4`` as an option and refuses the flag as missing its argument."""
+    out: list[str] = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and _NEGATIVE.match(word) and any(
+            full.startswith(flag) for full in _RATIONAL_FLAGS
+        ):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _config_from_args(args) -> RunConfig:
     values = {}
     if args.config:
@@ -715,8 +738,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negatives(argv))
     try:
         output, code = args.run(_config_from_args(args))
     except EnumerationCapExceeded as exc:

@@ -39,12 +39,13 @@ blocks of 32768, each trial's tuple, state and subset in turn from one
 seeded generator through ``getrandbits`` alone, so the draws rest only on
 MT19937's word stream.  A trial is drawn as ints: the version values, the
 state's masked word bits and a code of the subset's raw draws.  A state is
-kept as those bits, read one row at a time.  A (state, subset code) pair
-is judged for its sorted subset, threshold and read view once per run, on
-first draw; a block builds one VersionTuple per distinct
-value tuple and is judged per read view over the tuples of that view's
-trials.  Only failing trials are folded back, in trial order, so the draws
-and every report are those of judging each trial on its own.
+kept as those bits, read one row at a time.  Each subset code's sorted
+members come from a per-run table, filled on the code's first draw, and a
+(state, subset code) pair's threshold and read view are worked out once
+per run, on the pair's first draw; a block builds one VersionTuple per
+distinct value tuple and is judged per read view over the tuples of that
+view's trials.  Only failing trials are folded back, in trial order, so
+the draws and every report are those of judging each trial on its own.
 """
 
 import math
@@ -343,7 +344,7 @@ def _monte_carlo_run(
     # view index, state bits, record)
     per_state: dict[int, tuple[int, Optional[int], list[int], dict]] = {}
     views: dict = {}  # read view -> its index, by which a block groups trials
-    subsets_seen = set()
+    subsets: dict[int, tuple[int, ...]] = {}  # subset code -> sorted subset T
     witnesses: list[Witness] = []
     for start in range(0, trials, _BLOCK):
         # the block's live trials: their values and reads, and their
@@ -365,8 +366,9 @@ def _monte_carlo_run(
             code = draw_subset(getrandbits)
             read = reads.get(code)
             if read is None:
-                T = tuple(sorted(members_of(code)))
-                subsets_seen.add(T)
+                T = subsets.get(code)
+                if T is None:
+                    T = subsets[code] = tuple(sorted(members_of(code)))
                 held = [row(key, t) for t in T]
                 threshold = latest_common_version(held) if c_w is None else complete
                 view = None
@@ -399,7 +401,8 @@ def _monte_carlo_run(
                 rows_key = tuple(tuple(sorted(row(key, s))) for s in range(n))
                 witnesses.append(_witness(rows_key, T, vt, code, threshold))
     counts = [tuple(record) for _, _, record, _ in per_state.values()]
-    return _report(MODE_MONTE_CARLO, counts, len(subsets_seen), trials, witnesses)
+    distinct = len(set(subsets.values()))
+    return _report(MODE_MONTE_CARLO, counts, distinct, trials, witnesses)
 
 
 def _resolve_mode(mode: str, work: int, cap: int) -> str:

@@ -339,6 +339,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "subset-table-keeps-draw-order",
+        "src/mvcode/verifier.py",
+        "T = subsets[code] = tuple(sorted(members_of(code)))",
+        "T = subsets[code] = tuple(members_of(code))",
+        (
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[mds]",
+            "tests/test_differential.py::"
+            "test_monte_carlo_blocks_match_the_per_trial_engine[bridge(latest-only)]",
+            "tests/test_verifier.py::test_reports_pinned_field_for_field",
+        ),
+    ),
+    Mutant(
         "log-from-the-top-16-bits",
         "src/mvcode/bounds.py",
         "shift = max(value.bit_length() - 512, 0)",

@@ -23,6 +23,7 @@ from mvcode.cli import (
     _PARAMS,
     RunConfig,
     UsageError,
+    _build_parser,
     _config_values,
     format_rational,
     main,
@@ -167,6 +168,42 @@ def test_zero_denominator_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, "cost", "--config", str(path))
     assert code == 2
     assert err.startswith("error: bad value for epsilon: zero denominator")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--delta", "-1/4"], "delta must lie in [0, 1], got -1/4"),
+        (["cost", "--epsilon", "-1/4"],
+         "epsilon must lie strictly between 0 and 1, got -1/4"),
+        (["cost", "--K", "4", "--delta", "-0.5e0"],
+         "delta must lie in [0, 1], got -1/2"),
+        (["verify", "--eps", "-2"],
+         "epsilon must lie strictly between 0 and 1, got -2"),
+    ],
+)
+def test_a_negative_rational_word_meets_its_limit(argv, message, capsys):
+    """argparse reads a lone -1/4 as an option; it must still reach the
+    flag's own limit, as --delta=-1/4 does."""
+    for words in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
+        code, out, err = _run(capsys, *words)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), words
+
+
+def test_a_refused_run_leaves_the_parser_for_the_next(capsys):
+    """The parser is built once per process: runs refused by argparse and
+    by a limit leave the next run's output byte-identical to its golden."""
+    for refused in (["verify", "--mode", "sideways"], ["cost", "--nu", "0"]):
+        try:
+            code = main(refused)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+    capsys.readouterr()
+    command, status, expected = (GOLDEN / "cost.txt").read_text().split("\n", 2)
+    code, out, _ = _run(capsys, *shlex.split(command[len("$ mvcode "):]))
+    assert (code, out) == (int(status[len("exit "):]), expected)
+    assert _build_parser() is _build_parser()
 
 
 def test_format_rational_round_trips():
