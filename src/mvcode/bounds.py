@@ -11,7 +11,7 @@ carries only the few roundings of that float sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
@@ -19,6 +19,7 @@ from math import comb, factorial
 from .model import hamming_ball_volume
 
 LOG_DIGITS = 50
+_LN2 = Decimal(2).ln(Context(prec=LOG_DIGITS))
 
 
 def log2_decimal(x: int | Fraction) -> Decimal:
@@ -32,16 +33,14 @@ def log2_decimal(x: int | Fraction) -> Decimal:
         raise ValueError("log2_exact needs a positive argument")
     with localcontext() as ctx:
         ctx.prec = LOG_DIGITS
-        ln2 = Decimal(2).ln()
-        ln = _ln(x.numerator, ln2) - _ln(x.denominator, ln2)
-        return ln / ln2
+        return (_ln(x.numerator) - _ln(x.denominator)) / _LN2
 
 
-def _ln(value: int, ln2: Decimal) -> Decimal:
+def _ln(value: int) -> Decimal:
     """ln of a positive int from its top 512 bits plus the shift times ln 2:
     the dropped bits move it by under 2^-511, far below LOG_DIGITS digits."""
     shift = max(value.bit_length() - 512, 0)
-    return Decimal(value >> shift).ln() + shift * ln2
+    return Decimal(value >> shift).ln() + shift * _LN2
 
 
 def log2_exact(x: int | Fraction) -> float:

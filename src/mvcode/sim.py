@@ -29,7 +29,6 @@ Arrivals addressed to a crashed server are dropped, matching a message
 that reaches a dead machine.
 """
 
-import heapq
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -490,19 +489,18 @@ def adversarial_schedule_search(
     cost by those event lists in the token order writes < arrivals by
     (version, server) < crashes by server: the order in which a
     breadth-first search over schedules first meets each pair, so the
-    first failing pair is its minimal witness.  EnumerationCapExceeded is
-    raised before the first read when the pairs exceed ``cap``.
+    first failing pair is its minimal witness.  Within one cost and write
+    count, each crash count's arrival sets are walked on their own and the
+    least failing list is kept.  EnumerationCapExceeded is raised before
+    the first read when the pairs exceed ``cap``.
 
-    The responders T depend only on C, so each crash count has one table
-    of (C, T).  A read fails when its outcome code is below the latest
-    complete version ``need``, counted from S's arrivals.  A decode from T
-    reads only T's rows, so the code is a function of T and its rows
-    alone: it is taken once per distinct (T, rows), from the verifier cell
-    of that view over the one content tuple, and kept for the length of
-    the search under one int, T's index and the (server, version)
-    inclusion bits of S masked to T's rows.  The view and the cell read
-    T's rows alone, straight from S's bits through a table of the row
-    receipt sets it can reach; the search builds no state.
+    Each crash count has one table of (C, T), since the responders T
+    depend only on C.  A read fails when its outcome code is below the
+    latest complete version ``need`` of S.  A decode reads only T's rows,
+    so the code is taken once per distinct (T, rows), from the verifier
+    cell of that view over the one content tuple, and kept under one int:
+    T's index and S's (server, version) bits masked to T's rows.  The
+    rows come straight from those bits; the search builds no state.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -544,34 +542,37 @@ def adversarial_schedule_search(
             top = len(pairs)
             newest = (written - 1) * n  # the first arrival of version written
             room = used - written
-            # arrival sets of room - k members for k crashes, as indices into
-            # pairs, merged so that a set comes after its extensions: an
-            # arrival sorts before a crash
-            for got in heapq.merge(
-                *(combinations(range(top), room - k) for k in range(min(f, room) + 1)),
-                key=lambda got: got + (top,),
-            ):
-                if (got[-1] if got else -1) < newest:
-                    continue  # a schedule with fewer writes reaches this (S, C)
-                bits = sum([bit_of[i] for i in got])
-                need = written  # latest_complete_version of S, or 0
-                while need and (bits & columns[need - 1]).bit_count() < c_w:
-                    need -= 1
-                for crashed, T, t, mask, shifts in reads[room - len(got)]:
-                    key = (bits & mask) * responder_sets + t
-                    code = codes.get(key)
-                    if code is None:
-                        rows = [patterns[bits >> sh & row] for sh in shifts]
-                        cell = _cell(scheme, T, rows, versions, cells, cache)
-                        code = codes[key] = cell.codes[0]
-                    if code >= need:
-                        continue
-                    steps = [(KIND_WRITE, u, None) for u in range(1, written + 1)]
-                    steps += [(KIND_ARRIVAL, *pairs[i]) for i in got]
-                    steps += [(KIND_CRASH, None, s) for s in crashed]
-                    events = tuple(
-                        SimEvent(kind, time, version=u, server=s)
-                        for time, (kind, u, s) in enumerate(steps)
-                    ) + (read_start(used, 0),)
-                    return Schedule(n, c_w, c_r, f, events, seed)
+            # crash count k's arrival sets (room - k indices into pairs) come
+            # in token order, by got + (top,): an arrival sorts before a crash,
+            # so a set after its extensions.  No two counts tie, and each stops
+            # past the least failing set so far, which ends as the level's first
+            found = None
+            for k in range(min(f, room) + 1):
+                for got in combinations(range(top), room - k):
+                    if found and got + (top,) > found[0] + (top,):
+                        break
+                    if (got[-1] if got else -1) < newest:
+                        continue  # a schedule with fewer writes reaches this (S, C)
+                    bits = sum(map(bit_of.__getitem__, got))
+                    need = written  # latest_complete_version of S, or 0
+                    while need and (bits & columns[need - 1]).bit_count() < c_w:
+                        need -= 1
+                    for crashed, T, t, mask, shifts in reads[k]:
+                        key = (bits & mask) * responder_sets + t
+                        code = codes.get(key)
+                        if code is None:
+                            rows = [patterns[bits >> sh & row] for sh in shifts]
+                            cell = _cell(scheme, T, rows, versions, cells, cache)
+                            code = codes[key] = cell.codes[0]
+                        if code < need:
+                            found = got, crashed
+                            break
+            if found:
+                got, crashed = found
+                steps = [(write_start, u) for u in range(1, written + 1)]
+                steps += [(server_arrival, *pairs[i]) for i in got]
+                steps += [(server_crash, s) for s in crashed]
+                events = [make(time, *args) for time, (make, *args) in enumerate(steps)]
+                events.append(read_start(used, 0))
+                return Schedule(n, c_w, c_r, f, tuple(events), seed)
     return None

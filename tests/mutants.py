@@ -141,13 +141,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "search-merge-sentinel-below-the-top-index",
+        "search-stop-key-without-the-top-sentinel",
         "src/mvcode/sim.py",
-        "key=lambda got: got + (top,),",
-        "key=lambda got: got + (top - 1,),",
+        "if found and got + (top,) > found[0] + (top,):",
+        "if found and got > found[0]:",
         (
             "tests/test_differential.py::"
             "test_search_tries_an_arrival_set_before_its_prefix_with_a_crash",
+        ),
+    ),
+    Mutant(
+        "search-keeps-the-first-crash-count-failure",
+        "src/mvcode/sim.py",
+        "found = got, crashed",
+        "found = found or (got, crashed)",
+        (
+            "tests/test_differential.py::"
+            "test_search_orders_crash_witnesses_by_their_arrivals[other0-1]",
         ),
     ),
     Mutant(

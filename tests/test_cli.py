@@ -155,6 +155,31 @@ def test_rational_parser_accepts_three_forms():
         parse_rational("a quarter")
 
 
+def test_every_help_default_is_the_value_a_run_takes(capsys):
+    # each "(default X)" of a flag's help against the value a run given no
+    # flags echoes: the `params` line of `cost`, and for --crashes the crash
+    # budget of the witness a `sim --search` finds
+    _, out, _ = _run(capsys, "cost")
+    taken = dict(word.split("=", 1) for word in out.splitlines()[0].split()[1:])
+    argv = ["sim", "--search", "12", "--c-w", "3", "--c-r", "3", "--scheme", "latest-only"]
+    _, out, _ = _run(capsys, *argv)
+    schedule = next(line for line in out.splitlines() if line.startswith("schedule "))
+    taken["crashes"] = dict(word.split("=") for word in schedule.split()[1:])["f"]
+    checked = []
+    for p in _PARAMS:
+        match = re.search(r"\(default (\S+)\)", p.help)
+        if match is None:
+            continue
+        word = match.group(1)
+        try:
+            word = format_rational(parse_rational(word))  # 2^24 as the run echoes it
+        except ValueError:
+            pass
+        assert taken[p.flag.lstrip("-")] == word, p.flag
+        checked.append(p.flag)
+    assert len(checked) == 12 and "--crashes" in checked, checked
+
+
 def test_zero_denominator_exits_two(tmp_path, capsys):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
